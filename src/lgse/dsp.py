@@ -7,6 +7,7 @@ sqrt-Hann synthesis satisfies constant overlap-add exactly on the interior.
 
 from __future__ import annotations
 
+import functools
 import wave
 import zlib
 from dataclasses import dataclass, field
@@ -46,6 +47,13 @@ def sqrt_hann(n: int) -> np.ndarray:
     return np.sqrt(0.5 * (1.0 - np.cos(2.0 * np.pi * k / n)))
 
 
+@functools.lru_cache(maxsize=8)
+def _shared_window(n: int) -> np.ndarray:
+    w = sqrt_hann(n)
+    w.flags.writeable = False
+    return w
+
+
 @dataclass(frozen=True)
 class StftConfig:
     win_ms: int = 32
@@ -71,7 +79,8 @@ class StftConfig:
         return self.fft_size // 2 + 1
 
     def window(self) -> np.ndarray:
-        return sqrt_hann(self.win_len)
+        """The analysis/synthesis window, computed once per length (read-only)."""
+        return _shared_window(self.win_len)
 
 
 DEFAULT_STFT = StftConfig()
@@ -114,9 +123,9 @@ def frame_count(n_samples: int, cfg: StftConfig = DEFAULT_STFT) -> int:
 def frame_signal(samples: np.ndarray, cfg: StftConfig = DEFAULT_STFT) -> np.ndarray:
     """Window the signal into (L, win_len) frames; frame l starts at l*hop."""
     samples = np.asarray(samples, dtype=np.float64)
-    n_frames = frame_count(len(samples), cfg)
-    idx = np.arange(cfg.win_len)[None, :] + cfg.hop * np.arange(n_frames)[:, None]
-    return samples[idx] * cfg.window()
+    frame_count(len(samples), cfg)  # rejects a signal shorter than one window
+    frames = np.lib.stride_tricks.sliding_window_view(samples, cfg.win_len)[::cfg.hop]
+    return frames * cfg.window()
 
 
 def stft(w: Waveform, cfg: StftConfig = DEFAULT_STFT) -> np.ndarray:

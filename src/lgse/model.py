@@ -23,7 +23,9 @@ from .numerics import (
     layer_norm_frames,
     matmul,
     mul,
+    no_grad,
     relu,
+    reshape,
     sigmoid,
     softmax_rows,
     take,
@@ -89,15 +91,18 @@ class ModelConfig:
 def attention_head(q: Tensor, k: Tensor, v: Tensor, bias: Tensor | None = None,
                    *, mode: str = "additive", causal: bool = False,
                    return_weights: bool = False):
-    """Scaled dot-product attention for one head.
+    """Scaled dot-product attention over (..., L, d_k) queries, keys and values.
 
-    Additive biases join the scaled scores before the softmax; the
-    multiplicative bias scales the ReLU-clipped scores instead. Causal masking
-    pushes logits above the diagonal to -1e9 after bias injection, so masked
-    frames receive exactly-renormalized zero weight.
+    Leading axes (clips, heads) are independent attention problems. Additive
+    biases join the scaled scores before the softmax; the multiplicative bias
+    scales the ReLU-clipped scores instead. A bias is (L, L) or carries
+    leading axes that broadcast against the scores, e.g. one (H, L, L) stack
+    for every clip. Causal masking pushes logits above the diagonal to -1e9
+    after bias injection, so masked frames receive exactly-renormalized zero
+    weight.
     """
-    length, d_k = q.shape
-    if bias is not None and bias.shape != (length, length):
+    length, d_k = q.shape[-2:]
+    if bias is not None and bias.shape[-2:] != (length, length):
         raise ValueError(
             f"bias shape {bias.shape} does not match sequence length {length}")
     scores = mul(matmul(q, transpose(k)), 1.0 / math.sqrt(d_k))
@@ -129,7 +134,6 @@ class EnhancementModel:
         self.config = config
         self.params: dict[str, Tensor] = {}
         self.buffers: dict[str, np.ndarray] = {}
-        self._rope_cache: dict[int, tuple[np.ndarray, np.ndarray]] = {}
         self._init_params()
 
     # -- construction -------------------------------------------------------
@@ -235,76 +239,76 @@ class EnhancementModel:
                 f"bertpos supports at most {cfg.bertpos_hard_cap} frames, "
                 f"got {length}")
         ext = constant(self.buffers["pe.embed_ext"][:length - trained])
-        rows = take(table, np.arange(trained))
-        return _stack_rows(rows, ext)
+        return concat_cols([table, ext], axis=0)
 
     def embed(self, x_mag: np.ndarray, add_position: bool = True) -> Tensor:
         """FC -> frame-wise layer norm -> ReLU, plus the absolute embedding
-        for the input-injection kinds."""
+        for the input-injection kinds. Accepts (L, K) or a (B, L, K) stack."""
         cfg = self.config
         x_mag = np.asarray(x_mag, dtype=np.float64)
-        if x_mag.ndim != 2 or x_mag.shape[1] != cfg.k_bins:
+        if x_mag.ndim not in (2, 3) or x_mag.shape[-1] != cfg.k_bins:
             raise ValueError(
-                f"expected input of shape (L, {cfg.k_bins}), got {x_mag.shape}")
+                f"expected input of shape (L, {cfg.k_bins}) or "
+                f"(B, L, {cfg.k_bins}), got {x_mag.shape}")
         z = add(matmul(constant(x_mag), self.params["embed.weight"]),
                 self.params["embed.bias"])
         z = layer_norm_frames(z, self.params["embed.ln_gain"],
                               self.params["embed.ln_bias"], cfg.ln_eps)
         z = relu(z)
         if add_position and posenc.INJECTION_MODE[cfg.pe_kind] == "input":
-            z = add(z, self._position_rows(x_mag.shape[0]))
+            z = add(z, self._position_rows(x_mag.shape[-2]))
         return z
 
-    def _head_bias(self, length: int, layer: int, head: int) -> Tensor | None:
-        cfg = self.config
-        kind = cfg.pe_kind
+    def _layer_bias(self, length: int, layer: int) -> Tensor | None:
+        """The (H, L, L) bias stack for one layer, or None without one."""
+        p = self.params
+        kind = self.config.pe_kind
         if kind is PeKind.GAUSS:
-            return posenc.gauss_bias(length, take(self.params["pe.sigma"], head))
+            return posenc.gauss_bias(length, p["pe.sigma"])
         if kind is PeKind.T5:
-            return posenc.t5_bias(length, take(self.params["pe.bucket"], head))
+            return posenc.t5_bias(length, p["pe.bucket"])
         if kind is PeKind.TISA:
-            idx = (layer, head)
-            return posenc.tisa_bias(length, take(self.params["pe.a"], idx),
-                                    take(self.params["pe.b"], idx),
-                                    take(self.params["pe.c"], idx))
+            return posenc.tisa_bias(length, take(p["pe.a"], layer),
+                                    take(p["pe.b"], layer), take(p["pe.c"], layer))
         if kind is PeKind.DABIAS:
-            return posenc.da_bias(length, take(self.params["pe.w"], head),
-                                  take(self.params["pe.v"], head))
+            return posenc.da_bias(length, p["pe.w"], p["pe.v"])
         if kind is PeKind.KERPLE:
-            return posenc.kerple_bias(length, take(self.params["pe.rho1"], head),
-                                      take(self.params["pe.rho2"], head))
+            return posenc.kerple_bias(length, p["pe.rho1"], p["pe.rho2"])
         if kind is PeKind.LEARNLIN:
-            return posenc.learnlin_bias(length, take(self.params["pe.beta"], head))
+            return posenc.learnlin_bias(length, p["pe.beta"])
         return None
 
-    def _biases_for(self, length: int) -> list[list[Tensor | None]]:
-        """Per-layer, per-head bias tensors; layer-shared kinds reuse nodes."""
-        cfg = self.config
-        if cfg.pe_kind not in posenc.RPE_BIAS_KINDS:
-            none_row: list[Tensor | None] = [None] * cfg.n_heads
-            return [none_row for _ in range(cfg.n_layers)]
-        if cfg.pe_kind is PeKind.TISA:
-            return [[self._head_bias(length, i, h) for h in range(cfg.n_heads)]
-                    for i in range(cfg.n_layers)]
-        shared = [self._head_bias(length, 0, h) for h in range(cfg.n_heads)]
-        return [shared for _ in range(cfg.n_layers)]
+    def _biases_for(self, length: int) -> list[Tensor | None]:
+        """One bias per layer; layer-shared kinds build theirs once."""
+        n = self.config.n_layers
+        if self.config.pe_kind is PeKind.TISA:
+            return [self._layer_bias(length, i) for i in range(n)]
+        return [self._layer_bias(length, 0)] * n
 
-    def mhsa(self, x: Tensor, layer: int, biases: list[Tensor | None]) -> Tensor:
+    def _split_heads(self, x: Tensor, name: str, layer: int) -> Tensor:
+        """Project (..., L, d_model) frames with the per-head weights of `name`
+        joined column-wise, giving (..., H, L, d_k)."""
+        cfg = self.config
+        w = concat_cols([self.params[f"layers.{layer}.attn.{name}.{h}"]
+                         for h in range(cfg.n_heads)])
+        y = matmul(x, w)
+        y = reshape(y, y.shape[:-1] + (cfg.n_heads, cfg.d_k))
+        return transpose(y, -3, -2)
+
+    def mhsa(self, x: Tensor, layer: int, bias: Tensor | None) -> Tensor:
+        """Self-attention of every head at once over (..., L, d_model) frames;
+        `bias` is the layer's (H, L, L) position bias or None."""
         cfg = self.config
         mode = posenc.INJECTION_MODE[cfg.pe_kind]
         bias_mode = "multiplicative" if mode == "multiplicative" else "additive"
-        length = x.shape[0]
-        heads = []
-        for h in range(cfg.n_heads):
-            q = matmul(x, self.params[f"layers.{layer}.attn.q.{h}"])
-            k = matmul(x, self.params[f"layers.{layer}.attn.k.{h}"])
-            v = matmul(x, self.params[f"layers.{layer}.attn.v.{h}"])
-            if cfg.pe_kind is PeKind.ROPE:
-                q, k = posenc.rope_rotate(q, k)
-            heads.append(attention_head(q, k, v, biases[h], mode=bias_mode,
-                                        causal=cfg.causal))
-        del length
-        return matmul(concat_cols(heads), self.params[f"layers.{layer}.attn.out"])
+        q = self._split_heads(x, "q", layer)
+        k = self._split_heads(x, "k", layer)
+        v = self._split_heads(x, "v", layer)
+        if cfg.pe_kind is PeKind.ROPE:
+            q, k = posenc.rope_rotate(q, k)
+        heads = attention_head(q, k, v, bias, mode=bias_mode, causal=cfg.causal)
+        joined = reshape(transpose(heads, -3, -2), x.shape)
+        return matmul(joined, self.params[f"layers.{layer}.attn.out"])
 
     def ffn(self, y: Tensor, layer: int) -> Tensor:
         p = self.params
@@ -314,10 +318,11 @@ class EnhancementModel:
                    p[f"layers.{layer}.ffn.b2"])
 
     def forward(self, x_mag: np.ndarray) -> Tensor:
-        """Predict the mask/magnitude grid for one utterance's |X|."""
+        """Predict the mask/magnitude grid for one utterance's (L, K) |X|, or
+        for a (B, L, K) stack of equal-length clips in one pass."""
         cfg = self.config
         z = self.embed(x_mag)
-        biases = self._biases_for(z.shape[0])
+        biases = self._biases_for(z.shape[-2])
         for i in range(cfg.n_layers):
             y = add(z, self.mhsa(z, i, biases[i]))
             if cfg.post_ln:
@@ -336,10 +341,6 @@ class EnhancementModel:
         return out
 
     def predict(self, x_mag: np.ndarray) -> np.ndarray:
-        """Forward pass returning a plain ndarray (no gradient use)."""
-        return self.forward(x_mag).data
-
-
-def _stack_rows(top: Tensor, bottom: Tensor) -> Tensor:
-    """Vertical concatenation via transposed column concat (rarely hot)."""
-    return transpose(concat_cols([transpose(top), transpose(bottom)]))
+        """Forward pass without a tape, returning a plain ndarray."""
+        with no_grad():
+            return self.forward(x_mag).data

@@ -2,13 +2,18 @@
 
 Everything downstream (positional-encoding biases, the Transformer, training)
 computes on these tensors. The design is deliberately small: row-major float64
-data, 0/1/2-D ops, and a backward pass over a topologically ordered tape.
-Broadcasting is limited to what the model needs (scalars and row vectors).
+data and a backward pass over a topologically ordered tape. Elementwise ops
+broadcast like numpy; `matmul`, `transpose`, `softmax_rows` and
+`layer_norm_frames` act on the trailing axes and treat any leading axes as
+batch dimensions, so a (B, L, K) stack of clips or a (B, H, L, d) stack of
+attention heads runs as one node. Inside `no_grad()` no tape is recorded.
 """
 
 from __future__ import annotations
 
-from collections.abc import Callable, Sequence
+import contextlib
+from collections.abc import Callable, Iterator, Sequence
+from contextvars import ContextVar
 
 import numpy as np
 
@@ -40,6 +45,7 @@ __all__ = [
     "rotate_pairs",
     "trace",
     "backward",
+    "no_grad",
     "finite_difference",
 ]
 
@@ -55,8 +61,9 @@ class ContractError(RuntimeError):
 class Tensor:
     """N-dimensional float64 array participating in the gradient tape.
 
-    `grad` is populated by `backward` for tensors with `requires_grad=True`
-    and accumulates across calls; callers zero it by assigning None.
+    `grad` is populated by `backward` for leaf tensors with
+    `requires_grad=True` and accumulates across calls; callers zero it by
+    assigning None. Interior nodes drop theirs once it has been propagated.
     """
 
     __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward")
@@ -140,9 +147,24 @@ def _promote(x) -> Tensor:
     return x if isinstance(x, Tensor) else Tensor(x)
 
 
+_GRAD_ENABLED: ContextVar[bool] = ContextVar("lgse_grad_enabled", default=True)
+
+
+@contextlib.contextmanager
+def no_grad() -> Iterator[None]:
+    """Record no tape inside the block: results keep no parents and no
+    backward closure, so intermediates are freed as soon as they are unused."""
+    token = _GRAD_ENABLED.set(False)
+    try:
+        yield
+    finally:
+        _GRAD_ENABLED.reset(token)
+
+
 def _node(data: np.ndarray, parents: Sequence[Tensor],
           backward_fn: Callable[[np.ndarray], None]) -> Tensor:
-    out = Tensor(data, requires_grad=any(p.requires_grad for p in parents))
+    out = Tensor(data, requires_grad=_GRAD_ENABLED.get()
+                 and any(p.requires_grad for p in parents))
     if out.requires_grad:
         out._parents = tuple(parents)
         out._backward = backward_fn
@@ -177,8 +199,10 @@ def add(a, b) -> Tensor:
     data = a.data + b.data
 
     def back(g):
-        _accumulate(a, _unbroadcast(g, a.shape))
-        _accumulate(b, _unbroadcast(g, b.shape))
+        if a.requires_grad:
+            _accumulate(a, _unbroadcast(g, a.shape))
+        if b.requires_grad:
+            _accumulate(b, _unbroadcast(g, b.shape))
 
     return _node(data, (a, b), back)
 
@@ -188,8 +212,10 @@ def sub(a, b) -> Tensor:
     data = a.data - b.data
 
     def back(g):
-        _accumulate(a, _unbroadcast(g, a.shape))
-        _accumulate(b, _unbroadcast(-g, b.shape))
+        if a.requires_grad:
+            _accumulate(a, _unbroadcast(g, a.shape))
+        if b.requires_grad:
+            _accumulate(b, _unbroadcast(-g, b.shape))
 
     return _node(data, (a, b), back)
 
@@ -199,8 +225,10 @@ def mul(a, b) -> Tensor:
     data = a.data * b.data
 
     def back(g):
-        _accumulate(a, _unbroadcast(g * b.data, a.shape))
-        _accumulate(b, _unbroadcast(g * a.data, b.shape))
+        if a.requires_grad:
+            _accumulate(a, _unbroadcast(g * b.data, a.shape))
+        if b.requires_grad:
+            _accumulate(b, _unbroadcast(g * a.data, b.shape))
 
     return _node(data, (a, b), back)
 
@@ -210,8 +238,10 @@ def div(a, b) -> Tensor:
     data = a.data / b.data
 
     def back(g):
-        _accumulate(a, _unbroadcast(g / b.data, a.shape))
-        _accumulate(b, _unbroadcast(-g * a.data / (b.data * b.data), b.shape))
+        if a.requires_grad:
+            _accumulate(a, _unbroadcast(g / b.data, a.shape))
+        if b.requires_grad:
+            _accumulate(b, _unbroadcast(-g * a.data / (b.data * b.data), b.shape))
 
     return _node(data, (a, b), back)
 
@@ -225,29 +255,52 @@ def neg(a) -> Tensor:
     return _node(-a.data, (a,), back)
 
 
-def matmul(a, b) -> Tensor:
-    a, b = _promote(a), _promote(b)
-    if a.data.ndim != 2 or b.data.ndim != 2 or a.shape[1] != b.shape[0]:
-        raise DimensionError(
-            f"matmul requires (m,k)@(k,n); got {a.shape} and {b.shape}")
-    data = a.data @ b.data
+def _swap(x: np.ndarray) -> np.ndarray:
+    return np.swapaxes(x, -1, -2)
 
-    def back(g):
-        _accumulate(a, g @ b.data.T)
-        _accumulate(b, a.data.T @ g)
+
+def matmul(a, b) -> Tensor:
+    """(..., m, k) @ (..., k, n) with numpy broadcasting of the leading axes.
+
+    A 2-D right operand (a shared weight) multiplies a stacked left operand
+    as one (rows, k) @ (k, n) product, forward and backward.
+    """
+    a, b = _promote(a), _promote(b)
+    if a.data.ndim < 2 or b.data.ndim < 2 or a.shape[-1] != b.shape[-2]:
+        raise DimensionError(
+            f"matmul requires (...,m,k)@(...,k,n); got {a.shape} and {b.shape}")
+    if b.data.ndim == 2 and a.data.ndim > 2:
+        rows = a.data.reshape(-1, a.shape[-1])
+        data = (rows @ b.data).reshape(a.shape[:-1] + b.shape[-1:])
+
+        def back(g):
+            g2 = g.reshape(-1, g.shape[-1])
+            if a.requires_grad:
+                _accumulate(a, (g2 @ b.data.T).reshape(a.shape))
+            if b.requires_grad:
+                _accumulate(b, rows.T @ g2)
+    else:
+        data = a.data @ b.data
+
+        def back(g):
+            if a.requires_grad:
+                _accumulate(a, _unbroadcast(g @ _swap(b.data), a.shape))
+            if b.requires_grad:
+                _accumulate(b, _unbroadcast(_swap(a.data) @ g, b.shape))
 
     return _node(data, (a, b), back)
 
 
-def transpose(a) -> Tensor:
+def transpose(a, axis1: int = -2, axis2: int = -1) -> Tensor:
+    """Swap two axes (by default the last two) into a contiguous copy."""
     a = _promote(a)
-    if a.data.ndim != 2:
-        raise DimensionError(f"transpose expects a 2-D tensor, got {a.shape}")
+    if a.data.ndim < 2:
+        raise DimensionError(f"transpose expects at least 2 axes, got {a.shape}")
 
     def back(g):
-        _accumulate(a, g.T)
+        _accumulate(a, np.swapaxes(g, axis1, axis2))
 
-    return _node(a.data.T.copy(), (a,), back)
+    return _node(np.ascontiguousarray(np.swapaxes(a.data, axis1, axis2)), (a,), back)
 
 
 def relu(a) -> Tensor:
@@ -261,11 +314,11 @@ def relu(a) -> Tensor:
 
 
 def _stable_sigmoid(x: np.ndarray) -> np.ndarray:
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
+    # 1/(1+e^-x) for x >= 0 and e^x/(1+e^x) below, with one exp of -|x|.
+    e = np.exp(-np.abs(x))
+    out = np.where(x >= 0, 1.0, e)
+    e += 1.0
+    out /= e
     return out
 
 
@@ -330,48 +383,50 @@ def reduce_mean(a, axis: int | None = None) -> Tensor:
 
 
 def softmax_rows(a) -> Tensor:
-    """Row-wise softmax of a 2-D tensor, computed with max subtraction.
+    """Softmax along the last axis of a (..., m, n) tensor, computed with max
+    subtraction in one buffer.
 
     Every output row sums to 1 (within float rounding) for finite input.
     """
     a = _promote(a)
-    if a.data.ndim != 2:
-        raise DimensionError(f"softmax_rows expects a 2-D tensor, got {a.shape}")
-    shifted = a.data - a.data.max(axis=1, keepdims=True)
-    e = np.exp(shifted)
-    s = e / e.sum(axis=1, keepdims=True)
+    if a.data.ndim < 2:
+        raise DimensionError(f"softmax_rows expects at least 2 axes, got {a.shape}")
+    s = a.data - a.data.max(axis=-1, keepdims=True)
+    np.exp(s, out=s)
+    s /= s.sum(axis=-1, keepdims=True)
 
     def back(g):
-        inner = (g * s).sum(axis=1, keepdims=True)
+        inner = (g * s).sum(axis=-1, keepdims=True)
         _accumulate(a, s * (g - inner))
 
     return _node(s, (a,), back)
 
 
 def layer_norm_frames(x, gain, bias, eps: float = 1e-5) -> Tensor:
-    """Normalize each row (frame) to zero mean / unit variance, then affine."""
+    """Normalize each frame (last-axis vector of a (..., L, d) tensor) to
+    zero mean / unit variance, then affine."""
     x, gain, bias = _promote(x), _promote(gain), _promote(bias)
-    if x.data.ndim != 2 or x.shape[1] < 2:
+    if x.data.ndim < 2 or x.shape[-1] < 2:
         raise DimensionError(
-            f"layer_norm_frames expects (L,d) with d >= 2, got {x.shape}")
-    d = x.shape[1]
+            f"layer_norm_frames expects (...,L,d) with d >= 2, got {x.shape}")
+    d = x.shape[-1]
     if gain.shape != (d,) or bias.shape != (d,):
         raise DimensionError(
             f"gain/bias must have shape ({d},), got {gain.shape} and {bias.shape}")
-    mu = x.data.mean(axis=1, keepdims=True)
+    mu = x.data.mean(axis=-1, keepdims=True)
     centered = x.data - mu
-    var = (centered * centered).mean(axis=1, keepdims=True)
+    var = (centered * centered).mean(axis=-1, keepdims=True)
     inv_std = 1.0 / np.sqrt(var + eps)
     xhat = centered * inv_std
     data = xhat * gain.data + bias.data
 
     def back(g):
-        _accumulate(bias, g.sum(axis=0))
-        _accumulate(gain, (g * xhat).sum(axis=0))
+        _accumulate(bias, g.reshape(-1, d).sum(axis=0))
+        _accumulate(gain, (g * xhat).reshape(-1, d).sum(axis=0))
         dxhat = g * gain.data
         # Standard layer-norm backward, all reductions along the frame axis.
-        gx = (dxhat - dxhat.mean(axis=1, keepdims=True)
-              - xhat * (dxhat * xhat).mean(axis=1, keepdims=True)) * inv_std
+        gx = (dxhat - dxhat.mean(axis=-1, keepdims=True)
+              - xhat * (dxhat * xhat).mean(axis=-1, keepdims=True)) * inv_std
         _accumulate(x, gx)
 
     return _node(data, (x, gain, bias), back)
@@ -380,7 +435,8 @@ def layer_norm_frames(x, gain, bias, eps: float = 1e-5) -> Tensor:
 def take(a, idx) -> Tensor:
     """Gather `a.data[idx]`; backward scatter-adds into the source.
 
-    `idx` may be an int, a tuple of ints, or an integer ndarray; it is not a
+    `idx` may be an int, a tuple of ints, an integer ndarray, or a tuple such
+    as `(Ellipsis, indices)` that gathers along the last axis; it is not a
     differentiable input.
     """
     a = _promote(a)
@@ -395,17 +451,16 @@ def take(a, idx) -> Tensor:
     return _node(data.copy(), (a,), back)
 
 
-def concat_cols(parts: Sequence[Tensor]) -> Tensor:
-    """Concatenate 2-D tensors with equal row counts along columns."""
+def concat_cols(parts: Sequence[Tensor], axis: int = 1) -> Tensor:
+    """Concatenate 2-D tensors along columns (or rows with `axis=0`)."""
     parts = [_promote(p) for p in parts]
-    widths = [p.shape[1] for p in parts]
-    data = np.concatenate([p.data for p in parts], axis=1)
+    widths = [p.shape[axis] for p in parts]
+    data = np.concatenate([p.data for p in parts], axis=axis)
 
     def back(g):
-        offset = 0
-        for p, w in zip(parts, widths):
-            _accumulate(p, g[:, offset:offset + w])
-            offset += w
+        bounds = np.cumsum(widths)[:-1]
+        for p, gp in zip(parts, np.split(g, bounds, axis=axis)):
+            _accumulate(p, gp)
 
     return _node(data, parts, back)
 
@@ -417,23 +472,24 @@ def reshape(a, shape: tuple[int, ...]) -> Tensor:
     def back(g):
         _accumulate(a, g.reshape(orig))
 
-    return _node(a.data.reshape(shape).copy(), (a,), back)
+    return _node(a.data.reshape(shape), (a,), back)
 
 
 def rotate_pairs(x) -> Tensor:
-    """Map adjacent column pairs (a, b) to (-b, a); the 90-degree pair rotation."""
+    """Map adjacent last-axis pairs (a, b) to (-b, a); the 90-degree pair
+    rotation."""
     x = _promote(x)
-    if x.data.ndim != 2 or x.shape[1] % 2 != 0:
+    if x.data.ndim < 2 or x.shape[-1] % 2 != 0:
         raise DimensionError(
-            f"rotate_pairs expects (L,d) with even d, got {x.shape}")
+            f"rotate_pairs expects (...,L,d) with even d, got {x.shape}")
     data = np.empty_like(x.data)
-    data[:, 0::2] = -x.data[:, 1::2]
-    data[:, 1::2] = x.data[:, 0::2]
+    data[..., 0::2] = -x.data[..., 1::2]
+    data[..., 1::2] = x.data[..., 0::2]
 
     def back(g):
         gx = np.empty_like(g)
-        gx[:, 1::2] = -g[:, 0::2]
-        gx[:, 0::2] = g[:, 1::2]
+        gx[..., 1::2] = -g[..., 0::2]
+        gx[..., 0::2] = g[..., 1::2]
         _accumulate(x, gx)
 
     return _node(data, (x,), back)
@@ -469,6 +525,7 @@ def backward(loss: Tensor) -> None:
     for node in reversed(order):
         if node._backward is not None and node.grad is not None:
             node._backward(node.grad)
+            node.grad = None
 
 
 def finite_difference(f: Callable[[np.ndarray], float], x0: np.ndarray,

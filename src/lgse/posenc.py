@@ -19,6 +19,9 @@ Every relative bias is Toeplitz: entries depend only on i-j. Builders
 therefore compute one value per offset (a (2L-1,) vector) and expand it with
 a gather, which keeps the L x L matrix consistent under length extension and
 lets gradients flow back into the scheme parameters.
+
+Builder parameters may carry leading head axes: a scalar `beta` gives an
+(L, L) bias, a (H,)-shaped one an (H, L, L) stack, one matrix per head.
 """
 
 from __future__ import annotations
@@ -38,6 +41,7 @@ from .numerics import (
     mul,
     neg,
     reduce_sum,
+    reshape,
     rotate_pairs,
     sub,
     take,
@@ -122,7 +126,17 @@ def causal_mask(length: int) -> np.ndarray:
 
 
 def _expand(values: Tensor, length: int) -> Tensor:
-    return take(values, toeplitz_indices(length))
+    """(..., 2L-1) per-offset values -> (..., L, L) Toeplitz matrices."""
+    return take(values, (Ellipsis, toeplitz_indices(length)))
+
+
+def _per_head(p: Tensor, core_ndim: int = 0) -> Tensor:
+    """Give a parameter with leading head axes a unit axis before its last
+    `core_ndim` axes, so it broadcasts against the offset axis."""
+    if p.data.ndim == core_ndim:
+        return p
+    cut = p.data.ndim - core_ndim
+    return reshape(p, p.shape[:cut] + (1,) + p.shape[cut:])
 
 
 def sinusoidal_embedding(length: int, d_model: int) -> np.ndarray:
@@ -141,10 +155,11 @@ def sinusoidal_embedding(length: int, d_model: int) -> np.ndarray:
 
 
 def gauss_bias(length: int, sigma: Tensor) -> Tensor:
-    """-(i-j)^2 / (2 sigma^2) for one head."""
-    if float(np.abs(sigma.data)) == 0.0:
+    """-(i-j)^2 / (2 sigma^2); sigma is a scalar or one per head."""
+    if np.any(sigma.data == 0.0):
         raise ValueError("gauss bias requires sigma != 0")
     r2 = constant(toeplitz_offsets(length).astype(np.float64) ** 2)
+    sigma = _per_head(sigma)
     values = neg(div(r2, mul(mul(sigma, sigma), 2.0)))
     return _expand(values, length)
 
@@ -170,48 +185,51 @@ def t5_bucket_index(rel: np.ndarray | int) -> np.ndarray | int:
 
 
 def t5_bias(length: int, bucket: Tensor) -> Tensor:
-    """Look up the 32-entry bucket table for one head."""
-    if bucket.shape != (T5_BUCKETS,):
-        raise ValueError(f"bucket table must have shape ({T5_BUCKETS},), "
+    """Look up the 32-entry bucket table (one row per head)."""
+    if bucket.data.ndim < 1 or bucket.shape[-1] != T5_BUCKETS:
+        raise ValueError(f"bucket table must have shape (..., {T5_BUCKETS}), "
                          f"got {bucket.shape}")
-    values = take(bucket, t5_bucket_index(toeplitz_offsets(length)))
-    return _expand(values, length)
+    slots = t5_bucket_index(toeplitz_offsets(length))
+    return take(bucket, (Ellipsis, slots[toeplitz_indices(length)]))
 
 
 def tisa_bias(length: int, a: Tensor, b: Tensor, c: Tensor) -> Tensor:
-    """sum_s a_s exp(-|b_s| (j-i-c_s)^2) for one head in one layer."""
-    n_kernels = a.shape[0]
-    if b.shape != (n_kernels,) or c.shape != (n_kernels,):
+    """sum_s a_s exp(-|b_s| (j-i-c_s)^2) for one layer; a, b and c hold the
+    S kernels of one head, (S,), or of every head, (H, S)."""
+    if a.data.ndim < 1 or b.shape != a.shape or c.shape != a.shape:
         raise ValueError(
             f"kernel parameter shapes differ: {a.shape}, {b.shape}, {c.shape}")
+    a, b, c = (_per_head(p, 1) for p in (a, b, c))
     # j - i is the negated offset grid; one column per offset-kernel pair.
     ji = constant(-toeplitz_offsets(length).astype(np.float64)[:, None])
     dist = sub(ji, c)
     kernels = exp(neg(mul(absolute(b), mul(dist, dist))))
-    values = reduce_sum(mul(kernels, a), axis=1)
+    values = reduce_sum(mul(kernels, a), axis=-1)
     return _expand(values, length)
 
 
 def da_bias(length: int, w: Tensor, v: Tensor) -> Tensor:
-    """(1 + e^v) / (1 + e^{v - w|i-j|}) for one head."""
+    """(1 + e^v) / (1 + e^{v - w|i-j|}); w and v are scalars or one per head."""
     absr = constant(np.abs(toeplitz_offsets(length)).astype(np.float64))
+    w, v = _per_head(w), _per_head(v)
     values = div(add(exp(v), 1.0), add(exp(sub(v, mul(absr, w))), 1.0))
     return _expand(values, length)
 
 
 def kerple_bias(length: int, rho1: Tensor, rho2: Tensor) -> Tensor:
-    """-r1 log(1 + r2 |i-j|) with r = e^rho keeping both factors positive."""
+    """-r1 log(1 + r2 |i-j|) with r = e^rho keeping both factors positive;
+    rho1 and rho2 are scalars or one per head."""
     absr = constant(np.abs(toeplitz_offsets(length)).astype(np.float64))
-    r1 = exp(rho1)
-    r2 = exp(rho2)
+    r1 = exp(_per_head(rho1))
+    r2 = exp(_per_head(rho2))
     values = neg(mul(r1, log(add(mul(absr, r2), 1.0))))
     return _expand(values, length)
 
 
 def learnlin_bias(length: int, beta: Tensor) -> Tensor:
-    """beta * |i-j| for one head; beta is shared across layers."""
+    """beta * |i-j|; beta is a scalar or one per head, shared across layers."""
     absr = constant(np.abs(toeplitz_offsets(length)).astype(np.float64))
-    return _expand(mul(absr, beta), length)
+    return _expand(mul(absr, _per_head(beta)), length)
 
 
 def rope_angles(length: int, d_k: int, base: float = 10000.0) -> tuple[np.ndarray, np.ndarray]:
@@ -226,10 +244,11 @@ def rope_angles(length: int, d_k: int, base: float = 10000.0) -> tuple[np.ndarra
 
 
 def rope_rotate(q: Tensor, k: Tensor, base: float = 10000.0) -> tuple[Tensor, Tensor]:
-    """Rotate query/key rows by position-proportional angles (norm-preserving)."""
+    """Rotate query/key rows of (..., L, d_k) tensors by position-proportional
+    angles (norm-preserving); leading (batch, head) axes share the angles."""
     if q.shape != k.shape:
         raise ValueError(f"q and k shapes differ: {q.shape} vs {k.shape}")
-    cos, sin = rope_angles(q.shape[0], q.shape[1], base)
+    cos, sin = rope_angles(q.shape[-2], q.shape[-1], base)
     cos_t, sin_t = constant(cos), constant(sin)
     q_rot = add(mul(q, cos_t), mul(rotate_pairs(q), sin_t))
     k_rot = add(mul(k, cos_t), mul(rotate_pairs(k), sin_t))

@@ -133,7 +133,7 @@ def test_noncausal_sees_future():
 def test_mhsa_shape_preserved():
     m = tiny_model()
     z = m.embed(rand_input(6))
-    out = m.mhsa(z, 0, [None, None])
+    out = m.mhsa(z, 0, None)
     assert out.shape == (6, 8)
 
 
@@ -145,7 +145,7 @@ def test_single_head_equals_attention_plus_projection():
     v = z.data @ m.params["layers.0.attn.v.0"].data
     head = attention_head(Tensor(q), Tensor(k), Tensor(v), None).data
     expect = head @ m.params["layers.0.attn.out"].data
-    got = m.mhsa(z, 0, [None]).data
+    got = m.mhsa(z, 0, None).data
     assert np.allclose(got, expect, atol=1e-12)
 
 
@@ -293,3 +293,84 @@ def test_offset_equivariance_under_context_masking():
                                constant(bias_big + mask), return_weights=True)
     block = w_long.data[shift:shift + 5, shift:shift + 5]
     assert np.allclose(block, w_short.data, atol=1e-12)
+
+
+# -- batched forward against the per-clip, per-head reference -------------------
+
+
+def _randomized_pe(model, seed):
+    """Perturb every PE parameter so zero-initialized schemes shape attention."""
+    rng = np.random.default_rng(seed)
+    for name, t in model.params.items():
+        if name.startswith("pe."):
+            t.data = t.data + rng.normal(0.0, 0.3, t.shape)
+    return model
+
+
+def _batch(model, seed, clips=3, length=6):
+    rng = np.random.default_rng(seed)
+    xs = rng.uniform(0.0, 2.0, (clips, length, model.config.k_bins))
+    targets = rng.uniform(0.0, 1.0, (clips, length, model.config.out_width))
+    return xs, targets
+
+
+@pytest.mark.parametrize("target", ["irm", "psm", "ms", "cirm"])
+@pytest.mark.parametrize("kind", ALL_KINDS)
+def test_batched_forward_and_loss_match_reference(kind, target):
+    from helpers import reference_batch_loss, reference_forward
+    from lgse.training import BatchItem, _batch_loss
+
+    m = _randomized_pe(tiny_model(pe=kind, target=target, n_layers=2), seed=21)
+    xs, targets = _batch(m, seed=22)
+    batched = m.forward(xs)
+    assert batched.shape == targets.shape
+    expect = np.stack([reference_forward(m, x) for x in xs])
+    assert np.max(np.abs(batched.data - expect)) <= 1e-12
+    single = m.forward(xs[1])
+    assert single.shape == expect[1].shape
+    assert np.max(np.abs(single.data - expect[1])) <= 1e-12
+    items = [BatchItem(x, t, 0, np.zeros(1), np.zeros(1)) for x, t in zip(xs, targets)]
+    loss = float(_batch_loss(m, items).data)
+    assert abs(loss - reference_batch_loss(m, xs, targets)) <= 1e-12
+
+
+@pytest.mark.parametrize("kind", ALL_KINDS)
+def test_batched_causal_forward_matches_reference(kind):
+    from helpers import reference_forward
+
+    m = _randomized_pe(tiny_model(pe=kind, n_layers=2, causal=True), seed=23)
+    xs, _ = _batch(m, seed=24)
+    expect = np.stack([reference_forward(m, x) for x in xs])
+    assert np.max(np.abs(m.forward(xs).data - expect)) <= 1e-12
+
+
+@pytest.mark.parametrize("kind", ALL_KINDS)
+def test_batched_gradients_match_finite_differences(kind):
+    from helpers import model_gradient_mismatches
+
+    m = _randomized_pe(tiny_model(pe=kind, d_model=4, d_ff=8, k_bins=5), seed=25)
+    xs, targets = _batch(m, seed=26, clips=2, length=4)
+    bad, worst = model_gradient_mismatches(m, xs, targets)
+    assert bad == 0, f"{bad} mismatches, worst relative error {worst:.3g}"
+
+
+def test_predict_records_no_tape_and_training_still_does(monkeypatch):
+    from lgse.numerics import backward, reduce_sum
+
+    m = tiny_model(pe="learnlin")
+    x = rand_input(5)
+    outs = []
+    forward = EnhancementModel.forward
+
+    def spy(self, x_mag):
+        outs.append(forward(self, x_mag))
+        return outs[-1]
+
+    monkeypatch.setattr(EnhancementModel, "forward", spy)
+    pred = m.predict(x)
+    assert len(outs) == 1 and np.array_equal(pred, outs[0].data)
+    assert outs[0]._parents == () and outs[0]._backward is None
+    assert not outs[0].requires_grad
+    backward(reduce_sum(m.forward(x)))
+    assert m.params["pe.beta"].grad is not None
+    assert np.any(m.params["layers.0.attn.q.0"].grad != 0.0)

@@ -18,6 +18,7 @@ from lgse.numerics import (
     layer_norm_frames,
     log,
     matmul,
+    no_grad,
     mul,
     reduce_mean,
     reduce_sum,
@@ -294,3 +295,81 @@ def test_determinism_same_inputs_bitwise():
     l2, g2 = run()
     assert np.array_equal(l1, l2)
     assert np.array_equal(g1, g2)
+
+
+# -- batched shapes ------------------------------------------------------------
+
+
+def _gradcheck(f, *arrays, seed=0):
+    """Autodiff gradients of sum(f(...) * R) against central differences for
+    every argument; R is a fixed random weighting of the output."""
+    tensors = [Tensor(a.copy(), requires_grad=True) for a in arrays]
+    out = f(*tensors)
+    weight = constant(np.random.default_rng(seed).normal(size=out.shape))
+    backward(reduce_sum(mul(out, weight)))
+    for i, a in enumerate(arrays):
+        def loss_at(flat, i=i):
+            args = [constant(x) for x in arrays]
+            args[i] = constant(flat.reshape(a.shape))
+            return float(reduce_sum(mul(f(*args), weight)).data)
+
+        fd = finite_difference(loss_at, a.ravel()).reshape(a.shape)
+        assert np.allclose(tensors[i].grad, fd, rtol=1e-6, atol=1e-8), i
+
+
+@pytest.mark.parametrize("a_shape,b_shape,out_shape", [
+    ((2, 3, 4, 5), (2, 3, 5, 2), (2, 3, 4, 2)),   # per-head batches
+    ((3, 4, 5), (5, 2), (3, 4, 2)),               # shared weight
+    ((2, 1, 4, 5), (3, 5, 2), (2, 3, 4, 2)),      # broadcast batch axes
+    ((4, 5), (3, 5, 2), (3, 4, 2)),               # 2-D left operand
+])
+def test_batched_matmul_value_and_gradcheck(a_shape, b_shape, out_shape):
+    a, b = rand(a_shape, 30), rand(b_shape, 31)
+    out = matmul(constant(a), constant(b))
+    assert out.shape == out_shape
+    assert np.allclose(out.data, np.matmul(a, b), rtol=0.0, atol=1e-12)
+    _gradcheck(matmul, a, b)
+
+
+def test_batched_matmul_rejects_inner_mismatch():
+    with pytest.raises(DimensionError):
+        matmul(constant(np.zeros((2, 3, 4))), constant(np.zeros((3, 4))))
+
+
+def test_batched_transpose_gradcheck():
+    x = rand((2, 3, 4, 5), 32)
+    assert transpose(constant(x)).shape == (2, 3, 5, 4)
+    assert np.array_equal(transpose(constant(x), -3, -2).data, np.swapaxes(x, 1, 2))
+    _gradcheck(transpose, x)
+    _gradcheck(lambda t: transpose(t, -3, -2), x)
+
+
+def test_batched_softmax_rows_equals_per_row_and_gradchecks():
+    x = rand((2, 3, 4, 5), 33, -5.0, 5.0)
+    out = softmax_rows(constant(x)).data
+    for idx in np.ndindex(2, 3):
+        assert np.array_equal(out[idx], softmax_rows(constant(x[idx])).data)
+    _gradcheck(softmax_rows, x)
+
+
+def test_batched_layer_norm_equals_per_clip_and_gradchecks():
+    x, gain, bias = rand((3, 4, 5), 34), rand((5,), 35), rand((5,), 36)
+    out = layer_norm_frames(constant(x), constant(gain), constant(bias)).data
+    for b in range(3):
+        single = layer_norm_frames(constant(x[b]), constant(gain), constant(bias))
+        assert np.array_equal(out[b], single.data)
+    _gradcheck(layer_norm_frames, x, gain, bias)
+
+
+def test_no_grad_records_no_tape_and_restores():
+    w = Tensor(rand((3, 3), 37), requires_grad=True)
+    with no_grad():
+        y = matmul(w, w)
+        with no_grad():
+            pass
+        z = add(y, w)
+    assert y._parents == () and z._parents == () and not z.requires_grad
+    out = reduce_sum(matmul(w, w))
+    assert out.requires_grad and out._parents
+    backward(out)
+    assert w.grad is not None

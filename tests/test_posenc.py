@@ -1,11 +1,12 @@
 import math
+import zlib
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lgse.numerics import Tensor, backward, matmul, reduce_sum, constant
+from lgse.numerics import Tensor, backward, constant, matmul, mul, reduce_sum
 from lgse.posenc import (
     CAUSAL_NEG,
     PeKind,
@@ -176,7 +177,7 @@ BIAS_KINDS = [PeKind.GAUSS, PeKind.T5, PeKind.TISA, PeKind.DABIAS,
 
 @pytest.mark.parametrize("kind", BIAS_KINDS)
 def test_toeplitz_exact(kind):
-    rng = np.random.default_rng(hash(kind.value) % 2 ** 31)
+    rng = np.random.default_rng(zlib.crc32(kind.value.encode()))
     p = _random_bias(kind, rng, 20).data
     assert np.array_equal(p[:-1, :-1], p[1:, 1:])
 
@@ -217,6 +218,58 @@ def test_gradients_reach_bias_parameters(kind):
     for p in params:
         assert p.grad is not None
         assert np.any(p.grad != 0.0)
+
+
+def _random_head_params(kind, rng, heads):
+    """(H,)-shaped parameters (or (H, S) for tisa's kernels) for one builder."""
+    if kind is PeKind.GAUSS:
+        return [rng.uniform(0.5, 15.0, heads)]
+    if kind is PeKind.T5:
+        return [rng.normal(size=(heads, T5_BUCKETS))]
+    if kind is PeKind.TISA:
+        return [rng.normal(size=(heads, 5)), rng.normal(size=(heads, 5)),
+                rng.uniform(-8, 8, (heads, 5))]
+    if kind is PeKind.DABIAS:
+        return [rng.uniform(-0.5, 0.5, heads), rng.normal(size=heads)]
+    if kind is PeKind.KERPLE:
+        return [rng.normal(size=heads), rng.normal(size=heads)]
+    return [rng.uniform(-1, 1, heads)]
+
+
+BUILDERS = {PeKind.GAUSS: gauss_bias, PeKind.T5: t5_bias, PeKind.TISA: tisa_bias,
+            PeKind.DABIAS: da_bias, PeKind.KERPLE: kerple_bias,
+            PeKind.LEARNLIN: learnlin_bias}
+
+
+@pytest.mark.parametrize("kind", BIAS_KINDS)
+def test_head_stacked_bias_equals_per_head_calls(kind):
+    rng = np.random.default_rng(zlib.crc32(kind.value.encode()))
+    heads, length = 3, 9
+    arrays = _random_head_params(kind, rng, heads)
+    params = [Tensor(a, requires_grad=True) for a in arrays]
+    stacked = BUILDERS[kind](length, *params)
+    assert stacked.shape == (heads, length, length)
+    for h in range(heads):
+        single = BUILDERS[kind](length, *(Tensor(a[h]) for a in arrays))
+        assert np.array_equal(stacked.data[h], single.data)
+    weights = rng.normal(size=stacked.shape)
+    backward(reduce_sum(mul(stacked, constant(weights))))
+    for h in range(heads):
+        head_params = [Tensor(a[h], requires_grad=True) for a in arrays]
+        bias = BUILDERS[kind](length, *head_params)
+        backward(reduce_sum(mul(bias, constant(weights[h]))))
+        for p, hp in zip(params, head_params):
+            assert np.allclose(p.grad[h], hp.grad, rtol=1e-12, atol=1e-12)
+
+
+def test_rope_rotates_stacked_heads_like_single_heads():
+    rng = np.random.default_rng(9)
+    q, k = rng.normal(size=(2, 3, 6, 8)), rng.normal(size=(2, 3, 6, 8))
+    qr, kr = rope_rotate(Tensor(q), Tensor(k))
+    for idx in np.ndindex(2, 3):
+        q1, k1 = rope_rotate(Tensor(q[idx]), Tensor(k[idx]))
+        assert np.array_equal(qr.data[idx], q1.data)
+        assert np.array_equal(kr.data[idx], k1.data)
 
 
 def test_causal_mask_shape_and_values():
