@@ -25,8 +25,7 @@ __all__ = ["main", "build_parser"]
 def build_parser() -> argparse.ArgumentParser:
     epilog = "configuration keys (settable via --set key=value or the config file):\n"
     epilog += "\n".join(config_key_lines())
-    epilog += "\nDefaults follow the reference recipe for this architecture.\n"
-    epilog += "Environment: LGSE_THREADS caps evaluation worker threads."
+    epilog += "\nDefaults follow the reference recipe for this architecture."
     parser = argparse.ArgumentParser(
         prog="lgse",
         description="Length-generalization studio for Transformer-based "

@@ -6,7 +6,6 @@ from __future__ import annotations
 import csv
 import io
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -69,7 +68,7 @@ def si_sdr(est: Waveform | np.ndarray, ref: Waveform | np.ndarray,
         return -cap_db
     if e_resid <= e_target * 10.0 ** (-cap_db / 10.0):
         return cap_db
-    return min(10.0 * np.log10(e_target / e_resid), cap_db)
+    return min(10.0 * float(np.log10(e_target / e_resid)), cap_db)
 
 
 def seg_snr(est: Waveform | np.ndarray, ref: Waveform | np.ndarray,
@@ -81,17 +80,17 @@ def seg_snr(est: Waveform | np.ndarray, ref: Waveform | np.ndarray,
     r = ref.samples if isinstance(ref, Waveform) else np.asarray(ref, dtype=np.float64)
     if e.shape != r.shape:
         raise ValueError(f"estimate ({e.shape}) and reference ({r.shape}) differ")
-    vals = []
-    for start in range(0, len(r) - frame + 1, hop):
-        rs = r[start:start + frame]
-        es = e[start:start + frame]
-        e_ref = float(np.dot(rs, rs))
-        if e_ref < 1e-10:
-            continue
-        e_err = float(np.dot(rs - es, rs - es))
-        v = 10.0 * np.log10(e_ref / max(e_err, 1e-12))
-        vals.append(min(max(v, floor_db), ceil_db))
-    return float(np.mean(vals)) if vals else floor_db
+    if len(r) < frame:
+        return floor_db
+    ref_frames = np.lib.stride_tricks.sliding_window_view(r, frame)[::hop]
+    err_frames = np.lib.stride_tricks.sliding_window_view(r - e, frame)[::hop]
+    e_ref = np.einsum("ij,ij->i", ref_frames, ref_frames)
+    e_err = np.einsum("ij,ij->i", err_frames, err_frames)
+    voiced = e_ref >= 1e-10
+    if not voiced.any():
+        return floor_db
+    v = 10.0 * np.log10(e_ref[voiced] / np.maximum(e_err[voiced], 1e-12))
+    return float(np.mean(np.clip(v, floor_db, ceil_db)))
 
 
 def enhance_full(model: EnhancementModel, noisy: Waveform,
@@ -292,14 +291,6 @@ class MetricReport:
         return "\n".join(lines) + "\n"
 
 
-def _worker_count() -> int:
-    raw = os.environ.get("LGSE_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
-
 def train_or_load(kind: str, model_cfg: ModelConfig, train_cfg: TrainConfig,
                   corpus: list[Utterance], ckpt_path, retrain: bool = False,
                   loss_csv=None) -> EnhancementModel:
@@ -344,17 +335,9 @@ def run_lengen_experiment(seed: int, model_cfg: ModelConfig,
         for snr in suite.snrs_db:
             cases = [(i, utt, dsp.mix_at_snr(utt.clean, utt.noise, snr))
                      for i, utt in enumerate(utts)]
-            workers = _worker_count()
-            if workers > 1:
-                with ThreadPoolExecutor(max_workers=workers) as pool:
-                    chunks = list(pool.map(
-                        lambda c: _score_case(c, models, exp, chunk_s, dur, snr,
-                                              train_cfg.clip_len_s), cases))
-            else:
-                chunks = [_score_case(c, models, exp, chunk_s, dur, snr,
-                                      train_cfg.clip_len_s) for c in cases]
-            for chunk in chunks:
-                rows.extend(chunk)
+            for case in cases:
+                rows.extend(_score_case(case, models, exp, chunk_s, dur, snr,
+                                        train_cfg.clip_len_s))
 
     report = MetricReport(rows)
     report.to_csv(os.path.join(out_dir, "report.csv"))

@@ -40,6 +40,7 @@ __all__ = [
     "softmax_rows",
     "layer_norm_frames",
     "take",
+    "toeplitz",
     "concat_cols",
     "reshape",
     "rotate_pairs",
@@ -449,6 +450,31 @@ def take(a, idx) -> Tensor:
             _accumulate(a, ga)
 
     return _node(data.copy(), (a,), back)
+
+
+def toeplitz(values, length: int) -> Tensor:
+    """(..., 2L-1) per-offset values -> (..., L, L) matrices with entry (i, j)
+    equal to `values[..., i - j + L - 1]`.
+
+    The result is a read-only strided view of `values`, not a copy. Backward
+    scatter-adds into the 2L-1 offset slots, like `take` with the same index
+    matrix.
+    """
+    values = _promote(values)
+    if values.data.ndim < 1 or values.shape[-1] != 2 * length - 1:
+        raise DimensionError(
+            f"toeplitz({length}) expects (..., {2 * length - 1}) values, "
+            f"got {values.shape}")
+    windows = np.lib.stride_tricks.sliding_window_view(
+        values.data[..., ::-1], length, axis=-1)
+
+    def back(g):
+        i = np.arange(length)
+        gv = np.zeros_like(values.data)
+        np.add.at(gv, (Ellipsis, i[:, None] - i[None, :] + (length - 1)), g)
+        _accumulate(values, gv)
+
+    return _node(windows[..., ::-1, :], (values,), back)
 
 
 def concat_cols(parts: Sequence[Tensor], axis: int = 1) -> Tensor:

@@ -17,8 +17,9 @@ queries/keys, and one is the no-position baseline:
 
 Every relative bias is Toeplitz: entries depend only on i-j. Builders
 therefore compute one value per offset (a (2L-1,) vector) and expand it with
-a gather, which keeps the L x L matrix consistent under length extension and
-lets gradients flow back into the scheme parameters.
+`numerics.toeplitz`, a read-only strided view of that vector. This keeps the
+L x L matrix consistent under length extension, stores 2L-1 values instead
+of L^2, and lets gradients flow back into the scheme parameters.
 
 Builder parameters may carry leading head axes: a scalar `beta` gives an
 (L, L) bias, a (H,)-shaped one an (H, L, L) stack, one matrix per head.
@@ -45,6 +46,7 @@ from .numerics import (
     rotate_pairs,
     sub,
     take,
+    toeplitz,
 )
 
 __all__ = [
@@ -56,7 +58,6 @@ __all__ = [
     "T5_BUCKETS",
     "CAUSAL_NEG",
     "toeplitz_offsets",
-    "toeplitz_indices",
     "causal_mask",
     "sinusoidal_embedding",
     "gauss_bias",
@@ -112,22 +113,11 @@ def toeplitz_offsets(length: int) -> np.ndarray:
     return np.arange(-(length - 1), length)
 
 
-def toeplitz_indices(length: int) -> np.ndarray:
-    """Index matrix mapping (i, j) to the offset slot for i-j."""
-    i = np.arange(length)
-    return i[:, None] - i[None, :] + (length - 1)
-
-
 def causal_mask(length: int) -> np.ndarray:
     """Additive mask: -CAUSAL_NEG above the diagonal (j > i), 0 elsewhere."""
     mask = np.zeros((length, length))
     mask[np.triu_indices(length, k=1)] = -CAUSAL_NEG
     return mask
-
-
-def _expand(values: Tensor, length: int) -> Tensor:
-    """(..., 2L-1) per-offset values -> (..., L, L) Toeplitz matrices."""
-    return take(values, (Ellipsis, toeplitz_indices(length)))
 
 
 def _per_head(p: Tensor, core_ndim: int = 0) -> Tensor:
@@ -161,7 +151,7 @@ def gauss_bias(length: int, sigma: Tensor) -> Tensor:
     r2 = constant(toeplitz_offsets(length).astype(np.float64) ** 2)
     sigma = _per_head(sigma)
     values = neg(div(r2, mul(mul(sigma, sigma), 2.0)))
-    return _expand(values, length)
+    return toeplitz(values, length)
 
 
 def t5_bucket_index(rel: np.ndarray | int) -> np.ndarray | int:
@@ -190,7 +180,7 @@ def t5_bias(length: int, bucket: Tensor) -> Tensor:
         raise ValueError(f"bucket table must have shape (..., {T5_BUCKETS}), "
                          f"got {bucket.shape}")
     slots = t5_bucket_index(toeplitz_offsets(length))
-    return take(bucket, (Ellipsis, slots[toeplitz_indices(length)]))
+    return toeplitz(take(bucket, (Ellipsis, slots)), length)
 
 
 def tisa_bias(length: int, a: Tensor, b: Tensor, c: Tensor) -> Tensor:
@@ -205,7 +195,7 @@ def tisa_bias(length: int, a: Tensor, b: Tensor, c: Tensor) -> Tensor:
     dist = sub(ji, c)
     kernels = exp(neg(mul(absolute(b), mul(dist, dist))))
     values = reduce_sum(mul(kernels, a), axis=-1)
-    return _expand(values, length)
+    return toeplitz(values, length)
 
 
 def da_bias(length: int, w: Tensor, v: Tensor) -> Tensor:
@@ -213,7 +203,7 @@ def da_bias(length: int, w: Tensor, v: Tensor) -> Tensor:
     absr = constant(np.abs(toeplitz_offsets(length)).astype(np.float64))
     w, v = _per_head(w), _per_head(v)
     values = div(add(exp(v), 1.0), add(exp(sub(v, mul(absr, w))), 1.0))
-    return _expand(values, length)
+    return toeplitz(values, length)
 
 
 def kerple_bias(length: int, rho1: Tensor, rho2: Tensor) -> Tensor:
@@ -223,13 +213,13 @@ def kerple_bias(length: int, rho1: Tensor, rho2: Tensor) -> Tensor:
     r1 = exp(_per_head(rho1))
     r2 = exp(_per_head(rho2))
     values = neg(mul(r1, log(add(mul(absr, r2), 1.0))))
-    return _expand(values, length)
+    return toeplitz(values, length)
 
 
 def learnlin_bias(length: int, beta: Tensor) -> Tensor:
     """beta * |i-j|; beta is a scalar or one per head, shared across layers."""
     absr = constant(np.abs(toeplitz_offsets(length)).astype(np.float64))
-    return _expand(mul(absr, _per_head(beta)), length)
+    return toeplitz(mul(absr, _per_head(beta)), length)
 
 
 def rope_angles(length: int, d_k: int, base: float = 10000.0) -> tuple[np.ndarray, np.ndarray]:

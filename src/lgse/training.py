@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import json
 import struct
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
@@ -347,12 +347,30 @@ class _Reader:
         return struct.unpack("<Q", self.read(8))[0]
 
 
+def _stored_config(path, meta: dict) -> ModelConfig:
+    """The checkpoint's ModelConfig; its keys must be exactly the fields."""
+    stored = meta.get("model_config") if isinstance(meta, dict) else None
+    if not isinstance(stored, dict):
+        raise CheckpointError(f"{path}: no model_config")
+    names = {f.name for f in fields(ModelConfig)}
+    unknown, missing = set(stored) - names, names - set(stored)
+    if unknown:
+        raise CheckpointError(f"{path}: unknown model_config keys {sorted(unknown)}")
+    if missing:
+        raise CheckpointError(f"{path}: model_config lacks keys {sorted(missing)}")
+    try:
+        return ModelConfig(**stored)
+    except (TypeError, ValueError) as exc:
+        raise CheckpointError(f"{path}: bad model_config: {exc}") from None
+
+
 def load_checkpoint(path) -> tuple[EnhancementModel, AdamState, int, dict | None,
                                    tuple[int, list[int], int] | None]:
     """Rebuild the model (and optimizer/RNG state) from a checkpoint file.
 
-    Every tensor's shape is validated against the shapes a fresh model of the
-    stored config would have.
+    Every tensor must be finite and have the shape a fresh model of the
+    stored config would have; the stored config must name every ModelConfig
+    field and nothing else. Any violation raises CheckpointError.
     """
     with open(path, "rb") as f:
         buf = f.read()
@@ -371,10 +389,11 @@ def load_checkpoint(path) -> tuple[EnhancementModel, AdamState, int, dict | None
         shape = tuple(r.u64() for _ in range(ndim))
         count = int(np.prod(shape)) if shape else 1
         data = np.frombuffer(r.read(8 * count), dtype="<f8").reshape(shape)
+        if not np.isfinite(data).all():
+            raise CheckpointError(f"{path}: tensor {name} holds non-finite values")
         records[name] = np.array(data, dtype=np.float64)
 
-    cfg = ModelConfig(**meta["model_config"])
-    model = EnhancementModel(cfg)
+    model = EnhancementModel(_stored_config(path, meta))
     for name, t in model.params.items():
         key = f"param.{name}"
         if key not in records:

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import json
 import math
+import struct
 
 import numpy as np
 
@@ -62,6 +64,35 @@ def model_gradient_mismatches(model: EnhancementModel, x: np.ndarray,
     rel = err / np.maximum(scale, 1e-12)
     worst = float(rel[scale > abs_tol].max()) if np.any(scale > abs_tol) else 0.0
     return int(bad.sum()), worst
+
+
+def rewrite_model_config(path, edit) -> None:
+    """Apply `edit` to a checkpoint's stored model_config in place, keeping
+    the meta length prefix consistent."""
+    raw = path.read_bytes()
+    (meta_len,) = struct.unpack("<Q", raw[8:16])
+    meta = json.loads(raw[16:16 + meta_len])
+    edit(meta["model_config"])
+    blob = json.dumps(meta, sort_keys=True, separators=(",", ":")).encode("utf-8")
+    path.write_bytes(raw[:8] + struct.pack("<Q", len(blob)) + blob
+                     + raw[16 + meta_len:])
+
+
+def seg_snr_loop(est: np.ndarray, ref: np.ndarray, frame: int = 512,
+                 hop: int = 256, floor_db: float = -10.0,
+                 ceil_db: float = 35.0) -> float:
+    """Frame-by-frame segmental SNR; oracle for the vectorized `seg_snr`."""
+    vals = []
+    for start in range(0, len(ref) - frame + 1, hop):
+        rs = ref[start:start + frame]
+        es = est[start:start + frame]
+        e_ref = float(np.dot(rs, rs))
+        if e_ref < 1e-10:
+            continue
+        e_err = float(np.dot(rs - es, rs - es))
+        v = 10.0 * np.log10(e_ref / max(e_err, 1e-12))
+        vals.append(min(max(v, floor_db), ceil_db))
+    return float(np.mean(vals)) if vals else floor_db
 
 
 # -- per-clip, per-head reference forward -------------------------------------

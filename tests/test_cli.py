@@ -182,6 +182,25 @@ def test_enhance_bad_checkpoint_errors(tmp_path, capsys):
     assert code == 1
 
 
+def test_enhance_checkpoint_with_unknown_config_key_errors(trained, tmp_path,
+                                                          capsys):
+    from helpers import rewrite_model_config
+
+    _, _, ckpt, _ = trained
+    bad = tmp_path / "bad.lgse"
+    bad.write_bytes(ckpt.read_bytes())
+    rewrite_model_config(bad, lambda c: c.update(n_experts=4))
+    wav = tmp_path / "x.wav"
+    dsp.write_wav(wav, dsp.Waveform(np.zeros(16000)))
+    capsys.readouterr()
+    code = run_cli("enhance", str(wav), str(tmp_path / "y.wav"),
+                   "--checkpoint", str(bad))
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "n_experts" in err
+
+
 def test_missing_corpus_errors(tmp_path):
     code = run_cli("train", "--corpus-dir", str(tmp_path / "nope"),
                    "--out", str(tmp_path / "m.lgse"))

@@ -71,6 +71,26 @@ def test_seg_snr_noisy_reasonable():
     assert 5.0 < v < 35.0
 
 
+@pytest.mark.parametrize("n,silent,seed", [
+    (8192, None, 10), (16000, slice(2000, 6000), 11), (512, None, 12),
+    (700, None, 13), (300, None, 14), (4096, slice(0, 4096), 15),
+])
+def test_seg_snr_matches_frame_loop(n, silent, seed):
+    from helpers import seg_snr_loop
+
+    ref = white(n, seed)
+    if silent is not None:
+        ref[silent] = 0.0
+    for est in (ref + white(n, seed + 100, amp=0.05), ref.copy(),
+                white(n, seed + 200, amp=2.0)):
+        assert abs(seg_snr(est, ref) - seg_snr_loop(est, ref)) <= 1e-12
+
+
+def test_si_sdr_is_a_python_float():
+    ref = white(4000, 16)
+    assert type(si_sdr(ref + white(4000, 17, amp=0.1), ref)) is float
+
+
 # -- enhancement paths -------------------------------------------------------------
 
 
@@ -186,3 +206,20 @@ def test_report_summaries():
     assert abs(report.mean_improvement("learnlin", 4.0, "full") - 7.2) < 1e-12
     md = report.to_markdown(0.5)
     assert "Noisy" in md and "LearnLin" in md and "LearnLin-Seg" in md
+
+
+def test_experiment_report_reads_back_with_from_csv(tmp_path):
+    from lgse.evaluate import ExperimentConfig, TestSuiteConfig, run_lengen_experiment
+    from lgse.training import TrainConfig
+
+    cfg = ModelConfig(n_layers=1, n_heads=2, d_model=8, d_ff=16, k_bins=257,
+                      pe_kind="learnlin")
+    report = run_lengen_experiment(
+        5, cfg, TrainConfig(clip_len_s=0.5, batch_utts=2, max_steps=1, w_steps=10),
+        ExperimentConfig(kinds=("learnlin",), train_utts=2),
+        TestSuiteConfig(durations_s=(1.0,), snrs_db=(0,), utts_per_condition=1),
+        tmp_path)
+    loaded = MetricReport.from_csv(tmp_path / "report.csv")
+    assert loaded.rows == report.rows
+    assert len(loaded.rows) == 4
+    assert "np.float64" not in (tmp_path / "report.csv").read_text()

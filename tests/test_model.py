@@ -374,3 +374,80 @@ def test_predict_records_no_tape_and_training_still_does(monkeypatch):
     backward(reduce_sum(m.forward(x)))
     assert m.params["pe.beta"].grad is not None
     assert np.any(m.params["layers.0.attn.q.0"].grad != 0.0)
+
+
+# -- tape-free attention in query blocks ------------------------------------------
+
+
+def _predict_matches_reference(m, monkeypatch, length=11, rows=3):
+    """predict, in blocks of `rows` query rows, against the reference forward
+    for one clip and for a stack of two."""
+    import lgse.model as model_module
+    from helpers import reference_forward
+
+    h = m.config.n_heads
+    monkeypatch.setattr(model_module, "_BLOCK_BYTES", 8 * length * h * rows)
+    calls = []
+    softmax = model_module.softmax_rows
+
+    def spy(a):
+        calls.append(a.shape)
+        return softmax(a)
+
+    monkeypatch.setattr(model_module, "softmax_rows", spy)
+    xs, _ = _batch(m, seed=28, clips=2, length=length)
+    expect = np.stack([reference_forward(m, x) for x in xs])
+    assert np.max(np.abs(m.predict(xs[0]) - expect[0])) <= 1e-12
+    n_blocks = -(-length // rows)
+    assert calls[:n_blocks] == [(h, rows, length)] * (n_blocks - 1) + [
+        (h, length - rows * (n_blocks - 1), length)]
+    assert len(calls) == n_blocks * m.config.n_layers
+    assert np.max(np.abs(m.predict(xs) - expect)) <= 1e-12
+
+
+@pytest.mark.parametrize("target", ["irm", "psm", "ms", "cirm"])
+@pytest.mark.parametrize("kind", ALL_KINDS)
+def test_blocked_predict_matches_reference(kind, target, monkeypatch):
+    m = _randomized_pe(tiny_model(pe=kind, target=target, n_layers=2), seed=29)
+    _predict_matches_reference(m, monkeypatch)
+
+
+@pytest.mark.parametrize("kind", ALL_KINDS)
+def test_blocked_causal_predict_matches_reference(kind, monkeypatch):
+    m = _randomized_pe(tiny_model(pe=kind, n_layers=2, causal=True), seed=30)
+    _predict_matches_reference(m, monkeypatch)
+
+
+@pytest.mark.parametrize("shapes", [
+    ((3, 2, 7, 4), (2, 7, 4), (7, 4), (2, 7, 7)),
+    ((7, 4), (7, 4), (7, 4), (2, 7, 7)),
+])
+def test_blocked_attention_matches_tape_with_broadcast_operands(shapes):
+    rng = np.random.default_rng(31)
+    q, k, v, bias = (rng.normal(size=shape) for shape in shapes)
+    for mode in ("additive", "multiplicative"):
+        for causal in (False, True):
+            tape = attention_head(Tensor(q, requires_grad=True), constant(k),
+                                  constant(v), constant(bias), mode=mode,
+                                  causal=causal)
+            blocked = attention_head(constant(q), constant(k), constant(v),
+                                     constant(bias), mode=mode, causal=causal)
+            assert tape._parents and not blocked._parents
+            assert np.max(np.abs(blocked.data - tape.data)) <= 1e-14
+
+
+def test_long_predict_never_allocates_a_full_score_stack():
+    import tracemalloc
+
+    m = _randomized_pe(tiny_model(pe="learnlin", n_layers=2), seed=32)
+    length = 1000
+    x = rand_input(length, seed=33)
+    stack_bytes = m.config.n_heads * length * length * 8
+    tracemalloc.start()
+    try:
+        pred = m.predict(x)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < stack_bytes / 2
+    assert np.max(np.abs(pred - m.forward(x).data)) <= 1e-12

@@ -29,6 +29,7 @@ from lgse.numerics import (
     softmax_rows,
     sub,
     take,
+    toeplitz,
     trace,
     transpose,
 )
@@ -373,3 +374,36 @@ def test_no_grad_records_no_tape_and_restores():
     assert out.requires_grad and out._parents
     backward(out)
     assert w.grad is not None
+
+
+@pytest.mark.parametrize("shape,length", [((7,), 4), ((3, 9), 5), ((2, 3, 1), 1)])
+def test_toeplitz_is_a_read_only_view_equal_to_take(shape, length):
+    values = rand(shape, 38)
+    i = np.arange(length)
+    gathered = take(constant(values), (Ellipsis, i[:, None] - i[None, :] + length - 1))
+    out = toeplitz(constant(values), length)
+    assert out.shape == shape[:-1] + (length, length)
+    assert np.array_equal(out.data, gathered.data)
+    assert np.shares_memory(out.data, values)
+    assert not out.data.flags.writeable
+    with pytest.raises(ValueError):
+        out.data[..., 0, 0] = 1.0
+    _gradcheck(lambda t: toeplitz(t, length), values)
+
+
+def test_toeplitz_gradient_equals_take_gradient_bitwise():
+    values, length = rand((3, 11), 39), 6
+    weight = constant(rand((3, 6, 6), 40))
+    i = np.arange(length)
+    idx = (Ellipsis, i[:, None] - i[None, :] + length - 1)
+    grads = []
+    for expand in (lambda t: take(t, idx), lambda t: toeplitz(t, length)):
+        t = Tensor(values, requires_grad=True)
+        backward(reduce_sum(mul(expand(t), weight)))
+        grads.append(t.grad)
+    assert np.array_equal(grads[0], grads[1])
+
+
+def test_toeplitz_rejects_wrong_offset_count():
+    with pytest.raises(DimensionError):
+        toeplitz(constant(np.zeros(6)), 4)

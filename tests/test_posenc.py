@@ -22,7 +22,6 @@ from lgse.posenc import (
     t5_bias,
     t5_bucket_index,
     tisa_bias,
-    toeplitz_indices,
     toeplitz_offsets,
 )
 

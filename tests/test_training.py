@@ -295,3 +295,31 @@ def test_checkpoint_shape_validation(tmp_path):
     path.write_bytes(txt.encode("latin1"))
     with pytest.raises(CheckpointError, match="shape"):
         load_checkpoint(path)
+
+
+@pytest.mark.parametrize("edit,match", [
+    (lambda c: c.update(n_experts=4), "unknown model_config keys"),
+    (lambda c: c.pop("causal"), "lacks keys"),
+    (lambda c: c.update(pe_kind="fire"), "bad model_config"),
+])
+def test_checkpoint_config_errors(tmp_path, edit, match):
+    from helpers import rewrite_model_config
+
+    model = EnhancementModel(ModelConfig(pe_kind="learnlin", **TINY_MODEL))
+    path = tmp_path / "m.lgse"
+    save_checkpoint(path, model, AdamState(), 0)
+    rewrite_model_config(path, lambda c: None)
+    assert load_checkpoint(path)[0].config == model.config
+    rewrite_model_config(path, edit)
+    with pytest.raises(CheckpointError, match=match):
+        load_checkpoint(path)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_checkpoint_non_finite_tensor_rejected(tmp_path, bad):
+    model = EnhancementModel(ModelConfig(pe_kind="learnlin", **TINY_MODEL))
+    model.params["pe.beta"].data[1] = bad
+    path = tmp_path / "m.lgse"
+    save_checkpoint(path, model, AdamState(), 0)
+    with pytest.raises(CheckpointError, match="param.pe.beta holds non-finite"):
+        load_checkpoint(path)
