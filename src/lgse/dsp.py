@@ -121,32 +121,54 @@ def frame_count(n_samples: int, cfg: StftConfig = DEFAULT_STFT) -> int:
 
 
 def frame_signal(samples: np.ndarray, cfg: StftConfig = DEFAULT_STFT) -> np.ndarray:
-    """Window the signal into (L, win_len) frames; frame l starts at l*hop."""
+    """Window (..., n) signals into (..., L, win_len) frames; frame l starts at
+    l*hop."""
     samples = np.asarray(samples, dtype=np.float64)
-    frame_count(len(samples), cfg)  # rejects a signal shorter than one window
-    frames = np.lib.stride_tricks.sliding_window_view(samples, cfg.win_len)[::cfg.hop]
-    return frames * cfg.window()
+    frame_count(samples.shape[-1], cfg)  # rejects a signal shorter than one window
+    frames = np.lib.stride_tricks.sliding_window_view(samples, cfg.win_len, axis=-1)
+    return frames[..., ::cfg.hop, :] * cfg.window()
 
 
-def stft(w: Waveform, cfg: StftConfig = DEFAULT_STFT) -> np.ndarray:
-    """Complex (L, fft_size//2 + 1) spectrogram of a waveform."""
-    frames = frame_signal(w.samples, cfg)
-    return np.fft.rfft(frames, n=cfg.fft_size, axis=1)
+def stft(w: Waveform | np.ndarray, cfg: StftConfig = DEFAULT_STFT) -> np.ndarray:
+    """Complex (..., L, fft_size//2 + 1) spectrogram of a waveform or of a
+    (..., n) stack of equal-length signals."""
+    frames = frame_signal(w.samples if isinstance(w, Waveform) else w, cfg)
+    return np.fft.rfft(frames, n=cfg.fft_size, axis=-1)
+
+
+def _overlap_add(frames: np.ndarray, hop: int, length: int) -> np.ndarray:
+    """Sum (..., L, win) frames placed every `hop` samples into (..., length),
+    zero past the last frame.
+
+    Each frame is cut into hop-long pieces; piece j of every frame lands in
+    one strided add, and the pieces go from last to first so that every
+    sample sums its frames in increasing frame order.
+    """
+    n_frames, win = frames.shape[-2:]
+    pieces = -(-win // hop)
+    rows = max(n_frames + pieces - 1, -(-length // hop))
+    out = np.zeros(frames.shape[:-2] + (rows, hop))
+    for j in reversed(range(pieces)):
+        part = frames[..., j * hop:(j + 1) * hop]
+        out[..., j:j + n_frames, :part.shape[-1]] += part
+    return out.reshape(frames.shape[:-2] + (-1,))[..., :length]
 
 
 def istft(spec: np.ndarray, cfg: StftConfig = DEFAULT_STFT,
-          out_len: int | None = None) -> Waveform:
+          out_len: int | None = None) -> Waveform | np.ndarray:
     """Overlap-add inverse with the sqrt-Hann synthesis window.
 
-    Interior samples (one window in from each edge) are reconstructed exactly;
-    edge samples are repaired by dividing out the window-square overlap sum.
+    Takes a (L, K) spectrogram and returns a Waveform, or a (..., L, K) stack
+    and returns (..., out_len) samples. Interior samples (one window in from
+    each edge) are reconstructed exactly; edge samples are repaired by
+    dividing out the window-square overlap sum.
     """
     spec = np.asarray(spec)
-    if spec.ndim != 2 or spec.shape[1] != cfg.n_bins:
+    if spec.ndim < 2 or spec.shape[-1] != cfg.n_bins:
         raise ValueError(
             f"spectrogram shape {spec.shape} does not match config with "
             f"{cfg.n_bins} bins")
-    n_frames = spec.shape[0]
+    n_frames = spec.shape[-2]
     window = cfg.window()
     total = (n_frames - 1) * cfg.hop + cfg.win_len
     if out_len is None:
@@ -157,16 +179,12 @@ def istft(spec: np.ndarray, cfg: StftConfig = DEFAULT_STFT,
         raise ValueError(
             f"cannot reconstruct {out_len} samples from {n_frames} frames "
             f"(these cover {total})")
-    frames = np.fft.irfft(spec, n=cfg.fft_size, axis=1)[:, :cfg.win_len]
-    out = np.zeros(max(total, out_len))
-    wsum = np.zeros(max(total, out_len))
-    for l in range(n_frames):
-        start = l * cfg.hop
-        out[start:start + cfg.win_len] += frames[l] * window
-        wsum[start:start + cfg.win_len] += window * window
-    nonzero = wsum > 1e-10
-    out[nonzero] /= wsum[nonzero]
-    return Waveform(out[:out_len])
+    frames = np.fft.irfft(spec, n=cfg.fft_size, axis=-1)[..., :cfg.win_len]
+    out = _overlap_add(frames * window, cfg.hop, out_len)
+    wsum = _overlap_add(np.broadcast_to(window * window, (n_frames, cfg.win_len)),
+                        cfg.hop, out_len)
+    np.divide(out, wsum, out=out, where=wsum > 1e-10)
+    return Waveform(out) if spec.ndim == 2 else out
 
 
 def noise_gain_for_snr(clean: np.ndarray, noise: np.ndarray, snr_db: float) -> float:

@@ -1,7 +1,8 @@
 """Training-target grids (MS, IRM, PSM, cIRM) and enhancement-time application.
 
 All functions operate on complex (L, K) spectrograms as plain ndarrays and
-are pure; shapes must agree cell-for-cell.
+are pure; shapes must agree cell-for-cell. `apply_target` also takes stacks
+with leading axes.
 """
 
 from __future__ import annotations
@@ -171,13 +172,14 @@ def apply_target(noisy: np.ndarray, prediction: np.ndarray, kind: TargetKind, *,
 
     IRM/PSM multiply the noisy spectrum (noisy phase kept); MS uncompresses the
     predicted magnitude and reattaches the noisy phase; cIRM decompresses the
-    complex mask and multiplies the complex spectrum.
+    complex mask and multiplies the complex spectrum. Spectra may carry
+    leading axes, e.g. a (B, L, K) stack of clips.
     """
-    l, k = noisy.shape
+    k = noisy.shape[-1]
     if kind is TargetKind.CIRM:
-        if prediction.shape == (l, 2 * k):
-            mask = prediction[:, :k] + 1j * prediction[:, k:]
-        elif prediction.shape == (l, k) and np.iscomplexobj(prediction):
+        if prediction.shape == noisy.shape[:-1] + (2 * k,):
+            mask = prediction[..., :k] + 1j * prediction[..., k:]
+        elif prediction.shape == noisy.shape and np.iscomplexobj(prediction):
             mask = prediction
         else:
             raise ValueError(

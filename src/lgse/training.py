@@ -364,13 +364,34 @@ def _stored_config(path, meta: dict) -> ModelConfig:
         raise CheckpointError(f"{path}: bad model_config: {exc}") from None
 
 
+def _stored_progress(path, meta: dict) -> tuple[int, tuple[int, list[int], int] | None]:
+    """The checkpoint's step and its optional (epoch, order, pos) epoch state."""
+    def integer(value, name: str) -> int:
+        if isinstance(value, bool) or not isinstance(value, int):
+            raise CheckpointError(f"{path}: meta {name} must be an integer, "
+                                  f"got {value!r}")
+        return value
+
+    step = integer(meta.get("step"), "step")
+    es = meta.get("epoch_state")
+    if not es:
+        return step, None
+    if not isinstance(es, dict) or not isinstance(es.get("order"), list):
+        raise CheckpointError(f"{path}: meta epoch_state must hold an order list, "
+                              f"got {es!r}")
+    return step, (integer(es.get("epoch"), "epoch_state.epoch"),
+                  [integer(i, "epoch_state.order entry") for i in es["order"]],
+                  integer(es.get("pos"), "epoch_state.pos"))
+
+
 def load_checkpoint(path) -> tuple[EnhancementModel, AdamState, int, dict | None,
                                    tuple[int, list[int], int] | None]:
     """Rebuild the model (and optimizer/RNG state) from a checkpoint file.
 
     Every tensor must be finite and have the shape a fresh model of the
     stored config would have; the stored config must name every ModelConfig
-    field and nothing else. Any violation raises CheckpointError.
+    field and nothing else; the meta block must hold an integer step and, if
+    any, an epoch state of integers. Any violation raises CheckpointError.
     """
     with open(path, "rb") as f:
         buf = f.read()
@@ -418,8 +439,5 @@ def load_checkpoint(path) -> tuple[EnhancementModel, AdamState, int, dict | None
             state.m[key[len("adam.m."):]] = arr.copy()
         elif key.startswith("adam.v."):
             state.v[key[len("adam.v."):]] = arr.copy()
-    epoch_state = None
-    if meta.get("epoch_state"):
-        es = meta["epoch_state"]
-        epoch_state = (es["epoch"], list(es["order"]), es["pos"])
-    return model, state, meta["step"], meta.get("rng_state"), epoch_state
+    step, epoch_state = _stored_progress(path, meta)
+    return model, state, step, meta.get("rng_state"), epoch_state

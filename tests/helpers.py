@@ -8,6 +8,9 @@ import struct
 
 import numpy as np
 
+from lgse import dsp
+from lgse.dsp import DEFAULT_STFT, Waveform
+from lgse.evaluate import _triangle, chunk_starts, enhance_full
 from lgse.model import EnhancementModel
 from lgse.numerics import backward, finite_difference
 from lgse.posenc import CAUSAL_NEG, PeKind, sinusoidal_embedding
@@ -66,16 +69,70 @@ def model_gradient_mismatches(model: EnhancementModel, x: np.ndarray,
     return int(bad.sum()), worst
 
 
-def rewrite_model_config(path, edit) -> None:
-    """Apply `edit` to a checkpoint's stored model_config in place, keeping
-    the meta length prefix consistent."""
+def rewrite_meta(path, edit) -> None:
+    """Apply `edit` to a checkpoint's meta block in place, keeping the meta
+    length prefix consistent."""
     raw = path.read_bytes()
     (meta_len,) = struct.unpack("<Q", raw[8:16])
     meta = json.loads(raw[16:16 + meta_len])
-    edit(meta["model_config"])
+    edit(meta)
     blob = json.dumps(meta, sort_keys=True, separators=(",", ":")).encode("utf-8")
     path.write_bytes(raw[:8] + struct.pack("<Q", len(blob)) + blob
                      + raw[16 + meta_len:])
+
+
+def rewrite_model_config(path, edit) -> None:
+    """Apply `edit` to a checkpoint's stored model_config in place."""
+    rewrite_meta(path, lambda meta: edit(meta["model_config"]))
+
+
+def istft_loop(spec: np.ndarray, cfg=DEFAULT_STFT,
+               out_len: int | None = None) -> np.ndarray:
+    """Frame-by-frame overlap-add of one (L, K) spectrogram; oracle for the
+    strided `dsp.istft`."""
+    n_frames = spec.shape[0]
+    window = cfg.window()
+    total = (n_frames - 1) * cfg.hop + cfg.win_len
+    out_len = total if out_len is None else out_len
+    frames = np.fft.irfft(spec, n=cfg.fft_size, axis=1)[:, :cfg.win_len]
+    out = np.zeros(max(total, out_len))
+    wsum = np.zeros(max(total, out_len))
+    for l in range(n_frames):
+        start = l * cfg.hop
+        out[start:start + cfg.win_len] += frames[l] * window
+        wsum[start:start + cfg.win_len] += window * window
+    nonzero = wsum > 1e-10
+    out[nonzero] /= wsum[nonzero]
+    return out[:out_len]
+
+
+def enhance_chunked_loop(model, noisy: Waveform, chunk_s: float, overlap: float,
+                         stft_cfg=DEFAULT_STFT) -> np.ndarray:
+    """One `enhance_full` call per chunk; oracle for the grouped
+    `enhance_chunked`."""
+    chunk_len = int(round(chunk_s * dsp.SAMPLE_RATE))
+    n = len(noisy)
+    starts = chunk_starts(n, chunk_len, overlap)
+    est = np.zeros(n)
+    weight = np.zeros(n)
+    win = _triangle(chunk_len) if overlap == 0.5 else np.ones(chunk_len)
+    n_frames = dsp.frame_count(chunk_len, stft_cfg)
+    sup = slice(1, (n_frames - 1) * stft_cfg.hop + stft_cfg.win_len)
+    for s in starts:
+        seg = Waveform(noisy.samples[s:s + chunk_len])
+        out = enhance_full(model, seg, stft_cfg).samples
+        est[s + sup.start:s + sup.stop] += out[sup] * win[sup]
+        weight[s + sup.start:s + sup.stop] += win[sup]
+    tail_start = starts[-1] + chunk_len
+    if tail_start < n and n - tail_start >= stft_cfg.win_len:
+        out = enhance_full(model, Waveform(noisy.samples[tail_start:]),
+                           stft_cfg).samples
+        est[tail_start + 1:] += out[1:]
+        weight[tail_start + 1:] += 1.0
+    blended = weight > 1e-8
+    est[blended] /= weight[blended]
+    est[~blended] = noisy.samples[~blended]
+    return est
 
 
 def seg_snr_loop(est: np.ndarray, ref: np.ndarray, frame: int = 512,

@@ -201,6 +201,29 @@ def test_enhance_checkpoint_with_unknown_config_key_errors(trained, tmp_path,
     assert "n_experts" in err
 
 
+@pytest.mark.parametrize("edit,field", [
+    (lambda m: m.pop("step"), "step"),
+    (lambda m: m.update(epoch_state={"epoch": 0, "order": [1, 0]}), "pos"),
+])
+def test_enhance_checkpoint_with_bad_meta_errors(trained, tmp_path, capsys,
+                                                 edit, field):
+    from helpers import rewrite_meta
+
+    _, _, ckpt, _ = trained
+    bad = tmp_path / "bad.lgse"
+    bad.write_bytes(ckpt.read_bytes())
+    rewrite_meta(bad, edit)
+    wav = tmp_path / "x.wav"
+    dsp.write_wav(wav, dsp.Waveform(np.zeros(16000)))
+    capsys.readouterr()
+    code = run_cli("enhance", str(wav), str(tmp_path / "y.wav"),
+                   "--checkpoint", str(bad))
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert field in err
+
+
 def test_missing_corpus_errors(tmp_path):
     code = run_cli("train", "--corpus-dir", str(tmp_path / "nope"),
                    "--out", str(tmp_path / "m.lgse"))

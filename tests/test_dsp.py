@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import naive_dft
+from helpers import istft_loop, naive_dft
 from lgse.dsp import (
     DEFAULT_STFT,
     SAMPLE_RATE,
@@ -95,6 +95,32 @@ def test_roundtrip_preserves_sinusoid_rms():
     rms_in = np.sqrt(np.mean(x[lo:hi] ** 2))
     rms_out = np.sqrt(np.mean(y[lo:hi] ** 2))
     assert abs(rms_in - rms_out) < 1e-9
+
+
+@pytest.mark.parametrize("win_ms,hop_ms", [(32, 16), (32, 8), (30, 16)])
+@pytest.mark.parametrize("n,out_len", [(512, None), (9000, 9000), (9100, 9100),
+                                       (9000, 8000)])
+def test_istft_equals_frame_loop(win_ms, hop_ms, n, out_len):
+    """Each sample sums its frames in the loop's order, so the strided
+    overlap-add is bit-identical whether or not the hop divides the window."""
+    cfg = StftConfig(win_ms=win_ms, hop_ms=hop_ms)
+    spec = stft(Waveform(white(n, seed=n + hop_ms)), cfg)
+    got = istft(spec, cfg, out_len=out_len).samples
+    assert np.array_equal(got, istft_loop(spec, cfg, out_len=out_len))
+
+
+def test_stft_and_istft_take_stacks():
+    xs = np.stack([white(5000, seed=s) for s in range(6)]).reshape(2, 3, 5000)
+    spec = stft(xs)
+    assert spec.shape == (2, 3) + stft(Waveform(xs[0, 0])).shape
+    out = istft(spec, DEFAULT_STFT, out_len=5000)
+    assert isinstance(out, np.ndarray) and out.shape == xs.shape
+    for i in range(2):
+        for j in range(3):
+            row = stft(Waveform(xs[i, j]))
+            assert np.max(np.abs(spec[i, j] - row)) <= 1e-12
+            assert np.max(np.abs(out[i, j] - istft(row, DEFAULT_STFT,
+                                                   out_len=5000).samples)) <= 1e-12
 
 
 def test_istft_rejects_wrong_bin_count():

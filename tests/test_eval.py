@@ -1,9 +1,12 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lgse import dsp
+from helpers import enhance_chunked_loop
+from lgse import dsp, evaluate, objectives
 from lgse.dsp import SAMPLE_RATE, Waveform
 from lgse.evaluate import (
     MetricReport,
@@ -166,6 +169,77 @@ def test_enhance_chunked_overlap_identity():
     seg_o = enhance_chunked(identity_model(), x, chunk_s=1.0, overlap=0.5)
     lo, hi = 512, 32000 - 512
     assert np.max(np.abs(seg_o.samples[lo:hi] - x.samples[lo:hi])) < 1e-9
+
+
+def small_model(target):
+    return EnhancementModel(ModelConfig(n_layers=1, n_heads=2, d_model=8, d_ff=16,
+                                        k_bins=257, pe_kind="learnlin",
+                                        target=target, init_seed=5))
+
+
+def count_calls(monkeypatch, module, name):
+    calls = []
+    original = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("target", ["irm", "psm", "ms", "cirm"])
+def test_enhance_full_stack_equals_rows(target):
+    model = small_model(target)
+    xs = np.stack([white(5000, seed=20 + i) for i in range(3)])
+    out = enhance_full(model, xs)
+    assert isinstance(out, np.ndarray) and out.shape == xs.shape
+    for x, row in zip(xs, out):
+        assert np.max(np.abs(row - enhance_full(model, Waveform(x)).samples)) <= 1e-12
+        assert row[0] == x[0] and np.array_equal(row[4864:], x[4864:])
+
+
+def test_enhance_full_rejects_flat_array():
+    with pytest.raises(ValueError, match=r"\(B, n\) stack"):
+        enhance_full(small_model("irm"), white(5000))
+
+
+# 0.1 s chunks of 1600 samples: five frames, 20,560 bytes of spectrum each.
+# 8600 samples leave a 600-sample tail (enhanced on its own); 8300 leave 300
+# (shorter than a window, passed through).
+@pytest.mark.parametrize("target", ["irm", "psm", "ms", "cirm"])
+@pytest.mark.parametrize("overlap", [0.0, 0.5])
+@pytest.mark.parametrize("n", [8600, 8300])
+def test_grouped_chunks_match_per_chunk_oracle(monkeypatch, target, overlap, n):
+    model = small_model(target)
+    x = Waveform(white(n, seed=n + int(10 * overlap)))
+    want = enhance_chunked_loop(model, x, 0.1, overlap)
+    monkeypatch.setattr(evaluate, "_GROUP_BYTES", 2 * 5 * 257 * 16)
+    calls = count_calls(monkeypatch, evaluate, "enhance_full")
+    got = enhance_chunked(model, x, 0.1, overlap).samples
+    assert np.max(np.abs(got - want)) <= 1e-12
+    stacks = [len(a[1]) for a in calls if not isinstance(a[1], Waveform)]
+    n_chunks = len(chunk_starts(n, 1600, overlap))
+    assert len(stacks) >= 3 and sum(stacks) == n_chunks
+    assert max(stacks) == 2 and stacks[-1] == 1
+    assert len(calls) - len(stacks) == (1 if n == 8600 else 0)
+
+
+def test_seg_o_reaches_every_enhance_probe(monkeypatch):
+    """A 4 s seg-o call reaches each function the benchmark traces on the
+    enhance path, with one enhance_full call per group of 8 chunks."""
+    calls = {name: count_calls(monkeypatch, module, name) for module, name in
+             ((evaluate, "enhance_full"), (dsp, "stft"), (dsp, "istft"),
+              (objectives, "apply_target"))}
+    x = Waveform(white(4 * SAMPLE_RATE, seed=30))
+    enhance_chunked(small_model("irm"), x, chunk_s=0.5, overlap=0.5)
+    n_chunks = len(chunk_starts(len(x), SAMPLE_RATE // 2, 0.5))
+    group = evaluate._GROUP_BYTES // (16 * 30 * 257)
+    assert (n_chunks, group) == (15, 8)
+    assert len(calls["enhance_full"]) == math.ceil(n_chunks / group)
+    for name in ("stft", "istft", "apply_target"):
+        assert len(calls[name]) == len(calls["enhance_full"]), name
 
 
 def test_triangle_crossfade_sums_to_one():

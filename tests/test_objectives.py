@@ -196,6 +196,23 @@ def test_apply_cirm_from_stacked_prediction():
     assert np.allclose(out, s, atol=1e-8)
 
 
+@pytest.mark.parametrize("kind", list(TargetKind))
+def test_apply_target_stack_equals_rows(kind):
+    rng = np.random.default_rng(6)
+    x = rng.normal(size=(3, 4, 5)) + 1j * rng.normal(size=(3, 4, 5))
+    pred = rng.uniform(0.0, 1.0, (3, 4, prediction_width(kind, 5)))
+    out = apply_target(x, pred, kind)
+    assert out.shape == x.shape
+    for b in range(3):
+        assert np.max(np.abs(out[b] - apply_target(x[b], pred[b], kind))) <= 1e-12
+
+
+def test_apply_cirm_rejects_mismatched_stack():
+    x = np.ones((3, 4, 5), dtype=complex)
+    with pytest.raises(ValueError, match="cirm prediction shape"):
+        apply_target(x, np.zeros((2, 4, 10)), TargetKind.CIRM)
+
+
 def test_prediction_width():
     assert prediction_width(TargetKind.IRM, 257) == 257
     assert prediction_width(TargetKind.CIRM, 257) == 514

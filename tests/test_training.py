@@ -315,6 +315,40 @@ def test_checkpoint_config_errors(tmp_path, edit, match):
         load_checkpoint(path)
 
 
+GOOD_EPOCH_STATE = {"epoch": 1, "order": [2, 0, 1], "pos": 2}
+
+
+@pytest.mark.parametrize("edit,match", [
+    (lambda m: m.pop("step"), "meta step must be an integer, got None"),
+    (lambda m: m.update(step="7"), "meta step must be an integer"),
+    (lambda m: m.update(step=True), "meta step must be an integer"),
+    (lambda m: m.update(epoch_state={"epoch": 1, "order": [0]}),
+     "epoch_state.pos must be an integer, got None"),
+    (lambda m: m.update(epoch_state={"order": [0], "pos": 0}),
+     "epoch_state.epoch must be an integer, got None"),
+    (lambda m: m.update(epoch_state={"epoch": 1, "pos": 0}),
+     "epoch_state must hold an order list"),
+    (lambda m: m.update(epoch_state=[1, [0], 0]), "epoch_state must hold an order list"),
+    (lambda m: m.update(epoch_state={**GOOD_EPOCH_STATE, "order": 3}),
+     "epoch_state must hold an order list"),
+    (lambda m: m.update(epoch_state={**GOOD_EPOCH_STATE, "order": [0, "1"]}),
+     "epoch_state.order entry must be an integer"),
+    (lambda m: m.update(epoch_state={**GOOD_EPOCH_STATE, "pos": 1.5}),
+     "epoch_state.pos must be an integer"),
+])
+def test_checkpoint_meta_errors(tmp_path, edit, match):
+    from helpers import rewrite_meta
+
+    model = EnhancementModel(ModelConfig(pe_kind="learnlin", **TINY_MODEL))
+    path = tmp_path / "m.lgse"
+    save_checkpoint(path, model, AdamState(), 7,
+                    epoch_state=(1, [2, 0, 1], 2))
+    assert load_checkpoint(path)[2:] == (7, None, (1, [2, 0, 1], 2))
+    rewrite_meta(path, edit)
+    with pytest.raises(CheckpointError, match=match):
+        load_checkpoint(path)
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_checkpoint_non_finite_tensor_rejected(tmp_path, bad):
     model = EnhancementModel(ModelConfig(pe_kind="learnlin", **TINY_MODEL))
