@@ -16,6 +16,7 @@ from typing import Any
 from .dsp import sub_rng
 from .evaluate import ExperimentConfig, TestSuiteConfig
 from .model import ModelConfig
+from .posenc import SCHEMES
 from .training import TrainConfig
 
 __all__ = [
@@ -63,8 +64,7 @@ KEY_HELP = {
     "model.d_model": "embedding width",
     "model.d_ff": "feed-forward inner width",
     "model.k_bins": "frequency bins per frame (fft/2+1)",
-    "model.pe_kind": "positional encoding: nopos|sinusoidal|bertpos|gauss|t5|"
-                     "tisa|dabias|kerple|rope|learnlin",
+    "model.pe_kind": "positional encoding: " + "|".join(k.value for k in SCHEMES),
     "model.target": "training objective: ms|irm|psm|cirm",
     "model.causal": "mask attention to past frames only",
     "model.post_ln": "layer norm after each residual sub-layer",
@@ -171,6 +171,9 @@ def load_run_config(path=None, overrides: list[str] | None = None,
                                                  provided))
             else:
                 raise ConfigError(f"unknown config key {key!r}")
+    # Overrides are applied one section at a time, so a valid final config
+    # never fails on an intermediate pair (a new d_model with the old n_heads).
+    updates: dict[str, dict[str, Any]] = {}
     for item in overrides or []:
         if "=" not in item:
             raise ConfigError(f"override {item!r} is not of the form key=value")
@@ -184,8 +187,10 @@ def load_run_config(path=None, overrides: list[str] | None = None,
         section, key = dotted.split(".", 1)
         if section not in _SECTIONS:
             raise ConfigError(f"unknown config key {dotted!r}")
+        updates.setdefault(section, {})[key] = value
+    for section, values in updates.items():
         setattr(cfg, section,
-                _apply_section(getattr(cfg, section), section, {key: value}, provided))
+                _apply_section(getattr(cfg, section), section, values, provided))
     if seed is not None:
         cfg.seed = seed
         provided.add("seed")

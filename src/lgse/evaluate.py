@@ -13,7 +13,7 @@ import numpy as np
 from . import dsp, objectives
 from .dsp import DEFAULT_STFT, Utterance, Waveform, sub_rng
 from .model import EnhancementModel, ModelConfig
-from .posenc import PeKind
+from .posenc import SCHEMES, PeKind
 from .training import TrainConfig, load_checkpoint, save_checkpoint, train
 
 __all__ = [
@@ -26,24 +26,9 @@ __all__ = [
     "MetricReport",
     "ExperimentConfig",
     "run_lengen_experiment",
-    "KIND_LABELS",
 ]
 
 SI_SDR_CAP_DB = 100.0
-
-KIND_LABELS = {
-    "noisy": "Noisy",
-    "nopos": "No-Pos",
-    "sinusoidal": "Sinusoidal",
-    "bertpos": "BERT-Pos",
-    "gauss": "Gauss-Bias",
-    "t5": "T5-Bias",
-    "tisa": "TISA",
-    "dabias": "DA-Bias",
-    "kerple": "KERPLE",
-    "rope": "RoPE",
-    "learnlin": "LearnLin",
-}
 
 
 def si_sdr(est: Waveform | np.ndarray, ref: Waveform | np.ndarray,
@@ -285,6 +270,7 @@ class MetricReport:
     def to_markdown(self, train_len_s: float) -> str:
         """Summary table grouped by test length, one block per model variant."""
         lens = sorted({r.test_len_s for r in self.rows})
+        labels = {k.value: scheme.label for k, scheme in SCHEMES.items()}
         lines = [f"## Models trained on {train_len_s:g}s clips",
                  "",
                  "| Test len | Model | SI-SDR (dB) | SI-SDRi (dB) | SegSNR (dB) | n |",
@@ -293,7 +279,7 @@ class MetricReport:
             variants: list[tuple[str, str, str]] = [("noisy", "full", "Noisy")]
             kinds = sorted({r.kind for r in self.rows} - {"noisy"})
             for kind in kinds:
-                label = KIND_LABELS.get(kind, kind)
+                label = labels.get(kind, kind)
                 for mode, suffix in (("full", ""), ("seg", "-Seg"), ("seg-o", "-Seg-O")):
                     if self.select(kind=kind, test_len_s=tl, mode=mode):
                         variants.append((kind, mode, label + suffix))

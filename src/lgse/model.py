@@ -70,6 +70,13 @@ class ModelConfig:
     def __post_init__(self):
         object.__setattr__(self, "pe_kind", PeKind(self.pe_kind))
         object.__setattr__(self, "target", TargetKind(self.target))
+        for name in ("n_layers", "n_heads", "d_model", "d_ff", "k_bins"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be at least 1, got {getattr(self, name)}")
+        if not 1 <= self.bertpos_max_len <= self.bertpos_hard_cap:
+            raise ValueError(
+                f"bertpos_max_len must be between 1 and bertpos_hard_cap "
+                f"({self.bertpos_hard_cap}), got {self.bertpos_max_len}")
         if self.d_model % self.n_heads != 0:
             raise ValueError(
                 f"d_model {self.d_model} not divisible by n_heads {self.n_heads}")
@@ -233,32 +240,11 @@ class EnhancementModel:
         self._init_pe_params(rng_pe)
 
     def _init_pe_params(self, rng: np.random.Generator) -> None:
-        cfg = self.config
-        kind = cfg.pe_kind
-        h = cfg.n_heads
-        if kind is PeKind.GAUSS:
-            self._add_param("pe.sigma", np.full(h, 10.0))
-        elif kind is PeKind.T5:
-            self._add_param("pe.bucket", np.zeros((h, posenc.T5_BUCKETS)))
-        elif kind is PeKind.TISA:
-            s = cfg.tisa_kernels
-            self._add_param("pe.a", rng.normal(0.0, 0.1, size=(cfg.n_layers, h, s)))
-            self._add_param("pe.b", np.full((cfg.n_layers, h, s), 0.5))
-            centers = np.linspace(-8.0, 8.0, s)
-            self._add_param("pe.c", np.tile(centers, (cfg.n_layers, h, 1)))
-        elif kind is PeKind.DABIAS:
-            self._add_param("pe.w", np.full(h, 0.01))
-            self._add_param("pe.v", np.zeros(h))
-        elif kind is PeKind.KERPLE:
-            self._add_param("pe.rho1", np.zeros(h))
-            self._add_param("pe.rho2", np.zeros(h))
-        elif kind is PeKind.LEARNLIN:
-            self._add_param("pe.beta", rng.uniform(-0.2, 0.0, size=h))
-        elif kind is PeKind.BERTPOS:
-            self._add_param("pe.embed",
-                            rng.normal(0.0, 0.02, size=(cfg.bertpos_max_len, cfg.d_model)))
-            extra = cfg.bertpos_hard_cap - cfg.bertpos_max_len
-            self.buffers["pe.embed_ext"] = rng.normal(0.0, 0.02, size=(extra, cfg.d_model))
+        params, buffers = posenc.SCHEMES[self.config.pe_kind].init(self.config, rng)
+        for name, data in params.items():
+            self._add_param(f"pe.{name}", data)
+        for name, data in buffers.items():
+            self.buffers[f"pe.{name}"] = data
 
     # -- bookkeeping ---------------------------------------------------------
 
@@ -303,35 +289,24 @@ class EnhancementModel:
         z = layer_norm_frames(z, self.params["embed.ln_gain"],
                               self.params["embed.ln_bias"], cfg.ln_eps)
         z = relu(z)
-        if add_position and posenc.INJECTION_MODE[cfg.pe_kind] == "input":
+        if add_position and posenc.SCHEMES[cfg.pe_kind].mode == "input":
             z = add(z, self._position_rows(x_mag.shape[-2]))
         return z
 
-    def _layer_bias(self, length: int, layer: int) -> Tensor | None:
-        """The (H, L, L) bias stack for one layer, or None without one."""
-        p = self.params
-        kind = self.config.pe_kind
-        if kind is PeKind.GAUSS:
-            return posenc.gauss_bias(length, p["pe.sigma"])
-        if kind is PeKind.T5:
-            return posenc.t5_bias(length, p["pe.bucket"])
-        if kind is PeKind.TISA:
-            return posenc.tisa_bias(length, take(p["pe.a"], layer),
-                                    take(p["pe.b"], layer), take(p["pe.c"], layer))
-        if kind is PeKind.DABIAS:
-            return posenc.da_bias(length, p["pe.w"], p["pe.v"])
-        if kind is PeKind.KERPLE:
-            return posenc.kerple_bias(length, p["pe.rho1"], p["pe.rho2"])
-        if kind is PeKind.LEARNLIN:
-            return posenc.learnlin_bias(length, p["pe.beta"])
-        return None
-
     def _biases_for(self, length: int) -> list[Tensor | None]:
-        """One bias per layer; layer-shared kinds build theirs once."""
+        """One (H, L, L) bias per layer, or None per layer without one.
+        Layer-shared schemes build theirs once; per-layer schemes build one
+        from each layer's slice of their parameters."""
         n = self.config.n_layers
-        if self.config.pe_kind is PeKind.TISA:
-            return [self._layer_bias(length, i) for i in range(n)]
-        return [self._layer_bias(length, 0)] * n
+        scheme = posenc.SCHEMES[self.config.pe_kind]
+        if scheme.bias is None:
+            return [None] * n
+        pe = {name[len("pe."):]: t for name, t in self.params.items()
+              if name.startswith("pe.")}
+        if scheme.per_layer:
+            return [scheme.bias(length, {name: take(t, i) for name, t in pe.items()})
+                    for i in range(n)]
+        return [scheme.bias(length, pe)] * n
 
     def _split_heads(self, x: Tensor, name: str, layer: int) -> Tensor:
         """Project (..., L, d_model) frames with the per-head weights of `name`
@@ -347,12 +322,12 @@ class EnhancementModel:
         """Self-attention of every head at once over (..., L, d_model) frames;
         `bias` is the layer's (H, L, L) position bias or None."""
         cfg = self.config
-        mode = posenc.INJECTION_MODE[cfg.pe_kind]
+        mode = posenc.SCHEMES[cfg.pe_kind].mode
         bias_mode = "multiplicative" if mode == "multiplicative" else "additive"
         q = self._split_heads(x, "q", layer)
         k = self._split_heads(x, "k", layer)
         v = self._split_heads(x, "v", layer)
-        if cfg.pe_kind is PeKind.ROPE:
+        if mode == "rotation":
             q, k = posenc.rope_rotate(q, k)
         heads = attention_head(q, k, v, bias, mode=bias_mode, causal=cfg.causal)
         joined = reshape(transpose(heads, -3, -2), x.shape)

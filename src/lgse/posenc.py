@@ -23,11 +23,24 @@ of L^2, and lets gradients flow back into the scheme parameters.
 
 Builder parameters may carry leading head axes: a scalar `beta` gives an
 (L, L) bias, a (H,)-shaped one an (H, L, L) stack, one matrix per head.
+
+`SCHEMES` holds one `Scheme` record per kind, and every kind-dependent
+decision reads it: its report label, where position enters the model
+(`mode`), whether its parameters are stacked per layer, how they are drawn
+(`init`, which also fixes their checkpoint names and order), and how its
+bias is built from them (`bias`). `param_count` sums the sizes `init`
+returns. A record calls the public builders by their module-global names,
+so wrapping a builder in this module's namespace also wraps it for the
+model. The naive oracles for each bias live apart from this table, in
+`selftest.NAIVE_OFFSET`.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from enum import Enum
+from types import SimpleNamespace
+from typing import Callable
 
 import numpy as np
 
@@ -51,9 +64,8 @@ from .numerics import (
 
 __all__ = [
     "PeKind",
-    "INJECTION_MODE",
-    "ADDITIVE_KINDS",
-    "RPE_BIAS_KINDS",
+    "Scheme",
+    "SCHEMES",
     "TISA_KERNELS",
     "T5_BUCKETS",
     "CAUSAL_NEG",
@@ -89,23 +101,6 @@ class PeKind(str, Enum):
     KERPLE = "kerple"
     ROPE = "rope"
     LEARNLIN = "learnlin"
-
-
-INJECTION_MODE: dict[PeKind, str] = {
-    PeKind.NOPOS: "none",
-    PeKind.SINUSOIDAL: "input",
-    PeKind.BERTPOS: "input",
-    PeKind.GAUSS: "additive",
-    PeKind.T5: "additive",
-    PeKind.TISA: "additive",
-    PeKind.KERPLE: "additive",
-    PeKind.LEARNLIN: "additive",
-    PeKind.DABIAS: "multiplicative",
-    PeKind.ROPE: "rotation",
-}
-
-ADDITIVE_KINDS = tuple(k for k, m in INJECTION_MODE.items() if m == "additive")
-RPE_BIAS_KINDS = ADDITIVE_KINDS + (PeKind.DABIAS,)
 
 
 def toeplitz_offsets(length: int) -> np.ndarray:
@@ -245,25 +240,86 @@ def rope_rotate(q: Tensor, k: Tensor, base: float = 10000.0) -> tuple[Tensor, Te
     return q_rot, k_rot
 
 
+@dataclass(frozen=True)
+class Scheme:
+    """One positional-encoding scheme.
+
+    label      its name in reports
+    mode       where position enters: "none", "input" (added to the
+               embedding), "additive" or "multiplicative" (a bias on the
+               attention scores) or "rotation" (of q/k)
+    init       (cfg, rng) -> (params, buffers): the arrays a ModelConfig-like
+               `cfg` implies, named without the "pe." prefix, in checkpoint
+               order; random draws come from `rng` only
+    bias       (length, params) -> the (H, L, L) bias from the parameter
+               Tensors, or None for kinds without one
+    per_layer  parameters carry a leading layer axis; `bias` then receives
+               one layer's slice
+    """
+
+    label: str
+    mode: str
+    init: Callable[..., tuple[dict, dict]]
+    bias: Callable[[int, dict], Tensor] | None = None
+    per_layer: bool = False
+
+
+def _no_params(cfg, rng) -> tuple[dict, dict]:
+    return {}, {}
+
+
+def _bertpos_init(cfg, rng) -> tuple[dict, dict]:
+    # Rows past L' are drawn too but never trained: a fixed buffer.
+    extra = cfg.bertpos_hard_cap - cfg.bertpos_max_len
+    embed = rng.normal(0.0, 0.02, size=(cfg.bertpos_max_len, cfg.d_model))
+    return {"embed": embed}, {"embed_ext": rng.normal(0.0, 0.02, size=(extra, cfg.d_model))}
+
+
+def _tisa_init(cfg, rng) -> tuple[dict, dict]:
+    shape = (cfg.n_layers, cfg.n_heads, cfg.tisa_kernels)
+    return {"a": rng.normal(0.0, 0.1, size=shape),
+            "b": np.full(shape, 0.5),
+            "c": np.tile(np.linspace(-8.0, 8.0, cfg.tisa_kernels), shape[:2] + (1,))}, {}
+
+
+SCHEMES: dict[PeKind, Scheme] = {
+    PeKind.NOPOS: Scheme("No-Pos", "none", _no_params),
+    PeKind.SINUSOIDAL: Scheme("Sinusoidal", "input", _no_params),
+    PeKind.BERTPOS: Scheme("BERT-Pos", "input", _bertpos_init),
+    PeKind.GAUSS: Scheme(
+        "Gauss-Bias", "additive",
+        lambda cfg, rng: ({"sigma": np.full(cfg.n_heads, 10.0)}, {}),
+        lambda n, p: gauss_bias(n, p["sigma"])),
+    PeKind.T5: Scheme(
+        "T5-Bias", "additive",
+        lambda cfg, rng: ({"bucket": np.zeros((cfg.n_heads, T5_BUCKETS))}, {}),
+        lambda n, p: t5_bias(n, p["bucket"])),
+    PeKind.TISA: Scheme(
+        "TISA", "additive", _tisa_init,
+        lambda n, p: tisa_bias(n, p["a"], p["b"], p["c"]), per_layer=True),
+    PeKind.DABIAS: Scheme(
+        "DA-Bias", "multiplicative",
+        lambda cfg, rng: ({"w": np.full(cfg.n_heads, 0.01), "v": np.zeros(cfg.n_heads)}, {}),
+        lambda n, p: da_bias(n, p["w"], p["v"])),
+    PeKind.KERPLE: Scheme(
+        "KERPLE", "additive",
+        lambda cfg, rng: ({"rho1": np.zeros(cfg.n_heads), "rho2": np.zeros(cfg.n_heads)}, {}),
+        lambda n, p: kerple_bias(n, p["rho1"], p["rho2"])),
+    PeKind.ROPE: Scheme("RoPE", "rotation", _no_params),
+    PeKind.LEARNLIN: Scheme(
+        "LearnLin", "additive",
+        lambda cfg, rng: ({"beta": rng.uniform(-0.2, 0.0, size=cfg.n_heads)}, {}),
+        lambda n, p: learnlin_bias(n, p["beta"])),
+}
+
+
 def param_count(kind: PeKind, *, heads: int, layers: int = 1,
                 kernels: int = TISA_KERNELS, max_len: int = 0,
                 d_model: int = 0) -> int:
-    """Trainable parameter count contributed by a scheme."""
-    kind = PeKind(kind)
-    if kind in (PeKind.NOPOS, PeKind.SINUSOIDAL, PeKind.ROPE):
-        return 0
-    if kind is PeKind.BERTPOS:
-        return max_len * d_model
-    if kind is PeKind.GAUSS:
-        return heads
-    if kind is PeKind.T5:
-        return T5_BUCKETS * heads
-    if kind is PeKind.TISA:
-        return 3 * kernels * heads * layers
-    if kind is PeKind.DABIAS:
-        return 2 * heads
-    if kind is PeKind.KERPLE:
-        return 2 * heads
-    if kind is PeKind.LEARNLIN:
-        return heads
-    raise ValueError(f"unknown kind {kind!r}")
+    """Trainable parameter count contributed by a scheme: the sizes of the
+    parameters its `init` draws for these dimensions."""
+    dims = SimpleNamespace(n_heads=heads, n_layers=layers, tisa_kernels=kernels,
+                           bertpos_max_len=max_len, bertpos_hard_cap=max_len,
+                           d_model=d_model)
+    params, _ = SCHEMES[PeKind(kind)].init(dims, np.random.default_rng(0))
+    return sum(a.size for a in params.values())

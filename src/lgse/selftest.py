@@ -21,72 +21,100 @@ from .posenc import PeKind
 
 # -- naive reference evaluators (per-pair loops, no Toeplitz shortcut) --------
 
+# The bias at offset r = i - j, one formula per scheme. Scalar np.exp/np.log
+# keep the elementary functions bitwise equal to the built path's.
+NAIVE_OFFSET = {
+    PeKind.GAUSS: lambda r, p: -(float(r) ** 2 / (p["sigma"] * p["sigma"] * 2.0)),
+    PeKind.T5: lambda r, p: p["bucket"][posenc.t5_bucket_index(r)],
+    PeKind.TISA: lambda r, p: sum(np.exp(-(abs(b) * ((-r - c) * (-r - c)))) * a
+                                  for a, b, c in zip(p["a"], p["b"], p["c"])),
+    PeKind.DABIAS: lambda r, p: ((np.exp(p["v"]) + 1.0)
+                                 / (np.exp(p["v"] - float(abs(r)) * p["w"]) + 1.0)),
+    PeKind.KERPLE: lambda r, p: -(np.exp(p["rho1"])
+                                  * np.log(float(abs(r)) * np.exp(p["rho2"]) + 1.0)),
+    PeKind.LEARNLIN: lambda r, p: float(abs(r)) * p["beta"],
+}
+
 
 def naive_bias(kind: PeKind, length: int, params: dict) -> np.ndarray:
-    # Scalar np.exp/np.log so elementary functions match the built path bitwise.
+    offset = NAIVE_OFFSET[kind]
     out = np.zeros((length, length))
     for i in range(length):
         for j in range(length):
-            r = i - j
-            if kind is PeKind.GAUSS:
-                s = params["sigma"]
-                out[i, j] = -(float(r) ** 2 / (s * s * 2.0))
-            elif kind is PeKind.T5:
-                out[i, j] = params["bucket"][posenc.t5_bucket_index(r)]
-            elif kind is PeKind.TISA:
-                acc = 0.0
-                for a, b, c in zip(params["a"], params["b"], params["c"]):
-                    d = np.float64(j - i) - c
-                    acc += np.exp(-(abs(b) * (d * d))) * a
-                out[i, j] = acc
-            elif kind is PeKind.DABIAS:
-                w, v = params["w"], params["v"]
-                out[i, j] = (np.exp(v) + 1.0) / (np.exp(v - float(abs(r)) * w) + 1.0)
-            elif kind is PeKind.KERPLE:
-                r1, r2 = np.exp(params["rho1"]), np.exp(params["rho2"])
-                out[i, j] = -(r1 * np.log(float(abs(r)) * r2 + 1.0))
-            elif kind is PeKind.LEARNLIN:
-                out[i, j] = float(abs(r)) * params["beta"]
+            out[i, j] = offset(i - j, params)
     return out
 
 
+# Random parameter draws per scheme; `h` is the leading head shape.
+_RANDOM_PARAMS = {
+    PeKind.GAUSS: lambda rng, h: {"sigma": rng.uniform(0.5, 20.0, h)},
+    PeKind.T5: lambda rng, h: {"bucket": rng.normal(size=h + (posenc.T5_BUCKETS,))},
+    PeKind.TISA: lambda rng, h: {"a": rng.normal(size=h + (5,)),
+                                 "b": rng.normal(size=h + (5,)),
+                                 "c": rng.uniform(-8, 8, h + (5,))},
+    PeKind.DABIAS: lambda rng, h: {"w": rng.uniform(-0.5, 0.5, h), "v": rng.normal(size=h)},
+    PeKind.KERPLE: lambda rng, h: {"rho1": rng.normal(size=h), "rho2": rng.normal(size=h)},
+    PeKind.LEARNLIN: lambda rng, h: {"beta": rng.uniform(-1, 1, h)},
+}
+
+
+def random_bias_params(kind: PeKind, rng: np.random.Generator,
+                       heads: tuple[int, ...] = ()) -> dict[str, np.ndarray]:
+    """Random parameters for a bias scheme, each with leading axes `heads`
+    (tisa's kernels and t5's buckets keep their own last axis)."""
+    return _RANDOM_PARAMS[PeKind(kind)](rng, tuple(heads))
+
+
 def built_bias(kind: PeKind, length: int, params: dict) -> np.ndarray:
-    if kind is PeKind.GAUSS:
-        return posenc.gauss_bias(length, Tensor(params["sigma"])).data
-    if kind is PeKind.T5:
-        return posenc.t5_bias(length, Tensor(params["bucket"])).data
-    if kind is PeKind.TISA:
-        return posenc.tisa_bias(length, Tensor(params["a"]), Tensor(params["b"]),
-                                Tensor(params["c"])).data
-    if kind is PeKind.DABIAS:
-        return posenc.da_bias(length, Tensor(params["w"]), Tensor(params["v"])).data
-    if kind is PeKind.KERPLE:
-        return posenc.kerple_bias(length, Tensor(params["rho1"]),
-                                  Tensor(params["rho2"])).data
-    if kind is PeKind.LEARNLIN:
-        return posenc.learnlin_bias(length, Tensor(params["beta"])).data
-    raise ValueError(kind)
+    tensors = {name: Tensor(value) for name, value in params.items()}
+    return posenc.SCHEMES[PeKind(kind)].bias(length, tensors).data
 
 
-def random_bias_params(kind: PeKind, rng: np.random.Generator) -> dict:
-    if kind is PeKind.GAUSS:
-        return {"sigma": float(rng.uniform(0.5, 20.0))}
-    if kind is PeKind.T5:
-        return {"bucket": rng.normal(size=posenc.T5_BUCKETS)}
-    if kind is PeKind.TISA:
-        return {"a": rng.normal(size=5), "b": rng.normal(size=5),
-                "c": rng.uniform(-8, 8, size=5)}
-    if kind is PeKind.DABIAS:
-        return {"w": float(rng.uniform(-0.5, 0.5)), "v": float(rng.normal())}
-    if kind is PeKind.KERPLE:
-        return {"rho1": float(rng.normal()), "rho2": float(rng.normal())}
-    if kind is PeKind.LEARNLIN:
-        return {"beta": float(rng.uniform(-1, 1))}
-    raise ValueError(kind)
+# -- gradient check against central finite differences -------------------------
 
 
-_BIAS_KINDS = (PeKind.GAUSS, PeKind.T5, PeKind.TISA, PeKind.DABIAS,
-               PeKind.KERPLE, PeKind.LEARNLIN)
+def flatten_params(model: EnhancementModel) -> np.ndarray:
+    return np.concatenate([model.params[n].data.ravel() for n in model.params])
+
+
+def set_params(model: EnhancementModel, flat: np.ndarray) -> None:
+    offset = 0
+    for name in model.params:
+        p = model.params[name]
+        p.data = flat[offset:offset + p.size].reshape(p.shape).copy()
+        offset += p.size
+
+
+def model_gradient_mismatches(model: EnhancementModel, x: np.ndarray,
+                              target: np.ndarray) -> tuple[int, float]:
+    """Compare autodiff parameter gradients against central finite differences.
+
+    A coordinate fails when the two differ by more than 1e-4 of the larger
+    magnitude, or by more than 1e-8 absolute. Returns (number of failing
+    coordinates, worst relative error).
+    """
+    rel_tol, abs_tol = 1e-4, 1e-8
+    flat0 = flatten_params(model)
+
+    def loss_at(flat):
+        set_params(model, flat)
+        return float(training.mse_loss(model.forward(x), target).data)
+
+    model.zero_grad()
+    set_params(model, flat0)
+    loss = training.mse_loss(model.forward(x), target)
+    backward(loss)
+    auto = np.concatenate([
+        (model.params[n].grad if model.params[n].grad is not None
+         else np.zeros(model.params[n].shape)).ravel() for n in model.params])
+    fd = finite_difference(loss_at, flat0)
+    set_params(model, flat0)
+    err = np.abs(auto - fd)
+    scale = np.maximum(np.abs(auto), np.abs(fd))
+    bad = err > np.maximum(rel_tol * scale, abs_tol)
+    rel = err / np.maximum(scale, 1e-12)
+    worst = float(rel[scale > abs_tol].max()) if np.any(scale > abs_tol) else 0.0
+    return int(bad.sum()), worst
 
 
 # -- checks -------------------------------------------------------------------
@@ -94,19 +122,18 @@ _BIAS_KINDS = (PeKind.GAUSS, PeKind.T5, PeKind.TISA, PeKind.DABIAS,
 
 def check_param_counts():
     """Reference trainable-parameter counts at H=8, N=4, S=5."""
-    expected = {PeKind.LEARNLIN: 8, PeKind.GAUSS: 8, PeKind.DABIAS: 16,
-                PeKind.KERPLE: 16, PeKind.T5: 256, PeKind.TISA: 480,
-                PeKind.SINUSOIDAL: 0, PeKind.NOPOS: 0, PeKind.ROPE: 0}
+    expected = {"learnlin": 8, "gauss": 8, "dabias": 16, "kerple": 16, "t5": 256,
+                "tisa": 480, "sinusoidal": 0, "nopos": 0, "rope": 0}
     for kind, want in expected.items():
         got = posenc.param_count(kind, heads=8, layers=4, kernels=5)
-        assert got == want, f"{kind.value}: {got} != {want}"
-    assert posenc.param_count(PeKind.BERTPOS, heads=8, max_len=64,
+        assert got == want, f"{kind}: {got} != {want}"
+    assert posenc.param_count("bertpos", heads=8, max_len=64,
                               d_model=256) == 64 * 256
 
 
 def check_bias_oracle():
     rng = np.random.default_rng(11)
-    for kind in _BIAS_KINDS:
+    for kind in NAIVE_OFFSET:
         for length in (3, 17, 64):
             params = random_bias_params(kind, rng)
             built = built_bias(kind, length, params)
@@ -181,34 +208,11 @@ def check_chunk_counts():
 def check_gradient_small():
     cfg = ModelConfig(n_layers=1, n_heads=2, d_model=8, d_ff=16, k_bins=9,
                       pe_kind="learnlin", target="irm", init_seed=7)
-    model = EnhancementModel(cfg)
     rng = np.random.default_rng(1)
     x = rng.uniform(0.0, 1.5, (5, 9))
     target = rng.uniform(0.0, 1.0, (5, 9))
-    names = list(model.params)
-    sizes = [model.params[n].size for n in names]
-
-    def loss_at(flat):
-        offset = 0
-        for n, s in zip(names, sizes):
-            model.params[n].data = flat[offset:offset + s].reshape(
-                model.params[n].shape)
-            offset += s
-        return float(training.mse_loss(model.forward(x), target).data)
-
-    flat0 = np.concatenate([model.params[n].data.ravel() for n in names])
-    model.zero_grad()
-    loss = training.mse_loss(model.forward(x), target)
-    backward(loss)
-    grads = np.concatenate([
-        (model.params[n].grad if model.params[n].grad is not None
-         else np.zeros(model.params[n].shape)).ravel() for n in names])
-    fd = finite_difference(loss_at, flat0)
-    loss_at(flat0)
-    err = np.abs(grads - fd)
-    tol = 1e-4 * np.maximum(1e-4, np.maximum(np.abs(grads), np.abs(fd)))
-    bad = np.where(err > np.maximum(tol, 1e-8))[0]
-    assert bad.size == 0, f"{bad.size} gradient mismatches; worst {err.max():.3g}"
+    bad, worst = model_gradient_mismatches(EnhancementModel(cfg), x, target)
+    assert bad == 0, f"{bad} gradient mismatches; worst relative error {worst:.3g}"
 
 
 def check_mix_snr():

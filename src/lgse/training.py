@@ -62,6 +62,8 @@ class TrainConfig:
             raise ValueError("snr_high_db must be >= snr_low_db")
         if self.clip_len_s <= 0:
             raise ValueError("clip_len_s must be positive")
+        if self.batch_utts < 1:
+            raise ValueError(f"batch_utts must be at least 1, got {self.batch_utts}")
 
 
 def lr_schedule(n_step: int, w_steps: int, d_model: int) -> float:

@@ -12,10 +12,8 @@ from lgse import dsp
 from lgse.dsp import DEFAULT_STFT, Waveform
 from lgse.evaluate import _triangle, chunk_starts, enhance_full
 from lgse.model import EnhancementModel
-from lgse.numerics import backward, finite_difference
 from lgse.posenc import CAUSAL_NEG, PeKind, sinusoidal_embedding
-from lgse.selftest import naive_bias
-from lgse.training import mse_loss
+from lgse.selftest import NAIVE_OFFSET, model_gradient_mismatches, naive_bias  # noqa: F401
 
 
 def naive_dft(x: np.ndarray) -> np.ndarray:
@@ -24,49 +22,6 @@ def naive_dft(x: np.ndarray) -> np.ndarray:
     k = np.arange(n // 2 + 1)[:, None]
     t = np.arange(n)[None, :]
     return (x[None, :] * np.exp(-2j * np.pi * k * t / n)).sum(axis=1)
-
-
-def flatten_params(model: EnhancementModel) -> np.ndarray:
-    return np.concatenate([model.params[n].data.ravel() for n in model.params])
-
-
-def set_params(model: EnhancementModel, flat: np.ndarray) -> None:
-    offset = 0
-    for name in model.params:
-        p = model.params[name]
-        p.data = flat[offset:offset + p.size].reshape(p.shape).copy()
-        offset += p.size
-
-
-def model_gradient_mismatches(model: EnhancementModel, x: np.ndarray,
-                              target: np.ndarray, rel_tol: float = 1e-4,
-                              abs_tol: float = 1e-8,
-                              step: float = 1e-5) -> tuple[int, float]:
-    """Compare autodiff parameter gradients against central finite differences.
-
-    Returns (number of failing coordinates, worst relative error).
-    """
-    flat0 = flatten_params(model)
-
-    def loss_at(flat):
-        set_params(model, flat)
-        return float(mse_loss(model.forward(x), target).data)
-
-    model.zero_grad()
-    set_params(model, flat0)
-    loss = mse_loss(model.forward(x), target)
-    backward(loss)
-    auto = np.concatenate([
-        (model.params[n].grad if model.params[n].grad is not None
-         else np.zeros(model.params[n].shape)).ravel() for n in model.params])
-    fd = finite_difference(loss_at, flat0, step=step)
-    set_params(model, flat0)
-    err = np.abs(auto - fd)
-    scale = np.maximum(np.abs(auto), np.abs(fd))
-    bad = err > np.maximum(rel_tol * scale, abs_tol)
-    rel = err / np.maximum(scale, 1e-12)
-    worst = float(rel[scale > abs_tol].max()) if np.any(scale > abs_tol) else 0.0
-    return int(bad.sum()), worst
 
 
 def rewrite_meta(path, edit) -> None:
@@ -213,8 +168,7 @@ def reference_forward(model: EnhancementModel, x_mag: np.ndarray) -> np.ndarray:
             scores = q @ k.T / math.sqrt(cfg.d_k)
             if kind is PeKind.DABIAS:
                 scores = np.maximum(scores, 0.0) * _head_bias(model, length, i, h)
-            elif kind not in (PeKind.NOPOS, PeKind.SINUSOIDAL, PeKind.BERTPOS,
-                              PeKind.ROPE):
+            elif kind in NAIVE_OFFSET:
                 scores = scores + _head_bias(model, length, i, h)
             if cfg.causal:
                 scores = scores + causal

@@ -56,6 +56,14 @@ def test_override_and_seed_derivation(tmp_path):
     assert pinned.train.seed == 123
 
 
+def test_overrides_apply_as_one_change_per_section():
+    cfg = load_run_config(None, ["model.d_model=30", "model.n_heads=3",
+                                 "model.bertpos_max_len=5000",
+                                 "model.bertpos_hard_cap=8000", "model.n_heads=5"])
+    assert (cfg.model.d_model, cfg.model.n_heads) == (30, 5)
+    assert (cfg.model.bertpos_max_len, cfg.model.bertpos_hard_cap) == (5000, 8000)
+
+
 def test_bad_override_format():
     with pytest.raises(ConfigError):
         load_run_config(None, ["model.n_layers"])
@@ -222,6 +230,26 @@ def test_enhance_checkpoint_with_bad_meta_errors(trained, tmp_path, capsys,
     assert code == 1
     assert err.startswith("error: ") and err.count("\n") == 1
     assert field in err
+
+
+@pytest.mark.parametrize("override,field", [
+    ("train.batch_utts=0", "batch_utts"),
+    ("model.n_heads=0", "n_heads"),
+    ("model.d_model=0", "d_model"),
+    ("model.n_layers=-1", "n_layers"),
+    ("model.d_ff=0", "d_ff"),
+    ("model.bertpos_hard_cap=10", "bertpos_max_len"),
+])
+def test_train_with_unusable_sizes_errors(trained, tmp_path, capsys, override, field):
+    _, corpus, _, _ = trained
+    capsys.readouterr()
+    code = run_cli("--set", override, "train", "--corpus-dir", str(corpus),
+                   "--out", str(tmp_path / "m.lgse"), "--steps", "1")
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert field in err
+    assert not (tmp_path / "m.lgse").exists()
 
 
 def test_missing_corpus_errors(tmp_path):

@@ -35,6 +35,16 @@ def test_config_rejects_indivisible_heads():
         ModelConfig(d_model=30, n_heads=4)
 
 
+@pytest.mark.parametrize("field,value", [
+    ("n_layers", 0), ("n_layers", -1), ("n_heads", 0), ("n_heads", -4),
+    ("d_model", 0), ("d_ff", 0), ("k_bins", 0), ("bertpos_max_len", 0),
+    ("bertpos_max_len", 33),
+])
+def test_config_rejects_sizes_it_cannot_build(field, value):
+    with pytest.raises(ValueError, match=f"^{field} must be"):
+        ModelConfig(**{**TINY, field: value})
+
+
 # -- embedding -----------------------------------------------------------------
 
 

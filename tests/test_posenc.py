@@ -9,8 +9,8 @@ from hypothesis import strategies as st
 from lgse.numerics import Tensor, backward, constant, matmul, mul, reduce_sum
 from lgse.posenc import (
     CAUSAL_NEG,
+    SCHEMES,
     PeKind,
-    T5_BUCKETS,
     causal_mask,
     da_bias,
     gauss_bias,
@@ -22,8 +22,8 @@ from lgse.posenc import (
     t5_bias,
     t5_bucket_index,
     tisa_bias,
-    toeplitz_offsets,
 )
+from lgse.selftest import NAIVE_OFFSET, random_bias_params
 
 
 # -- sinusoidal ---------------------------------------------------------------
@@ -152,113 +152,84 @@ def test_learnlin_fixtures():
 # -- structural properties -------------------------------------------------------
 
 
-def _random_bias(kind, rng, length):
-    if kind is PeKind.GAUSS:
-        return gauss_bias(length, Tensor(rng.uniform(0.5, 15.0)))
-    if kind is PeKind.T5:
-        return t5_bias(length, Tensor(rng.normal(size=T5_BUCKETS)))
-    if kind is PeKind.TISA:
-        return tisa_bias(length, Tensor(rng.normal(size=5)),
-                         Tensor(rng.normal(size=5)),
-                         Tensor(rng.uniform(-8, 8, size=5)))
-    if kind is PeKind.DABIAS:
-        return da_bias(length, Tensor(rng.uniform(-0.5, 0.5)), Tensor(rng.normal()))
-    if kind is PeKind.KERPLE:
-        return kerple_bias(length, Tensor(rng.normal()), Tensor(rng.normal()))
-    if kind is PeKind.LEARNLIN:
-        return learnlin_bias(length, Tensor(rng.uniform(-1, 1)))
-    raise ValueError(kind)
+BIAS_KINDS = [kind for kind, scheme in SCHEMES.items() if scheme.bias is not None]
 
 
-BIAS_KINDS = [PeKind.GAUSS, PeKind.T5, PeKind.TISA, PeKind.DABIAS,
-              PeKind.KERPLE, PeKind.LEARNLIN]
+def _bias(kind, length, arrays, requires_grad=False):
+    params = {n: Tensor(a, requires_grad=requires_grad) for n, a in arrays.items()}
+    return SCHEMES[kind].bias(length, params), params
+
+
+def test_every_kind_has_one_scheme_and_every_bias_an_oracle():
+    assert set(SCHEMES) == set(PeKind)
+    assert set(BIAS_KINDS) == set(NAIVE_OFFSET)
+    assert [k for k, s in SCHEMES.items() if s.per_layer] == [PeKind.TISA]
 
 
 @pytest.mark.parametrize("kind", BIAS_KINDS)
 def test_toeplitz_exact(kind):
     rng = np.random.default_rng(zlib.crc32(kind.value.encode()))
-    p = _random_bias(kind, rng, 20).data
+    p = _bias(kind, 20, random_bias_params(kind, rng))[0].data
     assert np.array_equal(p[:-1, :-1], p[1:, 1:])
 
 
 @pytest.mark.parametrize("kind", BIAS_KINDS)
 def test_extension_consistency(kind):
     """The L x L bias is the top-left block of the (L+16) x (L+16) bias."""
-    rng = np.random.default_rng(3)
-    params_seed = rng.integers(1 << 30)
-    small = _random_bias(kind, np.random.default_rng(params_seed), 24).data
-    large = _random_bias(kind, np.random.default_rng(params_seed), 40).data
+    arrays = random_bias_params(kind, np.random.default_rng(3))
+    small = _bias(kind, 24, arrays)[0].data
+    large = _bias(kind, 40, arrays)[0].data
     assert np.array_equal(large[:24, :24], small)
 
 
 @pytest.mark.parametrize("kind", BIAS_KINDS)
 def test_gradients_reach_bias_parameters(kind):
     rng = np.random.default_rng(5)
-    params = {
-        PeKind.GAUSS: [Tensor(3.0, requires_grad=True)],
-        PeKind.T5: [Tensor(rng.normal(size=32), requires_grad=True)],
-        PeKind.TISA: [Tensor(rng.normal(size=5), requires_grad=True),
-                      Tensor(rng.normal(size=5), requires_grad=True),
-                      Tensor(rng.uniform(-8, 8, 5), requires_grad=True)],
-        PeKind.DABIAS: [Tensor(0.3, requires_grad=True),
-                        Tensor(-0.2, requires_grad=True)],
-        PeKind.KERPLE: [Tensor(0.1, requires_grad=True),
-                        Tensor(-0.4, requires_grad=True)],
-        PeKind.LEARNLIN: [Tensor(-0.3, requires_grad=True)],
-    }[kind]
-    builders = {
-        PeKind.GAUSS: gauss_bias, PeKind.T5: t5_bias, PeKind.TISA: tisa_bias,
-        PeKind.DABIAS: da_bias, PeKind.KERPLE: kerple_bias,
-        PeKind.LEARNLIN: learnlin_bias,
-    }
-    bias = builders[kind](12, *params)
+    bias, params = _bias(kind, 12, random_bias_params(kind, rng), requires_grad=True)
     weights = constant(rng.normal(size=(12, 12)))
     backward(reduce_sum(matmul(bias, weights)))
-    for p in params:
+    for p in params.values():
         assert p.grad is not None
         assert np.any(p.grad != 0.0)
-
-
-def _random_head_params(kind, rng, heads):
-    """(H,)-shaped parameters (or (H, S) for tisa's kernels) for one builder."""
-    if kind is PeKind.GAUSS:
-        return [rng.uniform(0.5, 15.0, heads)]
-    if kind is PeKind.T5:
-        return [rng.normal(size=(heads, T5_BUCKETS))]
-    if kind is PeKind.TISA:
-        return [rng.normal(size=(heads, 5)), rng.normal(size=(heads, 5)),
-                rng.uniform(-8, 8, (heads, 5))]
-    if kind is PeKind.DABIAS:
-        return [rng.uniform(-0.5, 0.5, heads), rng.normal(size=heads)]
-    if kind is PeKind.KERPLE:
-        return [rng.normal(size=heads), rng.normal(size=heads)]
-    return [rng.uniform(-1, 1, heads)]
-
-
-BUILDERS = {PeKind.GAUSS: gauss_bias, PeKind.T5: t5_bias, PeKind.TISA: tisa_bias,
-            PeKind.DABIAS: da_bias, PeKind.KERPLE: kerple_bias,
-            PeKind.LEARNLIN: learnlin_bias}
 
 
 @pytest.mark.parametrize("kind", BIAS_KINDS)
 def test_head_stacked_bias_equals_per_head_calls(kind):
     rng = np.random.default_rng(zlib.crc32(kind.value.encode()))
     heads, length = 3, 9
-    arrays = _random_head_params(kind, rng, heads)
-    params = [Tensor(a, requires_grad=True) for a in arrays]
-    stacked = BUILDERS[kind](length, *params)
+    arrays = random_bias_params(kind, rng, heads=(heads,))
+    stacked, params = _bias(kind, length, arrays, requires_grad=True)
     assert stacked.shape == (heads, length, length)
     for h in range(heads):
-        single = BUILDERS[kind](length, *(Tensor(a[h]) for a in arrays))
+        single = _bias(kind, length, {n: a[h] for n, a in arrays.items()})[0]
         assert np.array_equal(stacked.data[h], single.data)
     weights = rng.normal(size=stacked.shape)
     backward(reduce_sum(mul(stacked, constant(weights))))
     for h in range(heads):
-        head_params = [Tensor(a[h], requires_grad=True) for a in arrays]
-        bias = BUILDERS[kind](length, *head_params)
+        bias, head_params = _bias(kind, length, {n: a[h] for n, a in arrays.items()},
+                                  requires_grad=True)
         backward(reduce_sum(mul(bias, constant(weights[h]))))
-        for p, hp in zip(params, head_params):
-            assert np.allclose(p.grad[h], hp.grad, rtol=1e-12, atol=1e-12)
+        for n, p in params.items():
+            assert np.allclose(p.grad[h], head_params[n].grad, rtol=1e-12, atol=1e-12)
+
+
+def test_model_reaches_bias_builders_through_module_globals(monkeypatch):
+    """A forward looks each builder up in `posenc`, so wrapping one there sees
+    every call: once per forward for shared schemes, once per layer for tisa."""
+    from lgse import posenc
+    from lgse.model import EnhancementModel, ModelConfig
+
+    calls = {}
+    for name in ("learnlin_bias", "tisa_bias", "da_bias"):
+        def counted(*args, _name=name, _fn=getattr(posenc, name)):
+            calls[_name] = calls.get(_name, 0) + 1
+            return _fn(*args)
+        monkeypatch.setattr(posenc, name, counted)
+    x = np.random.default_rng(0).uniform(0.0, 1.0, (2, 5, 9))
+    for kind in ("learnlin", "tisa", "dabias"):
+        EnhancementModel(ModelConfig(n_layers=2, n_heads=2, d_model=8, d_ff=16,
+                                     k_bins=9, pe_kind=kind)).forward(x)
+    assert calls == {"learnlin_bias": 1, "tisa_bias": 2, "da_bias": 1}
 
 
 def test_rope_rotates_stacked_heads_like_single_heads():

@@ -253,6 +253,34 @@ def test_checkpoint_roundtrip_bitexact(tmp_path):
     assert path2.read_bytes() == path.read_bytes()
 
 
+# sha256 of a freshly initialized tiny model's checkpoint, per PE kind. Any
+# change to parameter names, order, shapes or init draws changes these.
+INIT_CHECKPOINT_SHA256 = {
+    "nopos": "bd3182e220ef840a8110503fb3e5a4a8ad89232eb3de1d3224ae200fd63948c6",
+    "sinusoidal": "fdafc8d5e2cb657cc8072ecaf760145306b6105e1c83caa6ceb97495b6f1dc97",
+    "bertpos": "61dade9852bac9313ca255e7905545a3012c4f4f77c13d0ed8c2cfbe3fa7bf05",
+    "gauss": "bfe0b57da7a0c4aba8f52c1d85569918a2b4ae52d01d3ce7f74f10fed368a337",
+    "t5": "2501954980ef3814e827b5623e222a23121f0109120a812f9156e07aae887550",
+    "tisa": "8740a8ad114693577601593041c4cb896bf0f5b018f4c7eac61d5c5016e169b7",
+    "dabias": "0c2d70de9085eb5c431c582610af86a77a8a3d399fc5cc67e65458a07f408f55",
+    "kerple": "4a03567dc17dec510749aa9c84a1bc762cb5ac463254b21b3c27ac85d097becc",
+    "rope": "7e3af2dc4d833fee4b6ee76173ebfd64ec080f2f8b574f59f26ddd8724f02234",
+    "learnlin": "583e77b0143c69774eb30f5f83e85d43066590497f9ac6a0d709c00046043acd",
+}
+
+
+@pytest.mark.parametrize("kind", sorted(INIT_CHECKPOINT_SHA256))
+def test_init_checkpoint_bytes_are_pinned(tmp_path, kind):
+    import hashlib
+
+    model = EnhancementModel(ModelConfig(
+        n_layers=2, n_heads=2, d_model=8, d_ff=16, k_bins=9, pe_kind=kind,
+        bertpos_max_len=8, bertpos_hard_cap=16, init_seed=3))
+    path = tmp_path / "m.lgse"
+    save_checkpoint(path, model, None, 0)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == INIT_CHECKPOINT_SHA256[kind]
+
+
 def test_checkpoint_resume_identical_next_step(tmp_path):
     utts = corpus(3)
     cfg_full = tiny_cfg(max_steps=6, checkpoint_every=3)
@@ -301,6 +329,10 @@ def test_checkpoint_shape_validation(tmp_path):
     (lambda c: c.update(n_experts=4), "unknown model_config keys"),
     (lambda c: c.pop("causal"), "lacks keys"),
     (lambda c: c.update(pe_kind="fire"), "bad model_config"),
+    (lambda c: c.update(n_heads=0), "bad model_config: n_heads must be at least 1"),
+    (lambda c: c.update(d_model=0), "bad model_config: d_model must be at least 1"),
+    (lambda c: c.update(n_layers=-1), "bad model_config: n_layers must be at least 1"),
+    (lambda c: c.update(bertpos_hard_cap=8), "bad model_config: bertpos_max_len must be"),
 ])
 def test_checkpoint_config_errors(tmp_path, edit, match):
     from helpers import rewrite_model_config
