@@ -13,7 +13,7 @@ import json
 from dataclasses import dataclass, field, fields, replace
 from typing import Any
 
-from .dsp import sub_rng
+from .dsp import derived_seed
 from .evaluate import ExperimentConfig, TestSuiteConfig
 from .model import ModelConfig
 from .posenc import SCHEMES
@@ -89,7 +89,6 @@ KEY_HELP = {
     "train.adam_eps": "Adam epsilon",
     "train.grad_clip": "elementwise gradient clip bound",
     "train.seed": "training-stream seed (derived from master seed by default)",
-    "train.val_utts": "corpus-tail utterances held out for validation",
     "train.checkpoint_every": "periodic checkpoint cadence in steps",
     "train.freeze": "comma-separated parameter names excluded from updates",
     "synth.n_utts": "utterance pairs to synthesize",
@@ -196,14 +195,10 @@ def load_run_config(path=None, overrides: list[str] | None = None,
         provided.add("seed")
     # Derive sub-seeds not pinned explicitly.
     if "train.seed" not in provided:
-        cfg.train = replace(cfg.train, seed=_derived(cfg.seed, "train"))
+        cfg.train = replace(cfg.train, seed=derived_seed(cfg.seed, "train"))
     if "model.init_seed" not in provided:
-        cfg.model = replace(cfg.model, init_seed=_derived(cfg.seed, "init"))
+        cfg.model = replace(cfg.model, init_seed=derived_seed(cfg.seed, "init"))
     return cfg
-
-
-def _derived(seed: int, role: str) -> int:
-    return int(sub_rng(seed, role).integers(0, 2 ** 63 - 1))
 
 
 def config_key_lines() -> list[str]:
@@ -227,7 +222,8 @@ def config_key_lines() -> list[str]:
 
 
 def assert_help_covers_all_fields() -> None:
-    """Internal consistency check used by the self test."""
+    """Raise ConfigError if a config field has no KEY_HELP line; the CLI
+    tests call it."""
     missing = []
     for section, cls in _SECTIONS.items():
         for f in fields(cls):

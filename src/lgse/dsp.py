@@ -32,6 +32,7 @@ __all__ = [
     "noise_gain_for_snr",
     "synth_corpus",
     "sub_rng",
+    "derived_seed",
     "read_wav",
     "write_wav",
 ]
@@ -211,6 +212,11 @@ def sub_rng(seed: int, *roles: str) -> np.random.Generator:
     """Named deterministic sub-stream of a master seed."""
     keys = tuple(zlib.crc32(r.encode("utf-8")) for r in roles)
     return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=keys))
+
+
+def derived_seed(seed: int, role: str) -> int:
+    """Integer seed for a named role, drawn from that role's sub-stream."""
+    return int(sub_rng(seed, role).integers(0, 2 ** 63 - 1))
 
 
 @dataclass

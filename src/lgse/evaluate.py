@@ -11,7 +11,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import dsp, objectives
-from .dsp import DEFAULT_STFT, Utterance, Waveform, sub_rng
+from .dsp import DEFAULT_STFT, Utterance, Waveform, derived_seed
 from .model import EnhancementModel, ModelConfig
 from .posenc import SCHEMES, PeKind
 from .training import TrainConfig, load_checkpoint, save_checkpoint, train
@@ -322,7 +322,7 @@ def run_lengen_experiment(seed: int, model_cfg: ModelConfig,
     Deterministic for a fixed seed, including the CSV bytes.
     """
     os.makedirs(out_dir, exist_ok=True)
-    corpus = dsp.synth_corpus(_role_seed(seed, "corpus.train"),
+    corpus = dsp.synth_corpus(derived_seed(seed, "corpus.train"),
                               exp.train_utts, exp.train_utt_dur_s)
     models: dict[str, EnhancementModel] = {}
     for kind in exp.kinds:
@@ -334,7 +334,7 @@ def run_lengen_experiment(seed: int, model_cfg: ModelConfig,
     chunk_s = exp.chunk_s if exp.chunk_s > 0 else train_cfg.clip_len_s
     rows: list[ReportRow] = []
     for dur in suite.durations_s:
-        utts = dsp.synth_corpus(_role_seed(seed, f"corpus.test.{dur:g}"),
+        utts = dsp.synth_corpus(derived_seed(seed, f"corpus.test.{dur:g}"),
                                 suite.utts_per_condition, dur)
         for snr in suite.snrs_db:
             cases = [(i, utt, dsp.mix_at_snr(utt.clean, utt.noise, snr))
@@ -348,10 +348,6 @@ def run_lengen_experiment(seed: int, model_cfg: ModelConfig,
     with open(os.path.join(out_dir, "report.md"), "w", encoding="utf-8") as f:
         f.write(report.to_markdown(train_cfg.clip_len_s))
     return report
-
-
-def _role_seed(seed: int, role: str) -> int:
-    return int(sub_rng(seed, role).integers(0, 2 ** 63 - 1))
 
 
 def _score_case(case, models, exp: ExperimentConfig, chunk_s: float,

@@ -70,9 +70,12 @@ class ModelConfig:
     def __post_init__(self):
         object.__setattr__(self, "pe_kind", PeKind(self.pe_kind))
         object.__setattr__(self, "target", TargetKind(self.target))
-        for name in ("n_layers", "n_heads", "d_model", "d_ff", "k_bins"):
+        for name in ("n_layers", "n_heads", "d_model", "d_ff", "k_bins",
+                     "tisa_kernels"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be at least 1, got {getattr(self, name)}")
+        if not self.ln_eps > 0:
+            raise ValueError(f"ln_eps must be positive, got {self.ln_eps}")
         if not 1 <= self.bertpos_max_len <= self.bertpos_hard_cap:
             raise ValueError(
                 f"bertpos_max_len must be between 1 and bertpos_hard_cap "

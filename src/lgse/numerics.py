@@ -22,7 +22,6 @@ __all__ = [
     "DimensionError",
     "ContractError",
     "constant",
-    "parameter",
     "add",
     "sub",
     "mul",
@@ -84,64 +83,14 @@ class Tensor:
     def size(self) -> int:
         return self.data.size
 
-    def item(self) -> float:
-        return float(self.data)
-
-    def zero_grad(self) -> None:
-        self.grad = None
-
-    def backward(self) -> None:
-        backward(self)
-
-    def sum(self) -> "Tensor":
-        return reduce_sum(self)
-
-    def mean(self) -> "Tensor":
-        return reduce_mean(self)
-
     def __repr__(self) -> str:
         flag = ", requires_grad=True" if self.requires_grad else ""
         return f"Tensor(shape={self.shape}{flag})"
-
-    def __add__(self, other):
-        return add(self, other)
-
-    def __radd__(self, other):
-        return add(other, self)
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __rsub__(self, other):
-        return sub(other, self)
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    def __rmul__(self, other):
-        return mul(other, self)
-
-    def __truediv__(self, other):
-        return div(self, other)
-
-    def __rtruediv__(self, other):
-        return div(other, self)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
-    def __neg__(self):
-        return neg(self)
 
 
 def constant(data) -> Tensor:
     """Wrap an array-like as a non-trainable tensor."""
     return Tensor(data, requires_grad=False)
-
-
-def parameter(data) -> Tensor:
-    """Wrap an array-like as a trainable tensor."""
-    return Tensor(data, requires_grad=True)
 
 
 def _promote(x) -> Tensor:

@@ -1,8 +1,8 @@
 """Training-target grids (MS, IRM, PSM, cIRM) and enhancement-time application.
 
 All functions operate on complex (L, K) spectrograms as plain ndarrays and
-are pure; shapes must agree cell-for-cell. `apply_target` also takes stacks
-with leading axes.
+are pure; shapes must agree cell-for-cell. `target_grid` and `apply_target`
+also take stacks with leading axes, e.g. a (B, L, K) stack of clips.
 """
 
 from __future__ import annotations
@@ -150,7 +150,8 @@ def target_grid(kind: TargetKind, clean: np.ndarray, noise: np.ndarray,
                 cirm_c: float = DEFAULT_CIRM_C) -> np.ndarray:
     """Real-valued loss target matching the model head for `kind`.
 
-    cIRM targets are compressed and laid out as (L, 2K): real then imaginary.
+    cIRM targets are compressed and laid out as (..., L, 2K): real then
+    imaginary.
     """
     if kind is TargetKind.MS:
         return ms_target(clean, ms_power)
@@ -160,7 +161,7 @@ def target_grid(kind: TargetKind, clean: np.ndarray, noise: np.ndarray,
         return psm(clean, noisy)
     if kind is TargetKind.CIRM:
         m = compress_cirm(cirm(clean, noisy), cirm_k, cirm_c)
-        return np.concatenate([m.real, m.imag], axis=1)
+        return np.concatenate([m.real, m.imag], axis=-1)
     raise ValueError(f"unknown target kind {kind!r}")
 
 

@@ -10,13 +10,12 @@ from dataclasses import asdict, dataclass, field, fields
 import numpy as np
 
 from . import dsp, objectives
-from .dsp import DEFAULT_STFT, StftConfig, Utterance, Waveform
+from .dsp import DEFAULT_STFT, StftConfig, Utterance
 from .model import EnhancementModel, ModelConfig
 from .numerics import Tensor, backward, constant, mul, reduce_mean, sub
 
 __all__ = [
     "TrainConfig",
-    "BatchItem",
     "AdamState",
     "TrainResult",
     "CheckpointError",
@@ -53,7 +52,6 @@ class TrainConfig:
     adam_eps: float = 1e-9
     grad_clip: float = 1.0
     seed: int = 0
-    val_utts: int = 0             # held-out utterances from the corpus tail
     checkpoint_every: int = 0     # extra periodic saves; final save always happens
     freeze: tuple[str, ...] = ()  # parameter names excluded from updates
 
@@ -73,44 +71,39 @@ def lr_schedule(n_step: int, w_steps: int, d_model: int) -> float:
     return d_model ** -0.5 * min(n_step * w_steps ** -1.5, n_step ** -0.5)
 
 
-@dataclass
-class BatchItem:
-    x_mag: np.ndarray
-    target: np.ndarray
-    snr_db: int
-    clean: np.ndarray
-    noise_scaled: np.ndarray
-
-
 def make_batch(utts: list[Utterance], cfg: TrainConfig, rng: np.random.Generator,
                model_cfg: ModelConfig,
-               stft_cfg: StftConfig = DEFAULT_STFT) -> list[BatchItem]:
+               stft_cfg: StftConfig = DEFAULT_STFT) -> tuple[np.ndarray, np.ndarray]:
     """Split each clean utterance into fixed clips (last partial dropped) and
-    mix each clip with a random noise segment at a random integer SNR."""
+    mix each clip with a random noise segment at a random integer SNR.
+
+    Returns the noisy magnitudes |X|, shaped (B, L, K), and the loss target,
+    shaped (B, L, K) or (B, L, 2K) for cIRM. B counts the usable clips and is
+    0 when there is none. All spectra come from one STFT over the stacked
+    clean clips, scaled noise and mixtures.
+    """
     clip_len = int(round(cfg.clip_len_s * dsp.SAMPLE_RATE))
-    items: list[BatchItem] = []
+    clean: list[np.ndarray] = []
+    noise: list[np.ndarray] = []
     for utt in utts:
-        n_clips = len(utt.clean) // clip_len
-        for c in range(n_clips):
-            clean = utt.clean.samples[c * clip_len:(c + 1) * clip_len]
+        for c in range(len(utt.clean) // clip_len):
             src = utts[int(rng.integers(0, len(utts)))].noise.samples
             if len(src) < clip_len:
                 continue
             offset = int(rng.integers(0, len(src) - clip_len + 1))
-            noise = src[offset:offset + clip_len]
             snr = int(rng.integers(cfg.snr_low_db, cfg.snr_high_db + 1))
-            gain = dsp.noise_gain_for_snr(clean, noise, snr)
-            noise_scaled = gain * noise
-            mix = clean + noise_scaled
-            spec_s = dsp.stft(Waveform(clean), stft_cfg)
-            spec_v = dsp.stft(Waveform(noise_scaled), stft_cfg)
-            spec_x = dsp.stft(Waveform(mix), stft_cfg)
-            target = objectives.target_grid(
-                model_cfg.target, spec_s, spec_v, spec_x,
-                gamma=model_cfg.irm_gamma, ms_power=model_cfg.ms_power,
-                cirm_k=model_cfg.cirm_k, cirm_c=model_cfg.cirm_c)
-            items.append(BatchItem(np.abs(spec_x), target, snr, clean, noise_scaled))
-    return items
+            clip = utt.clean.samples[c * clip_len:(c + 1) * clip_len]
+            seg = src[offset:offset + clip_len]
+            clean.append(clip)
+            noise.append(dsp.noise_gain_for_snr(clip, seg, snr) * seg)
+    s = np.reshape(clean, (-1, clip_len))
+    v = np.reshape(noise, (-1, clip_len))
+    spec_s, spec_v, spec_x = dsp.stft(np.stack([s, v, s + v]), stft_cfg)
+    target = objectives.target_grid(
+        model_cfg.target, spec_s, spec_v, spec_x,
+        gamma=model_cfg.irm_gamma, ms_power=model_cfg.ms_power,
+        cirm_k=model_cfg.cirm_k, cirm_c=model_cfg.cirm_c)
+    return np.abs(spec_x), target
 
 
 def mse_loss(pred: Tensor, target: np.ndarray) -> Tensor:
@@ -163,27 +156,6 @@ def adam_step(params: dict[str, Tensor], state: AdamState, lr: float,
 class TrainResult:
     steps: int
     trace: list[tuple[int, float, float]]          # (step, lr, loss)
-    val_trace: list[tuple[int, float]] = field(default_factory=list)
-    best_val: float = float("inf")
-    skipped_clips: int = 0
-
-
-def _batch_loss(model: EnhancementModel, items: list[BatchItem]) -> Tensor:
-    """Mean of the clips' MSEs, as one forward over the stacked clips (they
-    are equal-length, so this is the MSE over every cell of the stack)."""
-    x = np.stack([item.x_mag for item in items])
-    target = np.stack([item.target for item in items])
-    return mse_loss(model.forward(x), target)
-
-
-def _validation_loss(model: EnhancementModel, utts: list[Utterance],
-                     cfg: TrainConfig) -> float:
-    rng = np.random.default_rng(np.random.SeedSequence(entropy=cfg.seed,
-                                                       spawn_key=(0x76616c,)))
-    items = make_batch(utts, cfg, rng, model.config)
-    if not items:
-        return float("inf")
-    return float(_batch_loss(model, items).data)
 
 
 def train(model: EnhancementModel, corpus: list[Utterance], cfg: TrainConfig, *,
@@ -198,15 +170,11 @@ def train(model: EnhancementModel, corpus: list[Utterance], cfg: TrainConfig, *,
     """
     if not corpus:
         raise ValueError("corpus is empty")
-    val = corpus[len(corpus) - cfg.val_utts:] if cfg.val_utts > 0 else []
-    pool = corpus[:len(corpus) - cfg.val_utts] if cfg.val_utts > 0 else corpus
     if rng is None:
         rng = np.random.default_rng(np.random.SeedSequence(entropy=cfg.seed,
                                                            spawn_key=(0x7472,)))
     state = adam_state if adam_state is not None else AdamState()
     result = TrainResult(steps=start_step, trace=[])
-    clip_len = int(round(cfg.clip_len_s * dsp.SAMPLE_RATE))
-    result.skipped_clips = sum(1 for u in pool if len(u.clean) < clip_len)
 
     step = start_step
     epoch0 = 0
@@ -222,17 +190,17 @@ def train(model: EnhancementModel, corpus: list[Utterance], cfg: TrainConfig, *,
             order, pos = pending
             pending = None
         else:
-            order, pos = list(rng.permutation(len(pool))), 0
+            order, pos = list(rng.permutation(len(corpus))), 0
         while pos < len(order):
-            utts = [pool[i] for i in order[pos:pos + cfg.batch_utts]]
+            utts = [corpus[i] for i in order[pos:pos + cfg.batch_utts]]
             pos += cfg.batch_utts
-            items = make_batch(utts, cfg, rng, model.config)
-            if not items:
+            x_mag, target = make_batch(utts, cfg, rng, model.config)
+            if len(x_mag) == 0:
                 continue
             step += 1
             lr = lr_schedule(step, cfg.w_steps, model.config.d_model)
             model.zero_grad()
-            loss = _batch_loss(model, items)
+            loss = mse_loss(model.forward(x_mag), target)
             backward(loss)
             clip_gradients(model.params, cfg.grad_clip)
             adam_step(model.params, state, lr, cfg)
@@ -244,14 +212,6 @@ def train(model: EnhancementModel, corpus: list[Utterance], cfg: TrainConfig, *,
             if cfg.max_steps and step >= cfg.max_steps:
                 done = True
                 break
-        if val:
-            v = _validation_loss(model, val, cfg)
-            result.val_trace.append((step, v))
-            if v < result.best_val:
-                result.best_val = v
-                if ckpt_path:
-                    save_checkpoint(_with_suffix(ckpt_path, ".best"), model,
-                                    state, step, rng_state=rng.bit_generator.state)
         if done:
             break
     result.steps = step
@@ -262,10 +222,6 @@ def train(model: EnhancementModel, corpus: list[Utterance], cfg: TrainConfig, *,
     if loss_csv:
         write_loss_csv(loss_csv, result.trace)
     return result
-
-
-def _with_suffix(path, extra: str):
-    return str(path) + extra
 
 
 def write_loss_csv(path, trace: list[tuple[int, float, float]]) -> None:

@@ -8,7 +8,7 @@ import struct
 
 import numpy as np
 
-from lgse import dsp
+from lgse import dsp, objectives
 from lgse.dsp import DEFAULT_STFT, Waveform
 from lgse.evaluate import _triangle, chunk_starts, enhance_full
 from lgse.model import EnhancementModel
@@ -22,6 +22,34 @@ def naive_dft(x: np.ndarray) -> np.ndarray:
     k = np.arange(n // 2 + 1)[:, None]
     t = np.arange(n)[None, :]
     return (x[None, :] * np.exp(-2j * np.pi * k * t / n)).sum(axis=1)
+
+
+def make_batch_loop(utts, cfg, rng, model_cfg, stft_cfg=DEFAULT_STFT):
+    """Three STFTs and one target per clip; oracle for the stacked
+    `training.make_batch`. Returns one (clean, noise_scaled, snr_db, x_mag,
+    target) tuple per usable clip, drawing the same RNG values in the same
+    order."""
+    clip_len = int(round(cfg.clip_len_s * dsp.SAMPLE_RATE))
+    clips = []
+    for utt in utts:
+        for c in range(len(utt.clean) // clip_len):
+            clean = utt.clean.samples[c * clip_len:(c + 1) * clip_len]
+            src = utts[int(rng.integers(0, len(utts)))].noise.samples
+            if len(src) < clip_len:
+                continue
+            offset = int(rng.integers(0, len(src) - clip_len + 1))
+            noise = src[offset:offset + clip_len]
+            snr = int(rng.integers(cfg.snr_low_db, cfg.snr_high_db + 1))
+            noise_scaled = dsp.noise_gain_for_snr(clean, noise, snr) * noise
+            spec_s = dsp.stft(Waveform(clean), stft_cfg)
+            spec_v = dsp.stft(Waveform(noise_scaled), stft_cfg)
+            spec_x = dsp.stft(Waveform(clean + noise_scaled), stft_cfg)
+            target = objectives.target_grid(
+                model_cfg.target, spec_s, spec_v, spec_x,
+                gamma=model_cfg.irm_gamma, ms_power=model_cfg.ms_power,
+                cirm_k=model_cfg.cirm_k, cirm_c=model_cfg.cirm_c)
+            clips.append((clean, noise_scaled, snr, np.abs(spec_x), target))
+    return clips
 
 
 def rewrite_meta(path, edit) -> None:

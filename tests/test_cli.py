@@ -239,6 +239,8 @@ def test_enhance_checkpoint_with_bad_meta_errors(trained, tmp_path, capsys,
     ("model.n_layers=-1", "n_layers"),
     ("model.d_ff=0", "d_ff"),
     ("model.bertpos_hard_cap=10", "bertpos_max_len"),
+    ("model.tisa_kernels=0", "tisa_kernels"),
+    ("model.ln_eps=-1", "ln_eps"),
 ])
 def test_train_with_unusable_sizes_errors(trained, tmp_path, capsys, override, field):
     _, corpus, _, _ = trained

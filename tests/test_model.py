@@ -38,7 +38,8 @@ def test_config_rejects_indivisible_heads():
 @pytest.mark.parametrize("field,value", [
     ("n_layers", 0), ("n_layers", -1), ("n_heads", 0), ("n_heads", -4),
     ("d_model", 0), ("d_ff", 0), ("k_bins", 0), ("bertpos_max_len", 0),
-    ("bertpos_max_len", 33),
+    ("bertpos_max_len", 33), ("tisa_kernels", 0), ("tisa_kernels", -1),
+    ("ln_eps", 0.0), ("ln_eps", -1.0),
 ])
 def test_config_rejects_sizes_it_cannot_build(field, value):
     with pytest.raises(ValueError, match=f"^{field} must be"):
@@ -328,7 +329,7 @@ def _batch(model, seed, clips=3, length=6):
 @pytest.mark.parametrize("kind", ALL_KINDS)
 def test_batched_forward_and_loss_match_reference(kind, target):
     from helpers import reference_batch_loss, reference_forward
-    from lgse.training import BatchItem, _batch_loss
+    from lgse.training import mse_loss
 
     m = _randomized_pe(tiny_model(pe=kind, target=target, n_layers=2), seed=21)
     xs, targets = _batch(m, seed=22)
@@ -339,8 +340,7 @@ def test_batched_forward_and_loss_match_reference(kind, target):
     single = m.forward(xs[1])
     assert single.shape == expect[1].shape
     assert np.max(np.abs(single.data - expect[1])) <= 1e-12
-    items = [BatchItem(x, t, 0, np.zeros(1), np.zeros(1)) for x, t in zip(xs, targets)]
-    loss = float(_batch_loss(m, items).data)
+    loss = float(mse_loss(m.forward(xs), targets).data)
     assert abs(loss - reference_batch_loss(m, xs, targets)) <= 1e-12
 
 

@@ -199,12 +199,16 @@ def test_apply_cirm_from_stacked_prediction():
 @pytest.mark.parametrize("kind", list(TargetKind))
 def test_apply_target_stack_equals_rows(kind):
     rng = np.random.default_rng(6)
-    x = rng.normal(size=(3, 4, 5)) + 1j * rng.normal(size=(3, 4, 5))
+    x, s, v = (rng.normal(size=(3, 4, 5)) + 1j * rng.normal(size=(3, 4, 5))
+               for _ in range(3))
     pred = rng.uniform(0.0, 1.0, (3, 4, prediction_width(kind, 5)))
     out = apply_target(x, pred, kind)
     assert out.shape == x.shape
+    grid = target_grid(kind, s, v, x)
+    assert grid.shape == pred.shape
     for b in range(3):
         assert np.max(np.abs(out[b] - apply_target(x[b], pred[b], kind))) <= 1e-12
+        assert np.max(np.abs(grid[b] - target_grid(kind, s[b], v[b], x[b]))) <= 1e-12
 
 
 def test_apply_cirm_rejects_mismatched_stack():

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from lgse import dsp
-from lgse.dsp import Waveform
+from lgse import dsp, objectives
+from lgse.dsp import Utterance, Waveform
 from lgse.model import EnhancementModel, ModelConfig
 from lgse.numerics import Tensor, backward
 from lgse.training import (
@@ -153,8 +153,9 @@ def test_make_batch_clip_count():
     cfg = tiny_cfg(clip_len_s=0.5)
     utts = corpus(3, dur=1.0)
     rng = np.random.default_rng(0)
-    items = make_batch(utts, cfg, rng, ModelConfig(**TINY_MODEL))
-    assert len(items) == 6  # two 0.5s clips per 1s utterance
+    x_mag, target = make_batch(utts, cfg, rng, ModelConfig(**TINY_MODEL))
+    # two 0.5s clips per 1s utterance
+    assert x_mag.shape == target.shape == (6, dsp.frame_count(8000), 257)
 
 
 def test_make_batch_deterministic_under_seed():
@@ -162,30 +163,76 @@ def test_make_batch_deterministic_under_seed():
     utts = corpus(2)
     a = make_batch(utts, cfg, np.random.default_rng(5), ModelConfig(**TINY_MODEL))
     b = make_batch(utts, cfg, np.random.default_rng(5), ModelConfig(**TINY_MODEL))
-    assert len(a) == len(b)
-    for ia, ib in zip(a, b):
-        assert np.array_equal(ia.x_mag, ib.x_mag)
-        assert np.array_equal(ia.target, ib.target)
-        assert ia.snr_db == ib.snr_db
+    assert np.array_equal(a[0], b[0])
+    assert np.array_equal(a[1], b[1])
+
+
+def _mixed_corpus():
+    """Utterances of two lengths plus one whose noise is shorter than a clip,
+    so that some draws are skipped."""
+    utts = corpus(2, dur=1.3) + corpus(2, dur=0.6, seed=12)
+    short = utts[1]
+    return utts + [Utterance(short.clean, Waveform(short.noise.samples[:4000]))]
+
+
+@pytest.mark.parametrize("target", ["ms", "irm", "psm", "cirm"])
+def test_make_batch_equals_per_clip_loop(target):
+    from helpers import make_batch_loop
+
+    cfg = tiny_cfg()
+    model_cfg = ModelConfig(target=target, **TINY_MODEL)
+    utts = _mixed_corpus()
+    x_mag, grid = make_batch(utts, cfg, np.random.default_rng(4), model_cfg)
+    clips = make_batch_loop(utts, cfg, np.random.default_rng(4), model_cfg)
+    assert 0 < len(clips) < sum(len(u.clean) // 8000 for u in utts)
+    assert x_mag.shape[0] == grid.shape[0] == len(clips)
+    assert grid.shape[1:] == clips[0][4].shape
+    assert np.array_equal(x_mag, np.stack([c[3] for c in clips]))
+    expect = np.stack([c[4] for c in clips])
+    if target == "cirm":
+        assert np.max(np.abs(grid - expect)) <= 1e-14
+    else:
+        assert np.array_equal(grid, expect)
+
+
+def test_make_batch_makes_one_stft_and_one_target_call(monkeypatch):
+    calls = {"stft": 0, "target_grid": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(dsp, "stft", counted("stft", dsp.stft))
+    monkeypatch.setattr(objectives, "target_grid",
+                        counted("target_grid", objectives.target_grid))
+    x_mag, _ = make_batch(corpus(3), tiny_cfg(), np.random.default_rng(0),
+                          ModelConfig(**TINY_MODEL))
+    assert len(x_mag) == 6
+    assert calls == {"stft": 1, "target_grid": 1}
 
 
 def test_make_batch_snr_measured_matches_drawn():
+    from helpers import make_batch_loop
+
     cfg = tiny_cfg()
-    items = make_batch(corpus(3), cfg, np.random.default_rng(7),
-                       ModelConfig(**TINY_MODEL))
-    for item in items:
-        e_clean = np.sum(item.clean ** 2)
-        e_noise = np.sum(item.noise_scaled ** 2)
+    clips = make_batch_loop(corpus(3), cfg, np.random.default_rng(7),
+                            ModelConfig(**TINY_MODEL))
+    assert clips
+    for clean, noise_scaled, snr_db, _, _ in clips:
+        e_clean = np.sum(clean ** 2)
+        e_noise = np.sum(noise_scaled ** 2)
         measured = 10 * np.log10(e_clean / e_noise)
-        assert abs(measured - item.snr_db) < 1e-6
-        assert cfg.snr_low_db <= item.snr_db <= cfg.snr_high_db
+        assert abs(measured - snr_db) < 1e-6
+        assert cfg.snr_low_db <= snr_db <= cfg.snr_high_db
 
 
 def test_make_batch_skips_too_long_clip():
     cfg = tiny_cfg(clip_len_s=2.0)
-    items = make_batch(corpus(2, dur=1.0), cfg, np.random.default_rng(0),
-                       ModelConfig(**TINY_MODEL))
-    assert items == []
+    x_mag, target = make_batch(corpus(2, dur=1.0), cfg, np.random.default_rng(0),
+                               ModelConfig(**TINY_MODEL))
+    assert len(x_mag) == 0 and len(target) == 0
 
 
 # -- train loop -------------------------------------------------------------------
@@ -333,6 +380,9 @@ def test_checkpoint_shape_validation(tmp_path):
     (lambda c: c.update(d_model=0), "bad model_config: d_model must be at least 1"),
     (lambda c: c.update(n_layers=-1), "bad model_config: n_layers must be at least 1"),
     (lambda c: c.update(bertpos_hard_cap=8), "bad model_config: bertpos_max_len must be"),
+    (lambda c: c.update(tisa_kernels=0),
+     "bad model_config: tisa_kernels must be at least 1"),
+    (lambda c: c.update(ln_eps=-1.0), "bad model_config: ln_eps must be positive"),
 ])
 def test_checkpoint_config_errors(tmp_path, edit, match):
     from helpers import rewrite_model_config
