@@ -176,7 +176,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "experiment":
             return cmd_experiment(cfg, args)
         parser.error(f"unknown command {args.command}")
-    except (ConfigError, FileNotFoundError, ValueError, CheckpointError,
+    except (ConfigError, OSError, ValueError, CheckpointError,
             CapabilityError, FloatingPointError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -284,7 +284,12 @@ def synth_corpus(seed: int, n_utts: int, dur_s: float) -> list[Utterance]:
 
 def read_wav(path) -> Waveform:
     """Read 16-bit PCM mono 16 kHz WAV; reject anything else."""
-    with wave.open(str(path), "rb") as f:
+    try:
+        f = wave.open(str(path), "rb")
+    except (wave.Error, EOFError) as exc:
+        raise AudioFormatError(f"{path}: not a readable WAV file "
+                               f"({exc or 'it ends inside the header'})") from None
+    with f:
         channels = f.getnchannels()
         width = f.getsampwidth()
         rate = f.getframerate()
@@ -293,6 +298,9 @@ def read_wav(path) -> Waveform:
                 f"{path}: expected 16-bit PCM mono {SAMPLE_RATE} Hz, got "
                 f"{channels} channel(s), {8 * width}-bit, {rate} Hz")
         raw = f.readframes(f.getnframes())
+    if len(raw) % 2:
+        raise AudioFormatError(f"{path}: not a readable WAV file (its data ends "
+                               f"inside a sample)")
     samples = np.frombuffer(raw, dtype="<i2").astype(np.float64) / 32767.0
     return Waveform(samples)
 

@@ -14,7 +14,7 @@ from . import dsp, objectives
 from .dsp import DEFAULT_STFT, Utterance, Waveform, derived_seed
 from .model import EnhancementModel, ModelConfig
 from .posenc import SCHEMES, PeKind
-from .training import TrainConfig, load_checkpoint, save_checkpoint, train
+from .training import TrainConfig, check_freeze, load_checkpoint, train
 
 __all__ = [
     "si_sdr",
@@ -185,15 +185,36 @@ class TestSuiteConfig:
     snrs_db: tuple[int, ...] = (-5, 0, 5, 10, 15)
     utts_per_condition: int = 20
 
+    def __post_init__(self):
+        if not self.durations_s or min(self.durations_s) <= 0:
+            raise ValueError(f"durations_s must be one or more positive durations, "
+                             f"got {self.durations_s}")
+        if not self.snrs_db:
+            raise ValueError("snrs_db must name at least one SNR")
+        if self.utts_per_condition < 1:
+            raise ValueError(f"utts_per_condition must be at least 1, "
+                             f"got {self.utts_per_condition}")
+
+
+MODES = ("full", "seg", "seg-o")
+
 
 @dataclass(frozen=True)
 class ExperimentConfig:
     kinds: tuple[str, ...] = ("nopos", "sinusoidal", "learnlin")
-    modes: tuple[str, ...] = ("full", "seg", "seg-o")
+    modes: tuple[str, ...] = MODES
     chunk_s: float = 0.0          # 0: use the training clip length
     train_utts: int = 12
     train_utt_dur_s: float = 1.0
     retrain: bool = False
+
+    def __post_init__(self):
+        for name, allowed in (("kinds", [k.value for k in PeKind]), ("modes", MODES)):
+            chosen = getattr(self, name)
+            unknown = [c for c in chosen if c not in allowed]
+            if not chosen or unknown:
+                raise ValueError(f"{name} must be one or more of {', '.join(allowed)}; "
+                                 f"got {', '.join(chosen) or 'none'}")
 
 
 _CSV_FIELDS = ["kind", "target", "train_len_s", "test_len_s", "snr_db",
@@ -324,6 +345,9 @@ def run_lengen_experiment(seed: int, model_cfg: ModelConfig,
     os.makedirs(out_dir, exist_ok=True)
     corpus = dsp.synth_corpus(derived_seed(seed, "corpus.train"),
                               exp.train_utts, exp.train_utt_dur_s)
+    # A freeze list fails here, not after the first models have trained.
+    for kind in exp.kinds if train_cfg.freeze else ():
+        check_freeze(train_cfg, EnhancementModel(model_cfg.with_pe(kind)))
     models: dict[str, EnhancementModel] = {}
     for kind in exp.kinds:
         ckpt = os.path.join(out_dir, f"model_{kind}.lgse")
@@ -363,13 +387,11 @@ def _score_case(case, models, exp: ExperimentConfig, chunk_s: float,
         for mode in exp.modes:
             if mode == "full":
                 est = enhance_full(model, noisy)
-            elif mode in ("seg", "seg-o"):
-                if dur <= chunk_s:
-                    continue
+            elif dur <= chunk_s:
+                continue
+            else:
                 est = enhance_chunked(model, noisy, chunk_s,
                                       0.0 if mode == "seg" else 0.5)
-            else:
-                raise ValueError(f"unknown mode {mode!r}")
             rows.append(ReportRow(kind=kind, si_sdr_in=sdr_in,
                                   si_sdr_out=si_sdr(est, utt.clean),
                                   seg_snr_out=seg_snr(est, utt.clean),

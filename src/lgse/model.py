@@ -113,12 +113,15 @@ def attention_head(q: Tensor, k: Tensor, v: Tensor, bias: Tensor | None = None,
     scales the ReLU-clipped scores instead. A bias is (L, L) or carries
     leading axes that broadcast against the scores, e.g. one (H, L, L) stack
     for every clip. Causal masking pushes logits above the diagonal to -1e9
-    after bias injection, so masked frames receive exactly-renormalized zero
-    weight.
+    after bias injection. On the tape path masked frames therefore receive
+    exactly zero weight after renormalization.
 
     When no operand needs a gradient and the weights are not returned, the
     scores are computed one block of query rows at a time (see
-    `_attention_blocks`) and no tape is recorded.
+    `_attention_blocks`) and no tape is recorded. That path floors shifted
+    logits at `numerics.EXP_FLOOR`, so a masked frame, or one a strong decay
+    bias pushes that far down, gets a weight of at most e^-600 relative to
+    its row's largest rather than zero.
     """
     length, d_k = q.shape[-2:]
     if bias is not None and bias.shape[-2:] != (length, length):
@@ -151,7 +154,10 @@ def _attention_blocks(q: Tensor, k: Tensor, v: Tensor, bias: Tensor | None,
     A block's scores span all L keys, so each row's softmax is exact and no
     online renormalization is needed. Only one (..., rows, L) block of scores
     is alive at once, sized to `_BLOCK_BYTES`, instead of the (..., L, L)
-    stack; the scale, bias and mask are applied to it in place.
+    stack. 1/sqrt(d_k) is folded into q once per call; the bias and mask are
+    applied to each fresh block in place, and `softmax_rows(block, v)` then
+    shifts, floors and exponentiates the block in its own buffer and
+    normalizes the small (..., rows, d) product after the value product.
     """
     length, d_k = q.shape[-2:]
     scored = (q, k) if bias is None else (q, k, bias)
@@ -161,13 +167,12 @@ def _attention_blocks(q: Tensor, k: Tensor, v: Tensor, bias: Tensor | None,
         k = constant(np.broadcast_to(k.data, lead + k.shape[-2:]))
     k_t = transpose(k)
     rows = max(1, _BLOCK_BYTES // (8 * length * math.prod(lead)))
-    scale = 1.0 / math.sqrt(d_k)
+    q_scaled = q.data * (1.0 / math.sqrt(d_k))
     keys = np.arange(length)
     out = np.empty(np.broadcast_shapes(lead, v.shape[:-2]) + (length, v.shape[-1]))
     for r0 in range(0, length, rows):
         block = slice(r0, min(r0 + rows, length))
-        s = matmul(constant(q.data[..., block, :]), k_t).data
-        s *= scale
+        s = matmul(constant(q_scaled[..., block, :]), k_t).data
         if bias is not None:
             if mode == "multiplicative":
                 np.maximum(s, 0.0, out=s)
@@ -176,7 +181,7 @@ def _attention_blocks(q: Tensor, k: Tensor, v: Tensor, bias: Tensor | None,
                 s += bias.data[..., block, :]
         if causal:
             s += np.where(keys > keys[block, None], -posenc.CAUSAL_NEG, 0.0)
-        out[..., block, :] = matmul(softmax_rows(constant(s)), v).data
+        out[..., block, :] = softmax_rows(s, v).data
     return constant(out)
 
 

@@ -7,6 +7,12 @@ broadcast like numpy; `matmul`, `transpose`, `softmax_rows` and
 `layer_norm_frames` act on the trailing axes and treat any leading axes as
 batch dimensions, so a (B, L, K) stack of clips or a (B, H, L, d) stack of
 attention heads runs as one node. Inside `no_grad()` no tape is recorded.
+
+One op has a tape-free form for inference: `softmax_rows(scores, values)`
+returns softmax(scores) @ values, consuming `scores` as its buffer. It
+normalizes the small (..., m, d) product after the value product rather than
+the (..., m, n) weights before it, and floors the shifted scores at
+`EXP_FLOOR` so exp stays on numpy's vector path.
 """
 
 from __future__ import annotations
@@ -332,15 +338,47 @@ def reduce_mean(a, axis: int | None = None) -> Tensor:
     return mul(reduce_sum(a, axis=axis), 1.0 / n)
 
 
-def softmax_rows(a) -> Tensor:
+# Floor of the shifted scores on the tape-free softmax path. numpy's float64
+# exp leaves its vector loop for inputs below about -708; e^-600 is a normal
+# float, and no weight that small changes a row sum of at least 1.
+EXP_FLOOR = -600.0
+
+
+def softmax_rows(a, values=None) -> Tensor:
     """Softmax along the last axis of a (..., m, n) tensor, computed with max
     subtraction in one buffer.
 
     Every output row sums to 1 (within float rounding) for finite input.
+
+    With `values`, a (..., n, d) operand, return softmax(a) @ values without
+    a tape: the scores are shifted by their row maxima, floored at
+    `EXP_FLOOR` and exponentiated in `a`'s own buffer, which the call
+    consumes; the unnormalized weights are multiplied by `values` and the
+    (..., m, d) product is divided by the row sums. Weights below e^EXP_FLOOR
+    relative to a row's largest are raised to it. Neither operand may
+    require a gradient (ContractError).
     """
     a = _promote(a)
     if a.data.ndim < 2:
         raise DimensionError(f"softmax_rows expects at least 2 axes, got {a.shape}")
+    if values is not None:
+        values = _promote(values)
+        if a.requires_grad or values.requires_grad:
+            raise ContractError(
+                "softmax_rows(scores, values) records no tape; "
+                "use softmax_rows(scores) and matmul for gradients")
+        if values.data.ndim < 2 or values.shape[-2] != a.shape[-1]:
+            raise DimensionError(f"softmax_rows values must be (..., {a.shape[-1]}, d), "
+                                 f"got {values.shape}")
+        s = a.data
+        s -= s.max(axis=-1, keepdims=True)
+        # Scanning for a value below the floor costs less than flooring.
+        if s.min() < EXP_FLOOR:
+            np.maximum(s, EXP_FLOOR, out=s)
+        np.exp(s, out=s)
+        out = s @ values.data
+        out /= s.sum(axis=-1, keepdims=True)
+        return constant(out)
     s = a.data - a.data.max(axis=-1, keepdims=True)
     np.exp(s, out=s)
     s /= s.sum(axis=-1, keepdims=True)

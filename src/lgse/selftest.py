@@ -13,6 +13,7 @@ import traceback
 import numpy as np
 
 from . import dsp, evaluate, objectives, posenc, training
+from . import model as model_module
 from .dsp import DEFAULT_STFT, Waveform
 from .model import EnhancementModel, ModelConfig
 from .numerics import Tensor, backward, finite_difference
@@ -215,6 +216,34 @@ def check_gradient_small():
     assert bad == 0, f"{bad} gradient mismatches; worst relative error {worst:.3g}"
 
 
+def check_tape_free_forward():
+    """Blocked tape-free `predict` against the tape `forward` for every
+    scheme, a learnlin decay strong enough to hit the softmax floor, and a
+    causal model, with blocks small enough that each call makes several."""
+    rng = np.random.default_rng(12)
+    # (kind, causal, length, learnlin beta); beta -2 reaches -798 at L = 400.
+    cases = [(kind, False, 13, None) for kind in posenc.SCHEMES]
+    cases += [(PeKind.LEARNLIN, False, 400, -2.0), (PeKind.NOPOS, True, 13, None)]
+    saved = model_module._BLOCK_BYTES
+    try:
+        for kind, causal, length, beta in cases:
+            model = EnhancementModel(ModelConfig(
+                n_layers=2, n_heads=2, d_model=8, d_ff=16, k_bins=9, pe_kind=kind,
+                causal=causal, bertpos_max_len=8, bertpos_hard_cap=16, init_seed=5))
+            for name, t in model.params.items():
+                if name.startswith("pe."):
+                    t.data = t.data + rng.normal(0.0, 0.3, t.shape)
+            if beta is not None:
+                model.params["pe.beta"].data[:] = beta
+            # Three query blocks per attention call over the two heads.
+            model_module._BLOCK_BYTES = 8 * 2 * length * -(-length // 3)
+            x = rng.uniform(0.0, 2.0, (length, 9))
+            err = np.max(np.abs(model.predict(x) - model.forward(x).data))
+            assert err <= 1e-12, f"{kind.value} causal={causal} L={length}: {err:.3g}"
+    finally:
+        model_module._BLOCK_BYTES = saved
+
+
 def check_mix_snr():
     rng = np.random.default_rng(2)
     clean = Waveform(rng.uniform(-0.3, 0.3, 8000))
@@ -236,6 +265,7 @@ CHECKS = [
     ("objectives", "oracle_masks", check_oracle_masks, False),
     ("training", "lr_schedule", check_lr_schedule, False),
     ("eval", "chunk_counts", check_chunk_counts, False),
+    ("model", "tape_free_forward", check_tape_free_forward, False),
     ("numerics", "model_gradient_check", check_gradient_small, True),
 ]
 

@@ -24,6 +24,7 @@ __all__ = [
     "mse_loss",
     "clip_gradients",
     "adam_step",
+    "check_freeze",
     "train",
     "save_checkpoint",
     "load_checkpoint",
@@ -158,6 +159,15 @@ class TrainResult:
     trace: list[tuple[int, float, float]]          # (step, lr, loss)
 
 
+def check_freeze(cfg: TrainConfig, model: EnhancementModel) -> None:
+    """Raise ValueError if `cfg.freeze` names something that is not one of
+    the model's parameters."""
+    unknown = [name for name in cfg.freeze if name not in model.params]
+    if unknown:
+        raise ValueError(f"freeze names no parameter of this {model.config.pe_kind.value} "
+                         f"model: {', '.join(unknown)}")
+
+
 def train(model: EnhancementModel, corpus: list[Utterance], cfg: TrainConfig, *,
           ckpt_path=None, loss_csv=None, adam_state: AdamState | None = None,
           start_step: int = 0, rng: np.random.Generator | None = None,
@@ -170,6 +180,7 @@ def train(model: EnhancementModel, corpus: list[Utterance], cfg: TrainConfig, *,
     """
     if not corpus:
         raise ValueError("corpus is empty")
+    check_freeze(cfg, model)
     if rng is None:
         rng = np.random.default_rng(np.random.SeedSequence(entropy=cfg.seed,
                                                            spawn_key=(0x7472,)))
@@ -241,12 +252,10 @@ def write_loss_csv(path, trace: list[tuple[int, float, float]]) -> None:
 # "adam.m.<name>" / "adam.v.<name>", fixed buffers "buffer.<name>".
 
 
-def _pack_record(name: str, arr: np.ndarray) -> bytes:
+def _record_header(name: str, arr: np.ndarray) -> bytes:
     nb = name.encode("utf-8")
-    parts = [struct.pack("<I", len(nb)), nb, struct.pack("<I", arr.ndim)]
-    parts += [struct.pack("<Q", d) for d in arr.shape]
-    parts.append(np.ascontiguousarray(arr, dtype="<f8").tobytes())
-    return b"".join(parts)
+    return (struct.pack("<I", len(nb)) + nb + struct.pack("<I", arr.ndim)
+            + struct.pack(f"<{arr.ndim}Q", *arr.shape))
 
 
 def _config_dict(cfg: ModelConfig) -> dict:
@@ -278,22 +287,25 @@ def save_checkpoint(path, model: EnhancementModel, state: AdamState | None,
             records[f"adam.m.{name}"] = arr
         for name, arr in state.v.items():
             records[f"adam.v.{name}"] = arr
-    blob = [CHECKPOINT_MAGIC, struct.pack("<I", CHECKPOINT_VERSION),
-            struct.pack("<Q", len(meta_bytes)), meta_bytes,
-            struct.pack("<I", len(records))]
-    blob += [_pack_record(n, records[n]) for n in sorted(records)]
     with open(path, "wb") as f:
-        f.write(b"".join(blob))
+        f.write(CHECKPOINT_MAGIC + struct.pack("<I", CHECKPOINT_VERSION)
+                + struct.pack("<Q", len(meta_bytes)) + meta_bytes
+                + struct.pack("<I", len(records)))
+        # One record at a time: the file image is never held in memory.
+        for name in sorted(records):
+            f.write(_record_header(name, records[name]))
+            f.write(np.ascontiguousarray(records[name], dtype="<f8").tobytes())
 
 
 class _Reader:
-    def __init__(self, buf: bytes):
+    def __init__(self, buf: bytes, path):
         self.buf = buf
+        self.path = path
         self.pos = 0
 
     def read(self, n: int) -> bytes:
         if self.pos + n > len(self.buf):
-            raise CheckpointError("truncated checkpoint")
+            raise CheckpointError(f"{self.path}: truncated checkpoint")
         out = self.buf[self.pos:self.pos + n]
         self.pos += n
         return out
@@ -352,8 +364,7 @@ def load_checkpoint(path) -> tuple[EnhancementModel, AdamState, int, dict | None
     any, an epoch state of integers. Any violation raises CheckpointError.
     """
     with open(path, "rb") as f:
-        buf = f.read()
-    r = _Reader(buf)
+        r = _Reader(f.read(), path)
     if r.read(4) != CHECKPOINT_MAGIC:
         raise CheckpointError(f"{path}: bad magic; not a checkpoint file")
     version = r.u32()
@@ -371,6 +382,9 @@ def load_checkpoint(path) -> tuple[EnhancementModel, AdamState, int, dict | None
         if not np.isfinite(data).all():
             raise CheckpointError(f"{path}: tensor {name} holds non-finite values")
         records[name] = np.array(data, dtype=np.float64)
+    # Free the file image before the model is built, so it never coexists
+    # with both the records and a fresh model.
+    del r
 
     model = EnhancementModel(_stored_config(path, meta))
     for name, t in model.params.items():
@@ -394,8 +408,8 @@ def load_checkpoint(path) -> tuple[EnhancementModel, AdamState, int, dict | None
     state = AdamState(t=meta.get("adam_t") or 0)
     for key, arr in records.items():
         if key.startswith("adam.m."):
-            state.m[key[len("adam.m."):]] = arr.copy()
+            state.m[key[len("adam.m."):]] = arr
         elif key.startswith("adam.v."):
-            state.v[key[len("adam.v."):]] = arr.copy()
+            state.v[key[len("adam.v."):]] = arr
     step, epoch_state = _stored_progress(path, meta)
     return model, state, step, meta.get("rng_state"), epoch_state

@@ -254,6 +254,66 @@ def test_train_with_unusable_sizes_errors(trained, tmp_path, capsys, override, f
     assert not (tmp_path / "m.lgse").exists()
 
 
+def _one_error_line(capsys, *argv) -> str:
+    capsys.readouterr()
+    code = run_cli(*argv)
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("error: ") and err.count("\n") == 1
+    return err
+
+
+@pytest.mark.parametrize("content", [b"not a RIFF file", b"", b"RIFF"])
+def test_enhance_unreadable_wav_errors(trained, tmp_path, capsys, content):
+    _, _, ckpt, _ = trained
+    bad = tmp_path / "bad.wav"
+    bad.write_bytes(content)
+    err = _one_error_line(capsys, "enhance", str(bad), str(tmp_path / "y.wav"),
+                          "--checkpoint", str(ckpt))
+    assert "bad.wav: not a readable WAV file" in err
+    assert not (tmp_path / "y.wav").exists()
+
+
+def test_enhance_directory_input_errors(trained, tmp_path, capsys):
+    _, _, ckpt, _ = trained
+    err = _one_error_line(capsys, "enhance", str(tmp_path), str(tmp_path / "y.wav"),
+                          "--checkpoint", str(ckpt))
+    assert str(tmp_path) in err
+
+
+@pytest.mark.parametrize("override,field", [
+    ("experiment.modes=full,segx", "modes"),
+    ("experiment.kinds=learnlin,bogus", "kinds"),
+    ("experiment.kinds=", "kinds"),
+    ("suite.durations_s=0,-1", "durations_s"),
+    ("suite.durations_s=", "durations_s"),
+    ("suite.snrs_db=", "snrs_db"),
+    ("suite.utts_per_condition=0", "utts_per_condition"),
+    ("train.freeze=no.such.param", "freeze"),
+    ("train.freeze=pe.beta", "freeze"),
+])
+def test_experiment_rejects_bad_config_before_training(tmp_path, capsys, override,
+                                                       field):
+    # pe.beta exists for learnlin only, so it must fail before learnlin trains.
+    err = _one_error_line(capsys, "--set", "experiment.kinds=learnlin,nopos",
+                          "--set", override,
+                          "--set", "model.n_layers=1", "--set", "model.d_model=8",
+                          "--set", "model.n_heads=2", "--set", "model.d_ff=16",
+                          "experiment", "--out-dir", str(tmp_path / "exp"))
+    assert field in err
+    assert not list((tmp_path / "exp").glob("*.lgse"))
+
+
+def test_train_rejects_unknown_freeze_name(trained, tmp_path, capsys):
+    _, corpus, _, _ = trained
+    err = _one_error_line(capsys, "--set", "train.freeze=pe.beta,no.such.param",
+                          "train", "--corpus-dir", str(corpus),
+                          "--out", str(tmp_path / "m.lgse"), "--pe", "nopos",
+                          "--steps", "1")
+    assert "freeze" in err and "no.such.param" in err and "pe.beta" in err
+    assert not (tmp_path / "m.lgse").exists()
+
+
 def test_missing_corpus_errors(tmp_path):
     code = run_cli("train", "--corpus-dir", str(tmp_path / "nope"),
                    "--out", str(tmp_path / "m.lgse"))

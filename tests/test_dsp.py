@@ -250,6 +250,18 @@ def test_wav_rejects_wrong_format(tmp_path):
         read_wav(path)
 
 
+@pytest.mark.parametrize("content", [b"not a RIFF file", b"", b"RIFF\x10\x00",
+                                     "drop the last byte"])
+def test_wav_rejects_unreadable_file(tmp_path, content):
+    path = tmp_path / "junk.wav"
+    if content == "drop the last byte":
+        write_wav(path, Waveform(np.zeros(100)))
+        content = path.read_bytes()[:-1]
+    path.write_bytes(content)
+    with pytest.raises(AudioFormatError, match="junk.wav: not a readable WAV file"):
+        read_wav(path)
+
+
 def test_waveform_rejects_other_rates():
     with pytest.raises(AudioFormatError):
         Waveform(np.zeros(10), sample_rate=8000)

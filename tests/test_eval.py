@@ -297,3 +297,30 @@ def test_experiment_report_reads_back_with_from_csv(tmp_path):
     assert loaded.rows == report.rows
     assert len(loaded.rows) == 4
     assert "np.float64" not in (tmp_path / "report.csv").read_text()
+
+
+@pytest.mark.parametrize("kw,field", [
+    (dict(modes=("full", "segx")), "modes"),
+    (dict(modes=()), "modes"),
+    (dict(kinds=("learnlin", "bogus")), "kinds"),
+    (dict(kinds=()), "kinds"),
+])
+def test_experiment_config_rejects_unknown_modes_and_kinds(kw, field):
+    from lgse.evaluate import ExperimentConfig
+
+    with pytest.raises(ValueError, match=f"^{field} must be"):
+        ExperimentConfig(**kw)
+
+
+@pytest.mark.parametrize("kw,field", [
+    (dict(durations_s=(1.0, 0.0)), "durations_s"),
+    (dict(durations_s=(-1.0,)), "durations_s"),
+    (dict(durations_s=()), "durations_s"),
+    (dict(snrs_db=()), "snrs_db"),
+    (dict(utts_per_condition=0), "utts_per_condition"),
+])
+def test_suite_config_rejects_empty_or_non_positive_settings(kw, field):
+    from lgse.evaluate import TestSuiteConfig
+
+    with pytest.raises(ValueError, match=f"^{field} must"):
+        TestSuiteConfig(**kw)

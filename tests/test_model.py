@@ -400,9 +400,9 @@ def _predict_matches_reference(m, monkeypatch, length=11, rows=3):
     calls = []
     softmax = model_module.softmax_rows
 
-    def spy(a):
+    def spy(a, values=None):
         calls.append(a.shape)
-        return softmax(a)
+        return softmax(a, values)
 
     monkeypatch.setattr(model_module, "softmax_rows", spy)
     xs, _ = _batch(m, seed=28, clips=2, length=length)
@@ -426,6 +426,19 @@ def test_blocked_predict_matches_reference(kind, target, monkeypatch):
 def test_blocked_causal_predict_matches_reference(kind, monkeypatch):
     m = _randomized_pe(tiny_model(pe=kind, n_layers=2, causal=True), seed=30)
     _predict_matches_reference(m, monkeypatch)
+
+
+@pytest.mark.parametrize("kind,causal", [("learnlin", False), ("nopos", True)])
+def test_blocked_predict_with_floored_logits_matches_reference(kind, causal):
+    """At L = 800 a learnlin decay of beta = -2 pushes logits to -1598, and a
+    causal mask to -1e9, both far below the tape-free softmax's floor."""
+    from helpers import reference_forward
+
+    m = tiny_model(pe=kind, causal=causal)
+    if kind == "learnlin":
+        m.params["pe.beta"].data[:] = -2.0
+    x = rand_input(800, seed=34)
+    assert np.max(np.abs(m.predict(x) - reference_forward(m, x))) <= 1e-12
 
 
 @pytest.mark.parametrize("shapes", [
@@ -461,3 +474,13 @@ def test_long_predict_never_allocates_a_full_score_stack():
         tracemalloc.stop()
     assert peak < stack_bytes / 2
     assert np.max(np.abs(pred - m.forward(x).data)) <= 1e-12
+
+
+def test_selftest_tape_free_check_catches_a_floor_that_changes_weights(monkeypatch):
+    import lgse.numerics as numerics
+    from lgse.selftest import check_tape_free_forward
+
+    check_tape_free_forward()
+    monkeypatch.setattr(numerics, "EXP_FLOOR", -5.0)
+    with pytest.raises(AssertionError, match="causal=False L=13"):
+        check_tape_free_forward()

@@ -104,6 +104,54 @@ def test_softmax_rows_sum_to_one(m, n, seed):
     assert np.max(np.abs(out.data.sum(axis=1) - 1.0)) < 1e-12
 
 
+@pytest.mark.parametrize("score_shape,value_shape", [
+    ((2, 3, 4, 6), (3, 6, 5)),
+    ((2, 3, 4, 6), (6, 5)),
+    ((4, 6), (6, 2)),
+    ((1, 3, 7), (2, 1, 7, 4)),
+])
+def test_softmax_rows_with_values_equals_weights_times_values(score_shape, value_shape):
+    scores = rand(score_shape, 40, -30.0, 30.0)
+    values = rand(value_shape, 41)
+    expect = softmax_rows(constant(scores)).data @ values
+    got = softmax_rows(constant(scores.copy()), constant(values))
+    assert got.shape == expect.shape and not got.requires_grad
+    assert np.max(np.abs(got.data - expect)) <= 1e-14 * np.max(np.abs(expect))
+
+
+def test_softmax_rows_with_values_floors_far_logits():
+    # A -1e9 mask and a -1500 decay both land on the floor, e^EXP_FLOOR.
+    from lgse.numerics import EXP_FLOOR
+
+    scores = np.array([[0.0, -1e9, -1500.0, -1.0]])
+    values = np.array([[1.0], [2.0], [3.0], [4.0]])
+    w = np.exp([0.0, EXP_FLOOR, EXP_FLOOR, -1.0])
+    got = softmax_rows(constant(scores), constant(values)).data
+    assert np.max(np.abs(got - (w / w.sum()) @ values)) <= 1e-15
+    assert np.max(np.abs(got - (1.0 + 4.0 * np.exp(-1.0)) / (1.0 + np.exp(-1.0)))) <= 1e-15
+
+
+@pytest.mark.parametrize("which", ["scores", "values"])
+def test_softmax_rows_with_values_refuses_gradients(which):
+    scores, values = rand((3, 4), 42), rand((4, 2), 43)
+    args = {"scores": constant(scores), "values": constant(values)}
+    args[which] = Tensor(args[which].data, requires_grad=True)
+    with pytest.raises(ContractError):
+        softmax_rows(args["scores"], args["values"])
+
+
+def test_softmax_rows_with_values_checks_shapes():
+    with pytest.raises(DimensionError):
+        softmax_rows(constant(rand((3, 4))), constant(rand((5, 2))))
+
+
+def test_softmax_rows_leaves_its_input_untouched():
+    x = rand((2, 3, 4), 44, -5.0, 5.0)
+    before = x.copy()
+    softmax_rows(constant(x))
+    assert np.array_equal(x, before)
+
+
 # -- layer norm ---------------------------------------------------------------
 
 

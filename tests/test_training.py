@@ -272,6 +272,14 @@ def test_learnlin_frozen_at_zero_matches_nopos():
     assert trace_a == trace_b
 
 
+def test_train_rejects_unknown_freeze_name(tmp_path):
+    model = EnhancementModel(ModelConfig(pe_kind="nopos", **TINY_MODEL))
+    path = tmp_path / "m.lgse"
+    with pytest.raises(ValueError, match="freeze names .*pe.beta"):
+        train(model, corpus(2), tiny_cfg(freeze=("pe.beta",)), ckpt_path=path)
+    assert not path.exists()
+
+
 def test_loss_csv_format(tmp_path):
     path = tmp_path / "loss.csv"
     write_loss_csv(path, [(1, 0.5, 0.25), (2, 0.4, 0.125)])
@@ -354,6 +362,35 @@ def test_checkpoint_magic_and_validation(tmp_path):
     bad.write_bytes(b"NOPE" + b"\x00" * 32)
     with pytest.raises(CheckpointError, match="magic"):
         load_checkpoint(bad)
+
+
+def test_truncated_checkpoint_rejected(tmp_path):
+    model = EnhancementModel(ModelConfig(pe_kind="learnlin", **TINY_MODEL))
+    path = tmp_path / "m.lgse"
+    save_checkpoint(path, model, AdamState(), 0)
+    raw = path.read_bytes()
+    # Inside the header, the meta block, a record header and the last payload.
+    for size in (6, 40, len(raw) // 2, len(raw) - 1):
+        path.write_bytes(raw[:size])
+        with pytest.raises(CheckpointError, match="truncated"):
+            load_checkpoint(path)
+
+
+def test_checkpoint_claiming_a_huge_record_is_truncated_not_allocated(tmp_path):
+    import struct
+
+    model = EnhancementModel(ModelConfig(pe_kind="nopos", **TINY_MODEL))
+    path = tmp_path / "m.lgse"
+    save_checkpoint(path, model, None, 0)
+    raw = bytearray(path.read_bytes())
+    (meta_len,) = struct.unpack("<Q", raw[8:16])
+    first = 16 + meta_len + 4
+    (name_len,) = struct.unpack("<I", raw[first:first + 4])
+    dims = first + 4 + name_len + 4
+    raw[dims:dims + 8] = struct.pack("<Q", 2**40)
+    path.write_bytes(bytes(raw))
+    with pytest.raises(CheckpointError, match="truncated"):
+        load_checkpoint(path)
 
 
 def test_checkpoint_shape_validation(tmp_path):
