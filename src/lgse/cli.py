@@ -11,11 +11,14 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import replace
 
 from . import dsp, selftest
 from .config import ConfigError, RunConfig, config_key_lines, load_run_config
-from .evaluate import chunk_starts, enhance_chunked, enhance_full, run_lengen_experiment
+from .evaluate import (MODES, chunk_starts, enhance_chunked, enhance_full,
+                       run_lengen_experiment)
 from .model import CapabilityError, EnhancementModel
+from .objectives import TargetKind
 from .posenc import PeKind
 from .training import CheckpointError, load_checkpoint, train
 
@@ -46,7 +49,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--loss-csv", help="per-step step,lr,loss trace")
     p.add_argument("--pe", choices=[k.value for k in PeKind],
                    help="shortcut for --set model.pe_kind=...")
-    p.add_argument("--target", choices=["ms", "irm", "psm", "cirm"],
+    p.add_argument("--target", choices=[k.value for k in TargetKind],
                    help="shortcut for --set model.target=...")
     p.add_argument("--steps", type=int, help="shortcut for --set train.max_steps=...")
 
@@ -54,7 +57,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("input")
     p.add_argument("output")
     p.add_argument("--checkpoint", required=True)
-    p.add_argument("--mode", choices=["full", "seg", "seg-o"], default="full")
+    p.add_argument("--mode", choices=list(MODES), default="full")
     p.add_argument("--chunk-s", type=float, default=0.0,
                    help="chunk length for seg modes (0 = train.clip_len_s)")
 
@@ -117,11 +120,8 @@ def cmd_train(cfg: RunConfig, args) -> int:
     if args.pe:
         cfg.model = cfg.model.with_pe(args.pe)
     if args.target:
-        from dataclasses import replace
-        from .objectives import TargetKind
         cfg.model = replace(cfg.model, target=TargetKind(args.target))
     if args.steps is not None:
-        from dataclasses import replace
         cfg.train = replace(cfg.train, max_steps=args.steps)
     corpus = _read_corpus(args.corpus_dir)
     model = EnhancementModel(cfg.model)
@@ -137,10 +137,10 @@ def cmd_enhance(cfg: RunConfig, args) -> int:
     model, _, _, _, _ = load_checkpoint(args.checkpoint)
     noisy = dsp.read_wav(args.input)
     chunk_s = args.chunk_s if args.chunk_s > 0 else cfg.train.clip_len_s
-    if args.mode == "full":
+    overlap = MODES[args.mode]
+    if overlap is None:
         est = enhance_full(model, noisy)
     else:
-        overlap = 0.0 if args.mode == "seg" else 0.5
         n_chunks = len(chunk_starts(len(noisy),
                                     int(round(chunk_s * dsp.SAMPLE_RATE)), overlap))
         print(f"mode {args.mode}: {n_chunks} chunks of {chunk_s:g}s")
@@ -151,7 +151,6 @@ def cmd_enhance(cfg: RunConfig, args) -> int:
 
 
 def cmd_experiment(cfg: RunConfig, args) -> int:
-    from dataclasses import replace
     exp = replace(cfg.experiment, retrain=args.retrain or cfg.experiment.retrain)
     report = run_lengen_experiment(cfg.seed, cfg.model, cfg.train, exp,
                                    cfg.suite, args.out_dir)

@@ -16,6 +16,7 @@ from typing import Any
 from .dsp import derived_seed
 from .evaluate import ExperimentConfig, TestSuiteConfig
 from .model import ModelConfig
+from .objectives import TargetKind
 from .posenc import SCHEMES
 from .training import TrainConfig
 
@@ -65,7 +66,7 @@ KEY_HELP = {
     "model.d_ff": "feed-forward inner width",
     "model.k_bins": "frequency bins per frame (fft/2+1)",
     "model.pe_kind": "positional encoding: " + "|".join(k.value for k in SCHEMES),
-    "model.target": "training objective: ms|irm|psm|cirm",
+    "model.target": "training objective: " + "|".join(k.value for k in TargetKind),
     "model.causal": "mask attention to past frames only",
     "model.post_ln": "layer norm after each residual sub-layer",
     "model.ln_eps": "layer-norm variance epsilon",

@@ -6,7 +6,7 @@ from __future__ import annotations
 import csv
 import io
 import os
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -25,6 +25,7 @@ __all__ = [
     "ReportRow",
     "MetricReport",
     "ExperimentConfig",
+    "MODES",
     "run_lengen_experiment",
 ]
 
@@ -95,11 +96,8 @@ def enhance_full(model: EnhancementModel, noisy: Waveform | np.ndarray,
                          f"{samples.shape}")
     n = samples.shape[-1]
     spec = dsp.stft(samples, stft_cfg)
-    cfg = model.config
     pred = model.predict(np.abs(spec))
-    enhanced = objectives.apply_target(spec, pred, cfg.target,
-                                       ms_power=cfg.ms_power,
-                                       cirm_k=cfg.cirm_k, cirm_c=cfg.cirm_c)
+    enhanced = objectives.apply_target(model.config, spec, pred)
     out = dsp.istft(enhanced, stft_cfg, out_len=n)
     out = out.samples if single else out
     covered = (spec.shape[-2] - 1) * stft_cfg.hop + stft_cfg.win_len
@@ -196,13 +194,14 @@ class TestSuiteConfig:
                              f"got {self.utts_per_condition}")
 
 
-MODES = ("full", "seg", "seg-o")
+# Inference mode -> chunk overlap; None runs full-length inference.
+MODES: dict[str, float | None] = {"full": None, "seg": 0.0, "seg-o": 0.5}
 
 
 @dataclass(frozen=True)
 class ExperimentConfig:
     kinds: tuple[str, ...] = ("nopos", "sinusoidal", "learnlin")
-    modes: tuple[str, ...] = MODES
+    modes: tuple[str, ...] = tuple(MODES)
     chunk_s: float = 0.0          # 0: use the training clip length
     train_utts: int = 12
     train_utt_dur_s: float = 1.0
@@ -215,10 +214,6 @@ class ExperimentConfig:
             if not chosen or unknown:
                 raise ValueError(f"{name} must be one or more of {', '.join(allowed)}; "
                                  f"got {', '.join(chosen) or 'none'}")
-
-
-_CSV_FIELDS = ["kind", "target", "train_len_s", "test_len_s", "snr_db",
-               "utt_id", "si_sdr_in", "si_sdr_out", "seg_snr_out", "mode"]
 
 
 @dataclass
@@ -235,6 +230,12 @@ class ReportRow:
     mode: str
 
 
+# report.csv has one column per ReportRow field, in field order; floats are
+# written with repr so they read back exactly.
+_CSV_FIELDS = fields(ReportRow)
+_PARSE = {"str": str, "int": int, "float": float}
+
+
 @dataclass
 class MetricReport:
     rows: list[ReportRow]
@@ -246,12 +247,10 @@ class MetricReport:
     def to_csv_text(self) -> str:
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(_CSV_FIELDS)
+        writer.writerow(col.name for col in _CSV_FIELDS)
         for r in self.rows:
-            writer.writerow([r.kind, r.target, repr(r.train_len_s),
-                             repr(r.test_len_s), r.snr_db, r.utt_id,
-                             repr(r.si_sdr_in), repr(r.si_sdr_out),
-                             repr(r.seg_snr_out), r.mode])
+            values = ((col.type, getattr(r, col.name)) for col in _CSV_FIELDS)
+            writer.writerow(repr(v) if t == "float" else v for t, v in values)
         return buf.getvalue()
 
     @classmethod
@@ -259,14 +258,8 @@ class MetricReport:
         rows = []
         with open(path, newline="", encoding="utf-8") as f:
             for rec in csv.DictReader(f):
-                rows.append(ReportRow(
-                    kind=rec["kind"], target=rec["target"],
-                    train_len_s=float(rec["train_len_s"]),
-                    test_len_s=float(rec["test_len_s"]),
-                    snr_db=int(rec["snr_db"]), utt_id=rec["utt_id"],
-                    si_sdr_in=float(rec["si_sdr_in"]),
-                    si_sdr_out=float(rec["si_sdr_out"]),
-                    seg_snr_out=float(rec["seg_snr_out"]), mode=rec["mode"]))
+                rows.append(ReportRow(**{col.name: _PARSE[col.type](rec[col.name])
+                                         for col in _CSV_FIELDS}))
         return cls(rows)
 
     def select(self, **criteria) -> list[ReportRow]:
@@ -301,7 +294,8 @@ class MetricReport:
             kinds = sorted({r.kind for r in self.rows} - {"noisy"})
             for kind in kinds:
                 label = labels.get(kind, kind)
-                for mode, suffix in (("full", ""), ("seg", "-Seg"), ("seg-o", "-Seg-O")):
+                for mode, overlap in MODES.items():
+                    suffix = "" if overlap is None else "-" + mode.title()
                     if self.select(kind=kind, test_len_s=tl, mode=mode):
                         variants.append((kind, mode, label + suffix))
             for kind, mode, label in variants:
@@ -385,13 +379,13 @@ def _score_case(case, models, exp: ExperimentConfig, chunk_s: float,
                       seg_snr_out=seg_snr(noisy, utt.clean), mode="full", **base)]
     for kind, model in models.items():
         for mode in exp.modes:
-            if mode == "full":
+            overlap = MODES[mode]
+            if overlap is None:
                 est = enhance_full(model, noisy)
             elif dur <= chunk_s:
                 continue
             else:
-                est = enhance_chunked(model, noisy, chunk_s,
-                                      0.0 if mode == "seg" else 0.5)
+                est = enhance_chunked(model, noisy, chunk_s, overlap)
             rows.append(ReportRow(kind=kind, si_sdr_in=sdr_in,
                                   si_sdr_out=si_sdr(est, utt.clean),
                                   seg_snr_out=seg_snr(est, utt.clean),

@@ -10,11 +10,11 @@ embedding, injected into the attention logits, or rotated into q/k.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from . import posenc
+from . import objectives, posenc
 from .numerics import (
     Tensor,
     add,
@@ -26,12 +26,11 @@ from .numerics import (
     no_grad,
     relu,
     reshape,
-    sigmoid,
     softmax_rows,
     take,
     transpose,
 )
-from .objectives import TargetKind, prediction_width
+from .objectives import TARGETS, TargetKind
 from .posenc import PeKind
 
 __all__ = [
@@ -61,10 +60,10 @@ class ModelConfig:
     tisa_kernels: int = posenc.TISA_KERNELS
     bertpos_max_len: int = 64
     bertpos_hard_cap: int = 4096
-    irm_gamma: float = 0.5
-    ms_power: float = 0.3
-    cirm_k: float = 10.0
-    cirm_c: float = 0.1
+    irm_gamma: float = objectives.DEFAULT_IRM_GAMMA
+    ms_power: float = objectives.DEFAULT_MS_POWER
+    cirm_k: float = objectives.DEFAULT_CIRM_K
+    cirm_c: float = objectives.DEFAULT_CIRM_C
     init_seed: int = 0
 
     def __post_init__(self):
@@ -92,7 +91,7 @@ class ModelConfig:
 
     @property
     def out_width(self) -> int:
-        return prediction_width(self.target, self.k_bins)
+        return TARGETS[self.target].width * self.k_bins
 
     def with_pe(self, kind) -> "ModelConfig":
         return replace(self, pe_kind=PeKind(kind))
@@ -104,8 +103,7 @@ _BLOCK_BYTES = 2 * 2**20
 
 
 def attention_head(q: Tensor, k: Tensor, v: Tensor, bias: Tensor | None = None,
-                   *, mode: str = "additive", causal: bool = False,
-                   return_weights: bool = False):
+                   *, mode: str = "additive", causal: bool = False) -> Tensor:
     """Scaled dot-product attention over (..., L, d_k) queries, keys and values.
 
     Leading axes (clips, heads) are independent attention problems. Additive
@@ -116,12 +114,11 @@ def attention_head(q: Tensor, k: Tensor, v: Tensor, bias: Tensor | None = None,
     after bias injection. On the tape path masked frames therefore receive
     exactly zero weight after renormalization.
 
-    When no operand needs a gradient and the weights are not returned, the
-    scores are computed one block of query rows at a time (see
-    `_attention_blocks`) and no tape is recorded. That path floors shifted
-    logits at `numerics.EXP_FLOOR`, so a masked frame, or one a strong decay
-    bias pushes that far down, gets a weight of at most e^-600 relative to
-    its row's largest rather than zero.
+    When no operand needs a gradient, the scores are computed one block of
+    query rows at a time (see `_attention_blocks`) and no tape is recorded.
+    That path floors shifted logits at `numerics.EXP_FLOOR`, so a masked
+    frame, or one a strong decay bias pushes that far down, gets a weight of
+    at most e^-600 relative to its row's largest rather than zero.
     """
     length, d_k = q.shape[-2:]
     if bias is not None and bias.shape[-2:] != (length, length):
@@ -130,7 +127,7 @@ def attention_head(q: Tensor, k: Tensor, v: Tensor, bias: Tensor | None = None,
     if bias is not None and mode not in ("additive", "multiplicative"):
         raise ValueError(f"unknown bias mode {mode!r}")
     operands = (q, k, v) if bias is None else (q, k, v, bias)
-    if not return_weights and not any(t.requires_grad for t in operands):
+    if not any(t.requires_grad for t in operands):
         return _attention_blocks(q, k, v, bias, mode, causal)
     scores = mul(matmul(q, transpose(k)), 1.0 / math.sqrt(d_k))
     if bias is not None:
@@ -140,11 +137,7 @@ def attention_head(q: Tensor, k: Tensor, v: Tensor, bias: Tensor | None = None,
             scores = add(scores, bias)
     if causal:
         scores = add(scores, constant(posenc.causal_mask(length)))
-    weights = softmax_rows(scores)
-    out = matmul(weights, v)
-    if return_weights:
-        return out, weights
-    return out
+    return matmul(softmax_rows(scores), v)
 
 
 def _attention_blocks(q: Tensor, k: Tensor, v: Tensor, bias: Tensor | None,
@@ -283,7 +276,7 @@ class EnhancementModel:
         ext = constant(self.buffers["pe.embed_ext"][:length - trained])
         return concat_cols([table, ext], axis=0)
 
-    def embed(self, x_mag: np.ndarray, add_position: bool = True) -> Tensor:
+    def embed(self, x_mag: np.ndarray) -> Tensor:
         """FC -> frame-wise layer norm -> ReLU, plus the absolute embedding
         for the input-injection kinds. Accepts (L, K) or a (B, L, K) stack."""
         cfg = self.config
@@ -297,7 +290,7 @@ class EnhancementModel:
         z = layer_norm_frames(z, self.params["embed.ln_gain"],
                               self.params["embed.ln_bias"], cfg.ln_eps)
         z = relu(z)
-        if add_position and posenc.SCHEMES[cfg.pe_kind].mode == "input":
+        if posenc.SCHEMES[cfg.pe_kind].mode == "input":
             z = add(z, self._position_rows(x_mag.shape[-2]))
         return z
 
@@ -365,11 +358,8 @@ class EnhancementModel:
                                        self.params[f"layers.{i}.ln2.bias"], cfg.ln_eps)
             z = z2
         out = add(matmul(z, self.params["head.weight"]), self.params["head.bias"])
-        if cfg.target in (TargetKind.IRM, TargetKind.PSM):
-            return sigmoid(out)
-        if cfg.target is TargetKind.MS:
-            return relu(out)
-        return out
+        head = TARGETS[cfg.target].head
+        return out if head is None else head(out)
 
     def predict(self, x_mag: np.ndarray) -> np.ndarray:
         """Forward pass without a tape, returning a plain ndarray."""

@@ -1,21 +1,32 @@
-"""Training-target grids (MS, IRM, PSM, cIRM) and enhancement-time application.
+"""Training objectives (MS, IRM, PSM, cIRM): one `TARGETS` entry each.
 
-All functions operate on complex (L, K) spectrograms as plain ndarrays and
-are pure; shapes must agree cell-for-cell. `target_grid` and `apply_target`
-also take stacks with leading axes, e.g. a (B, L, K) stack of clips.
+An entry gives the model's prediction width and output nonlinearity, the
+loss-target grid and the step that turns a prediction into an enhanced
+spectrum. `target_grid` and `apply_target` look the `ModelConfig`'s target up
+there and read the objective's constants (IRM gamma, MS power, cIRM K and C)
+from that config. The mask functions are pure and work on complex (L, K)
+spectrograms, or stacks with leading axes such as (B, L, K) clips; shapes must
+agree cell-for-cell. cIRM predictions and targets are real, laid out as
+(..., L, 2K): real parts, then imaginary parts.
 """
 
 from __future__ import annotations
 
 import logging
+from collections.abc import Callable
+from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
+
+from .numerics import Tensor, relu, sigmoid
 
 logger = logging.getLogger(__name__)
 
 __all__ = [
     "TargetKind",
+    "Target",
+    "TARGETS",
     "irm",
     "psm",
     "cirm",
@@ -25,7 +36,6 @@ __all__ = [
     "uncompress_ms",
     "apply_target",
     "target_grid",
-    "prediction_width",
     "DEFAULT_IRM_GAMMA",
     "DEFAULT_MS_POWER",
     "DEFAULT_CIRM_K",
@@ -86,27 +96,13 @@ def cirm(clean: np.ndarray, noisy: np.ndarray) -> np.ndarray:
     return out
 
 
-def _compress_real(t: np.ndarray, k: float, c: float) -> np.ndarray:
-    # k*(1 - e^{-c t})/(1 + e^{-c t}) == k*tanh(c t / 2), stable for large |t|.
-    return k * np.tanh(0.5 * c * t)
-
-
 def compress_cirm(values: np.ndarray, k: float = DEFAULT_CIRM_K,
                   c: float = DEFAULT_CIRM_C) -> np.ndarray:
-    """Componentwise bounded compression into (-k, k)."""
+    """Elementwise bounded compression of real values into (-k, k)."""
     if k <= 0 or c <= 0:
         raise ValueError(f"compression constants must be positive, got k={k} c={c}")
-    if np.iscomplexobj(values):
-        return (_compress_real(values.real, k, c)
-                + 1j * _compress_real(values.imag, k, c))
-    return _compress_real(values, k, c)
-
-
-def _decompress_real(y: np.ndarray, k: float, c: float) -> tuple[np.ndarray, int]:
-    limit = k * (1.0 - 1e-12)
-    clamped = int(np.count_nonzero(np.abs(y) >= limit))
-    y = np.clip(y, -limit, limit)
-    return (2.0 / c) * np.arctanh(y / k), clamped
+    # k*(1 - e^{-c t})/(1 + e^{-c t}) == k*tanh(c t / 2), stable for large |t|.
+    return k * np.tanh(0.5 * c * values)
 
 
 def decompress_cirm(values: np.ndarray, k: float = DEFAULT_CIRM_K,
@@ -115,16 +111,12 @@ def decompress_cirm(values: np.ndarray, k: float = DEFAULT_CIRM_K,
     to the boundary and counted in a warning."""
     if k <= 0 or c <= 0:
         raise ValueError(f"compression constants must be positive, got k={k} c={c}")
-    if np.iscomplexobj(values):
-        re, n_re = _decompress_real(values.real, k, c)
-        im, n_im = _decompress_real(values.imag, k, c)
-        out, clamped = re + 1j * im, n_re + n_im
-    else:
-        out, clamped = _decompress_real(values, k, c)
+    limit = k * (1.0 - 1e-12)
+    clamped = int(np.count_nonzero(np.abs(values) >= limit))
     if clamped:
         logger.warning("decompress_cirm clamped %d component(s) outside (-%g, %g)",
                        clamped, k, k)
-    return out
+    return (2.0 / c) * np.arctanh(np.clip(values, -limit, limit) / k)
 
 
 def ms_target(clean: np.ndarray, power: float = DEFAULT_MS_POWER) -> np.ndarray:
@@ -138,61 +130,78 @@ def uncompress_ms(mag: np.ndarray, power: float = DEFAULT_MS_POWER) -> np.ndarra
     return np.maximum(mag, 0.0) ** (1.0 / power)
 
 
-def prediction_width(kind: TargetKind, k_bins: int) -> int:
-    """Output channels the model must produce per frame for this target."""
-    return 2 * k_bins if kind is TargetKind.CIRM else k_bins
+def _cirm_grid(clean, noise, noisy, cfg) -> np.ndarray:
+    m = cirm(clean, noisy)
+    return compress_cirm(np.concatenate([m.real, m.imag], axis=-1),
+                         cfg.cirm_k, cfg.cirm_c)
 
 
-def target_grid(kind: TargetKind, clean: np.ndarray, noise: np.ndarray,
-                noisy: np.ndarray, *, gamma: float = DEFAULT_IRM_GAMMA,
-                ms_power: float = DEFAULT_MS_POWER,
-                cirm_k: float = DEFAULT_CIRM_K,
-                cirm_c: float = DEFAULT_CIRM_C) -> np.ndarray:
-    """Real-valued loss target matching the model head for `kind`.
+def _cirm_apply(noisy, prediction, cfg) -> np.ndarray:
+    d = decompress_cirm(prediction, cfg.cirm_k, cfg.cirm_c)
+    k = noisy.shape[-1]
+    return (d[..., :k] + 1j * d[..., k:]) * noisy
 
-    cIRM targets are compressed and laid out as (..., L, 2K): real then
-    imaginary.
+
+def _ms_apply(noisy, prediction, cfg) -> np.ndarray:
+    absx = np.abs(noisy)
+    phase = np.divide(noisy, absx, out=np.ones_like(noisy), where=absx > 0)
+    return uncompress_ms(prediction, cfg.ms_power) * phase
+
+
+@dataclass(frozen=True)
+class Target:
+    """One training objective; `cfg` is the ModelConfig.
+
+    width  prediction channels per frequency bin
+    head   the model's output nonlinearity, or None for a linear output
+    grid   (clean, noise, noisy, cfg) -> the real loss target
+    apply  (noisy, prediction, cfg) -> the enhanced complex spectrum
     """
-    if kind is TargetKind.MS:
-        return ms_target(clean, ms_power)
-    if kind is TargetKind.IRM:
-        return irm(clean, noise, gamma)
-    if kind is TargetKind.PSM:
-        return psm(clean, noisy)
-    if kind is TargetKind.CIRM:
-        m = compress_cirm(cirm(clean, noisy), cirm_k, cirm_c)
-        return np.concatenate([m.real, m.imag], axis=-1)
-    raise ValueError(f"unknown target kind {kind!r}")
+
+    width: int
+    head: Callable[[Tensor], Tensor] | None
+    grid: Callable[..., np.ndarray]
+    apply: Callable[..., np.ndarray]
 
 
-def apply_target(noisy: np.ndarray, prediction: np.ndarray, kind: TargetKind, *,
-                 ms_power: float = DEFAULT_MS_POWER,
-                 cirm_k: float = DEFAULT_CIRM_K,
-                 cirm_c: float = DEFAULT_CIRM_C) -> np.ndarray:
+# Heads and grids name module globals at call time, so a wrapper placed on
+# `sigmoid`, `irm`, ... in this module sees every call.
+TARGETS: dict[TargetKind, Target] = {
+    TargetKind.MS: Target(
+        width=1, head=lambda z: relu(z),
+        grid=lambda clean, noise, noisy, cfg: ms_target(clean, cfg.ms_power),
+        apply=_ms_apply),
+    TargetKind.IRM: Target(
+        width=1, head=lambda z: sigmoid(z),
+        grid=lambda clean, noise, noisy, cfg: irm(clean, noise, cfg.irm_gamma),
+        apply=lambda noisy, prediction, cfg: noisy * prediction),
+    TargetKind.PSM: Target(
+        width=1, head=lambda z: sigmoid(z),
+        grid=lambda clean, noise, noisy, cfg: psm(clean, noisy),
+        apply=lambda noisy, prediction, cfg: noisy * prediction),
+    TargetKind.CIRM: Target(width=2, head=None, grid=_cirm_grid, apply=_cirm_apply),
+}
+
+
+def target_grid(cfg, clean: np.ndarray, noise: np.ndarray,
+                noisy: np.ndarray) -> np.ndarray:
+    """Real-valued loss target for `cfg.target`, shaped like the model's
+    prediction: (..., L, K), or (..., L, 2K) for cIRM."""
+    return TARGETS[cfg.target].grid(clean, noise, noisy, cfg)
+
+
+def apply_target(cfg, noisy: np.ndarray, prediction: np.ndarray) -> np.ndarray:
     """Turn a model prediction into an enhanced complex spectrogram.
 
     IRM/PSM multiply the noisy spectrum (noisy phase kept); MS uncompresses the
     predicted magnitude and reattaches the noisy phase; cIRM decompresses the
-    complex mask and multiplies the complex spectrum. Spectra may carry
-    leading axes, e.g. a (B, L, K) stack of clips.
+    (..., L, 2K) prediction into a complex mask and multiplies the complex
+    spectrum. Spectra may carry leading axes, e.g. a (B, L, K) stack of clips.
     """
-    k = noisy.shape[-1]
-    if kind is TargetKind.CIRM:
-        if prediction.shape == noisy.shape[:-1] + (2 * k,):
-            mask = prediction[..., :k] + 1j * prediction[..., k:]
-        elif prediction.shape == noisy.shape and np.iscomplexobj(prediction):
-            mask = prediction
-        else:
-            raise ValueError(
-                f"cirm prediction shape {prediction.shape} does not match "
-                f"spectrogram {noisy.shape}")
-        return decompress_cirm(mask, cirm_k, cirm_c) * noisy
-    _check_shapes(prediction, noisy, "apply_target")
-    if kind in (TargetKind.IRM, TargetKind.PSM):
-        return noisy * prediction
-    if kind is TargetKind.MS:
-        mag = uncompress_ms(prediction, ms_power)
-        absx = np.abs(noisy)
-        phase = np.divide(noisy, absx, out=np.ones_like(noisy), where=absx > 0)
-        return mag * phase
-    raise ValueError(f"unknown target kind {kind!r}")
+    target = TARGETS[cfg.target]
+    want = noisy.shape[:-1] + (target.width * noisy.shape[-1],)
+    if prediction.shape != want:
+        raise ValueError(
+            f"{cfg.target.value} prediction shape {prediction.shape} does not "
+            f"match spectrogram {noisy.shape}; expected {want}")
+    return target.apply(noisy, prediction, cfg)

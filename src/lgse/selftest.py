@@ -182,8 +182,9 @@ def check_oracle_masks():
         spec_v = dsp.stft(Waveform(gain * utt.noise.samples))
         before = evaluate.si_sdr(noisy, utt.clean)
         for kind in objectives.TargetKind:
-            pred = objectives.target_grid(kind, spec_s, spec_v, spec_x)
-            out = objectives.apply_target(spec_x, pred, kind)
+            cfg = ModelConfig(target=kind)
+            pred = objectives.target_grid(cfg, spec_s, spec_v, spec_x)
+            out = objectives.apply_target(cfg, spec_x, pred)
             est = dsp.istft(out, DEFAULT_STFT, out_len=len(noisy))
             after = evaluate.si_sdr(est, utt.clean)
             assert after - before > 5.0, f"{kind.value}: {after - before:.2f} dB"

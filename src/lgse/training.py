@@ -100,11 +100,7 @@ def make_batch(utts: list[Utterance], cfg: TrainConfig, rng: np.random.Generator
     s = np.reshape(clean, (-1, clip_len))
     v = np.reshape(noise, (-1, clip_len))
     spec_s, spec_v, spec_x = dsp.stft(np.stack([s, v, s + v]), stft_cfg)
-    target = objectives.target_grid(
-        model_cfg.target, spec_s, spec_v, spec_x,
-        gamma=model_cfg.irm_gamma, ms_power=model_cfg.ms_power,
-        cirm_k=model_cfg.cirm_k, cirm_c=model_cfg.cirm_c)
-    return np.abs(spec_x), target
+    return np.abs(spec_x), objectives.target_grid(model_cfg, spec_s, spec_v, spec_x)
 
 
 def mse_loss(pred: Tensor, target: np.ndarray) -> Tensor:
@@ -180,6 +176,11 @@ def train(model: EnhancementModel, corpus: list[Utterance], cfg: TrainConfig, *,
     """
     if not corpus:
         raise ValueError("corpus is empty")
+    longest = max(len(utt.clean) for utt in corpus)
+    if longest < int(round(cfg.clip_len_s * dsp.SAMPLE_RATE)):
+        raise ValueError(f"no corpus utterance is at least one clip long: the longest "
+                         f"is {longest / dsp.SAMPLE_RATE:g} s, train.clip_len_s is "
+                         f"{cfg.clip_len_s:g} s")
     check_freeze(cfg, model)
     if rng is None:
         rng = np.random.default_rng(np.random.SeedSequence(entropy=cfg.seed,

@@ -44,10 +44,7 @@ def make_batch_loop(utts, cfg, rng, model_cfg, stft_cfg=DEFAULT_STFT):
             spec_s = dsp.stft(Waveform(clean), stft_cfg)
             spec_v = dsp.stft(Waveform(noise_scaled), stft_cfg)
             spec_x = dsp.stft(Waveform(clean + noise_scaled), stft_cfg)
-            target = objectives.target_grid(
-                model_cfg.target, spec_s, spec_v, spec_x,
-                gamma=model_cfg.irm_gamma, ms_power=model_cfg.ms_power,
-                cirm_k=model_cfg.cirm_k, cirm_c=model_cfg.cirm_c)
+            target = objectives.target_grid(model_cfg, spec_s, spec_v, spec_x)
             clips.append((clean, noise_scaled, snr, np.abs(spec_x), target))
     return clips
 

@@ -314,6 +314,38 @@ def test_train_rejects_unknown_freeze_name(trained, tmp_path, capsys):
     assert not (tmp_path / "m.lgse").exists()
 
 
+def test_train_on_utterances_shorter_than_a_clip_errors(tmp_path, capsys):
+    corpus = tmp_path / "corpus"
+    assert run_cli("--set", "synth.n_utts=2", "--set", "synth.dur_s=0.3",
+                   "synth", "--out-dir", str(corpus)) == 0
+    err = _one_error_line(capsys, "--set", "train.clip_len_s=0.5",
+                          "train", "--corpus-dir", str(corpus),
+                          "--out", str(tmp_path / "m.lgse"), "--steps", "1")
+    assert "clip_len_s" in err
+    assert not (tmp_path / "m.lgse").exists()
+
+
+def test_experiment_with_utterances_shorter_than_a_clip_errors(tmp_path, capsys):
+    err = _one_error_line(capsys, "--set", "experiment.train_utt_dur_s=0.3",
+                          "--set", "train.clip_len_s=0.5",
+                          "--set", "model.n_layers=1", "--set", "model.d_model=8",
+                          "--set", "model.n_heads=2", "--set", "model.d_ff=16",
+                          "experiment", "--out-dir", str(tmp_path / "exp"))
+    assert "clip_len_s" in err
+    assert not list((tmp_path / "exp").glob("model_*.lgse"))
+
+
+def test_target_choices_and_help_come_from_target_kind():
+    from lgse.objectives import TargetKind
+
+    names = [k.value for k in TargetKind]
+    parser = build_parser()
+    commands = next(a for a in parser._actions if a.dest == "command")
+    target = next(a for a in commands.choices["train"]._actions if a.dest == "target")
+    assert list(target.choices) == names
+    assert "training objective: " + "|".join(names) in parser.format_help()
+
+
 def test_missing_corpus_errors(tmp_path):
     code = run_cli("train", "--corpus-dir", str(tmp_path / "nope"),
                    "--out", str(tmp_path / "m.lgse"))

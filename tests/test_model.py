@@ -66,8 +66,8 @@ def test_embed_rejects_wrong_bins():
 def test_ape_adds_position_rows(kind):
     m = tiny_model(pe=kind)
     x = rand_input(6)
-    with_pe = m.embed(x, add_position=True).data
-    without = m.embed(x, add_position=False).data
+    with_pe = m.embed(x).data
+    without = tiny_model(pe="nopos").embed(x).data
     diff = with_pe - without
     if kind == "sinusoidal":
         from lgse.posenc import sinusoidal_embedding
@@ -79,8 +79,8 @@ def test_ape_adds_position_rows(kind):
 def test_bertpos_uses_frozen_extension_rows():
     m = tiny_model(pe="bertpos")
     x = rand_input(12)  # beyond the 8 trained rows
-    with_pe = m.embed(x, add_position=True).data
-    without = m.embed(x, add_position=False).data
+    with_pe = m.embed(x).data
+    without = tiny_model(pe="nopos").embed(x).data
     ext = (with_pe - without)[8:]
     assert np.allclose(ext, m.buffers["pe.embed_ext"][:4])
 
@@ -281,27 +281,25 @@ def test_offset_equivariance_under_context_masking():
     d_k = 4
     q_short = rng.normal(size=(5, d_k))
     k_short = rng.normal(size=(5, d_k))
-    v_short = rng.normal(size=(5, d_k))
     beta = -0.3
     from lgse.posenc import learnlin_bias
     bias5 = learnlin_bias(5, Tensor(beta))
-    _, w_short = attention_head(Tensor(q_short), Tensor(k_short), Tensor(v_short),
-                                bias5, return_weights=True)
+    # Identity values make the attention output the weights themselves.
+    w_short = attention_head(Tensor(q_short), Tensor(k_short), Tensor(np.eye(5)),
+                             bias5)
 
     shift = 4
     big = 12
     q_long = rng.normal(size=(big, d_k))
     k_long = rng.normal(size=(big, d_k))
-    v_long = rng.normal(size=(big, d_k))
     q_long[shift:shift + 5] = q_short
     k_long[shift:shift + 5] = k_short
-    v_long[shift:shift + 5] = v_short
     bias_big = learnlin_bias(big, Tensor(beta)).data.copy()
     # Mask all context columns so only the copied block can be attended.
     mask = np.full((big, big), -1e9)
     mask[:, shift:shift + 5] = 0.0
-    _, w_long = attention_head(Tensor(q_long), Tensor(k_long), Tensor(v_long),
-                               constant(bias_big + mask), return_weights=True)
+    w_long = attention_head(Tensor(q_long), Tensor(k_long), Tensor(np.eye(big)),
+                            constant(bias_big + mask))
     block = w_long.data[shift:shift + 5, shift:shift + 5]
     assert np.allclose(block, w_short.data, atol=1e-12)
 

@@ -1,14 +1,19 @@
+import ast
 import logging
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import lgse
 from lgse import dsp
 from lgse.dsp import Waveform
 from lgse.evaluate import si_sdr
+from lgse.model import ModelConfig
 from lgse.objectives import (
+    TARGETS,
     TargetKind,
     apply_target,
     cirm,
@@ -16,7 +21,6 @@ from lgse.objectives import (
     decompress_cirm,
     irm,
     ms_target,
-    prediction_width,
     psm,
     target_grid,
     uncompress_ms,
@@ -168,7 +172,7 @@ def test_ms_roundtrip_identity():
 def test_apply_ones_mask_is_identity():
     rng = np.random.default_rng(2)
     x = rng.normal(size=(3, 4)) + 1j * rng.normal(size=(3, 4))
-    out = apply_target(x, np.ones((3, 4)), TargetKind.IRM)
+    out = apply_target(ModelConfig(target=TargetKind.IRM), x, np.ones((3, 4)))
     assert np.allclose(out, x)
 
 
@@ -176,14 +180,14 @@ def test_apply_zeros_mask_is_silence():
     rng = np.random.default_rng(3)
     x = rng.normal(size=(3, 4)) + 1j * rng.normal(size=(3, 4))
     for kind in (TargetKind.IRM, TargetKind.PSM):
-        assert np.all(apply_target(x, np.zeros((3, 4)), kind) == 0)
+        assert np.all(apply_target(ModelConfig(target=kind), x, np.zeros((3, 4))) == 0)
 
 
 def test_apply_ms_reattaches_noisy_phase():
     rng = np.random.default_rng(4)
     x = rng.normal(size=(2, 3)) + 1j * rng.normal(size=(2, 3))
     pred = ms_target(x, 0.3)  # compressed |x| itself
-    out = apply_target(x, pred, TargetKind.MS, ms_power=0.3)
+    out = apply_target(ModelConfig(target=TargetKind.MS, ms_power=0.3), x, pred)
     assert np.allclose(out, x, atol=1e-10)
 
 
@@ -191,8 +195,9 @@ def test_apply_cirm_from_stacked_prediction():
     rng = np.random.default_rng(5)
     x = rng.normal(size=(2, 3)) + 1j * rng.normal(size=(2, 3))
     s = rng.normal(size=(2, 3)) + 1j * rng.normal(size=(2, 3))
-    stacked = target_grid(TargetKind.CIRM, s, None, x)
-    out = apply_target(x, stacked, TargetKind.CIRM)
+    cfg = ModelConfig(target=TargetKind.CIRM)
+    stacked = target_grid(cfg, s, None, x)
+    out = apply_target(cfg, x, stacked)
     assert np.allclose(out, s, atol=1e-8)
 
 
@@ -201,25 +206,26 @@ def test_apply_target_stack_equals_rows(kind):
     rng = np.random.default_rng(6)
     x, s, v = (rng.normal(size=(3, 4, 5)) + 1j * rng.normal(size=(3, 4, 5))
                for _ in range(3))
-    pred = rng.uniform(0.0, 1.0, (3, 4, prediction_width(kind, 5)))
-    out = apply_target(x, pred, kind)
+    cfg = ModelConfig(target=kind, k_bins=5)
+    pred = rng.uniform(0.0, 1.0, (3, 4, cfg.out_width))
+    out = apply_target(cfg, x, pred)
     assert out.shape == x.shape
-    grid = target_grid(kind, s, v, x)
+    grid = target_grid(cfg, s, v, x)
     assert grid.shape == pred.shape
     for b in range(3):
-        assert np.max(np.abs(out[b] - apply_target(x[b], pred[b], kind))) <= 1e-12
-        assert np.max(np.abs(grid[b] - target_grid(kind, s[b], v[b], x[b]))) <= 1e-12
+        assert np.max(np.abs(out[b] - apply_target(cfg, x[b], pred[b]))) <= 1e-12
+        assert np.max(np.abs(grid[b] - target_grid(cfg, s[b], v[b], x[b]))) <= 1e-12
 
 
 def test_apply_cirm_rejects_mismatched_stack():
     x = np.ones((3, 4, 5), dtype=complex)
     with pytest.raises(ValueError, match="cirm prediction shape"):
-        apply_target(x, np.zeros((2, 4, 10)), TargetKind.CIRM)
+        apply_target(ModelConfig(target=TargetKind.CIRM), x, np.zeros((2, 4, 10)))
 
 
 def test_prediction_width():
-    assert prediction_width(TargetKind.IRM, 257) == 257
-    assert prediction_width(TargetKind.CIRM, 257) == 514
+    assert ModelConfig(target=TargetKind.IRM, k_bins=257).out_width == 257
+    assert ModelConfig(target=TargetKind.CIRM, k_bins=257).out_width == 514
 
 
 @pytest.mark.parametrize("kind", list(TargetKind))
@@ -231,9 +237,45 @@ def test_oracle_targets_improve_si_sdr(kind, snr):
         spec_x = dsp.stft(noisy)
         spec_s = dsp.stft(utt.clean)
         spec_v = dsp.stft(Waveform(gain * utt.noise.samples))
-        pred = target_grid(kind, spec_s, spec_v, spec_x)
-        est = dsp.istft(apply_target(spec_x, pred, kind), out_len=len(noisy))
+        cfg = ModelConfig(target=kind)
+        pred = target_grid(cfg, spec_s, spec_v, spec_x)
+        est = dsp.istft(apply_target(cfg, spec_x, pred), out_len=len(noisy))
         gain_db = si_sdr(est, utt.clean) - si_sdr(noisy, utt.clean)
         assert gain_db > 0.0
         if snr == 0:
             assert gain_db > 5.0
+
+
+# -- the objective table ----------------------------------------------------------
+
+
+def test_targets_table_covers_every_kind():
+    assert set(TARGETS) == set(TargetKind)
+
+
+def test_apply_cirm_rejects_complex_prediction():
+    rng = np.random.default_rng(7)
+    x = rng.normal(size=(3, 4)) + 1j * rng.normal(size=(3, 4))
+    with pytest.raises(ValueError, match="cirm prediction shape"):
+        apply_target(ModelConfig(target=TargetKind.CIRM), x, cirm(x, x))
+
+
+def _names_target_member(node) -> bool:
+    members = {k.name for k in TargetKind}
+    if not (isinstance(node, ast.Attribute) and node.attr in members):
+        return False
+    owner = node.value
+    return ((isinstance(owner, ast.Name) and owner.id == "TargetKind")
+            or (isinstance(owner, ast.Attribute) and owner.attr == "TargetKind"))
+
+
+def test_only_the_objective_table_branches_on_target_kind():
+    """No lgse module compares against, or matches on, a TargetKind member:
+    objective-specific behaviour lives in `TARGETS`."""
+    found = []
+    for path in sorted(Path(lgse.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, (ast.Compare, ast.MatchValue)):
+                found += [f"{path.name}:{sub.lineno}" for sub in ast.walk(node)
+                          if _names_target_member(sub)]
+    assert found == []

@@ -280,6 +280,14 @@ def test_train_rejects_unknown_freeze_name(tmp_path):
     assert not path.exists()
 
 
+def test_train_rejects_corpus_shorter_than_a_clip(tmp_path):
+    model = EnhancementModel(ModelConfig(pe_kind="nopos", **TINY_MODEL))
+    path = tmp_path / "m.lgse"
+    with pytest.raises(ValueError, match="clip_len_s"):
+        train(model, corpus(2, dur=1.0), tiny_cfg(clip_len_s=2.0), ckpt_path=path)
+    assert not path.exists()
+
+
 def test_loss_csv_format(tmp_path):
     path = tmp_path / "loss.csv"
     write_loss_csv(path, [(1, 0.5, 0.25), (2, 0.4, 0.125)])
