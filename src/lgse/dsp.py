@@ -25,6 +25,7 @@ __all__ = [
     "AudioFormatError",
     "sqrt_hann",
     "frame_count",
+    "require_one_frame",
     "frame_signal",
     "stft",
     "istft",
@@ -119,6 +120,15 @@ def frame_count(n_samples: int, cfg: StftConfig = DEFAULT_STFT) -> int:
         raise ValueError(
             f"need at least {cfg.win_len} samples for one frame, got {n_samples}")
     return 1 + (n_samples - cfg.win_len) // cfg.hop
+
+
+def require_one_frame(name: str, dur_s: float, cfg: StftConfig = DEFAULT_STFT) -> None:
+    """Raise a ValueError naming setting `name` when `dur_s` seconds hold
+    fewer samples than one analysis window, the least any STFT can frame."""
+    if int(round(dur_s * SAMPLE_RATE)) < cfg.win_len:
+        raise ValueError(f"{name} must be at least one analysis window "
+                         f"({cfg.win_len} samples, {cfg.win_len / SAMPLE_RATE:g} s), "
+                         f"got {dur_s:g}")
 
 
 def frame_signal(samples: np.ndarray, cfg: StftConfig = DEFAULT_STFT) -> np.ndarray:

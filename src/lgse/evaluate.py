@@ -4,8 +4,10 @@ chunked inference, and the train-short / test-long experiment runner."""
 from __future__ import annotations
 
 import csv
+import functools
 import io
 import os
+from collections.abc import Callable
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -79,8 +81,9 @@ def seg_snr(est: Waveform | np.ndarray, ref: Waveform | np.ndarray,
     return float(np.mean(np.clip(v, floor_db, ceil_db)))
 
 
-def enhance_full(model: EnhancementModel, noisy: Waveform | np.ndarray,
-                 stft_cfg=DEFAULT_STFT) -> Waveform | np.ndarray:
+def enhance_full(model: EnhancementModel | tuple[EnhancementModel, ...],
+                 noisy: Waveform | np.ndarray,
+                 stft_cfg=DEFAULT_STFT) -> Waveform | np.ndarray | tuple:
     """One pass over all frames: stft -> predict -> apply target -> istft.
 
     Takes a Waveform and returns one, or a (B, n) stack of equal-length
@@ -88,7 +91,14 @@ def enhance_full(model: EnhancementModel, noisy: Waveform | np.ndarray,
     (B, L, K). Samples the synthesis cannot reconstruct (the first sample,
     under a Hann zero, and any dropped-partial-frame tail) pass through
     unprocessed so every output row has its input's length.
+
+    `model` may be a tuple of models; the call then returns a tuple of
+    estimates, one per model in order. The input is analysed once (one stft
+    and one magnitude), and each model runs its own predict -> apply target
+    -> istft on that shared spectrum, so the call holds one spectrum and one
+    enhanced spectrum at a time plus one output per model.
     """
+    models = model if isinstance(model, tuple) else (model,)
     single = isinstance(noisy, Waveform)
     samples = noisy.samples if single else np.asarray(noisy)
     if not single and samples.ndim != 2:
@@ -96,14 +106,19 @@ def enhance_full(model: EnhancementModel, noisy: Waveform | np.ndarray,
                          f"{samples.shape}")
     n = samples.shape[-1]
     spec = dsp.stft(samples, stft_cfg)
-    pred = model.predict(np.abs(spec))
-    enhanced = objectives.apply_target(model.config, spec, pred)
-    out = dsp.istft(enhanced, stft_cfg, out_len=n)
-    out = out.samples if single else out
+    mag = np.abs(spec)
     covered = (spec.shape[-2] - 1) * stft_cfg.hop + stft_cfg.win_len
-    out[..., 0] = samples[..., 0]
-    out[..., covered:] = samples[..., covered:]
-    return Waveform(out) if single else out
+    outs = []
+    for m in models:
+        # Nested calls free each model's prediction and enhanced spectrum
+        # before the next model's are made.
+        out = dsp.istft(objectives.apply_target(m.config, spec, m.predict(mag)),
+                        stft_cfg, out_len=n)
+        out = out.samples if single else out
+        out[..., 0] = samples[..., 0]
+        out[..., covered:] = samples[..., covered:]
+        outs.append(Waveform(out) if single else out)
+    return tuple(outs) if isinstance(model, tuple) else outs[0]
 
 
 def chunk_starts(n_samples: int, chunk_len: int, overlap: float) -> list[int]:
@@ -131,8 +146,9 @@ def _triangle(n: int) -> np.ndarray:
     return np.minimum(i + 0.5, n - i - 0.5) / (n / 2.0)
 
 
-def enhance_chunked(model: EnhancementModel, noisy: Waveform, chunk_s: float,
-                    overlap: float, stft_cfg=DEFAULT_STFT) -> Waveform:
+def enhance_chunked(model: EnhancementModel | tuple[EnhancementModel, ...],
+                    noisy: Waveform, chunk_s: float, overlap: float,
+                    stft_cfg=DEFAULT_STFT) -> Waveform | tuple[Waveform, ...]:
     """Enhance fixed-length chunks independently and recombine.
 
     The chunks go through `enhance_full` in (B, n) groups, as many per call
@@ -141,11 +157,17 @@ def enhance_chunked(model: EnhancementModel, noisy: Waveform, chunk_s: float,
     blended with a triangular cross-fade. A tail shorter than a chunk is
     enhanced on its own when it fits at least one analysis window, otherwise
     passed through unprocessed.
+
+    `model` may be a tuple of models; the call then returns a tuple of
+    Waveforms, one per model in order. The chunk stack, each group's
+    analysis and the blend weights are shared; only each model's estimate is
+    blended on its own, so memory grows by one signal per model.
     """
+    models = model if isinstance(model, tuple) else (model,)
     chunk_len = int(round(chunk_s * dsp.SAMPLE_RATE))
     n = len(noisy)
     starts = chunk_starts(n, chunk_len, overlap)
-    est = np.zeros(n)
+    est = np.zeros((len(models), n))
     weight = np.zeros(n)
     win = _triangle(chunk_len) if overlap == 0.5 else np.ones(chunk_len)
     # A chunk's ISTFT only reconstructs samples its analysis frames cover, and
@@ -157,21 +179,24 @@ def enhance_chunked(model: EnhancementModel, noisy: Waveform, chunk_s: float,
     chunks = np.lib.stride_tricks.sliding_window_view(noisy.samples, chunk_len)
     for g in range(0, len(starts), group):
         batch = starts[g:g + group]
-        for s, out in zip(batch, enhance_full(model, chunks[batch], stft_cfg)):
-            est[s + sup.start:s + sup.stop] += out[sup] * win[sup]
+        for s in batch:
             weight[s + sup.start:s + sup.stop] += win[sup]
+        for e, out in zip(est, enhance_full(models, chunks[batch], stft_cfg)):
+            for s, row in zip(batch, out):
+                e[s + sup.start:s + sup.stop] += row[sup] * win[sup]
     tail_start = starts[-1] + chunk_len
     if tail_start < n and n - tail_start >= stft_cfg.win_len:
-        out = enhance_full(model, Waveform(noisy.samples[tail_start:]),
-                           stft_cfg).samples
-        est[tail_start + 1:] += out[1:]
+        outs = enhance_full(models, Waveform(noisy.samples[tail_start:]), stft_cfg)
+        for e, out in zip(est, outs):
+            e[tail_start + 1:] += out.samples[1:]
         weight[tail_start + 1:] += 1.0
     blended = weight > 1e-8
-    est[blended] /= weight[blended]
+    np.divide(est, weight, out=est, where=blended)
     # Samples no chunk reconstructs (chunk-boundary zeros, dropped tails)
     # pass through unprocessed.
-    est[~blended] = noisy.samples[~blended]
-    return Waveform(est)
+    np.copyto(est, noisy.samples, where=~blended)
+    ests = tuple(Waveform(e) for e in est)
+    return ests if isinstance(model, tuple) else ests[0]
 
 
 # -- experiment protocol ------------------------------------------------------
@@ -187,6 +212,8 @@ class TestSuiteConfig:
         if not self.durations_s or min(self.durations_s) <= 0:
             raise ValueError(f"durations_s must be one or more positive durations, "
                              f"got {self.durations_s}")
+        for dur in self.durations_s:
+            dsp.require_one_frame("durations_s", dur)
         if not self.snrs_db:
             raise ValueError("snrs_db must name at least one SNR")
         if self.utts_per_condition < 1:
@@ -214,6 +241,11 @@ class ExperimentConfig:
             if not chosen or unknown:
                 raise ValueError(f"{name} must be one or more of {', '.join(allowed)}; "
                                  f"got {', '.join(chosen) or 'none'}")
+        if self.chunk_s < 0:
+            raise ValueError(f"chunk_s must be 0 (the training clip length) or a "
+                             f"chunk length in seconds, got {self.chunk_s:g}")
+        if self.chunk_s > 0:
+            dsp.require_one_frame("chunk_s", self.chunk_s)
 
 
 @dataclass
@@ -311,9 +343,10 @@ class MetricReport:
 
 
 def train_or_load(kind: str, model_cfg: ModelConfig, train_cfg: TrainConfig,
-                  corpus: list[Utterance], ckpt_path, retrain: bool = False,
-                  loss_csv=None) -> EnhancementModel:
-    """Load the checkpoint for a scheme if present, otherwise train and save."""
+                  corpus: Callable[[], list[Utterance]], ckpt_path,
+                  retrain: bool = False, loss_csv=None) -> EnhancementModel:
+    """Load the checkpoint for a scheme if present, otherwise train on
+    `corpus()` and save; `corpus` is only called when the model trains."""
     cfg = model_cfg.with_pe(kind)
     if not retrain and ckpt_path is not None and os.path.exists(ckpt_path):
         model, _, _, _, _ = load_checkpoint(ckpt_path)
@@ -323,7 +356,7 @@ def train_or_load(kind: str, model_cfg: ModelConfig, train_cfg: TrainConfig,
                 f"expected {kind!r}")
         return model
     model = EnhancementModel(cfg)
-    train(model, corpus, train_cfg, ckpt_path=ckpt_path, loss_csv=loss_csv)
+    train(model, corpus(), train_cfg, ckpt_path=ckpt_path, loss_csv=loss_csv)
     return model
 
 
@@ -333,12 +366,17 @@ def run_lengen_experiment(seed: int, model_cfg: ModelConfig,
     """Train one model per scheme on short clips, then score every
     (duration, SNR) condition with full-length and chunked inference.
 
+    Every mixture is enhanced by all models in one call per mode, so each
+    mixture (and each chunk group) is analysed once, and each estimate is
+    scored as soon as it is made. The training corpus is synthesized only
+    if some model trains.
+
     Writes report.csv and report.md into out_dir and returns the report.
     Deterministic for a fixed seed, including the CSV bytes.
     """
     os.makedirs(out_dir, exist_ok=True)
-    corpus = dsp.synth_corpus(derived_seed(seed, "corpus.train"),
-                              exp.train_utts, exp.train_utt_dur_s)
+    corpus = functools.cache(lambda: dsp.synth_corpus(
+        derived_seed(seed, "corpus.train"), exp.train_utts, exp.train_utt_dur_s))
     # A freeze list fails here, not after the first models have trained.
     for kind in exp.kinds if train_cfg.freeze else ():
         check_freeze(train_cfg, EnhancementModel(model_cfg.with_pe(kind)))
@@ -370,6 +408,7 @@ def run_lengen_experiment(seed: int, model_cfg: ModelConfig,
 
 def _score_case(case, models, exp: ExperimentConfig, chunk_s: float,
                 dur: float, snr: int, train_len: float) -> list[ReportRow]:
+    """The noisy row, then one row per kind and mode, for one mixture."""
     i, utt, noisy = case
     utt_id = f"{dur:g}s_snr{snr}_{i:03d}"
     base = dict(target=next(iter(models.values())).config.target.value,
@@ -377,17 +416,22 @@ def _score_case(case, models, exp: ExperimentConfig, chunk_s: float,
     sdr_in = si_sdr(noisy, utt.clean)
     rows = [ReportRow(kind="noisy", si_sdr_in=sdr_in, si_sdr_out=sdr_in,
                       seg_snr_out=seg_snr(noisy, utt.clean), mode="full", **base)]
-    for kind, model in models.items():
+    bundle = tuple(models.values())
+    scores: dict[tuple[str, str], tuple[float, float]] = {}
+    for mode in exp.modes:
+        overlap = MODES[mode]
+        if overlap is None:
+            ests = enhance_full(bundle, noisy)
+        elif dur <= chunk_s:
+            continue
+        else:
+            ests = enhance_chunked(bundle, noisy, chunk_s, overlap)
+        for kind, est in zip(models, ests):
+            scores[kind, mode] = si_sdr(est, utt.clean), seg_snr(est, utt.clean)
+    for kind in models:
         for mode in exp.modes:
-            overlap = MODES[mode]
-            if overlap is None:
-                est = enhance_full(model, noisy)
-            elif dur <= chunk_s:
-                continue
-            else:
-                est = enhance_chunked(model, noisy, chunk_s, overlap)
-            rows.append(ReportRow(kind=kind, si_sdr_in=sdr_in,
-                                  si_sdr_out=si_sdr(est, utt.clean),
-                                  seg_snr_out=seg_snr(est, utt.clean),
-                                  mode=mode, **base))
+            if (kind, mode) in scores:
+                sdr, seg = scores[kind, mode]
+                rows.append(ReportRow(kind=kind, si_sdr_in=sdr_in, si_sdr_out=sdr,
+                                      seg_snr_out=seg, mode=mode, **base))
     return rows

@@ -161,7 +161,7 @@ def _attention_blocks(q: Tensor, k: Tensor, v: Tensor, bias: Tensor | None,
     k_t = transpose(k)
     rows = max(1, _BLOCK_BYTES // (8 * length * math.prod(lead)))
     q_scaled = q.data * (1.0 / math.sqrt(d_k))
-    keys = np.arange(length)
+    mask = posenc.causal_mask(length) if causal else None
     out = np.empty(np.broadcast_shapes(lead, v.shape[:-2]) + (length, v.shape[-1]))
     for r0 in range(0, length, rows):
         block = slice(r0, min(r0 + rows, length))
@@ -173,7 +173,7 @@ def _attention_blocks(q: Tensor, k: Tensor, v: Tensor, bias: Tensor | None,
             else:
                 s += bias.data[..., block, :]
         if causal:
-            s += np.where(keys > keys[block, None], -posenc.CAUSAL_NEG, 0.0)
+            s += mask[block]
         out[..., block, :] = softmax_rows(s, v).data
     return constant(out)
 

@@ -109,10 +109,15 @@ def toeplitz_offsets(length: int) -> np.ndarray:
 
 
 def causal_mask(length: int) -> np.ndarray:
-    """Additive mask: -CAUSAL_NEG above the diagonal (j > i), 0 elsewhere."""
-    mask = np.zeros((length, length))
-    mask[np.triu_indices(length, k=1)] = -CAUSAL_NEG
-    return mask
+    """Additive mask: -CAUSAL_NEG above the diagonal (j > i), 0 elsewhere.
+
+    A read-only (L, L) Toeplitz view of one row of 2L-1 per-offset values, so
+    a block of query rows is a slice of it, not a fresh array.
+    """
+    # The row is stored last offset first, so the view's key axis runs
+    # forward through memory, the faster operand to add to a score block.
+    backwards = np.where(np.arange(2 * length - 1) >= length, -CAUSAL_NEG, 0.0)
+    return toeplitz(backwards[::-1], length).data
 
 
 def _per_head(p: Tensor, core_ndim: int = 0) -> Tensor:

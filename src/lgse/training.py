@@ -59,8 +59,7 @@ class TrainConfig:
     def __post_init__(self):
         if self.snr_high_db < self.snr_low_db:
             raise ValueError("snr_high_db must be >= snr_low_db")
-        if self.clip_len_s <= 0:
-            raise ValueError("clip_len_s must be positive")
+        dsp.require_one_frame("clip_len_s", self.clip_len_s)
         if self.batch_utts < 1:
             raise ValueError(f"batch_utts must be at least 1, got {self.batch_utts}")
 

@@ -241,6 +241,7 @@ def test_enhance_checkpoint_with_bad_meta_errors(trained, tmp_path, capsys,
     ("model.bertpos_hard_cap=10", "bertpos_max_len"),
     ("model.tisa_kernels=0", "tisa_kernels"),
     ("model.ln_eps=-1", "ln_eps"),
+    ("train.clip_len_s=0.01", "clip_len_s"),
 ])
 def test_train_with_unusable_sizes_errors(trained, tmp_path, capsys, override, field):
     _, corpus, _, _ = trained
@@ -289,6 +290,9 @@ def test_enhance_directory_input_errors(trained, tmp_path, capsys):
     ("suite.durations_s=", "durations_s"),
     ("suite.snrs_db=", "snrs_db"),
     ("suite.utts_per_condition=0", "utts_per_condition"),
+    ("suite.durations_s=0.02", "durations_s"),
+    ("experiment.chunk_s=0.01", "chunk_s"),
+    ("experiment.chunk_s=-1", "chunk_s"),
     ("train.freeze=no.such.param", "freeze"),
     ("train.freeze=pe.beta", "freeze"),
 ])

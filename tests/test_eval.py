@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -242,6 +243,56 @@ def test_seg_o_reaches_every_enhance_probe(monkeypatch):
         assert len(calls[name]) == len(calls["enhance_full"]), name
 
 
+def three_models():
+    """Three models that differ in PE kind, objective and init."""
+    pairs = (("learnlin", "irm"), ("nopos", "cirm"), ("sinusoidal", "ms"))
+    return tuple(EnhancementModel(ModelConfig(n_layers=1, n_heads=2, d_model=8, d_ff=16,
+                                              k_bins=257, pe_kind=kind, target=target,
+                                              init_seed=5 + i))
+                 for i, (kind, target) in enumerate(pairs))
+
+
+def test_enhance_full_with_several_models_equals_one_call_each(monkeypatch):
+    models = three_models()
+    x = Waveform(white(5000, seed=40))
+    xs = np.stack([white(5000, seed=41 + i) for i in range(2)])
+    want = [enhance_full(m, x).samples for m in models]
+    want_stack = [enhance_full(m, xs) for m in models]
+    stft = count_calls(monkeypatch, dsp, "stft")
+    got = enhance_full(models, x)
+    got_stack = enhance_full(models, xs)
+    assert len(stft) == 2
+    assert isinstance(got, tuple) and len(got) == len(got_stack) == 3
+    for est, ref in zip(got, want):
+        assert isinstance(est, Waveform) and np.array_equal(est.samples, ref)
+    for est, ref in zip(got_stack, want_stack):
+        assert np.array_equal(est, ref)
+    one = enhance_full(models[:1], x)
+    assert isinstance(one, tuple) and np.array_equal(one[0].samples, want[0])
+
+
+# With 0.1 s chunks, 8600 samples leave an enhanced tail under seg and seg-o;
+# 8300 leave one shorter than a window, passed through.
+@pytest.mark.parametrize("overlap", [0.0, 0.5])
+@pytest.mark.parametrize("n", [8600, 8300])
+def test_enhance_chunked_with_several_models_equals_one_call_each(monkeypatch, overlap,
+                                                                  n):
+    monkeypatch.setattr(evaluate, "_GROUP_BYTES", 2 * 5 * 257 * 16)
+    models = three_models()
+    x = Waveform(white(n, seed=n + 1))
+    want = [enhance_chunked(m, x, 0.1, overlap).samples for m in models]
+    stft = count_calls(monkeypatch, dsp, "stft")
+    calls = count_calls(monkeypatch, evaluate, "enhance_full")
+    got = enhance_chunked(models, x, 0.1, overlap)
+    assert isinstance(got, tuple) and len(got) == 3
+    for est, ref in zip(got, want):
+        assert isinstance(est, Waveform) and np.array_equal(est.samples, ref)
+    # One analysis per group (and tail) serves every model.
+    groups = math.ceil(len(chunk_starts(n, 1600, overlap)) / 2)
+    assert len(stft) == len(calls) == groups + (1 if n == 8600 else 0)
+    assert all(a[0] == models for a in calls)
+
+
 def test_triangle_crossfade_sums_to_one():
     from lgse.evaluate import _triangle
 
@@ -299,11 +350,95 @@ def test_experiment_report_reads_back_with_from_csv(tmp_path):
     assert "np.float64" not in (tmp_path / "report.csv").read_text()
 
 
+def _save_models(out_dir, kinds):
+    """Untrained checkpoints, so the experiment loads rather than trains."""
+    from lgse.training import save_checkpoint
+
+    for i, kind in enumerate(kinds):
+        m = EnhancementModel(ModelConfig(n_layers=1, n_heads=2, d_model=8, d_ff=16,
+                                         k_bins=257, pe_kind=kind, init_seed=11 + i))
+        save_checkpoint(out_dir / f"model_{kind}.lgse", m, None, 0)
+
+
+def _tiny_experiment(out_dir, kinds, seed=7):
+    """Four mixtures per length: all three modes at 1.25 s (a tail under
+    seg, none under seg-o), and full only at 0.5 s, which is one chunk."""
+    from lgse.evaluate import ExperimentConfig, TestSuiteConfig, run_lengen_experiment
+    from lgse.training import TrainConfig
+
+    return run_lengen_experiment(
+        seed, ModelConfig(n_layers=1, n_heads=2, d_model=8, d_ff=16, k_bins=257),
+        TrainConfig(clip_len_s=0.5, batch_utts=2, max_steps=1, w_steps=10),
+        ExperimentConfig(kinds=kinds, train_utts=2),
+        TestSuiteConfig(durations_s=(0.5, 1.25), snrs_db=(0, 5), utts_per_condition=2),
+        out_dir)
+
+
+# Recorded from the loop that enhanced each mixture once per model; scoring
+# every model from one analysis must reproduce the reports byte for byte.
+PINNED_REPORT_SHA256 = {
+    "report.csv": "64b00c4740a9eebc8d0a7ce2182207706b838d571ec956c75914ee94fffdaa49",
+    "report.md": "26313eef57d22771a74446781c13defbc4947cf4cd9bd51722af19bdd71d591b",
+}
+
+
+def test_experiment_report_bytes_are_pinned(tmp_path):
+    kinds = ("learnlin", "nopos")
+    _save_models(tmp_path, kinds)
+    report = _tiny_experiment(tmp_path, kinds)
+    # 0.5 s: 4 x (noisy + 2 kinds); 1.25 s: 4 x (noisy + 2 kinds x 3 modes).
+    assert len(report.rows) == 4 * 3 + 4 * 7
+    for name, want in PINNED_REPORT_SHA256.items():
+        assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == want, name
+
+
+def test_experiment_analyses_each_mixture_once_whatever_the_kinds(tmp_path,
+                                                                  monkeypatch):
+    counted = {name: count_calls(monkeypatch, module, name) for module, name in
+               ((dsp, "stft"), (dsp, "synth_corpus"), (evaluate, "enhance_full"),
+                (evaluate, "enhance_chunked"), (EnhancementModel, "predict"))}
+    seen = {}
+    for kinds in (("learnlin",), ("learnlin", "nopos", "sinusoidal")):
+        out_dir = tmp_path / str(len(kinds))
+        out_dir.mkdir()
+        _save_models(out_dir, kinds)
+        for calls in counted.values():
+            calls.clear()
+        _tiny_experiment(out_dir, kinds)
+        seen[len(kinds)] = {name: len(calls) for name, calls in counted.items()}
+    one, three = seen[1], seen[3]
+    # 8 mixtures in full mode, 4 of them also in seg and seg-o.
+    assert one["enhance_chunked"] == three["enhance_chunked"] == 8
+    assert one["enhance_full"] == three["enhance_full"] > 8
+    assert one["stft"] == three["stft"] == one["enhance_full"]
+    assert three["predict"] == 3 * one["predict"]
+    # Every checkpoint loads, so only the two test corpora are synthesized.
+    assert one["synth_corpus"] == three["synth_corpus"] == 2
+
+
+def test_experiment_synthesizes_the_training_corpus_only_to_train(tmp_path,
+                                                                   monkeypatch):
+    from lgse.dsp import derived_seed
+
+    synth = count_calls(monkeypatch, dsp, "synth_corpus")
+    _save_models(tmp_path, ("learnlin",))
+    _tiny_experiment(tmp_path, ("learnlin", "nopos"))
+    train_seed = derived_seed(7, "corpus.train")
+    assert [a[0] for a in synth].count(train_seed) == 1
+    assert (tmp_path / "model_nopos.lgse").exists()
+    synth.clear()
+    _tiny_experiment(tmp_path, ("learnlin", "nopos"))
+    assert train_seed not in [a[0] for a in synth]
+
+
 @pytest.mark.parametrize("kw,field", [
     (dict(modes=("full", "segx")), "modes"),
     (dict(modes=()), "modes"),
     (dict(kinds=("learnlin", "bogus")), "kinds"),
     (dict(kinds=()), "kinds"),
+    (dict(chunk_s=-1.0), "chunk_s"),
+    (dict(chunk_s=0.01), "chunk_s"),
+    (dict(chunk_s=0.0315), "chunk_s"),
 ])
 def test_experiment_config_rejects_unknown_modes_and_kinds(kw, field):
     from lgse.evaluate import ExperimentConfig
@@ -318,9 +453,23 @@ def test_experiment_config_rejects_unknown_modes_and_kinds(kw, field):
     (dict(durations_s=()), "durations_s"),
     (dict(snrs_db=()), "snrs_db"),
     (dict(utts_per_condition=0), "utts_per_condition"),
+    (dict(durations_s=(1.0, 0.02)), "durations_s"),
 ])
 def test_suite_config_rejects_empty_or_non_positive_settings(kw, field):
     from lgse.evaluate import TestSuiteConfig
 
     with pytest.raises(ValueError, match=f"^{field} must"):
         TestSuiteConfig(**kw)
+
+
+def test_one_window_is_the_shortest_setting_accepted():
+    from lgse.evaluate import ExperimentConfig, TestSuiteConfig
+    from lgse.training import TrainConfig
+
+    window = dsp.DEFAULT_STFT.win_len / SAMPLE_RATE
+    assert window == 0.032
+    ExperimentConfig(chunk_s=window)
+    TestSuiteConfig(durations_s=(window,))
+    TrainConfig(clip_len_s=window)
+    with pytest.raises(ValueError, match="^clip_len_s must be at least one analysis window"):
+        TrainConfig(clip_len_s=0.01)

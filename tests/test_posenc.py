@@ -249,6 +249,14 @@ def test_causal_mask_shape_and_values():
     assert np.all(np.tril(m) == 0.0)
 
 
+def test_causal_mask_is_a_read_only_view_of_the_upper_triangle():
+    for length in (1, 2, 7, 40):
+        m = causal_mask(length)
+        assert not m.flags.writeable and m.base is not None
+        assert np.array_equal(m, np.triu(np.full((length, length), -CAUSAL_NEG), k=1))
+        assert not np.signbit(m[m == 0.0]).any()
+
+
 # -- rope ----------------------------------------------------------------------
 
 
