@@ -2,7 +2,7 @@
 built small enough to train, verify, and study length generalization on a CPU.
 """
 
-from .dsp import StftConfig, Utterance, Waveform, mix_at_snr, stft, istft, synth_corpus
+from .dsp import Utterance, Waveform, mix_at_snr, stft, istft, synth_corpus
 from .evaluate import (
     ExperimentConfig,
     MetricReport,
@@ -26,7 +26,6 @@ __all__ = [
     "backward",
     "Waveform",
     "Utterance",
-    "StftConfig",
     "stft",
     "istft",
     "mix_at_snr",

@@ -16,7 +16,7 @@ from dataclasses import replace
 from . import dsp, selftest
 from .config import ConfigError, RunConfig, config_key_lines, load_run_config
 from .evaluate import (MODES, chunk_starts, enhance_chunked, enhance_full,
-                       run_lengen_experiment)
+                       run_lengen_experiment, seg_chunk_s)
 from .model import CapabilityError, EnhancementModel
 from .objectives import TargetKind
 from .posenc import PeKind
@@ -59,7 +59,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--mode", choices=list(MODES), default="full")
     p.add_argument("--chunk-s", type=float, default=0.0,
-                   help="chunk length for seg modes (0 = train.clip_len_s)")
+                   help="chunk length in seconds for the seg modes: 0 (the default) "
+                        "uses train.clip_len_s, otherwise at least one analysis "
+                        f"window ({dsp.WIN_LEN / dsp.SAMPLE_RATE:g} s)")
 
     p = sub.add_parser("experiment",
                        help="train per-scheme models and score length generalization")
@@ -134,9 +136,9 @@ def cmd_train(cfg: RunConfig, args) -> int:
 
 
 def cmd_enhance(cfg: RunConfig, args) -> int:
+    chunk_s = seg_chunk_s("--chunk-s", args.chunk_s, cfg.train.clip_len_s)
     model, _, _, _, _ = load_checkpoint(args.checkpoint)
     noisy = dsp.read_wav(args.input)
-    chunk_s = args.chunk_s if args.chunk_s > 0 else cfg.train.clip_len_s
     overlap = MODES[args.mode]
     if overlap is None:
         est = enhance_full(model, noisy)

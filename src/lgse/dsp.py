@@ -1,13 +1,14 @@
 """Waveform <-> time-frequency conversion, SNR mixing, synthetic corpus, WAV I/O.
 
-All audio is mono float64 at 16 kHz. Analysis uses a square-root Hann window
-of 32 ms with a 16 ms hop and a 512-point FFT, so sqrt-Hann analysis times
-sqrt-Hann synthesis satisfies constant overlap-add exactly on the interior.
+All audio is mono float64 at 16 kHz. The analysis is fixed here, and only
+here, by the module constants: a square-root Hann window of WIN_LEN = 512
+samples (32 ms) every HOP = 256 samples (16 ms) and an FFT_SIZE = 512-point
+FFT with N_BINS = 257 bins. Sqrt-Hann analysis times sqrt-Hann synthesis
+satisfies constant overlap-add exactly on the interior.
 """
 
 from __future__ import annotations
 
-import functools
 import wave
 import zlib
 from dataclasses import dataclass, field
@@ -15,11 +16,18 @@ from dataclasses import dataclass, field
 import numpy as np
 
 SAMPLE_RATE = 16000
+WIN_LEN = 512
+HOP = 256
+FFT_SIZE = 512
+N_BINS = FFT_SIZE // 2 + 1
 
 __all__ = [
     "SAMPLE_RATE",
-    "StftConfig",
-    "DEFAULT_STFT",
+    "WIN_LEN",
+    "HOP",
+    "FFT_SIZE",
+    "N_BINS",
+    "WINDOW",
     "Waveform",
     "Utterance",
     "AudioFormatError",
@@ -28,6 +36,7 @@ __all__ = [
     "require_one_frame",
     "frame_signal",
     "stft",
+    "rebuilt_span",
     "istft",
     "mix_at_snr",
     "noise_gain_for_snr",
@@ -49,43 +58,8 @@ def sqrt_hann(n: int) -> np.ndarray:
     return np.sqrt(0.5 * (1.0 - np.cos(2.0 * np.pi * k / n)))
 
 
-@functools.lru_cache(maxsize=8)
-def _shared_window(n: int) -> np.ndarray:
-    w = sqrt_hann(n)
-    w.flags.writeable = False
-    return w
-
-
-@dataclass(frozen=True)
-class StftConfig:
-    win_ms: int = 32
-    hop_ms: int = 16
-    fft_size: int = 512
-    sample_rate: int = SAMPLE_RATE
-
-    def __post_init__(self):
-        if self.win_len > self.fft_size:
-            raise ValueError(
-                f"window ({self.win_len} samples) exceeds fft_size {self.fft_size}")
-
-    @property
-    def win_len(self) -> int:
-        return self.win_ms * self.sample_rate // 1000
-
-    @property
-    def hop(self) -> int:
-        return self.hop_ms * self.sample_rate // 1000
-
-    @property
-    def n_bins(self) -> int:
-        return self.fft_size // 2 + 1
-
-    def window(self) -> np.ndarray:
-        """The analysis/synthesis window, computed once per length (read-only)."""
-        return _shared_window(self.win_len)
-
-
-DEFAULT_STFT = StftConfig()
+WINDOW = sqrt_hann(WIN_LEN)
+WINDOW.flags.writeable = False
 
 
 @dataclass
@@ -94,15 +68,11 @@ class Waveform:
     values are only peak-normalized when written to disk."""
 
     samples: np.ndarray
-    sample_rate: int = SAMPLE_RATE
 
     def __post_init__(self):
         self.samples = np.asarray(self.samples, dtype=np.float64)
         if self.samples.ndim != 1:
             raise ValueError(f"waveform must be 1-D, got shape {self.samples.shape}")
-        if self.sample_rate != SAMPLE_RATE:
-            raise AudioFormatError(
-                f"sample rate must be {SAMPLE_RATE} Hz, got {self.sample_rate}")
         if not np.isfinite(self.samples).all():
             raise ValueError("waveform contains non-finite samples")
 
@@ -111,40 +81,47 @@ class Waveform:
 
     @property
     def duration_s(self) -> float:
-        return len(self.samples) / self.sample_rate
+        return len(self.samples) / SAMPLE_RATE
 
 
-def frame_count(n_samples: int, cfg: StftConfig = DEFAULT_STFT) -> int:
+def frame_count(n_samples: int) -> int:
     """Number of full analysis frames; the final partial frame is dropped."""
-    if n_samples < cfg.win_len:
+    if n_samples < WIN_LEN:
         raise ValueError(
-            f"need at least {cfg.win_len} samples for one frame, got {n_samples}")
-    return 1 + (n_samples - cfg.win_len) // cfg.hop
+            f"need at least {WIN_LEN} samples for one frame, got {n_samples}")
+    return 1 + (n_samples - WIN_LEN) // HOP
 
 
-def require_one_frame(name: str, dur_s: float, cfg: StftConfig = DEFAULT_STFT) -> None:
+def require_one_frame(name: str, dur_s: float) -> None:
     """Raise a ValueError naming setting `name` when `dur_s` seconds hold
     fewer samples than one analysis window, the least any STFT can frame."""
-    if int(round(dur_s * SAMPLE_RATE)) < cfg.win_len:
+    if int(round(dur_s * SAMPLE_RATE)) < WIN_LEN:
         raise ValueError(f"{name} must be at least one analysis window "
-                         f"({cfg.win_len} samples, {cfg.win_len / SAMPLE_RATE:g} s), "
+                         f"({WIN_LEN} samples, {WIN_LEN / SAMPLE_RATE:g} s), "
                          f"got {dur_s:g}")
 
 
-def frame_signal(samples: np.ndarray, cfg: StftConfig = DEFAULT_STFT) -> np.ndarray:
-    """Window (..., n) signals into (..., L, win_len) frames; frame l starts at
-    l*hop."""
+def frame_signal(samples: np.ndarray) -> np.ndarray:
+    """Window (..., n) signals into (..., L, WIN_LEN) frames; frame l starts
+    at l*HOP."""
     samples = np.asarray(samples, dtype=np.float64)
-    frame_count(samples.shape[-1], cfg)  # rejects a signal shorter than one window
-    frames = np.lib.stride_tricks.sliding_window_view(samples, cfg.win_len, axis=-1)
-    return frames[..., ::cfg.hop, :] * cfg.window()
+    frame_count(samples.shape[-1])  # rejects a signal shorter than one window
+    frames = np.lib.stride_tricks.sliding_window_view(samples, WIN_LEN, axis=-1)
+    return frames[..., ::HOP, :] * WINDOW
 
 
-def stft(w: Waveform | np.ndarray, cfg: StftConfig = DEFAULT_STFT) -> np.ndarray:
-    """Complex (..., L, fft_size//2 + 1) spectrogram of a waveform or of a
-    (..., n) stack of equal-length signals."""
-    frames = frame_signal(w.samples if isinstance(w, Waveform) else w, cfg)
-    return np.fft.rfft(frames, n=cfg.fft_size, axis=-1)
+def stft(w: Waveform | np.ndarray) -> np.ndarray:
+    """Complex (..., L, N_BINS) spectrogram of a waveform or of a (..., n)
+    stack of equal-length signals."""
+    frames = frame_signal(w.samples if isinstance(w, Waveform) else w)
+    return np.fft.rfft(frames, n=FFT_SIZE, axis=-1)
+
+
+def rebuilt_span(n_samples: int) -> slice:
+    """The samples `istft` rebuilds from the `stft` of an n-sample signal:
+    all but the first, which sits under a zero of the window, and the tail
+    past the last full frame."""
+    return slice(1, (frame_count(n_samples) - 1) * HOP + WIN_LEN)
 
 
 def _overlap_add(frames: np.ndarray, hop: int, length: int) -> np.ndarray:
@@ -165,8 +142,7 @@ def _overlap_add(frames: np.ndarray, hop: int, length: int) -> np.ndarray:
     return out.reshape(frames.shape[:-2] + (-1,))[..., :length]
 
 
-def istft(spec: np.ndarray, cfg: StftConfig = DEFAULT_STFT,
-          out_len: int | None = None) -> Waveform | np.ndarray:
+def istft(spec: np.ndarray, out_len: int | None = None) -> Waveform | np.ndarray:
     """Overlap-add inverse with the sqrt-Hann synthesis window.
 
     Takes a (L, K) spectrogram and returns a Waveform, or a (..., L, K) stack
@@ -175,25 +151,23 @@ def istft(spec: np.ndarray, cfg: StftConfig = DEFAULT_STFT,
     dividing out the window-square overlap sum.
     """
     spec = np.asarray(spec)
-    if spec.ndim < 2 or spec.shape[-1] != cfg.n_bins:
+    if spec.ndim < 2 or spec.shape[-1] != N_BINS:
         raise ValueError(
-            f"spectrogram shape {spec.shape} does not match config with "
-            f"{cfg.n_bins} bins")
+            f"spectrogram shape {spec.shape} does not have {N_BINS} bins")
     n_frames = spec.shape[-2]
-    window = cfg.window()
-    total = (n_frames - 1) * cfg.hop + cfg.win_len
+    total = (n_frames - 1) * HOP + WIN_LEN
     if out_len is None:
         out_len = total
     # The analysis drops the final partial frame, so allow up to one window of
-    # uncovered (zero-filled) tail; anything longer means a config mismatch.
-    if out_len > total + cfg.win_len:
+    # uncovered (zero-filled) tail; anything longer cannot come from this STFT.
+    if out_len > total + WIN_LEN:
         raise ValueError(
             f"cannot reconstruct {out_len} samples from {n_frames} frames "
             f"(these cover {total})")
-    frames = np.fft.irfft(spec, n=cfg.fft_size, axis=-1)[..., :cfg.win_len]
-    out = _overlap_add(frames * window, cfg.hop, out_len)
-    wsum = _overlap_add(np.broadcast_to(window * window, (n_frames, cfg.win_len)),
-                        cfg.hop, out_len)
+    frames = np.fft.irfft(spec, n=FFT_SIZE, axis=-1)[..., :WIN_LEN]
+    out = _overlap_add(frames * WINDOW, HOP, out_len)
+    wsum = _overlap_add(np.broadcast_to(WINDOW * WINDOW, (n_frames, WIN_LEN)),
+                        HOP, out_len)
     np.divide(out, wsum, out=out, where=wsum > 1e-10)
     return Waveform(out) if spec.ndim == 2 else out
 
@@ -257,13 +231,12 @@ def _pink_noise(rng: np.random.Generator, n: int) -> np.ndarray:
     return np.fft.irfft(spec, n=n)
 
 
-def synth_utterance(rng: np.random.Generator, dur_s: float,
-                    cfg: StftConfig = DEFAULT_STFT) -> Utterance:
+def synth_utterance(rng: np.random.Generator, dur_s: float) -> Utterance:
     """Clean = 2-4 bin-centered sinusoids under random amplitude envelopes;
     noise = white or pink, also gently amplitude-modulated."""
     n = int(round(dur_s * SAMPLE_RATE))
     t = np.arange(n) / SAMPLE_RATE
-    bin_hz = SAMPLE_RATE / cfg.fft_size
+    bin_hz = SAMPLE_RATE / FFT_SIZE
     n_sin = int(rng.integers(2, 5))
     bins = rng.choice(np.arange(8, 200), size=n_sin, replace=False)
     freqs = bins * bin_hz
@@ -325,5 +298,5 @@ def write_wav(path, w: Waveform) -> None:
     with wave.open(str(path), "wb") as f:
         f.setnchannels(1)
         f.setsampwidth(2)
-        f.setframerate(w.sample_rate)
+        f.setframerate(SAMPLE_RATE)
         f.writeframes(pcm.tobytes())

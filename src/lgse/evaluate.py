@@ -13,7 +13,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from . import dsp, objectives
-from .dsp import DEFAULT_STFT, Utterance, Waveform, derived_seed
+from .dsp import Utterance, Waveform, derived_seed
 from .model import EnhancementModel, ModelConfig
 from .posenc import SCHEMES, PeKind
 from .training import TrainConfig, check_freeze, load_checkpoint, train
@@ -24,6 +24,7 @@ __all__ = [
     "enhance_full",
     "enhance_chunked",
     "chunk_starts",
+    "seg_chunk_s",
     "ReportRow",
     "MetricReport",
     "ExperimentConfig",
@@ -60,7 +61,7 @@ def si_sdr(est: Waveform | np.ndarray, ref: Waveform | np.ndarray,
 
 
 def seg_snr(est: Waveform | np.ndarray, ref: Waveform | np.ndarray,
-            frame: int = 512, hop: int = 256, floor_db: float = -10.0,
+            frame: int = dsp.WIN_LEN, hop: int = dsp.HOP, floor_db: float = -10.0,
             ceil_db: float = 35.0) -> float:
     """Mean per-frame SNR in dB, each frame clamped to [floor, ceil];
     silent reference frames are skipped."""
@@ -82,15 +83,14 @@ def seg_snr(est: Waveform | np.ndarray, ref: Waveform | np.ndarray,
 
 
 def enhance_full(model: EnhancementModel | tuple[EnhancementModel, ...],
-                 noisy: Waveform | np.ndarray,
-                 stft_cfg=DEFAULT_STFT) -> Waveform | np.ndarray | tuple:
+                 noisy: Waveform | np.ndarray) -> Waveform | np.ndarray | tuple:
     """One pass over all frames: stft -> predict -> apply target -> istft.
 
     Takes a Waveform and returns one, or a (B, n) stack of equal-length
     signals and returns the (B, n) enhanced stack from one forward over
-    (B, L, K). Samples the synthesis cannot reconstruct (the first sample,
-    under a Hann zero, and any dropped-partial-frame tail) pass through
-    unprocessed so every output row has its input's length.
+    (B, L, K). Samples outside `dsp.rebuilt_span(n)`, which the synthesis
+    cannot reconstruct, pass through unprocessed, so every output row has its
+    input's length.
 
     `model` may be a tuple of models; the call then returns a tuple of
     estimates, one per model in order. The input is analysed once (one stft
@@ -105,20 +105,34 @@ def enhance_full(model: EnhancementModel | tuple[EnhancementModel, ...],
         raise ValueError(f"expected a Waveform or a (B, n) stack, got shape "
                          f"{samples.shape}")
     n = samples.shape[-1]
-    spec = dsp.stft(samples, stft_cfg)
+    spec = dsp.stft(samples)
     mag = np.abs(spec)
-    covered = (spec.shape[-2] - 1) * stft_cfg.hop + stft_cfg.win_len
+    span = dsp.rebuilt_span(n)
     outs = []
     for m in models:
         # Nested calls free each model's prediction and enhanced spectrum
         # before the next model's are made.
         out = dsp.istft(objectives.apply_target(m.config, spec, m.predict(mag)),
-                        stft_cfg, out_len=n)
+                        out_len=n)
         out = out.samples if single else out
-        out[..., 0] = samples[..., 0]
-        out[..., covered:] = samples[..., covered:]
+        out[..., :span.start] = samples[..., :span.start]
+        out[..., span.stop:] = samples[..., span.stop:]
         outs.append(Waveform(out) if single else out)
     return tuple(outs) if isinstance(model, tuple) else outs[0]
+
+
+def seg_chunk_s(name: str, chunk_s: float, clip_len_s: float) -> float:
+    """The chunk length of the seg modes: `chunk_s` seconds, or the training
+    clip length `clip_len_s` when `chunk_s` is 0. A negative `chunk_s`, or one
+    shorter than an analysis window, raises a ValueError naming setting
+    `name`."""
+    if chunk_s < 0:
+        raise ValueError(f"{name} must be 0 (the training clip length) or a "
+                         f"chunk length in seconds, got {chunk_s:g}")
+    if chunk_s == 0:
+        return clip_len_s
+    dsp.require_one_frame(name, chunk_s)
+    return chunk_s
 
 
 def chunk_starts(n_samples: int, chunk_len: int, overlap: float) -> list[int]:
@@ -147,8 +161,8 @@ def _triangle(n: int) -> np.ndarray:
 
 
 def enhance_chunked(model: EnhancementModel | tuple[EnhancementModel, ...],
-                    noisy: Waveform, chunk_s: float, overlap: float,
-                    stft_cfg=DEFAULT_STFT) -> Waveform | tuple[Waveform, ...]:
+                    noisy: Waveform, chunk_s: float,
+                    overlap: float) -> Waveform | tuple[Waveform, ...]:
     """Enhance fixed-length chunks independently and recombine.
 
     The chunks go through `enhance_full` in (B, n) groups, as many per call
@@ -170,23 +184,20 @@ def enhance_chunked(model: EnhancementModel | tuple[EnhancementModel, ...],
     est = np.zeros((len(models), n))
     weight = np.zeros(n)
     win = _triangle(chunk_len) if overlap == 0.5 else np.ones(chunk_len)
-    # A chunk's ISTFT only reconstructs samples its analysis frames cover, and
-    # the first sample of each chunk sits under a zero of the Hann window;
-    # blend nothing outside that support.
-    n_frames = dsp.frame_count(chunk_len, stft_cfg)
-    sup = slice(1, (n_frames - 1) * stft_cfg.hop + stft_cfg.win_len)
-    group = max(1, _GROUP_BYTES // (16 * n_frames * stft_cfg.n_bins))
+    # Blend nothing outside the samples a chunk's ISTFT rebuilds.
+    sup = dsp.rebuilt_span(chunk_len)
+    group = max(1, _GROUP_BYTES // (16 * dsp.frame_count(chunk_len) * dsp.N_BINS))
     chunks = np.lib.stride_tricks.sliding_window_view(noisy.samples, chunk_len)
     for g in range(0, len(starts), group):
         batch = starts[g:g + group]
         for s in batch:
             weight[s + sup.start:s + sup.stop] += win[sup]
-        for e, out in zip(est, enhance_full(models, chunks[batch], stft_cfg)):
+        for e, out in zip(est, enhance_full(models, chunks[batch])):
             for s, row in zip(batch, out):
                 e[s + sup.start:s + sup.stop] += row[sup] * win[sup]
     tail_start = starts[-1] + chunk_len
-    if tail_start < n and n - tail_start >= stft_cfg.win_len:
-        outs = enhance_full(models, Waveform(noisy.samples[tail_start:]), stft_cfg)
+    if tail_start < n and n - tail_start >= dsp.WIN_LEN:
+        outs = enhance_full(models, Waveform(noisy.samples[tail_start:]))
         for e, out in zip(est, outs):
             e[tail_start + 1:] += out.samples[1:]
         weight[tail_start + 1:] += 1.0
@@ -241,11 +252,8 @@ class ExperimentConfig:
             if not chosen or unknown:
                 raise ValueError(f"{name} must be one or more of {', '.join(allowed)}; "
                                  f"got {', '.join(chosen) or 'none'}")
-        if self.chunk_s < 0:
-            raise ValueError(f"chunk_s must be 0 (the training clip length) or a "
-                             f"chunk length in seconds, got {self.chunk_s:g}")
-        if self.chunk_s > 0:
-            dsp.require_one_frame("chunk_s", self.chunk_s)
+        # The clip length is only known when the experiment runs.
+        seg_chunk_s("chunk_s", self.chunk_s, clip_len_s=0.0)
 
 
 @dataclass
@@ -387,7 +395,7 @@ def run_lengen_experiment(seed: int, model_cfg: ModelConfig,
         models[kind] = train_or_load(kind, model_cfg, train_cfg, corpus, ckpt,
                                      retrain=exp.retrain, loss_csv=losses)
 
-    chunk_s = exp.chunk_s if exp.chunk_s > 0 else train_cfg.clip_len_s
+    chunk_s = seg_chunk_s("chunk_s", exp.chunk_s, train_cfg.clip_len_s)
     rows: list[ReportRow] = []
     for dur in suite.durations_s:
         utts = dsp.synth_corpus(derived_seed(seed, f"corpus.test.{dur:g}"),

@@ -14,7 +14,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from . import objectives, posenc
+from . import dsp, objectives, posenc
 from .numerics import (
     Tensor,
     add,
@@ -51,7 +51,7 @@ class ModelConfig:
     n_heads: int = 8
     d_model: int = 256
     d_ff: int = 1024
-    k_bins: int = 257
+    k_bins: int = dsp.N_BINS
     pe_kind: PeKind = PeKind.LEARNLIN
     target: TargetKind = TargetKind.IRM
     causal: bool = False

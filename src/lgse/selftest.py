@@ -14,7 +14,7 @@ import numpy as np
 
 from . import dsp, evaluate, objectives, posenc, training
 from . import model as model_module
-from .dsp import DEFAULT_STFT, Waveform
+from .dsp import Waveform
 from .model import EnhancementModel, ModelConfig
 from .numerics import Tensor, backward, finite_difference
 from .posenc import PeKind
@@ -158,9 +158,9 @@ def check_stft_roundtrip():
     for dur in (1.0, 3.5):
         n = int(dur * dsp.SAMPLE_RATE)
         x = rng.uniform(-0.5, 0.5, n)
-        spec = dsp.stft(Waveform(x), DEFAULT_STFT)
-        y = dsp.istft(spec, DEFAULT_STFT, out_len=n).samples
-        lo, hi = DEFAULT_STFT.win_len, (spec.shape[0] - 1) * DEFAULT_STFT.hop
+        spec = dsp.stft(Waveform(x))
+        y = dsp.istft(spec, out_len=n).samples
+        lo, hi = dsp.WIN_LEN, (spec.shape[0] - 1) * dsp.HOP
         err = np.max(np.abs(x[lo:hi] - y[lo:hi]))
         assert err < 1e-10, f"round-trip error {err}"
 
@@ -185,7 +185,7 @@ def check_oracle_masks():
             cfg = ModelConfig(target=kind)
             pred = objectives.target_grid(cfg, spec_s, spec_v, spec_x)
             out = objectives.apply_target(cfg, spec_x, pred)
-            est = dsp.istft(out, DEFAULT_STFT, out_len=len(noisy))
+            est = dsp.istft(out, out_len=len(noisy))
             after = evaluate.si_sdr(est, utt.clean)
             assert after - before > 5.0, f"{kind.value}: {after - before:.2f} dB"
 

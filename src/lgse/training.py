@@ -10,7 +10,7 @@ from dataclasses import asdict, dataclass, field, fields
 import numpy as np
 
 from . import dsp, objectives
-from .dsp import DEFAULT_STFT, StftConfig, Utterance
+from .dsp import Utterance
 from .model import EnhancementModel, ModelConfig
 from .numerics import Tensor, backward, constant, mul, reduce_mean, sub
 
@@ -60,8 +60,14 @@ class TrainConfig:
         if self.snr_high_db < self.snr_low_db:
             raise ValueError("snr_high_db must be >= snr_low_db")
         dsp.require_one_frame("clip_len_s", self.clip_len_s)
-        if self.batch_utts < 1:
-            raise ValueError(f"batch_utts must be at least 1, got {self.batch_utts}")
+        for name in ("batch_utts", "epochs", "w_steps"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be at least 1, got {getattr(self, name)}")
+        if self.max_steps < 0:
+            raise ValueError(f"max_steps must be 0 (run all epochs) or a step count, "
+                             f"got {self.max_steps}")
+        if not self.grad_clip > 0:
+            raise ValueError(f"grad_clip must be positive, got {self.grad_clip:g}")
 
 
 def lr_schedule(n_step: int, w_steps: int, d_model: int) -> float:
@@ -72,8 +78,7 @@ def lr_schedule(n_step: int, w_steps: int, d_model: int) -> float:
 
 
 def make_batch(utts: list[Utterance], cfg: TrainConfig, rng: np.random.Generator,
-               model_cfg: ModelConfig,
-               stft_cfg: StftConfig = DEFAULT_STFT) -> tuple[np.ndarray, np.ndarray]:
+               model_cfg: ModelConfig) -> tuple[np.ndarray, np.ndarray]:
     """Split each clean utterance into fixed clips (last partial dropped) and
     mix each clip with a random noise segment at a random integer SNR.
 
@@ -98,7 +103,7 @@ def make_batch(utts: list[Utterance], cfg: TrainConfig, rng: np.random.Generator
             noise.append(dsp.noise_gain_for_snr(clip, seg, snr) * seg)
     s = np.reshape(clean, (-1, clip_len))
     v = np.reshape(noise, (-1, clip_len))
-    spec_s, spec_v, spec_x = dsp.stft(np.stack([s, v, s + v]), stft_cfg)
+    spec_s, spec_v, spec_x = dsp.stft(np.stack([s, v, s + v]))
     return np.abs(spec_x), objectives.target_grid(model_cfg, spec_s, spec_v, spec_x)
 
 

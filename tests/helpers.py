@@ -9,7 +9,7 @@ import struct
 import numpy as np
 
 from lgse import dsp, objectives
-from lgse.dsp import DEFAULT_STFT, Waveform
+from lgse.dsp import Waveform
 from lgse.evaluate import _triangle, chunk_starts, enhance_full
 from lgse.model import EnhancementModel
 from lgse.posenc import CAUSAL_NEG, PeKind, sinusoidal_embedding
@@ -24,7 +24,7 @@ def naive_dft(x: np.ndarray) -> np.ndarray:
     return (x[None, :] * np.exp(-2j * np.pi * k * t / n)).sum(axis=1)
 
 
-def make_batch_loop(utts, cfg, rng, model_cfg, stft_cfg=DEFAULT_STFT):
+def make_batch_loop(utts, cfg, rng, model_cfg):
     """Three STFTs and one target per clip; oracle for the stacked
     `training.make_batch`. Returns one (clean, noise_scaled, snr_db, x_mag,
     target) tuple per usable clip, drawing the same RNG values in the same
@@ -41,9 +41,9 @@ def make_batch_loop(utts, cfg, rng, model_cfg, stft_cfg=DEFAULT_STFT):
             noise = src[offset:offset + clip_len]
             snr = int(rng.integers(cfg.snr_low_db, cfg.snr_high_db + 1))
             noise_scaled = dsp.noise_gain_for_snr(clean, noise, snr) * noise
-            spec_s = dsp.stft(Waveform(clean), stft_cfg)
-            spec_v = dsp.stft(Waveform(noise_scaled), stft_cfg)
-            spec_x = dsp.stft(Waveform(clean + noise_scaled), stft_cfg)
+            spec_s = dsp.stft(Waveform(clean))
+            spec_v = dsp.stft(Waveform(noise_scaled))
+            spec_x = dsp.stft(Waveform(clean + noise_scaled))
             target = objectives.target_grid(model_cfg, spec_s, spec_v, spec_x)
             clips.append((clean, noise_scaled, snr, np.abs(spec_x), target))
     return clips
@@ -66,28 +66,32 @@ def rewrite_model_config(path, edit) -> None:
     rewrite_meta(path, lambda meta: edit(meta["model_config"]))
 
 
-def istft_loop(spec: np.ndarray, cfg=DEFAULT_STFT,
-               out_len: int | None = None) -> np.ndarray:
+def overlap_add_loop(frames: np.ndarray, hop: int, length: int) -> np.ndarray:
+    """Frame-by-frame sum of (L, win) frames placed every `hop` samples,
+    cut or zero-padded to `length`; oracle for `dsp._overlap_add`."""
+    n_frames, win = frames.shape
+    out = np.zeros(max((n_frames - 1) * hop + win, length))
+    for l in range(n_frames):
+        out[l * hop:l * hop + win] += frames[l]
+    return out[:length]
+
+
+def istft_loop(spec: np.ndarray, out_len: int | None = None) -> np.ndarray:
     """Frame-by-frame overlap-add of one (L, K) spectrogram; oracle for the
     strided `dsp.istft`."""
     n_frames = spec.shape[0]
-    window = cfg.window()
-    total = (n_frames - 1) * cfg.hop + cfg.win_len
-    out_len = total if out_len is None else out_len
-    frames = np.fft.irfft(spec, n=cfg.fft_size, axis=1)[:, :cfg.win_len]
-    out = np.zeros(max(total, out_len))
-    wsum = np.zeros(max(total, out_len))
-    for l in range(n_frames):
-        start = l * cfg.hop
-        out[start:start + cfg.win_len] += frames[l] * window
-        wsum[start:start + cfg.win_len] += window * window
+    out_len = (n_frames - 1) * dsp.HOP + dsp.WIN_LEN if out_len is None else out_len
+    frames = np.fft.irfft(spec, n=dsp.FFT_SIZE, axis=1)[:, :dsp.WIN_LEN]
+    out = overlap_add_loop(frames * dsp.WINDOW, dsp.HOP, out_len)
+    wsum = overlap_add_loop(np.tile(dsp.WINDOW * dsp.WINDOW, (n_frames, 1)),
+                            dsp.HOP, out_len)
     nonzero = wsum > 1e-10
     out[nonzero] /= wsum[nonzero]
-    return out[:out_len]
+    return out
 
 
-def enhance_chunked_loop(model, noisy: Waveform, chunk_s: float, overlap: float,
-                         stft_cfg=DEFAULT_STFT) -> np.ndarray:
+def enhance_chunked_loop(model, noisy: Waveform, chunk_s: float,
+                         overlap: float) -> np.ndarray:
     """One `enhance_full` call per chunk; oracle for the grouped
     `enhance_chunked`."""
     chunk_len = int(round(chunk_s * dsp.SAMPLE_RATE))
@@ -96,17 +100,15 @@ def enhance_chunked_loop(model, noisy: Waveform, chunk_s: float, overlap: float,
     est = np.zeros(n)
     weight = np.zeros(n)
     win = _triangle(chunk_len) if overlap == 0.5 else np.ones(chunk_len)
-    n_frames = dsp.frame_count(chunk_len, stft_cfg)
-    sup = slice(1, (n_frames - 1) * stft_cfg.hop + stft_cfg.win_len)
+    sup = slice(1, (dsp.frame_count(chunk_len) - 1) * dsp.HOP + dsp.WIN_LEN)
     for s in starts:
         seg = Waveform(noisy.samples[s:s + chunk_len])
-        out = enhance_full(model, seg, stft_cfg).samples
+        out = enhance_full(model, seg).samples
         est[s + sup.start:s + sup.stop] += out[sup] * win[sup]
         weight[s + sup.start:s + sup.stop] += win[sup]
     tail_start = starts[-1] + chunk_len
-    if tail_start < n and n - tail_start >= stft_cfg.win_len:
-        out = enhance_full(model, Waveform(noisy.samples[tail_start:]),
-                           stft_cfg).samples
+    if tail_start < n and n - tail_start >= dsp.WIN_LEN:
+        out = enhance_full(model, Waveform(noisy.samples[tail_start:])).samples
         est[tail_start + 1:] += out[1:]
         weight[tail_start + 1:] += 1.0
     blended = weight > 1e-8

@@ -95,7 +95,6 @@ def test_synth_writes_corpus_and_manifest(tmp_path):
     manifest = json.loads((out / "manifest.json").read_text())
     assert len(manifest["pairs"]) == 3
     wav = dsp.read_wav(out / manifest["pairs"][0]["clean"])
-    assert wav.sample_rate == 16000
     assert abs(wav.duration_s - 0.6) < 0.01
 
     # Re-running reproduces identical bytes.
@@ -242,6 +241,11 @@ def test_enhance_checkpoint_with_bad_meta_errors(trained, tmp_path, capsys,
     ("model.tisa_kernels=0", "tisa_kernels"),
     ("model.ln_eps=-1", "ln_eps"),
     ("train.clip_len_s=0.01", "clip_len_s"),
+    ("train.w_steps=0", "w_steps"),
+    ("train.max_steps=-1", "max_steps"),
+    ("train.grad_clip=-1", "grad_clip"),
+    ("train.grad_clip=0", "grad_clip"),
+    ("train.epochs=0", "epochs"),
 ])
 def test_train_with_unusable_sizes_errors(trained, tmp_path, capsys, override, field):
     _, corpus, _, _ = trained
@@ -252,6 +256,14 @@ def test_train_with_unusable_sizes_errors(trained, tmp_path, capsys, override, f
     assert code == 1
     assert err.startswith("error: ") and err.count("\n") == 1
     assert field in err
+    assert not (tmp_path / "m.lgse").exists()
+
+
+def test_train_with_negative_steps_errors(trained, tmp_path, capsys):
+    _, corpus, _, _ = trained
+    err = _one_error_line(capsys, "train", "--corpus-dir", str(corpus),
+                          "--out", str(tmp_path / "m.lgse"), "--steps", "-1")
+    assert "max_steps" in err
     assert not (tmp_path / "m.lgse").exists()
 
 
@@ -272,6 +284,19 @@ def test_enhance_unreadable_wav_errors(trained, tmp_path, capsys, content):
     err = _one_error_line(capsys, "enhance", str(bad), str(tmp_path / "y.wav"),
                           "--checkpoint", str(ckpt))
     assert "bad.wav: not a readable WAV file" in err
+    assert not (tmp_path / "y.wav").exists()
+
+
+@pytest.mark.parametrize("chunk_s", ["-1", "0.01"])
+def test_enhance_rejects_unusable_chunk_length(tmp_path, capsys, chunk_s):
+    # The checkpoint does not exist: the option is checked before it loads.
+    noisy = tmp_path / "in.wav"
+    utt = dsp.synth_corpus(8, 1, 2.0)[0]
+    dsp.write_wav(noisy, dsp.mix_at_snr(utt.clean, utt.noise, 5))
+    err = _one_error_line(capsys, "enhance", str(noisy), str(tmp_path / "y.wav"),
+                          "--checkpoint", str(tmp_path / "missing.lgse"),
+                          "--mode", "seg", "--chunk-s", chunk_s)
+    assert "--chunk-s" in err
     assert not (tmp_path / "y.wav").exists()
 
 

@@ -3,18 +3,23 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import istft_loop, naive_dft
+from helpers import istft_loop, naive_dft, overlap_add_loop
 from lgse.dsp import (
-    DEFAULT_STFT,
+    FFT_SIZE,
+    HOP,
+    N_BINS,
     SAMPLE_RATE,
+    WIN_LEN,
+    WINDOW,
     AudioFormatError,
-    StftConfig,
     Waveform,
+    _overlap_add,
     frame_count,
     frame_signal,
     istft,
     mix_at_snr,
     read_wav,
+    rebuilt_span,
     sqrt_hann,
     stft,
     synth_corpus,
@@ -27,9 +32,13 @@ def white(n, seed=0, amp=0.5):
 
 
 def test_config_defaults():
-    assert DEFAULT_STFT.win_len == 512
-    assert DEFAULT_STFT.hop == 256
-    assert DEFAULT_STFT.n_bins == 257
+    assert (WIN_LEN, HOP, FFT_SIZE, N_BINS) == (512, 256, 512, 257)
+    assert np.array_equal(WINDOW, sqrt_hann(512))
+
+
+def test_window_is_read_only():
+    with pytest.raises(ValueError, match="read-only"):
+        WINDOW[0] = 1.0
 
 
 def test_stft_zero_frame():
@@ -58,7 +67,7 @@ def test_stft_too_short_reports_minimum():
 
 def test_stft_frames_match_naive_dft():
     x = white(512 + 256 * 3, seed=4)
-    frames = frame_signal(x, DEFAULT_STFT)
+    frames = frame_signal(x)
     spec = stft(Waveform(x))
     for l in range(frames.shape[0]):
         oracle = naive_dft(frames[l])
@@ -77,20 +86,20 @@ def test_cola_window_sum_constant():
 def test_roundtrip_random_signal():
     x = white(16000, seed=1)
     spec = stft(Waveform(x))
-    y = istft(spec, DEFAULT_STFT, out_len=16000).samples
+    y = istft(spec, out_len=16000).samples
     lo, hi = 512, 16000 - 512
     assert np.max(np.abs(x[lo:hi] - y[lo:hi])) < 1e-10
 
 
 def test_roundtrip_zero_spectrogram():
-    out = istft(np.zeros((10, 257), dtype=complex), DEFAULT_STFT)
+    out = istft(np.zeros((10, 257), dtype=complex))
     assert np.all(out.samples == 0)
 
 
 def test_roundtrip_preserves_sinusoid_rms():
     t = np.arange(2 * SAMPLE_RATE) / SAMPLE_RATE
     x = 0.4 * np.sin(2 * np.pi * 500.0 * t)
-    y = istft(stft(Waveform(x)), DEFAULT_STFT, out_len=len(x)).samples
+    y = istft(stft(Waveform(x)), out_len=len(x)).samples
     lo, hi = 512, len(x) - 512
     rms_in = np.sqrt(np.mean(x[lo:hi] ** 2))
     rms_out = np.sqrt(np.mean(y[lo:hi] ** 2))
@@ -102,35 +111,53 @@ def test_roundtrip_preserves_sinusoid_rms():
                                        (9000, 8000)])
 def test_istft_equals_frame_loop(win_ms, hop_ms, n, out_len):
     """Each sample sums its frames in the loop's order, so the strided
-    overlap-add is bit-identical whether or not the hop divides the window."""
-    cfg = StftConfig(win_ms=win_ms, hop_ms=hop_ms)
-    spec = stft(Waveform(white(n, seed=n + hop_ms)), cfg)
-    got = istft(spec, cfg, out_len=out_len).samples
-    assert np.array_equal(got, istft_loop(spec, cfg, out_len=out_len))
+    overlap-add is bit-identical whether or not the hop divides the window,
+    and at the analysis geometry (32, 16) `istft` equals the loop."""
+    win, hop = win_ms * SAMPLE_RATE // 1000, hop_ms * SAMPLE_RATE // 1000
+    x = white(n, seed=n + hop_ms)
+    frames = np.lib.stride_tricks.sliding_window_view(x, win)[::hop]
+    length = (len(frames) - 1) * hop + win if out_len is None else out_len
+    assert np.array_equal(_overlap_add(frames, hop, length),
+                          overlap_add_loop(frames, hop, length))
+    if (win, hop) == (WIN_LEN, HOP):
+        spec = stft(Waveform(x))
+        got = istft(spec, out_len=out_len).samples
+        assert np.array_equal(got, istft_loop(spec, out_len=out_len))
+
+
+@pytest.mark.parametrize("n", [512, 10 * HOP, 10 * HOP + 100])
+def test_rebuilt_span_is_what_the_frame_loop_covers(n):
+    """The span is where the loop's window-square sum is nonzero: all but
+    sample 0 (a zero of the window) and the tail past the last full frame."""
+    n_frames = frame_count(n)
+    wsum = overlap_add_loop(np.tile(WINDOW * WINDOW, (n_frames, 1)), HOP, n)
+    covered = np.flatnonzero(wsum > 1e-10)
+    span = rebuilt_span(n)
+    assert np.array_equal(covered, np.arange(span.start, span.stop))
+    assert span.start == 1 and span.stop == (n_frames - 1) * HOP + WIN_LEN
 
 
 def test_stft_and_istft_take_stacks():
     xs = np.stack([white(5000, seed=s) for s in range(6)]).reshape(2, 3, 5000)
     spec = stft(xs)
     assert spec.shape == (2, 3) + stft(Waveform(xs[0, 0])).shape
-    out = istft(spec, DEFAULT_STFT, out_len=5000)
+    out = istft(spec, out_len=5000)
     assert isinstance(out, np.ndarray) and out.shape == xs.shape
     for i in range(2):
         for j in range(3):
             row = stft(Waveform(xs[i, j]))
             assert np.max(np.abs(spec[i, j] - row)) <= 1e-12
-            assert np.max(np.abs(out[i, j] - istft(row, DEFAULT_STFT,
-                                                   out_len=5000).samples)) <= 1e-12
+            assert np.max(np.abs(out[i, j] - istft(row, out_len=5000).samples)) <= 1e-12
 
 
 def test_istft_rejects_wrong_bin_count():
     with pytest.raises(ValueError, match="bins"):
-        istft(np.zeros((4, 100), dtype=complex), DEFAULT_STFT)
+        istft(np.zeros((4, 100), dtype=complex))
 
 
 def test_parseval_per_frame():
     x = white(512 * 2, seed=7)
-    frames = frame_signal(x, DEFAULT_STFT)
+    frames = frame_signal(x)
     spec = stft(Waveform(x))
     for l in range(frames.shape[0]):
         e_time = np.sum(frames[l] ** 2)
@@ -220,12 +247,15 @@ def test_synth_spectral_peaks_at_declared_bins():
 
 
 def test_wav_roundtrip(tmp_path):
+    import wave
+
     x = Waveform(white(4000, 5, amp=0.8))
     path = tmp_path / "a.wav"
     write_wav(path, x)
+    with wave.open(str(path), "rb") as f:
+        assert f.getframerate() == SAMPLE_RATE
     y = read_wav(path)
     assert len(y) == len(x)
-    assert y.sample_rate == SAMPLE_RATE
     assert np.max(np.abs(y.samples - x.samples)) < 1.0 / 32768 + 1e-9
 
 
@@ -260,8 +290,3 @@ def test_wav_rejects_unreadable_file(tmp_path, content):
     path.write_bytes(content)
     with pytest.raises(AudioFormatError, match="junk.wav: not a readable WAV file"):
         read_wav(path)
-
-
-def test_waveform_rejects_other_rates():
-    with pytest.raises(AudioFormatError):
-        Waveform(np.zeros(10), sample_rate=8000)

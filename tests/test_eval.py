@@ -206,6 +206,21 @@ def test_enhance_full_rejects_flat_array():
         enhance_full(small_model("irm"), white(5000))
 
 
+@pytest.mark.parametrize("n", [512, 10 * dsp.HOP, 5000])
+def test_enhance_full_passes_through_outside_the_rebuilt_span(n):
+    model = small_model("irm")
+    span = dsp.rebuilt_span(n)
+    outside = np.ones(n, dtype=bool)
+    outside[span] = False
+    xs = np.stack([white(n, seed=40 + i) for i in range(2)])
+    one = enhance_full(model, Waveform(xs[0])).samples
+    stack = enhance_full(model, xs)
+    assert np.array_equal(one[outside], xs[0][outside])
+    assert np.array_equal(stack[:, outside], xs[:, outside])
+    # The mask changes every sample inside the span.
+    assert not np.any(one[span] == xs[0][span])
+
+
 # 0.1 s chunks of 1600 samples: five frames, 20,560 bytes of spectrum each.
 # 8600 samples leave a 600-sample tail (enhanced on its own); 8300 leave 300
 # (shorter than a window, passed through).
@@ -466,7 +481,7 @@ def test_one_window_is_the_shortest_setting_accepted():
     from lgse.evaluate import ExperimentConfig, TestSuiteConfig
     from lgse.training import TrainConfig
 
-    window = dsp.DEFAULT_STFT.win_len / SAMPLE_RATE
+    window = dsp.WIN_LEN / SAMPLE_RATE
     assert window == 0.032
     ExperimentConfig(chunk_s=window)
     TestSuiteConfig(durations_s=(window,))
