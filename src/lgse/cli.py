@@ -137,14 +137,18 @@ def cmd_train(cfg: RunConfig, args) -> int:
 
 def cmd_enhance(cfg: RunConfig, args) -> int:
     chunk_s = seg_chunk_s("--chunk-s", args.chunk_s, cfg.train.clip_len_s)
-    model, _, _, _, _ = load_checkpoint(args.checkpoint)
     noisy = dsp.read_wav(args.input)
     overlap = MODES[args.mode]
+    if overlap is not None:
+        chunk_len = int(round(chunk_s * dsp.SAMPLE_RATE))
+        if chunk_len > len(noisy):
+            raise ValueError(f"--chunk-s: a {chunk_s:g} s chunk is longer than "
+                             f"{args.input} ({noisy.duration_s:g} s)")
+    model, _ = load_checkpoint(args.checkpoint)
     if overlap is None:
         est = enhance_full(model, noisy)
     else:
-        n_chunks = len(chunk_starts(len(noisy),
-                                    int(round(chunk_s * dsp.SAMPLE_RATE)), overlap))
+        n_chunks = len(chunk_starts(len(noisy), chunk_len, overlap))
         print(f"mode {args.mode}: {n_chunks} chunks of {chunk_s:g}s")
         est = enhance_chunked(model, noisy, chunk_s, overlap)
     dsp.write_wav(args.output, est)

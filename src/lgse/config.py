@@ -13,7 +13,7 @@ import json
 from dataclasses import dataclass, field, fields, replace
 from typing import Any
 
-from .dsp import derived_seed
+from .dsp import N_BINS, derived_seed
 from .evaluate import ExperimentConfig, TestSuiteConfig
 from .model import ModelConfig
 from .objectives import TargetKind
@@ -64,7 +64,7 @@ KEY_HELP = {
     "model.n_heads": "attention heads H",
     "model.d_model": "embedding width",
     "model.d_ff": "feed-forward inner width",
-    "model.k_bins": "frequency bins per frame (fft/2+1)",
+    "model.k_bins": f"frequency bins per frame; must be fft/2+1 = {N_BINS}",
     "model.pe_kind": "positional encoding: " + "|".join(k.value for k in SCHEMES),
     "model.target": "training objective: " + "|".join(k.value for k in TargetKind),
     "model.causal": "mask attention to past frames only",
@@ -90,7 +90,6 @@ KEY_HELP = {
     "train.adam_eps": "Adam epsilon",
     "train.grad_clip": "elementwise gradient clip bound",
     "train.seed": "training-stream seed (derived from master seed by default)",
-    "train.checkpoint_every": "periodic checkpoint cadence in steps",
     "train.freeze": "comma-separated parameter names excluded from updates",
     "synth.n_utts": "utterance pairs to synthesize",
     "synth.dur_s": "utterance duration in seconds",
@@ -191,6 +190,11 @@ def load_run_config(path=None, overrides: list[str] | None = None,
     for section, values in updates.items():
         setattr(cfg, section,
                 _apply_section(getattr(cfg, section), section, values, provided))
+    # ModelConfig takes any k_bins so that tests can build small models, but
+    # only the fixed STFT's bin count can train or enhance audio.
+    if cfg.model.k_bins != N_BINS:
+        raise ConfigError(f"model.k_bins must be {N_BINS} (the STFT's bins per "
+                          f"frame), got {cfg.model.k_bins}")
     if seed is not None:
         cfg.seed = seed
         provided.add("seed")

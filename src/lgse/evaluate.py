@@ -357,7 +357,7 @@ def train_or_load(kind: str, model_cfg: ModelConfig, train_cfg: TrainConfig,
     `corpus()` and save; `corpus` is only called when the model trains."""
     cfg = model_cfg.with_pe(kind)
     if not retrain and ckpt_path is not None and os.path.exists(ckpt_path):
-        model, _, _, _, _ = load_checkpoint(ckpt_path)
+        model, _ = load_checkpoint(ckpt_path)
         if model.config.pe_kind is not PeKind(kind):
             raise ValueError(
                 f"checkpoint {ckpt_path} holds {model.config.pe_kind.value!r}, "

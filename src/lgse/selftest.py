@@ -7,6 +7,8 @@ computed by naive independent evaluators, never by the code under test.
 
 from __future__ import annotations
 
+import os
+import tempfile
 import time
 import traceback
 
@@ -245,6 +247,32 @@ def check_tape_free_forward():
         model_module._BLOCK_BYTES = saved
 
 
+def check_checkpoint_roundtrip():
+    """Save and load a tiny model per scheme, its tensors moved off their
+    init values so that a record the loader skips shows: `predict` must be
+    bitwise equal and a second save byte-identical. L = 13 runs bertpos
+    past its trained rows, into its buffer."""
+    rng = np.random.default_rng(13)
+    x = rng.uniform(0.0, 2.0, (13, 9))
+    with tempfile.TemporaryDirectory() as tmp:
+        first, second = os.path.join(tmp, "a.lgse"), os.path.join(tmp, "b.lgse")
+        for kind in posenc.SCHEMES:
+            model = EnhancementModel(ModelConfig(
+                n_layers=2, n_heads=2, d_model=8, d_ff=16, k_bins=9, pe_kind=kind,
+                bertpos_max_len=8, bertpos_hard_cap=16, init_seed=5))
+            for t in model.params.values():
+                t.data = t.data + rng.normal(0.0, 0.1, t.shape)
+            for name, arr in model.buffers.items():
+                model.buffers[name] = arr + rng.normal(0.0, 0.1, arr.shape)
+            training.save_checkpoint(first, model, step=3)
+            loaded, step = training.load_checkpoint(first)
+            assert step == 3, f"{kind.value}: step {step} != 3"
+            assert np.array_equal(loaded.predict(x), model.predict(x)), kind.value
+            training.save_checkpoint(second, loaded, step=step)
+            with open(first, "rb") as a, open(second, "rb") as b:
+                assert a.read() == b.read(), f"{kind.value}: second save differs"
+
+
 def check_mix_snr():
     rng = np.random.default_rng(2)
     clean = Waveform(rng.uniform(-0.3, 0.3, 8000))
@@ -265,6 +293,7 @@ CHECKS = [
     ("dsp", "mix_at_snr", check_mix_snr, False),
     ("objectives", "oracle_masks", check_oracle_masks, False),
     ("training", "lr_schedule", check_lr_schedule, False),
+    ("training", "checkpoint_roundtrip", check_checkpoint_roundtrip, False),
     ("eval", "chunk_counts", check_chunk_counts, False),
     ("model", "tape_free_forward", check_tape_free_forward, False),
     ("numerics", "model_gradient_check", check_gradient_small, True),

@@ -1,5 +1,6 @@
 """Training loop: on-the-fly mixing, mask-approximation MSE, Adam with the
-warmup schedule, elementwise gradient clipping, and bit-exact checkpoints."""
+warmup schedule, elementwise gradient clipping, and model checkpoints that
+reload to a bitwise-equal model."""
 
 from __future__ import annotations
 
@@ -32,7 +33,7 @@ __all__ = [
 ]
 
 CHECKPOINT_MAGIC = b"LGSE"
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
 
 
 class CheckpointError(RuntimeError):
@@ -53,7 +54,6 @@ class TrainConfig:
     adam_eps: float = 1e-9
     grad_clip: float = 1.0
     seed: int = 0
-    checkpoint_every: int = 0     # extra periodic saves; final save always happens
     freeze: tuple[str, ...] = ()  # parameter names excluded from updates
 
     def __post_init__(self):
@@ -168,16 +168,19 @@ def check_freeze(cfg: TrainConfig, model: EnhancementModel) -> None:
                          f"model: {', '.join(unknown)}")
 
 
-def train(model: EnhancementModel, corpus: list[Utterance], cfg: TrainConfig, *,
-          ckpt_path=None, loss_csv=None, adam_state: AdamState | None = None,
-          start_step: int = 0, rng: np.random.Generator | None = None,
-          resume_epoch: tuple[int, list[int], int] | None = None) -> TrainResult:
-    """Shuffled-epoch training; deterministic given cfg.seed.
+def _batches(n_utts: int, cfg: TrainConfig, rng: np.random.Generator):
+    """Utterance indices of each mini-batch: one shuffle per epoch, drawn
+    only when the epoch's first batch is requested."""
+    for _ in range(cfg.epochs):
+        order = rng.permutation(n_utts)
+        for pos in range(0, n_utts, cfg.batch_utts):
+            yield order[pos:pos + cfg.batch_utts]
 
-    Resuming from a checkpoint restores the optimizer state, the RNG, and the
-    position inside the interrupted epoch, so the next step is bit-identical
-    to an uninterrupted run.
-    """
+
+def train(model: EnhancementModel, corpus: list[Utterance], cfg: TrainConfig, *,
+          ckpt_path=None, loss_csv=None) -> TrainResult:
+    """Shuffled-epoch training, deterministic given cfg.seed. The model is
+    saved once, after the last step, when `ckpt_path` is given."""
     if not corpus:
         raise ValueError("corpus is empty")
     longest = max(len(utt.clean) for utt in corpus)
@@ -186,58 +189,30 @@ def train(model: EnhancementModel, corpus: list[Utterance], cfg: TrainConfig, *,
                          f"is {longest / dsp.SAMPLE_RATE:g} s, train.clip_len_s is "
                          f"{cfg.clip_len_s:g} s")
     check_freeze(cfg, model)
-    if rng is None:
-        rng = np.random.default_rng(np.random.SeedSequence(entropy=cfg.seed,
-                                                           spawn_key=(0x7472,)))
-    state = adam_state if adam_state is not None else AdamState()
-    result = TrainResult(steps=start_step, trace=[])
-
-    step = start_step
-    epoch0 = 0
-    pending: tuple[list[int], int] | None = None
-    if resume_epoch is not None:
-        epoch0, order_list, pos = resume_epoch
-        pending = (order_list, pos)
-
-    done = False
-    epoch, order, pos = epoch0, [], 0
-    for epoch in range(epoch0, cfg.epochs):
-        if pending is not None:
-            order, pos = pending
-            pending = None
-        else:
-            order, pos = list(rng.permutation(len(corpus))), 0
-        while pos < len(order):
-            utts = [corpus[i] for i in order[pos:pos + cfg.batch_utts]]
-            pos += cfg.batch_utts
-            x_mag, target = make_batch(utts, cfg, rng, model.config)
-            if len(x_mag) == 0:
-                continue
-            step += 1
-            lr = lr_schedule(step, cfg.w_steps, model.config.d_model)
-            model.zero_grad()
-            loss = mse_loss(model.forward(x_mag), target)
-            backward(loss)
-            clip_gradients(model.params, cfg.grad_clip)
-            adam_step(model.params, state, lr, cfg)
-            result.trace.append((step, lr, float(loss.data)))
-            if ckpt_path and cfg.checkpoint_every and step % cfg.checkpoint_every == 0:
-                save_checkpoint(ckpt_path, model, state, step,
-                                rng_state=rng.bit_generator.state,
-                                epoch_state=(epoch, [int(i) for i in order], pos))
-            if cfg.max_steps and step >= cfg.max_steps:
-                done = True
-                break
-        if done:
+    rng = np.random.default_rng(np.random.SeedSequence(entropy=cfg.seed,
+                                                       spawn_key=(0x7472,)))
+    state = AdamState()
+    trace: list[tuple[int, float, float]] = []
+    step = 0
+    for batch in _batches(len(corpus), cfg, rng):
+        x_mag, target = make_batch([corpus[i] for i in batch], cfg, rng, model.config)
+        if len(x_mag) == 0:
+            continue
+        step += 1
+        lr = lr_schedule(step, cfg.w_steps, model.config.d_model)
+        model.zero_grad()
+        loss = mse_loss(model.forward(x_mag), target)
+        backward(loss)
+        clip_gradients(model.params, cfg.grad_clip)
+        adam_step(model.params, state, lr, cfg)
+        trace.append((step, lr, float(loss.data)))
+        if cfg.max_steps and step >= cfg.max_steps:
             break
-    result.steps = step
     if ckpt_path:
-        save_checkpoint(ckpt_path, model, state, step,
-                        rng_state=rng.bit_generator.state,
-                        epoch_state=(epoch, [int(i) for i in order], pos))
+        save_checkpoint(ckpt_path, model, step=step)
     if loss_csv:
-        write_loss_csv(loss_csv, result.trace)
-    return result
+        write_loss_csv(loss_csv, trace)
+    return TrainResult(steps=step, trace=trace)
 
 
 def write_loss_csv(path, trace: list[tuple[int, float, float]]) -> None:
@@ -249,12 +224,14 @@ def write_loss_csv(path, trace: list[tuple[int, float, float]]) -> None:
 
 # -- checkpoint serialization -------------------------------------------------
 #
-# Layout (all little-endian):
+# Layout (all little-endian), version 2:
 #   magic "LGSE" | u32 version | u64 meta_len | meta JSON (sorted keys)
 #   | u32 n_records | records
+# meta: {"model_config": {...every ModelConfig field...}, "step": steps trained}
 # record: u32 name_len | name utf8 | u32 ndim | u64 dims... | f64 payload...
-# Records are sorted by name; parameters are "param.<name>", Adam moments
-# "adam.m.<name>" / "adam.v.<name>", fixed buffers "buffer.<name>".
+# Records are sorted by name and are exactly the model's tensors: parameters
+# "param.<name>" and fixed buffers "buffer.<name>". A checkpoint holds no
+# optimizer or RNG state, so training cannot resume from one.
 
 
 def _record_header(name: str, arr: np.ndarray) -> bytes:
@@ -270,28 +247,23 @@ def _config_dict(cfg: ModelConfig) -> dict:
     return d
 
 
-def save_checkpoint(path, model: EnhancementModel, state: AdamState | None,
-                    step: int, rng_state: dict | None = None,
-                    epoch_state: tuple[int, list[int], int] | None = None) -> None:
-    meta = {
-        "model_config": _config_dict(model.config),
-        "step": int(step),
-        "adam_t": state.t if state is not None else None,
-        "rng_state": rng_state,
-        "epoch_state": None if epoch_state is None else
-            {"epoch": epoch_state[0], "order": epoch_state[1], "pos": epoch_state[2]},
-    }
+def _model_records(model: EnhancementModel) -> dict[str, np.ndarray]:
+    """The model's tensors under their checkpoint record names."""
+    records = {f"param.{name}": t.data for name, t in model.params.items()}
+    records.update((f"buffer.{name}", arr) for name, arr in model.buffers.items())
+    return records
+
+
+def save_checkpoint(path, model: EnhancementModel, unused: None = None,
+                    step: int = 0) -> None:
+    """Write `model` and the number of steps it was trained for to `path`.
+
+    `unused` carries nothing: it keeps the positional call shape
+    `save_checkpoint(path, model, None, step)` that bench/workloads.py uses.
+    """
+    meta = {"model_config": _config_dict(model.config), "step": int(step)}
     meta_bytes = json.dumps(meta, sort_keys=True, separators=(",", ":")).encode("utf-8")
-    records: dict[str, np.ndarray] = {}
-    for name, t in model.params.items():
-        records[f"param.{name}"] = t.data
-    for name, arr in model.buffers.items():
-        records[f"buffer.{name}"] = arr
-    if state is not None:
-        for name, arr in state.m.items():
-            records[f"adam.m.{name}"] = arr
-        for name, arr in state.v.items():
-            records[f"adam.v.{name}"] = arr
+    records = _model_records(model)
     with open(path, "wb") as f:
         f.write(CHECKPOINT_MAGIC + struct.pack("<I", CHECKPOINT_VERSION)
                 + struct.pack("<Q", len(meta_bytes)) + meta_bytes
@@ -339,34 +311,13 @@ def _stored_config(path, meta: dict) -> ModelConfig:
         raise CheckpointError(f"{path}: bad model_config: {exc}") from None
 
 
-def _stored_progress(path, meta: dict) -> tuple[int, tuple[int, list[int], int] | None]:
-    """The checkpoint's step and its optional (epoch, order, pos) epoch state."""
-    def integer(value, name: str) -> int:
-        if isinstance(value, bool) or not isinstance(value, int):
-            raise CheckpointError(f"{path}: meta {name} must be an integer, "
-                                  f"got {value!r}")
-        return value
+def load_checkpoint(path) -> tuple[EnhancementModel, int]:
+    """Rebuild the model from a checkpoint file; returns (model, steps trained).
 
-    step = integer(meta.get("step"), "step")
-    es = meta.get("epoch_state")
-    if not es:
-        return step, None
-    if not isinstance(es, dict) or not isinstance(es.get("order"), list):
-        raise CheckpointError(f"{path}: meta epoch_state must hold an order list, "
-                              f"got {es!r}")
-    return step, (integer(es.get("epoch"), "epoch_state.epoch"),
-                  [integer(i, "epoch_state.order entry") for i in es["order"]],
-                  integer(es.get("pos"), "epoch_state.pos"))
-
-
-def load_checkpoint(path) -> tuple[EnhancementModel, AdamState, int, dict | None,
-                                   tuple[int, list[int], int] | None]:
-    """Rebuild the model (and optimizer/RNG state) from a checkpoint file.
-
-    Every tensor must be finite and have the shape a fresh model of the
-    stored config would have; the stored config must name every ModelConfig
-    field and nothing else; the meta block must hold an integer step and, if
-    any, an epoch state of integers. Any violation raises CheckpointError.
+    The stored config must name every ModelConfig field and nothing else, the
+    meta step must be an integer, and the records must be exactly the
+    tensors of a fresh model of the stored config, each finite and of that
+    model's shape. Any violation raises CheckpointError.
     """
     with open(path, "rb") as f:
         r = _Reader(f.read(), path)
@@ -374,12 +325,15 @@ def load_checkpoint(path) -> tuple[EnhancementModel, AdamState, int, dict | None
         raise CheckpointError(f"{path}: bad magic; not a checkpoint file")
     version = r.u32()
     if version != CHECKPOINT_VERSION:
-        raise CheckpointError(f"{path}: unsupported version {version}")
+        raise CheckpointError(f"{path}: unsupported checkpoint version {version}; "
+                              f"this build reads version {CHECKPOINT_VERSION}")
     meta = json.loads(r.read(r.u64()).decode("utf-8"))
     n_records = r.u32()
     records: dict[str, np.ndarray] = {}
     for _ in range(n_records):
         name = r.read(r.u32()).decode("utf-8")
+        if name in records:
+            raise CheckpointError(f"{path}: duplicate record {name}")
         ndim = r.u32()
         shape = tuple(r.u64() for _ in range(ndim))
         count = int(np.prod(shape)) if shape else 1
@@ -391,30 +345,23 @@ def load_checkpoint(path) -> tuple[EnhancementModel, AdamState, int, dict | None
     # with both the records and a fresh model.
     del r
 
-    model = EnhancementModel(_stored_config(path, meta))
+    config = _stored_config(path, meta)
+    step = meta.get("step")
+    if isinstance(step, bool) or not isinstance(step, int):
+        raise CheckpointError(f"{path}: meta step must be an integer, got {step!r}")
+    model = EnhancementModel(config)
+    expected = _model_records(model)
+    unknown, missing = set(records) - set(expected), set(expected) - set(records)
+    if unknown:
+        raise CheckpointError(f"{path}: unknown records {sorted(unknown)}")
+    if missing:
+        raise CheckpointError(f"{path}: missing records {sorted(missing)}")
+    for key, fresh in expected.items():
+        if records[key].shape != fresh.shape:
+            raise CheckpointError(f"{path}: tensor {key} has shape "
+                                  f"{records[key].shape}, config implies {fresh.shape}")
     for name, t in model.params.items():
-        key = f"param.{name}"
-        if key not in records:
-            raise CheckpointError(f"{path}: missing tensor {key}")
-        if records[key].shape != t.data.shape:
-            raise CheckpointError(
-                f"{path}: tensor {key} has shape {records[key].shape}, "
-                f"config implies {t.data.shape}")
-        t.data = records[key]
+        t.data = records[f"param.{name}"]
     for name in model.buffers:
-        key = f"buffer.{name}"
-        if key in records:
-            if records[key].shape != model.buffers[name].shape:
-                raise CheckpointError(
-                    f"{path}: buffer {key} has shape {records[key].shape}, "
-                    f"config implies {model.buffers[name].shape}")
-            model.buffers[name] = records[key]
-
-    state = AdamState(t=meta.get("adam_t") or 0)
-    for key, arr in records.items():
-        if key.startswith("adam.m."):
-            state.m[key[len("adam.m."):]] = arr
-        elif key.startswith("adam.v."):
-            state.v[key[len("adam.v."):]] = arr
-    step, epoch_state = _stored_progress(path, meta)
-    return model, state, step, meta.get("rng_state"), epoch_state
+        model.buffers[name] = records[f"buffer.{name}"]
+    return model, step

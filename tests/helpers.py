@@ -66,6 +66,37 @@ def rewrite_model_config(path, edit) -> None:
     rewrite_meta(path, lambda meta: edit(meta["model_config"]))
 
 
+def rewrite_records(path, edit) -> list[str]:
+    """Apply `edit` to a checkpoint's {name: record bytes} map in place,
+    keeping the record count consistent; returns the names as stored."""
+    raw = path.read_bytes()
+    (meta_len,) = struct.unpack("<Q", raw[8:16])
+    head = 16 + meta_len
+    (n_records,) = struct.unpack("<I", raw[head:head + 4])
+    records, pos = {}, head + 4
+    for _ in range(n_records):
+        start = pos
+        (name_len,) = struct.unpack("<I", raw[pos:pos + 4])
+        name = raw[pos + 4:pos + 4 + name_len].decode("utf-8")
+        pos += 4 + name_len
+        (ndim,) = struct.unpack("<I", raw[pos:pos + 4])
+        shape = struct.unpack(f"<{ndim}Q", raw[pos + 4:pos + 4 + 8 * ndim])
+        pos += 4 + 8 * ndim + 8 * math.prod(shape)
+        records[name] = raw[start:pos]
+    names = list(records)
+    edit(records)
+    path.write_bytes(raw[:head] + struct.pack("<I", len(records))
+                     + b"".join(records.values()))
+    return names
+
+
+def record_bytes(name: str, arr: np.ndarray) -> bytes:
+    """One checkpoint record: name, shape and little-endian f64 payload."""
+    nb = name.encode("utf-8")
+    return (struct.pack("<I", len(nb)) + nb + struct.pack("<I", arr.ndim)
+            + struct.pack(f"<{arr.ndim}Q", *arr.shape) + arr.astype("<f8").tobytes())
+
+
 def overlap_add_loop(frames: np.ndarray, hop: int, length: int) -> np.ndarray:
     """Frame-by-frame sum of (L, win) frames placed every `hop` samples,
     cut or zero-padded to `length`; oracle for `dsp._overlap_add`."""

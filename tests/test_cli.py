@@ -153,7 +153,7 @@ def test_train_learnlin_checkpoint_has_h_betas(trained):
     from lgse.training import load_checkpoint
 
     _, _, ckpt, _ = trained
-    model, _, _, _, _ = load_checkpoint(ckpt)
+    model, _ = load_checkpoint(ckpt)
     assert model.params["pe.beta"].shape == (2,)
     assert model.pe_parameter_count() == 2
 
@@ -210,7 +210,6 @@ def test_enhance_checkpoint_with_unknown_config_key_errors(trained, tmp_path,
 
 @pytest.mark.parametrize("edit,field", [
     (lambda m: m.pop("step"), "step"),
-    (lambda m: m.update(epoch_state={"epoch": 0, "order": [1, 0]}), "pos"),
 ])
 def test_enhance_checkpoint_with_bad_meta_errors(trained, tmp_path, capsys,
                                                  edit, field):
@@ -231,6 +230,22 @@ def test_enhance_checkpoint_with_bad_meta_errors(trained, tmp_path, capsys,
     assert field in err
 
 
+def test_enhance_checkpoint_with_unknown_record_errors(trained, tmp_path, capsys):
+    from helpers import record_bytes, rewrite_records
+
+    _, _, ckpt, _ = trained
+    bad = tmp_path / "bad.lgse"
+    bad.write_bytes(ckpt.read_bytes())
+    rewrite_records(bad, lambda r: r.update(
+        bogus=record_bytes("param.bogus", np.zeros(2))))
+    wav = tmp_path / "x.wav"
+    dsp.write_wav(wav, dsp.Waveform(np.zeros(16000)))
+    err = _one_error_line(capsys, "enhance", str(wav), str(tmp_path / "y.wav"),
+                          "--checkpoint", str(bad))
+    assert "unknown records ['param.bogus']" in err
+    assert not (tmp_path / "y.wav").exists()
+
+
 @pytest.mark.parametrize("override,field", [
     ("train.batch_utts=0", "batch_utts"),
     ("model.n_heads=0", "n_heads"),
@@ -246,6 +261,7 @@ def test_enhance_checkpoint_with_bad_meta_errors(trained, tmp_path, capsys,
     ("train.grad_clip=-1", "grad_clip"),
     ("train.grad_clip=0", "grad_clip"),
     ("train.epochs=0", "epochs"),
+    ("model.k_bins=9", "model.k_bins must be 257"),
 ])
 def test_train_with_unusable_sizes_errors(trained, tmp_path, capsys, override, field):
     _, corpus, _, _ = trained
@@ -287,9 +303,10 @@ def test_enhance_unreadable_wav_errors(trained, tmp_path, capsys, content):
     assert not (tmp_path / "y.wav").exists()
 
 
-@pytest.mark.parametrize("chunk_s", ["-1", "0.01"])
+@pytest.mark.parametrize("chunk_s", ["-1", "0.01", "5"])
 def test_enhance_rejects_unusable_chunk_length(tmp_path, capsys, chunk_s):
     # The checkpoint does not exist: the option is checked before it loads.
+    # The WAV is 2 s long, so a 5 s chunk does not fit.
     noisy = tmp_path / "in.wav"
     utt = dsp.synth_corpus(8, 1, 2.0)[0]
     dsp.write_wav(noisy, dsp.mix_at_snr(utt.clean, utt.noise, 5))

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from helpers import record_bytes, rewrite_records
 from lgse import dsp, objectives
 from lgse.dsp import Utterance, Waveform
 from lgse.model import EnhancementModel, ModelConfig
@@ -305,30 +306,46 @@ def test_checkpoint_roundtrip_bitexact(tmp_path):
     cfg = tiny_cfg(max_steps=4)
     path = tmp_path / "m.lgse"
     train(model, corpus(2), cfg, ckpt_path=path)
-    loaded, state, step, rng_state, epoch_state = load_checkpoint(path)
+    loaded, step = load_checkpoint(path)
     assert step == 4
     x = np.random.default_rng(0).uniform(0, 1, (10, 257))
     assert np.array_equal(loaded.predict(x), model.predict(x))
     # save -> load -> save is byte-identical
     path2 = tmp_path / "m2.lgse"
-    save_checkpoint(path2, loaded, state, step, rng_state=rng_state,
-                    epoch_state=epoch_state)
+    save_checkpoint(path2, loaded, None, step)
     assert path2.read_bytes() == path.read_bytes()
+
+
+@pytest.mark.parametrize("kind", ["learnlin", "bertpos"])
+def test_trained_checkpoint_holds_only_the_model(tmp_path, kind):
+    from helpers import rewrite_meta
+
+    model = EnhancementModel(ModelConfig(pe_kind=kind, target="irm", init_seed=6,
+                                         bertpos_max_len=40, **TINY_MODEL))
+    path = tmp_path / "m.lgse"
+    train(model, corpus(2), tiny_cfg(max_steps=2), ckpt_path=path)
+    metas = []
+    rewrite_meta(path, metas.append)
+    assert sorted(metas[0]) == ["model_config", "step"]
+    names = rewrite_records(path, lambda records: None)
+    assert names == sorted([f"param.{n}" for n in model.params]
+                           + [f"buffer.{n}" for n in model.buffers])
+    assert (kind == "bertpos") == any(n.startswith("buffer.") for n in names)
 
 
 # sha256 of a freshly initialized tiny model's checkpoint, per PE kind. Any
 # change to parameter names, order, shapes or init draws changes these.
 INIT_CHECKPOINT_SHA256 = {
-    "nopos": "bd3182e220ef840a8110503fb3e5a4a8ad89232eb3de1d3224ae200fd63948c6",
-    "sinusoidal": "fdafc8d5e2cb657cc8072ecaf760145306b6105e1c83caa6ceb97495b6f1dc97",
-    "bertpos": "61dade9852bac9313ca255e7905545a3012c4f4f77c13d0ed8c2cfbe3fa7bf05",
-    "gauss": "bfe0b57da7a0c4aba8f52c1d85569918a2b4ae52d01d3ce7f74f10fed368a337",
-    "t5": "2501954980ef3814e827b5623e222a23121f0109120a812f9156e07aae887550",
-    "tisa": "8740a8ad114693577601593041c4cb896bf0f5b018f4c7eac61d5c5016e169b7",
-    "dabias": "0c2d70de9085eb5c431c582610af86a77a8a3d399fc5cc67e65458a07f408f55",
-    "kerple": "4a03567dc17dec510749aa9c84a1bc762cb5ac463254b21b3c27ac85d097becc",
-    "rope": "7e3af2dc4d833fee4b6ee76173ebfd64ec080f2f8b574f59f26ddd8724f02234",
-    "learnlin": "583e77b0143c69774eb30f5f83e85d43066590497f9ac6a0d709c00046043acd",
+    "nopos": "806055af8fb8a127772bbaf06f232ed0e77720a91e5cd4b1d4f4f88cb4743a05",
+    "sinusoidal": "8ee5d0c20e649bc34cc3698a7d8cd81a335f4b09618f2b6f2ec43e3287d866ea",
+    "bertpos": "23e6373f41610c7245f4c52f0b7ff4f4763d22cc98f35608566c31f425bee6d1",
+    "gauss": "521eee7d1f78024d34c7abdd38e925fa4e1a5a2eaebce7a6b4802df08e03d28d",
+    "t5": "80d646da37e6b4ba40e5b0905d425205fb58750382d28206f860b590ccca70f6",
+    "tisa": "46320f80acf36590a3a1c2211b978de56783b05a5db7cf32e841a00e5fec923b",
+    "dabias": "f0f86aa097f4254cc62aff94aacdf26ab736bd0cb78240139505d741491eaaf3",
+    "kerple": "ea8c0d5df79acc4eb4adafa22f4c513f6ee90f351e0ee08995fd016fb5f619f7",
+    "rope": "9887dab27f50e0c871005aa0f6bc1770ed942ef311be6de6df62d72b2745e582",
+    "learnlin": "75db7781e38e9bf963a6272978bab3146b6b00fa84793c422c9f55e7b3407959",
 }
 
 
@@ -344,27 +361,6 @@ def test_init_checkpoint_bytes_are_pinned(tmp_path, kind):
     assert hashlib.sha256(path.read_bytes()).hexdigest() == INIT_CHECKPOINT_SHA256[kind]
 
 
-def test_checkpoint_resume_identical_next_step(tmp_path):
-    utts = corpus(3)
-    cfg_full = tiny_cfg(max_steps=6, checkpoint_every=3)
-    model_a = EnhancementModel(ModelConfig(pe_kind="learnlin", target="irm",
-                                           init_seed=8, **TINY_MODEL))
-    path = tmp_path / "resume.lgse"
-    trace_full = train(model_a, utts, cfg_full, ckpt_path=path).trace
-
-    # Reload the step-3 snapshot and replay steps 4-6.
-    mid = tmp_path / "mid.lgse"
-    model_b = EnhancementModel(ModelConfig(pe_kind="learnlin", target="irm",
-                                           init_seed=8, **TINY_MODEL))
-    train(model_b, utts, tiny_cfg(max_steps=3, checkpoint_every=3), ckpt_path=mid)
-    loaded, state, step, rng_state, epoch_state = load_checkpoint(mid)
-    rng = np.random.default_rng()
-    rng.bit_generator.state = rng_state
-    result = train(loaded, utts, cfg_full, adam_state=state, start_step=step,
-                   rng=rng, resume_epoch=epoch_state)
-    assert result.trace == trace_full[3:]
-
-
 def test_checkpoint_magic_and_validation(tmp_path):
     bad = tmp_path / "bad.lgse"
     bad.write_bytes(b"NOPE" + b"\x00" * 32)
@@ -372,10 +368,22 @@ def test_checkpoint_magic_and_validation(tmp_path):
         load_checkpoint(bad)
 
 
+def test_checkpoint_version_1_rejected(tmp_path):
+    import struct
+
+    model = EnhancementModel(ModelConfig(pe_kind="nopos", **TINY_MODEL))
+    path = tmp_path / "m.lgse"
+    save_checkpoint(path, model, None, 0)
+    raw = path.read_bytes()
+    path.write_bytes(raw[:4] + struct.pack("<I", 1) + raw[8:])
+    with pytest.raises(CheckpointError, match="unsupported checkpoint version 1;"):
+        load_checkpoint(path)
+
+
 def test_truncated_checkpoint_rejected(tmp_path):
     model = EnhancementModel(ModelConfig(pe_kind="learnlin", **TINY_MODEL))
     path = tmp_path / "m.lgse"
-    save_checkpoint(path, model, AdamState(), 0)
+    save_checkpoint(path, model, None, 0)
     raw = path.read_bytes()
     # Inside the header, the meta block, a record header and the last payload.
     for size in (6, 40, len(raw) // 2, len(raw) - 1):
@@ -405,7 +413,7 @@ def test_checkpoint_shape_validation(tmp_path):
     model = EnhancementModel(ModelConfig(pe_kind="learnlin", target="irm",
                                          init_seed=1, **TINY_MODEL))
     path = tmp_path / "m.lgse"
-    save_checkpoint(path, model, AdamState(), 0)
+    save_checkpoint(path, model, None, 0)
     raw = bytearray(path.read_bytes())
     # Corrupt the stored k_bins so shapes disagree with the records.
     txt = raw.decode("latin1")
@@ -434,7 +442,7 @@ def test_checkpoint_config_errors(tmp_path, edit, match):
 
     model = EnhancementModel(ModelConfig(pe_kind="learnlin", **TINY_MODEL))
     path = tmp_path / "m.lgse"
-    save_checkpoint(path, model, AdamState(), 0)
+    save_checkpoint(path, model, None, 0)
     rewrite_model_config(path, lambda c: None)
     assert load_checkpoint(path)[0].config == model.config
     rewrite_model_config(path, edit)
@@ -442,36 +450,40 @@ def test_checkpoint_config_errors(tmp_path, edit, match):
         load_checkpoint(path)
 
 
-GOOD_EPOCH_STATE = {"epoch": 1, "order": [2, 0, 1], "pos": 2}
-
-
 @pytest.mark.parametrize("edit,match", [
     (lambda m: m.pop("step"), "meta step must be an integer, got None"),
     (lambda m: m.update(step="7"), "meta step must be an integer"),
     (lambda m: m.update(step=True), "meta step must be an integer"),
-    (lambda m: m.update(epoch_state={"epoch": 1, "order": [0]}),
-     "epoch_state.pos must be an integer, got None"),
-    (lambda m: m.update(epoch_state={"order": [0], "pos": 0}),
-     "epoch_state.epoch must be an integer, got None"),
-    (lambda m: m.update(epoch_state={"epoch": 1, "pos": 0}),
-     "epoch_state must hold an order list"),
-    (lambda m: m.update(epoch_state=[1, [0], 0]), "epoch_state must hold an order list"),
-    (lambda m: m.update(epoch_state={**GOOD_EPOCH_STATE, "order": 3}),
-     "epoch_state must hold an order list"),
-    (lambda m: m.update(epoch_state={**GOOD_EPOCH_STATE, "order": [0, "1"]}),
-     "epoch_state.order entry must be an integer"),
-    (lambda m: m.update(epoch_state={**GOOD_EPOCH_STATE, "pos": 1.5}),
-     "epoch_state.pos must be an integer"),
 ])
 def test_checkpoint_meta_errors(tmp_path, edit, match):
     from helpers import rewrite_meta
 
     model = EnhancementModel(ModelConfig(pe_kind="learnlin", **TINY_MODEL))
     path = tmp_path / "m.lgse"
-    save_checkpoint(path, model, AdamState(), 7,
-                    epoch_state=(1, [2, 0, 1], 2))
-    assert load_checkpoint(path)[2:] == (7, None, (1, [2, 0, 1], 2))
+    save_checkpoint(path, model, None, 7)
+    assert load_checkpoint(path)[1] == 7
     rewrite_meta(path, edit)
+    with pytest.raises(CheckpointError, match=match):
+        load_checkpoint(path)
+
+
+@pytest.mark.parametrize("edit,match", [
+    (lambda r: r.update(bogus=record_bytes("param.bogus", np.zeros(2))),
+     "unknown records.*param.bogus"),
+    (lambda r: r.update(adam=record_bytes("adam.m.pe.embed", np.zeros(2))),
+     "unknown records.*adam.m.pe.embed"),
+    (lambda r: r.pop("buffer.pe.embed_ext"), "missing records.*buffer.pe.embed_ext"),
+    (lambda r: r.pop("param.pe.embed"), "missing records.*param.pe.embed"),
+    (lambda r: r.update(again=r["param.pe.embed"]), "duplicate record param.pe.embed"),
+])
+def test_checkpoint_record_set_errors(tmp_path, edit, match):
+    model = EnhancementModel(ModelConfig(pe_kind="bertpos", bertpos_max_len=40,
+                                         **TINY_MODEL))
+    path = tmp_path / "m.lgse"
+    save_checkpoint(path, model, None, 0)
+    rewrite_records(path, lambda r: None)
+    assert load_checkpoint(path)[0].config == model.config
+    rewrite_records(path, edit)
     with pytest.raises(CheckpointError, match=match):
         load_checkpoint(path)
 
@@ -481,6 +493,6 @@ def test_checkpoint_non_finite_tensor_rejected(tmp_path, bad):
     model = EnhancementModel(ModelConfig(pe_kind="learnlin", **TINY_MODEL))
     model.params["pe.beta"].data[1] = bad
     path = tmp_path / "m.lgse"
-    save_checkpoint(path, model, AdamState(), 0)
+    save_checkpoint(path, model, None, 0)
     with pytest.raises(CheckpointError, match="param.pe.beta holds non-finite"):
         load_checkpoint(path)
