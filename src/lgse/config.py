@@ -13,7 +13,7 @@ import json
 from dataclasses import dataclass, field, fields, replace
 from typing import Any
 
-from .dsp import N_BINS, derived_seed
+from .dsp import N_BINS, derived_seed, require_one_frame
 from .evaluate import ExperimentConfig, TestSuiteConfig
 from .model import ModelConfig
 from .objectives import TargetKind
@@ -37,6 +37,11 @@ class ConfigError(ValueError):
 class SynthConfig:
     n_utts: int = 20
     dur_s: float = 4.0
+
+    def __post_init__(self):
+        if self.n_utts < 1:
+            raise ValueError(f"n_utts must be at least 1, got {self.n_utts}")
+        require_one_frame("dur_s", self.dur_s)
 
 
 @dataclass

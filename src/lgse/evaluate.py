@@ -213,6 +213,16 @@ def enhance_chunked(model: EnhancementModel | tuple[EnhancementModel, ...],
 # -- experiment protocol ------------------------------------------------------
 
 
+def _require_distinct(name: str, values) -> None:
+    """Raise a ValueError naming setting `name` and a value it lists twice:
+    a repeated value would add its rows to the report twice."""
+    seen = set()
+    for value in values:
+        if value in seen:
+            raise ValueError(f"{name} must be distinct; {value} appears twice")
+        seen.add(value)
+
+
 @dataclass(frozen=True)
 class TestSuiteConfig:
     durations_s: tuple[float, ...] = (1.0, 2.0, 5.0, 10.0, 15.0, 20.0)
@@ -227,6 +237,8 @@ class TestSuiteConfig:
             dsp.require_one_frame("durations_s", dur)
         if not self.snrs_db:
             raise ValueError("snrs_db must name at least one SNR")
+        _require_distinct("durations_s", self.durations_s)
+        _require_distinct("snrs_db", self.snrs_db)
         if self.utts_per_condition < 1:
             raise ValueError(f"utts_per_condition must be at least 1, "
                              f"got {self.utts_per_condition}")
@@ -252,6 +264,7 @@ class ExperimentConfig:
             if not chosen or unknown:
                 raise ValueError(f"{name} must be one or more of {', '.join(allowed)}; "
                                  f"got {', '.join(chosen) or 'none'}")
+            _require_distinct(name, chosen)
         # The clip length is only known when the experiment runs.
         seg_chunk_s("chunk_s", self.chunk_s, clip_len_s=0.0)
 

@@ -10,6 +10,7 @@ embedding, injected into the attention logits, or rotated into q/k.
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -97,9 +98,24 @@ class ModelConfig:
         return replace(self, pe_kind=PeKind(kind))
 
 
-# Bytes one block of float64 scores may take on the tape-free attention path;
-# a sweep from 0.5 to 16 MiB measured flat at the 20 s test length.
+# Bytes of float64 scores the tape-free attention path may hold at once in one
+# call, summed over its workers; a sweep from 0.5 to 16 MiB measured flat at
+# the 20 s test length. A call whose whole (..., L, L) score stack fits runs as
+# one block on the calling thread. A larger call keeps the blocks of query rows
+# this budget gives and splits its longest leading axis (the heads of one
+# clip, or a stack's clips) among W = min(usable CPUs, that axis) workers.
+# There is no setting for W: numpy releases the GIL in every block's matmuls
+# and ufuncs, and each attention problem's blocks make the same BLAS calls
+# whichever thread makes them, so the output is the same bits for every W.
 _BLOCK_BYTES = 2 * 2**20
+
+
+def _usable_cpus() -> int:
+    """CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no CPU affinity on this platform
+        return os.cpu_count() or 1
 
 
 def attention_head(q: Tensor, k: Tensor, v: Tensor, bias: Tensor | None = None,
@@ -115,10 +131,12 @@ def attention_head(q: Tensor, k: Tensor, v: Tensor, bias: Tensor | None = None,
     exactly zero weight after renormalization.
 
     When no operand needs a gradient, the scores are computed one block of
-    query rows at a time (see `_attention_blocks`) and no tape is recorded.
-    That path floors shifted logits at `numerics.EXP_FLOOR`, so a masked
-    frame, or one a strong decay bias pushes that far down, gets a weight of
-    at most e^-600 relative to its row's largest rather than zero.
+    query rows at a time, within `_BLOCK_BYTES` in all, and a call too large
+    for one block spreads its independent problems over the CPUs this process
+    may use (see `_attention_blocks`); no tape is recorded. That path floors
+    shifted logits at `numerics.EXP_FLOOR`, so a masked frame, or one a strong
+    decay bias pushes that far down, gets a weight of at most e^-600 relative
+    to its row's largest rather than zero.
     """
     length, d_k = q.shape[-2:]
     if bias is not None and bias.shape[-2:] != (length, length):
@@ -145,37 +163,80 @@ def _attention_blocks(q: Tensor, k: Tensor, v: Tensor, bias: Tensor | None,
     """`attention_head` without a tape, one block of query rows at a time.
 
     A block's scores span all L keys, so each row's softmax is exact and no
-    online renormalization is needed. Only one (..., rows, L) block of scores
-    is alive at once, sized to `_BLOCK_BYTES`, instead of the (..., L, L)
-    stack. 1/sqrt(d_k) is folded into q once per call; the bias and mask are
-    applied to each fresh block in place, and `softmax_rows(block, v)` then
-    shifts, floors and exponentiates the block in its own buffer and
-    normalizes the small (..., rows, d) product after the value product.
+    online renormalization is needed. The score bytes alive at once stay
+    within `_BLOCK_BYTES` instead of the (..., L, L) stack. If the stack fits,
+    the call is one block on the calling thread. Otherwise the longest leading
+    axis is cut into W = min(usable CPUs, its length) contiguous parts, one
+    per worker: the calling thread takes part 0 and W - 1 pool threads the
+    rest, and each walks every block of rows over its part. Rows per block
+    are set by the whole call, not per worker, because a BLAS product's bits
+    depend on its row count. Each worker owns a buffer of its part's share of
+    the budget, allocated here before any starts, and a block's scores are a
+    contiguous prefix of it. 1/sqrt(d_k) is folded into q once per call;
+    QK^T is written into the buffer, the bias and mask are applied in place,
+    and `softmax_rows(block, v)` then shifts, floors and exponentiates the
+    block in the buffer and normalizes the small (..., rows, d) product after
+    the value product. Pool threads do not inherit the `no_grad` context, so
+    the block code touches only ndarrays and constants, which record no tape
+    whatever that flag says. A worker's error is raised by `result()` once
+    the calling thread's part is done.
     """
     length, d_k = q.shape[-2:]
-    scored = (q, k) if bias is None else (q, k, bias)
-    lead = np.broadcast_shapes(*(t.shape[:-2] for t in scored))
-    if k.shape[:-2] != lead:
-        # Scores must carry every leading axis to take the bias in place.
-        k = constant(np.broadcast_to(k.data, lead + k.shape[-2:]))
-    k_t = transpose(k)
-    rows = max(1, _BLOCK_BYTES // (8 * length * math.prod(lead)))
-    q_scaled = q.data * (1.0 / math.sqrt(d_k))
+    operands = (q, k, v) if bias is None else (q, k, v, bias)
+    shape = np.broadcast_shapes(*(t.shape[:-2] for t in operands))
+    # One problem gets a unit leading axis, so every call has one to split.
+    lead = shape or (1,)
+
+    def full(a: np.ndarray) -> np.ndarray:
+        return a if a.shape[:-2] == lead else np.broadcast_to(a, lead + a.shape[-2:])
+
+    q_scaled = full(q.data * (1.0 / math.sqrt(d_k)))
+    k_t = np.ascontiguousarray(np.swapaxes(full(k.data), -1, -2))
+    values = full(v.data)
+    bias_data = None if bias is None else full(bias.data)
     mask = posenc.causal_mask(length) if causal else None
-    out = np.empty(np.broadcast_shapes(lead, v.shape[:-2]) + (length, v.shape[-1]))
-    for r0 in range(0, length, rows):
-        block = slice(r0, min(r0 + rows, length))
-        s = matmul(constant(q_scaled[..., block, :]), k_t).data
-        if bias is not None:
-            if mode == "multiplicative":
-                np.maximum(s, 0.0, out=s)
-                s *= bias.data[..., block, :]
-            else:
-                s += bias.data[..., block, :]
-        if causal:
-            s += mask[block]
-        out[..., block, :] = softmax_rows(s, v).data
-    return constant(out)
+    rows = max(1, _BLOCK_BYTES // (8 * length * math.prod(lead)))
+    # Split the longest leading axis: the heads of one clip, or a stack's clips.
+    axis = lead.index(max(lead))
+    workers = 1 if rows >= length else min(_usable_cpus(), lead[axis])
+    rows = min(rows, length)
+    bounds = [lead[axis] * w // workers for w in range(workers + 1)]
+    scores_per_item = math.prod(lead) // lead[axis] * rows * length
+    buffers = [np.empty((hi - lo) * scores_per_item)
+               for lo, hi in zip(bounds, bounds[1:])]
+    out = np.empty(lead + (length, v.shape[-1]))
+
+    def run(worker: int) -> None:
+        lo, hi = bounds[worker], bounds[worker + 1]
+        part = (slice(None),) * axis + (slice(lo, hi), Ellipsis)
+        part_lead = lead[:axis] + (hi - lo,) + lead[axis + 1:]
+        for r0 in range(0, length, rows):
+            block = part + (slice(r0, r0 + rows), slice(None))
+            block_shape = part_lead + (min(rows, length - r0), length)
+            s = buffers[worker][:math.prod(block_shape)].reshape(block_shape)
+            np.matmul(q_scaled[block], k_t[part], out=s)
+            if bias_data is not None:
+                if mode == "multiplicative":
+                    np.maximum(s, 0.0, out=s)
+                    s *= bias_data[block]
+                else:
+                    s += bias_data[block]
+            if causal:
+                s += mask[r0:r0 + rows]
+            out[block] = softmax_rows(s, values[part]).data
+
+    if workers == 1:
+        run(0)
+    else:
+        # Imported on first use, as only calls over the budget start threads.
+        from concurrent.futures import ThreadPoolExecutor
+
+        with ThreadPoolExecutor(workers - 1) as pool:
+            shares = [pool.submit(run, w) for w in range(1, workers)]
+            run(0)
+            for share in shares:
+                share.result()
+    return constant(out.reshape(shape + out.shape[-2:]))
 
 
 class EnhancementModel:

@@ -222,12 +222,14 @@ def check_gradient_small():
 def check_tape_free_forward():
     """Blocked tape-free `predict` against the tape `forward` for every
     scheme, a learnlin decay strong enough to hit the softmax floor, and a
-    causal model, with blocks small enough that each call makes several."""
+    causal model, with blocks small enough that each call makes several;
+    and `predict` on one worker against the CPUs this process may use,
+    bitwise."""
     rng = np.random.default_rng(12)
     # (kind, causal, length, learnlin beta); beta -2 reaches -798 at L = 400.
     cases = [(kind, False, 13, None) for kind in posenc.SCHEMES]
     cases += [(PeKind.LEARNLIN, False, 400, -2.0), (PeKind.NOPOS, True, 13, None)]
-    saved = model_module._BLOCK_BYTES
+    saved, usable = model_module._BLOCK_BYTES, model_module._usable_cpus
     try:
         for kind, causal, length, beta in cases:
             model = EnhancementModel(ModelConfig(
@@ -241,10 +243,17 @@ def check_tape_free_forward():
             # Three query blocks per attention call over the two heads.
             model_module._BLOCK_BYTES = 8 * 2 * length * -(-length // 3)
             x = rng.uniform(0.0, 2.0, (length, 9))
-            err = np.max(np.abs(model.predict(x) - model.forward(x).data))
+            pred = model.predict(x)
+            err = np.max(np.abs(pred - model.forward(x).data))
             assert err <= 1e-12, f"{kind.value} causal={causal} L={length}: {err:.3g}"
+            model_module._usable_cpus = lambda: 1
+            one = model.predict(x)
+            model_module._usable_cpus = usable
+            assert np.array_equal(one, pred), (
+                f"{kind.value} causal={causal} L={length}: one worker differs "
+                f"from {usable()}")
     finally:
-        model_module._BLOCK_BYTES = saved
+        model_module._BLOCK_BYTES, model_module._usable_cpus = saved, usable
 
 
 def check_checkpoint_roundtrip():

@@ -107,6 +107,18 @@ def test_synth_writes_corpus_and_manifest(tmp_path):
     assert wav_a == (out / manifest["pairs"][0]["clean"]).read_bytes()
 
 
+@pytest.mark.parametrize("override,field", [
+    ("synth.n_utts=0", "n_utts"),
+    ("synth.n_utts=-3", "n_utts"),
+    ("synth.dur_s=0.001", "dur_s"),
+])
+def test_synth_rejects_a_corpus_nothing_can_use(tmp_path, capsys, override, field):
+    err = _one_error_line(capsys, "--set", override, "synth",
+                          "--out-dir", str(tmp_path / "corpus"))
+    assert err.startswith(f"error: {field} must")
+    assert not (tmp_path / "corpus" / "manifest.json").exists()
+
+
 def test_wav_headers_are_16k_mono_16bit(tmp_path):
     import wave
 
@@ -328,6 +340,10 @@ def test_enhance_directory_input_errors(trained, tmp_path, capsys):
     ("experiment.modes=full,segx", "modes"),
     ("experiment.kinds=learnlin,bogus", "kinds"),
     ("experiment.kinds=", "kinds"),
+    ("experiment.kinds=learnlin,learnlin", "kinds"),
+    ("experiment.modes=full,full", "modes"),
+    ("suite.durations_s=0.5,0.5", "durations_s"),
+    ("suite.snrs_db=0,5,0", "snrs_db"),
     ("suite.durations_s=0,-1", "durations_s"),
     ("suite.durations_s=", "durations_s"),
     ("suite.snrs_db=", "snrs_db"),

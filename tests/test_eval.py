@@ -454,6 +454,8 @@ def test_experiment_synthesizes_the_training_corpus_only_to_train(tmp_path,
     (dict(chunk_s=-1.0), "chunk_s"),
     (dict(chunk_s=0.01), "chunk_s"),
     (dict(chunk_s=0.0315), "chunk_s"),
+    (dict(kinds=("learnlin", "learnlin")), "kinds"),
+    (dict(modes=("full", "seg", "full")), "modes"),
 ])
 def test_experiment_config_rejects_unknown_modes_and_kinds(kw, field):
     from lgse.evaluate import ExperimentConfig
@@ -469,6 +471,8 @@ def test_experiment_config_rejects_unknown_modes_and_kinds(kw, field):
     (dict(snrs_db=()), "snrs_db"),
     (dict(utts_per_condition=0), "utts_per_condition"),
     (dict(durations_s=(1.0, 0.02)), "durations_s"),
+    (dict(durations_s=(0.5, 1.0, 0.5)), "durations_s"),
+    (dict(snrs_db=(0, 5, 0)), "snrs_db"),
 ])
 def test_suite_config_rejects_empty_or_non_positive_settings(kw, field):
     from lgse.evaluate import TestSuiteConfig

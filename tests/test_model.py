@@ -1,3 +1,5 @@
+import threading
+
 import numpy as np
 import pytest
 
@@ -387,30 +389,57 @@ def test_predict_records_no_tape_and_training_still_does(monkeypatch):
 # -- tape-free attention in query blocks ------------------------------------------
 
 
-def _predict_matches_reference(m, monkeypatch, length=11, rows=3):
-    """predict, in blocks of `rows` query rows, against the reference forward
-    for one clip and for a stack of two."""
+def _softmax_spy(monkeypatch, fail=None):
+    """Record the score shape of every `softmax_rows` call the model makes;
+    `fail(n)` true makes the n-th call (from 1) raise instead."""
     import lgse.model as model_module
-    from helpers import reference_forward
 
-    h = m.config.n_heads
-    monkeypatch.setattr(model_module, "_BLOCK_BYTES", 8 * length * h * rows)
     calls = []
     softmax = model_module.softmax_rows
 
     def spy(a, values=None):
         calls.append(a.shape)
+        if fail is not None and fail(len(calls)):
+            raise RuntimeError(f"softmax call {len(calls)} failed")
         return softmax(a, values)
 
     monkeypatch.setattr(model_module, "softmax_rows", spy)
+    return calls
+
+
+def _predict_on(workers, m, x, calls, monkeypatch):
+    """predict `x` as if this process could use `workers` CPUs, with the
+    spied `calls` cleared first."""
+    import lgse.model as model_module
+
+    monkeypatch.setattr(model_module, "_usable_cpus", lambda: workers)
+    calls.clear()
+    return m.predict(x)
+
+
+def _predict_matches_reference(m, monkeypatch, length=11, rows=3):
+    """predict, in blocks of `rows` query rows, against the reference forward
+    for one clip and for a stack of two, on one worker and on two. Two
+    workers take one head each through the same blocks and give the same
+    bits as one."""
+    import lgse.model as model_module
+    from helpers import reference_forward
+
+    h = m.config.n_heads
+    monkeypatch.setattr(model_module, "_BLOCK_BYTES", 8 * length * h * rows)
+    calls = _softmax_spy(monkeypatch)
     xs, _ = _batch(m, seed=28, clips=2, length=length)
     expect = np.stack([reference_forward(m, x) for x in xs])
-    assert np.max(np.abs(m.predict(xs[0]) - expect[0])) <= 1e-12
     n_blocks = -(-length // rows)
-    assert calls[:n_blocks] == [(h, rows, length)] * (n_blocks - 1) + [
-        (h, length - rows * (n_blocks - 1), length)]
-    assert len(calls) == n_blocks * m.config.n_layers
-    assert np.max(np.abs(m.predict(xs) - expect)) <= 1e-12
+    block_rows = [rows] * (n_blocks - 1) + [length - rows * (n_blocks - 1)]
+    preds = {}
+    for workers in (1, 2):
+        preds[workers] = _predict_on(workers, m, xs[0], calls, monkeypatch)
+        assert np.max(np.abs(preds[workers] - expect[0])) <= 1e-12
+        assert sorted(calls) == sorted([(h // workers, r, length) for r in block_rows]
+                                       * workers * m.config.n_layers)
+        assert np.max(np.abs(m.predict(xs) - expect)) <= 1e-12
+    assert np.array_equal(preds[1], preds[2])
 
 
 @pytest.mark.parametrize("target", ["irm", "psm", "ms", "cirm"])
@@ -455,6 +484,79 @@ def test_blocked_attention_matches_tape_with_broadcast_operands(shapes):
                                      constant(bias), mode=mode, causal=causal)
             assert tape._parents and not blocked._parents
             assert np.max(np.abs(blocked.data - tape.data)) <= 1e-14
+
+
+@pytest.mark.parametrize("kind,causal", [("learnlin", False), ("dabias", False),
+                                         ("rope", False), ("t5", True)])
+def test_three_workers_over_an_uneven_split_equal_one_worker(kind, causal, monkeypatch):
+    """Five stacked clips over three workers: parts of 1, 2 and 2 clips, each
+    through three blocks of 3 rows and one of 2."""
+    import lgse.model as model_module
+
+    m = _randomized_pe(tiny_model(pe=kind, n_layers=2, causal=causal), seed=35)
+    clips, length, h = 5, 11, m.config.n_heads
+    monkeypatch.setattr(model_module, "_BLOCK_BYTES", 8 * length * h * clips * 3)
+    calls = _softmax_spy(monkeypatch)
+    xs, _ = _batch(m, seed=36, clips=clips, length=length)
+    preds = [_predict_on(workers, m, xs, calls, monkeypatch) for workers in (1, 3)]
+    assert sorted(calls) == sorted([(part, h, r, length) for part in (1, 2, 2)
+                                    for r in (3, 3, 3, 2)] * m.config.n_layers)
+    assert np.array_equal(preds[0], preds[1])
+
+
+def test_more_workers_than_cores_switching_often_equal_one_worker(monkeypatch):
+    """Nine workers, one clip each, write disjoint rows of one output while
+    the interpreter switches threads every microsecond."""
+    import sys
+
+    import lgse.model as model_module
+
+    m = _randomized_pe(tiny_model(pe="learnlin", n_layers=2), seed=39)
+    clips, length = 9, 11
+    monkeypatch.setattr(model_module, "_BLOCK_BYTES",
+                        8 * length * m.config.n_heads * clips * 2)
+    calls = _softmax_spy(monkeypatch)
+    xs, _ = _batch(m, seed=40, clips=clips, length=length)
+    one = _predict_on(1, m, xs, calls, monkeypatch)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        many = _predict_on(clips, m, xs, calls, monkeypatch)
+    finally:
+        sys.setswitchinterval(interval)
+    assert len(calls) == clips * 6 * m.config.n_layers
+    assert np.array_equal(one, many)
+
+
+def test_a_one_clip_stack_splits_its_heads(monkeypatch):
+    import lgse.model as model_module
+
+    m = _randomized_pe(tiny_model(pe="t5", n_layers=2), seed=37)
+    length, h = 11, m.config.n_heads
+    monkeypatch.setattr(model_module, "_BLOCK_BYTES", 8 * length * h * 4)
+    calls = _softmax_spy(monkeypatch)
+    xs, _ = _batch(m, seed=38, clips=1, length=length)
+    preds = [_predict_on(workers, m, xs, calls, monkeypatch) for workers in (1, 2)]
+    assert sorted(calls) == sorted([(1, 1, r, length) for r in (4, 4, 3)] * 2
+                                   * m.config.n_layers)
+    assert np.array_equal(preds[0], preds[1])
+
+
+@pytest.mark.parametrize("fail", [lambda n: n == 2,
+                                  lambda n: threading.current_thread()
+                                  is not threading.main_thread()],
+                         ids=["second call", "pool thread"])
+def test_error_in_a_worker_block_propagates_and_its_threads_end(fail, monkeypatch):
+    import lgse.model as model_module
+
+    m = tiny_model(pe="learnlin")
+    monkeypatch.setattr(model_module, "_BLOCK_BYTES", 8 * 11 * m.config.n_heads * 4)
+    monkeypatch.setattr(model_module, "_usable_cpus", lambda: 2)
+    _softmax_spy(monkeypatch, fail)
+    before = threading.active_count()
+    with pytest.raises(RuntimeError, match="softmax call"):
+        m.predict(rand_input(11))
+    assert threading.active_count() == before
 
 
 def test_long_predict_never_allocates_a_full_score_stack():
