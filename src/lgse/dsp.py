@@ -172,15 +172,26 @@ def istft(spec: np.ndarray, out_len: int | None = None) -> Waveform | np.ndarray
     return Waveform(out) if spec.ndim == 2 else out
 
 
-def noise_gain_for_snr(clean: np.ndarray, noise: np.ndarray, snr_db: float) -> float:
-    """Gain g so that 10*log10(E_clean / E_{g*noise}) equals snr_db."""
-    e_clean = float(np.sum(clean * clean))
-    e_noise = float(np.sum(noise * noise))
-    if e_clean <= 0.0:
+def noise_gain_for_snr(clean: np.ndarray, noise: np.ndarray,
+                       snr_db: float | np.ndarray) -> float | np.ndarray:
+    """Gain g so that 10*log10(E_clean / E_{g*noise}) equals snr_db.
+
+    Signals may be (..., n) stacks, with `snr_db` broadcasting over their
+    leading axes; the gains then come back as an array of that shape. Any
+    zero-energy signal raises ValueError.
+    """
+    e_clean = np.sum(clean * clean, axis=-1)
+    e_noise = np.sum(noise * noise, axis=-1)
+    if np.any(e_clean <= 0.0):
         raise ValueError("clean signal has zero energy")
-    if e_noise <= 0.0:
+    if np.any(e_noise <= 0.0):
         raise ValueError("noise signal has zero energy")
-    return float(np.sqrt(e_clean / (e_noise * 10.0 ** (snr_db / 10.0))))
+    # Python's scalar pow for each SNR: numpy's vector power can differ from
+    # it in the last bit (at 25 dB, for one).
+    ratio = np.reshape([10.0 ** (s / 10.0) for s in np.ravel(snr_db).tolist()],
+                       np.shape(snr_db))
+    gain = np.sqrt(e_clean / (e_noise * ratio))
+    return float(gain) if gain.ndim == 0 else gain
 
 
 def mix_at_snr(clean: Waveform, noise: Waveform, snr_db: float) -> Waveform:

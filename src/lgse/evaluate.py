@@ -16,7 +16,7 @@ from . import dsp, objectives
 from .dsp import Utterance, Waveform, derived_seed
 from .model import EnhancementModel, ModelConfig
 from .posenc import SCHEMES, PeKind
-from .training import TrainConfig, check_freeze, load_checkpoint, train
+from .training import TrainConfig, check_freeze, check_step_cap, load_checkpoint, train
 
 __all__ = [
     "si_sdr",
@@ -395,12 +395,14 @@ def run_lengen_experiment(seed: int, model_cfg: ModelConfig,
     Writes report.csv and report.md into out_dir and returns the report.
     Deterministic for a fixed seed, including the CSV bytes.
     """
+    # A step cap or freeze list fails here, before anything is written and
+    # not after the first models have trained.
+    check_step_cap(train_cfg, exp.train_utts)
+    for kind in exp.kinds if train_cfg.freeze else ():
+        check_freeze(train_cfg, EnhancementModel(model_cfg.with_pe(kind)))
     os.makedirs(out_dir, exist_ok=True)
     corpus = functools.cache(lambda: dsp.synth_corpus(
         derived_seed(seed, "corpus.train"), exp.train_utts, exp.train_utt_dur_s))
-    # A freeze list fails here, not after the first models have trained.
-    for kind in exp.kinds if train_cfg.freeze else ():
-        check_freeze(train_cfg, EnhancementModel(model_cfg.with_pe(kind)))
     models: dict[str, EnhancementModel] = {}
     for kind in exp.kinds:
         ckpt = os.path.join(out_dir, f"model_{kind}.lgse")

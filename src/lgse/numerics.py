@@ -70,6 +70,9 @@ class Tensor:
     `grad` is populated by `backward` for leaf tensors with
     `requires_grad=True` and accumulates across calls; callers zero it by
     assigning None. Interior nodes drop theirs once it has been propagated.
+    Gradients may share memory with each other (`add(w, u)` hands w and u the
+    same array) and with views of it, so a gradient is only ever replaced,
+    never written into.
     """
 
     __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward")
@@ -128,12 +131,14 @@ def _node(data: np.ndarray, parents: Sequence[Tensor],
 
 
 def _accumulate(t: Tensor, g: np.ndarray) -> None:
+    """Add a gradient contribution to `t.grad` without writing into either:
+    the first contribution is kept as it is, later ones make a new sum."""
     if not t.requires_grad:
         return
     if t.grad is None:
-        t.grad = np.array(g, dtype=np.float64, copy=True)
+        t.grad = g
     else:
-        t.grad += g
+        t.grad = t.grad + g
 
 
 def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
@@ -181,6 +186,14 @@ def mul(a, b) -> Tensor:
     data = a.data * b.data
 
     def back(g):
+        if a is b:
+            # A square, as in the MSE loss: its two contributions in one
+            # array, not a sum made beside both. g*a + g*a == 2*(g*a) exactly.
+            if a.requires_grad:
+                twice = g * a.data
+                twice *= 2.0
+                _accumulate(a, _unbroadcast(twice, a.shape))
+            return
         if a.requires_grad:
             _accumulate(a, _unbroadcast(g * b.data, a.shape))
         if b.requires_grad:

@@ -26,6 +26,7 @@ __all__ = [
     "clip_gradients",
     "adam_step",
     "check_freeze",
+    "check_step_cap",
     "train",
     "save_checkpoint",
     "load_checkpoint",
@@ -84,26 +85,30 @@ def make_batch(utts: list[Utterance], cfg: TrainConfig, rng: np.random.Generator
 
     Returns the noisy magnitudes |X|, shaped (B, L, K), and the loss target,
     shaped (B, L, K) or (B, L, 2K) for cIRM. B counts the usable clips and is
-    0 when there is none. All spectra come from one STFT over the stacked
-    clean clips, scaled noise and mixtures.
+    0 when there is none. One STFT analyses the clean clips S and the unscaled
+    noise segments N together; the mixing happens in the STFT domain, which
+    is linear: V = g*N and X = S + V, with g the per-clip gain for its SNR.
     """
     clip_len = int(round(cfg.clip_len_s * dsp.SAMPLE_RATE))
-    clean: list[np.ndarray] = []
-    noise: list[np.ndarray] = []
+    clips: list[np.ndarray] = []
+    segs: list[np.ndarray] = []
+    snrs: list[int] = []
     for utt in utts:
         for c in range(len(utt.clean) // clip_len):
             src = utts[int(rng.integers(0, len(utts)))].noise.samples
             if len(src) < clip_len:
                 continue
             offset = int(rng.integers(0, len(src) - clip_len + 1))
-            snr = int(rng.integers(cfg.snr_low_db, cfg.snr_high_db + 1))
-            clip = utt.clean.samples[c * clip_len:(c + 1) * clip_len]
-            seg = src[offset:offset + clip_len]
-            clean.append(clip)
-            noise.append(dsp.noise_gain_for_snr(clip, seg, snr) * seg)
-    s = np.reshape(clean, (-1, clip_len))
-    v = np.reshape(noise, (-1, clip_len))
-    spec_s, spec_v, spec_x = dsp.stft(np.stack([s, v, s + v]))
+            snrs.append(int(rng.integers(cfg.snr_low_db, cfg.snr_high_db + 1)))
+            clips.append(utt.clean.samples[c * clip_len:(c + 1) * clip_len])
+            segs.append(src[offset:offset + clip_len])
+    sig = np.empty((2, len(snrs), clip_len))
+    for b, (clip, seg) in enumerate(zip(clips, segs)):
+        sig[0, b], sig[1, b] = clip, seg
+    gain = dsp.noise_gain_for_snr(sig[0], sig[1], snrs)
+    spec_s, spec_v = dsp.stft(sig)
+    spec_v *= gain[:, None, None]
+    spec_x = spec_s + spec_v
     return np.abs(spec_x), objectives.target_grid(model_cfg, spec_s, spec_v, spec_x)
 
 
@@ -118,10 +123,13 @@ def mse_loss(pred: Tensor, target: np.ndarray) -> Tensor:
 
 
 def clip_gradients(params: dict[str, Tensor], limit: float) -> None:
-    """Elementwise value clipping of every populated gradient to [-limit, limit]."""
+    """Elementwise value clipping of every populated gradient to [-limit, limit].
+
+    Each gradient is replaced by its clipped copy: gradients may share memory
+    (see `Tensor`), so clipping one in place could clip another."""
     for t in params.values():
         if t.grad is not None:
-            np.clip(t.grad, -limit, limit, out=t.grad)
+            t.grad = np.clip(t.grad, -limit, limit)
 
 
 @dataclass
@@ -144,8 +152,10 @@ def adam_step(params: dict[str, Tensor], state: AdamState, lr: float,
         g = p.grad
         if not np.isfinite(g).all():
             raise FloatingPointError(f"non-finite gradient for parameter {name!r}")
-        m = state.m.setdefault(name, np.zeros_like(p.data))
-        v = state.v.setdefault(name, np.zeros_like(p.data))
+        if name not in state.m:
+            state.m[name] = np.zeros_like(p.data)
+            state.v[name] = np.zeros_like(p.data)
+        m, v = state.m[name], state.v[name]
         m *= b1
         m += (1.0 - b1) * g
         v *= b2
@@ -166,6 +176,16 @@ def check_freeze(cfg: TrainConfig, model: EnhancementModel) -> None:
     if unknown:
         raise ValueError(f"freeze names no parameter of this {model.config.pe_kind.value} "
                          f"model: {', '.join(unknown)}")
+
+
+def check_step_cap(cfg: TrainConfig, n_utts: int) -> None:
+    """Raise ValueError if `cfg.max_steps` is more steps than the epochs give
+    a corpus of `n_utts` utterances: one per mini-batch of every epoch."""
+    reachable = cfg.epochs * -(-n_utts // cfg.batch_utts)
+    if cfg.max_steps > reachable:
+        raise ValueError(f"train.max_steps {cfg.max_steps} is out of reach: "
+                         f"train.epochs {cfg.epochs} over {n_utts} utterances in "
+                         f"batches of {cfg.batch_utts} run at most {reachable} steps")
 
 
 def _batches(n_utts: int, cfg: TrainConfig, rng: np.random.Generator):
@@ -189,6 +209,7 @@ def train(model: EnhancementModel, corpus: list[Utterance], cfg: TrainConfig, *,
                          f"is {longest / dsp.SAMPLE_RATE:g} s, train.clip_len_s is "
                          f"{cfg.clip_len_s:g} s")
     check_freeze(cfg, model)
+    check_step_cap(cfg, len(corpus))
     rng = np.random.default_rng(np.random.SeedSequence(entropy=cfg.seed,
                                                        spawn_key=(0x7472,)))
     state = AdamState()
@@ -206,6 +227,9 @@ def train(model: EnhancementModel, corpus: list[Utterance], cfg: TrainConfig, *,
         clip_gradients(model.params, cfg.grad_clip)
         adam_step(model.params, state, lr, cfg)
         trace.append((step, lr, float(loss.data)))
+        # Free the step's tape now; otherwise it lives on through the next
+        # batch and forward, until `loss` is rebound.
+        del loss
         if cfg.max_steps and step >= cfg.max_steps:
             break
     if ckpt_path:

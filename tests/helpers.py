@@ -26,9 +26,9 @@ def naive_dft(x: np.ndarray) -> np.ndarray:
 
 def make_batch_loop(utts, cfg, rng, model_cfg):
     """Three STFTs and one target per clip; oracle for the stacked
-    `training.make_batch`. Returns one (clean, noise_scaled, snr_db, x_mag,
-    target) tuple per usable clip, drawing the same RNG values in the same
-    order."""
+    `training.make_batch`. Returns one (clean, noise_scaled, snr_db, spec_s,
+    spec_v, spec_x, target) tuple per usable clip, drawing the same RNG values
+    in the same order."""
     clip_len = int(round(cfg.clip_len_s * dsp.SAMPLE_RATE))
     clips = []
     for utt in utts:
@@ -45,8 +45,27 @@ def make_batch_loop(utts, cfg, rng, model_cfg):
             spec_v = dsp.stft(Waveform(noise_scaled))
             spec_x = dsp.stft(Waveform(clean + noise_scaled))
             target = objectives.target_grid(model_cfg, spec_s, spec_v, spec_x)
-            clips.append((clean, noise_scaled, snr, np.abs(spec_x), target))
+            clips.append((clean, noise_scaled, snr, spec_s, spec_v, spec_x, target))
     return clips
+
+
+def copying_accumulate(t, g) -> None:
+    """Reference `numerics._accumulate`: the first contribution is copied into
+    a buffer of its own and later ones are added into that buffer."""
+    if not t.requires_grad:
+        return
+    if t.grad is None:
+        t.grad = np.array(g, dtype=np.float64, copy=True)
+    else:
+        t.grad += g
+
+
+def clip_in_place(params, limit) -> None:
+    """Reference `training.clip_gradients` for gradients that own their
+    buffers: clips each one in place."""
+    for t in params.values():
+        if t.grad is not None:
+            np.clip(t.grad, -limit, limit, out=t.grad)
 
 
 def rewrite_meta(path, edit) -> None:

@@ -295,6 +295,18 @@ def test_train_with_negative_steps_errors(trained, tmp_path, capsys):
     assert not (tmp_path / "m.lgse").exists()
 
 
+def test_train_with_unreachable_steps_errors(trained, tmp_path, capsys):
+    # Two utterances in batches of 10 make one step per epoch.
+    _, corpus, _, _ = trained
+    err = _one_error_line(capsys, "--set", "train.epochs=2",
+                          "train", "--corpus-dir", str(corpus),
+                          "--out", str(tmp_path / "m.lgse"),
+                          "--loss-csv", str(tmp_path / "loss.csv"), "--steps", "3")
+    assert "train.max_steps 3" in err and "train.epochs 2" in err
+    assert "at most 2 steps" in err
+    assert not list(tmp_path.iterdir())
+
+
 def _one_error_line(capsys, *argv) -> str:
     capsys.readouterr()
     code = run_cli(*argv)
@@ -353,6 +365,7 @@ def test_enhance_directory_input_errors(trained, tmp_path, capsys):
     ("experiment.chunk_s=-1", "chunk_s"),
     ("train.freeze=no.such.param", "freeze"),
     ("train.freeze=pe.beta", "freeze"),
+    ("train.max_steps=301", "max_steps"),
 ])
 def test_experiment_rejects_bad_config_before_training(tmp_path, capsys, override,
                                                        field):

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from lgse import numerics
 from lgse.numerics import (
     ContractError,
     DimensionError,
@@ -224,6 +225,71 @@ def test_trace_topological_and_unique():
     for n in nodes:
         for p in n._parents:
             assert position[id(p)] < position[id(n)]
+
+
+# -- gradient ownership -------------------------------------------------------
+#
+# `_accumulate` keeps a first contribution as it is and adds later ones out of
+# place, so gradients may share memory. Each case must give the gradients of
+# the reference that copies every first contribution, bitwise.
+
+
+def _add_self():
+    w = Tensor(rand((3, 4), 20), requires_grad=True)
+    backward(reduce_sum(mul(add(w, w), constant(rand((3, 4), 21)))))
+    return [w]
+
+
+def _two_backwards():
+    w = Tensor(rand((2, 3), 22), requires_grad=True)
+    backward(reduce_sum(mul(w, constant(rand((2, 3), 23)))))
+    backward(reduce_sum(mul(w, w)))
+    return [w]
+
+
+def _views():
+    # Both leaves first receive views of one reshaped upstream gradient, then
+    # a second contribution each.
+    a = Tensor(rand((3, 2), 24), requires_grad=True)
+    b = Tensor(rand((3, 4), 25), requires_grad=True)
+    y = reshape(concat_cols([a, b]), (2, 9))
+    loss = add(reduce_sum(mul(y, constant(rand((2, 9), 26)))),
+               add(reduce_sum(mul(a, a)), reduce_sum(transpose(b))))
+    backward(loss)
+    return [a, b]
+
+
+def _shared_upstream():
+    # w1 and w2 first share one array; only w1 gets a second contribution.
+    w1 = Tensor(rand((2, 3), 27), requires_grad=True)
+    w2 = Tensor(rand((2, 3), 28), requires_grad=True)
+    loss = add(reduce_sum(mul(add(w1, w2), constant(rand((2, 3), 29)))),
+               reduce_sum(mul(w1, constant(rand((2, 3), 30)))))
+    backward(loss)
+    return [w1, w2]
+
+
+@pytest.mark.parametrize("case", [_add_self, _two_backwards, _views, _shared_upstream])
+def test_gradients_equal_copying_reference(monkeypatch, case):
+    from helpers import copying_accumulate
+
+    with monkeypatch.context() as m:
+        m.setattr(numerics, "_accumulate", copying_accumulate)
+        want = [t.grad for t in case()]
+    got = [t.grad for t in case()]
+    assert all(np.array_equal(g, w) for g, w in zip(got, want, strict=True))
+
+
+def test_accumulating_writes_into_no_gradient():
+    w1 = Tensor(rand((2, 3), 31), requires_grad=True)
+    w2 = Tensor(rand((2, 3), 32), requires_grad=True)
+    backward(reduce_sum(mul(add(w1, w2), constant(rand((2, 3), 33)))))
+    assert np.shares_memory(w1.grad, w2.grad)
+    first, kept = w1.grad, w1.grad.copy()
+    backward(reduce_sum(mul(w1, w1)))
+    assert np.array_equal(first, kept)
+    assert np.array_equal(w2.grad, kept)
+    assert np.array_equal(w1.grad, kept + 2.0 * w1.data)
 
 
 # -- element ops and gathers --------------------------------------------------

@@ -2,10 +2,10 @@ import numpy as np
 import pytest
 
 from helpers import record_bytes, rewrite_records
-from lgse import dsp, objectives
+from lgse import dsp, numerics, objectives
 from lgse.dsp import Utterance, Waveform
 from lgse.model import EnhancementModel, ModelConfig
-from lgse.numerics import Tensor, backward
+from lgse.numerics import Tensor, add, backward, constant, mul, reduce_sum
 from lgse.training import (
     AdamState,
     CheckpointError,
@@ -143,6 +143,60 @@ def test_clip_gradients_bounds_everything():
     assert np.array_equal(p.grad, [-1.0, -0.5, 0.5, 1.0])
 
 
+def test_clip_gradients_replaces_a_shared_gradient(monkeypatch):
+    from helpers import clip_in_place, copying_accumulate
+
+    def run():
+        w1 = Tensor(np.zeros(4), requires_grad=True)
+        w2 = Tensor(np.zeros(4), requires_grad=True)
+        backward(reduce_sum(mul(add(w1, w2), constant([-3.0, -0.5, 0.5, 7.0]))))
+        return {"w1": w1, "w2": w2}
+
+    with monkeypatch.context() as m:
+        m.setattr(numerics, "_accumulate", copying_accumulate)
+        want = run()
+    clip_in_place(want, 1.0)
+    got = run()
+    upstream = got["w1"].grad
+    assert upstream is got["w2"].grad
+    clip_gradients(got, 1.0)
+    for name in ("w1", "w2"):
+        assert np.array_equal(got[name].grad, want[name].grad)
+    assert np.array_equal(upstream, [-3.0, -0.5, 0.5, 7.0])
+
+
+@pytest.mark.parametrize("kind,target", [("learnlin", "irm"), ("rope", "cirm")])
+def test_desk_train_steps_equal_copying_reference(monkeypatch, kind, target):
+    """Two desk-preset steps: gradients after clipping and parameters after
+    each Adam update match the copying `_accumulate` and in-place clip."""
+    from helpers import clip_in_place, copying_accumulate
+
+    cfg = tiny_cfg(grad_clip=1e-3)
+    model_cfg = ModelConfig(n_layers=2, n_heads=4, d_model=32, d_ff=128,
+                            pe_kind=kind, target=target, init_seed=6)
+    x_mag, grid = make_batch(corpus(2), cfg, np.random.default_rng(1), model_cfg)
+
+    def steps(clip):
+        model, state, out = EnhancementModel(model_cfg), AdamState(), []
+        for step in (1, 2):
+            model.zero_grad()
+            backward(mse_loss(model.forward(x_mag), grid))
+            clip(model.params, cfg.grad_clip)
+            grads = {n: t.grad.copy() for n, t in model.params.items()}
+            adam_step(model.params, state, lr_schedule(step, cfg.w_steps, 32), cfg)
+            out.append((grads, {n: t.data.copy() for n, t in model.params.items()}))
+        return out
+
+    with monkeypatch.context() as m:
+        m.setattr(numerics, "_accumulate", copying_accumulate)
+        want = steps(clip_in_place)
+    for (grads, params), (want_grads, want_params) in zip(steps(clip_gradients), want):
+        assert grads.keys() == want_grads.keys() == params.keys()
+        for name in grads:
+            assert np.array_equal(grads[name], want_grads[name]), name
+            assert np.array_equal(params[name], want_params[name]), name
+
+
 # -- batching --------------------------------------------------------------------
 
 
@@ -176,6 +230,41 @@ def _mixed_corpus():
     return utts + [Utterance(short.clean, Waveform(short.noise.samples[:4000]))]
 
 
+def _frame_scale(spec_s, spec_v) -> np.ndarray:
+    """max|S| + max|V| over each frame's bins: the scale of the rounding error
+    that mixing in the STFT domain puts on V and X. The FFT's rounding error
+    is absolute per frame, not relative per bin."""
+    return (np.abs(spec_s).max(axis=-1, keepdims=True)
+            + np.abs(spec_v).max(axis=-1, keepdims=True))
+
+
+def _target_bound(model_cfg, spec_s, spec_v, spec_x) -> np.ndarray:
+    """Per-cell first-order bound on how far a target moves when V and X are
+    off by up to one unit of `_frame_scale`.
+
+    IRM (|S|^2/(|S|^2+|V|^2))^gamma moves by 2*gamma*m*|V|*dV/(|S|^2+|V|^2).
+    PSM Re(S/X) and the cIRM S/X move by |S|*dX/|X|^2; the cIRM compression
+    k*tanh(c*t/2) has slope at most k*c/2 (0.5 by default), the PSM clip 1.
+    """
+    a_s, a_v, a_x = np.abs(spec_s), np.abs(spec_v), np.abs(spec_x)
+    scale = _frame_scale(spec_s, spec_v)
+    kind = model_cfg.target.value
+    if kind == "irm":
+        m = objectives.irm(spec_s, spec_v, model_cfg.irm_gamma)
+        return 2 * model_cfg.irm_gamma * m * a_v * scale / (a_s ** 2 + a_v ** 2)
+    cond = a_s * scale / a_x ** 2
+    if kind == "cirm":
+        slope = 0.5 * model_cfg.cirm_k * model_cfg.cirm_c
+        return slope * np.concatenate([cond, cond], axis=-1)
+    return cond
+
+
+# Rounding bound for the STFT-domain mix, in units of each cell's
+# first-order bound: ~45 ulps. Over 21 corpus/RNG seeds the worst cell of
+# any target read 1.0e-15 of its bound. A gain off by 1e-13 fails it.
+MIX_TOL = 1e-14
+
+
 @pytest.mark.parametrize("target", ["ms", "irm", "psm", "cirm"])
 def test_make_batch_equals_per_clip_loop(target):
     from helpers import make_batch_loop
@@ -187,13 +276,18 @@ def test_make_batch_equals_per_clip_loop(target):
     clips = make_batch_loop(utts, cfg, np.random.default_rng(4), model_cfg)
     assert 0 < len(clips) < sum(len(u.clean) // 8000 for u in utts)
     assert x_mag.shape[0] == grid.shape[0] == len(clips)
-    assert grid.shape[1:] == clips[0][4].shape
-    assert np.array_equal(x_mag, np.stack([c[3] for c in clips]))
-    expect = np.stack([c[4] for c in clips])
-    if target == "cirm":
-        assert np.max(np.abs(grid - expect)) <= 1e-14
-    else:
+    spec_s, spec_v, spec_x, expect = (np.stack([c[i] for c in clips])
+                                      for i in (3, 4, 5, 6))
+    assert grid.shape == expect.shape
+    # X = S + g*N equals the STFT of s + g*n up to rounding on the frame's scale.
+    scale = _frame_scale(spec_s, spec_v)
+    assert np.all(np.abs(x_mag - np.abs(spec_x)) <= MIX_TOL * scale)
+    if target == "ms":
+        # |S|^power reads the clean spectrum alone, which is analysed as before.
         assert np.array_equal(grid, expect)
+    else:
+        bound = MIX_TOL * np.maximum(1.0, _target_bound(model_cfg, spec_s, spec_v, spec_x))
+        assert np.all(np.abs(grid - expect) <= bound)
 
 
 def test_make_batch_makes_one_stft_and_one_target_call(monkeypatch):
@@ -221,7 +315,7 @@ def test_make_batch_snr_measured_matches_drawn():
     clips = make_batch_loop(corpus(3), cfg, np.random.default_rng(7),
                             ModelConfig(**TINY_MODEL))
     assert clips
-    for clean, noise_scaled, snr_db, _, _ in clips:
+    for clean, noise_scaled, snr_db, *_ in clips:
         e_clean = np.sum(clean ** 2)
         e_noise = np.sum(noise_scaled ** 2)
         measured = 10 * np.log10(e_clean / e_noise)
@@ -287,6 +381,16 @@ def test_train_rejects_corpus_shorter_than_a_clip(tmp_path):
     with pytest.raises(ValueError, match="clip_len_s"):
         train(model, corpus(2, dur=1.0), tiny_cfg(clip_len_s=2.0), ckpt_path=path)
     assert not path.exists()
+
+
+def test_train_rejects_unreachable_max_steps(tmp_path):
+    # Three utterances in batches of two: two steps per epoch.
+    model = EnhancementModel(ModelConfig(pe_kind="nopos", **TINY_MODEL))
+    path = tmp_path / "m.lgse"
+    with pytest.raises(ValueError, match="max_steps 5 .* at most 4 steps"):
+        train(model, corpus(3), tiny_cfg(epochs=2, max_steps=5), ckpt_path=path)
+    assert not path.exists()
+    assert train(model, corpus(3), tiny_cfg(epochs=2, max_steps=4)).steps == 4
 
 
 def test_loss_csv_format(tmp_path):
