@@ -66,8 +66,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("experiment",
                        help="train per-scheme models and score length generalization")
     p.add_argument("--out-dir", required=True)
-    p.add_argument("--retrain", action="store_true",
-                   help="ignore checkpoints already in --out-dir")
 
     p = sub.add_parser("selftest", help="run per-module oracle and invariant checks")
     p.add_argument("--fast", action="store_true", help="skip the slower checks")
@@ -157,8 +155,7 @@ def cmd_enhance(cfg: RunConfig, args) -> int:
 
 
 def cmd_experiment(cfg: RunConfig, args) -> int:
-    exp = replace(cfg.experiment, retrain=args.retrain or cfg.experiment.retrain)
-    report = run_lengen_experiment(cfg.seed, cfg.model, cfg.train, exp,
+    report = run_lengen_experiment(cfg.seed, cfg.model, cfg.train, cfg.experiment,
                                    cfg.suite, args.out_dir)
     print(f"wrote {os.path.join(args.out_dir, 'report.csv')} "
           f"({len(report.rows)} rows) and report.md")

@@ -267,6 +267,9 @@ class ExperimentConfig:
             _require_distinct(name, chosen)
         # The clip length is only known when the experiment runs.
         seg_chunk_s("chunk_s", self.chunk_s, clip_len_s=0.0)
+        if self.train_utts < 1:
+            raise ValueError(f"train_utts must be at least 1, got {self.train_utts}")
+        dsp.require_one_frame("train_utt_dur_s", self.train_utt_dur_s)
 
 
 @dataclass
@@ -395,8 +398,14 @@ def run_lengen_experiment(seed: int, model_cfg: ModelConfig,
     Writes report.csv and report.md into out_dir and returns the report.
     Deterministic for a fixed seed, including the CSV bytes.
     """
-    # A step cap or freeze list fails here, before anything is written and
-    # not after the first models have trained.
+    # A step cap, freeze list or clip longer than the training utterances
+    # fails here, before anything is written and not after the first models
+    # have trained.
+    if (int(round(exp.train_utt_dur_s * dsp.SAMPLE_RATE))
+            < int(round(train_cfg.clip_len_s * dsp.SAMPLE_RATE))):
+        raise ValueError(f"experiment.train_utt_dur_s {exp.train_utt_dur_s:g} s is "
+                         f"shorter than one train.clip_len_s clip "
+                         f"({train_cfg.clip_len_s:g} s)")
     check_step_cap(train_cfg, exp.train_utts)
     for kind in exp.kinds if train_cfg.freeze else ():
         check_freeze(train_cfg, EnhancementModel(model_cfg.with_pe(kind)))

@@ -2,9 +2,10 @@
 
 The network is: FC embedding with frame-wise layer norm and ReLU, N identical
 layers of multi-head self-attention plus a two-layer feed-forward block (each
-wrapped in a residual connection), and a target-specific output head. The
-positional-encoding scheme decides where position enters: added to the input
-embedding, injected into the attention logits, or rotated into q/k.
+wrapped in a residual connection and followed by a frame-wise layer norm),
+and a target-specific output head. The positional-encoding scheme decides
+where position enters: added to the input embedding, injected into the
+attention logits, or rotated into q/k.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from . import dsp, objectives, posenc
+from . import dsp, posenc
 from .numerics import (
     Tensor,
     add,
@@ -56,26 +57,21 @@ class ModelConfig:
     pe_kind: PeKind = PeKind.LEARNLIN
     target: TargetKind = TargetKind.IRM
     causal: bool = False
-    post_ln: bool = True
-    ln_eps: float = 1e-5
-    tisa_kernels: int = posenc.TISA_KERNELS
     bertpos_max_len: int = 64
     bertpos_hard_cap: int = 4096
-    irm_gamma: float = objectives.DEFAULT_IRM_GAMMA
-    ms_power: float = objectives.DEFAULT_MS_POWER
-    cirm_k: float = objectives.DEFAULT_CIRM_K
-    cirm_c: float = objectives.DEFAULT_CIRM_C
     init_seed: int = 0
 
     def __post_init__(self):
-        object.__setattr__(self, "pe_kind", PeKind(self.pe_kind))
-        object.__setattr__(self, "target", TargetKind(self.target))
-        for name in ("n_layers", "n_heads", "d_model", "d_ff", "k_bins",
-                     "tisa_kernels"):
+        for name, kinds in (("pe_kind", PeKind), ("target", TargetKind)):
+            try:
+                object.__setattr__(self, name, kinds(getattr(self, name)))
+            except ValueError:
+                raise ValueError(f"{name} must be one of "
+                                 f"{', '.join(k.value for k in kinds)}; "
+                                 f"got {getattr(self, name)!r}") from None
+        for name in ("n_layers", "n_heads", "d_model", "d_ff", "k_bins"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be at least 1, got {getattr(self, name)}")
-        if not self.ln_eps > 0:
-            raise ValueError(f"ln_eps must be positive, got {self.ln_eps}")
         if not 1 <= self.bertpos_max_len <= self.bertpos_hard_cap:
             raise ValueError(
                 f"bertpos_max_len must be between 1 and bertpos_hard_cap "
@@ -95,7 +91,7 @@ class ModelConfig:
         return TARGETS[self.target].width * self.k_bins
 
     def with_pe(self, kind) -> "ModelConfig":
-        return replace(self, pe_kind=PeKind(kind))
+        return replace(self, pe_kind=kind)
 
 
 # Bytes of float64 scores the tape-free attention path may hold at once in one
@@ -260,9 +256,12 @@ class EnhancementModel:
         self.params[name] = t
         return t
 
-    def _xavier(self, rng: np.random.Generator, fan_in: int, fan_out: int) -> np.ndarray:
+    def _xavier(self, rng: np.random.Generator, fan_in: int, fan_out: int,
+                lead: tuple[int, ...] = ()) -> np.ndarray:
+        """(*lead, fan_in, fan_out) Xavier-uniform draws: one (fan_in, fan_out)
+        matrix after another, the same values as one call per matrix."""
         limit = math.sqrt(6.0 / (fan_in + fan_out))
-        return rng.uniform(-limit, limit, size=(fan_in, fan_out))
+        return rng.uniform(-limit, limit, size=lead + (fan_in, fan_out))
 
     def _init_params(self) -> None:
         cfg = self.config
@@ -277,13 +276,13 @@ class EnhancementModel:
         self._add_param("embed.ln_gain", np.ones(cfg.d_model))
         self._add_param("embed.ln_bias", np.zeros(cfg.d_model))
         for i in range(cfg.n_layers):
-            for h in range(cfg.n_heads):
-                self._add_param(f"layers.{i}.attn.q.{h}",
-                                self._xavier(rng, cfg.d_model, cfg.d_k))
-                self._add_param(f"layers.{i}.attn.k.{h}",
-                                self._xavier(rng, cfg.d_model, cfg.d_k))
-                self._add_param(f"layers.{i}.attn.v.{h}",
-                                self._xavier(rng, cfg.d_model, cfg.d_k))
+            # One draw per layer, in the order head by head, then q, k, v;
+            # head h of a projection is its column block h.
+            qkv = self._xavier(rng, cfg.d_model, cfg.d_k,
+                               lead=(cfg.n_heads, 3)).transpose(1, 2, 0, 3)
+            for j, name in enumerate("qkv"):
+                self._add_param(f"layers.{i}.attn.{name}",
+                                qkv[j].reshape(cfg.d_model, cfg.d_model))
             self._add_param(f"layers.{i}.attn.out",
                             self._xavier(rng, cfg.d_model, cfg.d_model))
             self._add_param(f"layers.{i}.ffn.w1",
@@ -292,11 +291,10 @@ class EnhancementModel:
             self._add_param(f"layers.{i}.ffn.w2",
                             self._xavier(rng, cfg.d_ff, cfg.d_model))
             self._add_param(f"layers.{i}.ffn.b2", np.zeros(cfg.d_model))
-            if cfg.post_ln:
-                self._add_param(f"layers.{i}.ln1.gain", np.ones(cfg.d_model))
-                self._add_param(f"layers.{i}.ln1.bias", np.zeros(cfg.d_model))
-                self._add_param(f"layers.{i}.ln2.gain", np.ones(cfg.d_model))
-                self._add_param(f"layers.{i}.ln2.bias", np.zeros(cfg.d_model))
+            self._add_param(f"layers.{i}.ln1.gain", np.ones(cfg.d_model))
+            self._add_param(f"layers.{i}.ln1.bias", np.zeros(cfg.d_model))
+            self._add_param(f"layers.{i}.ln2.gain", np.ones(cfg.d_model))
+            self._add_param(f"layers.{i}.ln2.bias", np.zeros(cfg.d_model))
         self._add_param("head.weight", self._xavier(rng, cfg.d_model, cfg.out_width))
         self._add_param("head.bias", np.zeros(cfg.out_width))
         self._init_pe_params(rng_pe)
@@ -349,7 +347,7 @@ class EnhancementModel:
         z = add(matmul(constant(x_mag), self.params["embed.weight"]),
                 self.params["embed.bias"])
         z = layer_norm_frames(z, self.params["embed.ln_gain"],
-                              self.params["embed.ln_bias"], cfg.ln_eps)
+                              self.params["embed.ln_bias"])
         z = relu(z)
         if posenc.SCHEMES[cfg.pe_kind].mode == "input":
             z = add(z, self._position_rows(x_mag.shape[-2]))
@@ -371,12 +369,10 @@ class EnhancementModel:
         return [scheme.bias(length, pe)] * n
 
     def _split_heads(self, x: Tensor, name: str, layer: int) -> Tensor:
-        """Project (..., L, d_model) frames with the per-head weights of `name`
-        joined column-wise, giving (..., H, L, d_k)."""
+        """Project (..., L, d_model) frames with the (d_model, d_model) weight
+        of `name`, whose column block h is head h, giving (..., H, L, d_k)."""
         cfg = self.config
-        w = concat_cols([self.params[f"layers.{layer}.attn.{name}.{h}"]
-                         for h in range(cfg.n_heads)])
-        y = matmul(x, w)
+        y = matmul(x, self.params[f"layers.{layer}.attn.{name}"])
         y = reshape(y, y.shape[:-1] + (cfg.n_heads, cfg.d_k))
         return transpose(y, -3, -2)
 
@@ -408,17 +404,13 @@ class EnhancementModel:
         cfg = self.config
         z = self.embed(x_mag)
         biases = self._biases_for(z.shape[-2])
+        p = self.params
         for i in range(cfg.n_layers):
-            y = add(z, self.mhsa(z, i, biases[i]))
-            if cfg.post_ln:
-                y = layer_norm_frames(y, self.params[f"layers.{i}.ln1.gain"],
-                                      self.params[f"layers.{i}.ln1.bias"], cfg.ln_eps)
-            z2 = add(y, self.ffn(y, i))
-            if cfg.post_ln:
-                z2 = layer_norm_frames(z2, self.params[f"layers.{i}.ln2.gain"],
-                                       self.params[f"layers.{i}.ln2.bias"], cfg.ln_eps)
-            z = z2
-        out = add(matmul(z, self.params["head.weight"]), self.params["head.bias"])
+            y = layer_norm_frames(add(z, self.mhsa(z, i, biases[i])),
+                                  p[f"layers.{i}.ln1.gain"], p[f"layers.{i}.ln1.bias"])
+            z = layer_norm_frames(add(y, self.ffn(y, i)),
+                                  p[f"layers.{i}.ln2.gain"], p[f"layers.{i}.ln2.bias"])
+        out = add(matmul(z, p["head.weight"]), p["head.bias"])
         head = TARGETS[cfg.target].head
         return out if head is None else head(out)
 

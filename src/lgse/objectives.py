@@ -3,10 +3,10 @@
 An entry gives the model's prediction width and output nonlinearity, the
 loss-target grid and the step that turns a prediction into an enhanced
 spectrum. `target_grid` and `apply_target` look the `ModelConfig`'s target up
-there and read the objective's constants (IRM gamma, MS power, cIRM K and C)
-from that config. The mask functions are pure and work on complex (L, K)
-spectrograms, or stacks with leading axes such as (B, L, K) clips; shapes must
-agree cell-for-cell. cIRM predictions and targets are real, laid out as
+there; every entry uses this module's constants (IRM gamma, MS power, cIRM K
+and C). The mask functions are pure and work on complex (L, K) spectrograms,
+or stacks with leading axes such as (B, L, K) clips; shapes must agree
+cell-for-cell. cIRM predictions and targets are real, laid out as
 (..., L, 2K): real parts, then imaginary parts.
 """
 
@@ -130,32 +130,31 @@ def uncompress_ms(mag: np.ndarray, power: float = DEFAULT_MS_POWER) -> np.ndarra
     return np.maximum(mag, 0.0) ** (1.0 / power)
 
 
-def _cirm_grid(clean, noise, noisy, cfg) -> np.ndarray:
+def _cirm_grid(clean, noise, noisy) -> np.ndarray:
     m = cirm(clean, noisy)
-    return compress_cirm(np.concatenate([m.real, m.imag], axis=-1),
-                         cfg.cirm_k, cfg.cirm_c)
+    return compress_cirm(np.concatenate([m.real, m.imag], axis=-1))
 
 
-def _cirm_apply(noisy, prediction, cfg) -> np.ndarray:
-    d = decompress_cirm(prediction, cfg.cirm_k, cfg.cirm_c)
+def _cirm_apply(noisy, prediction) -> np.ndarray:
+    d = decompress_cirm(prediction)
     k = noisy.shape[-1]
     return (d[..., :k] + 1j * d[..., k:]) * noisy
 
 
-def _ms_apply(noisy, prediction, cfg) -> np.ndarray:
+def _ms_apply(noisy, prediction) -> np.ndarray:
     absx = np.abs(noisy)
     phase = np.divide(noisy, absx, out=np.ones_like(noisy), where=absx > 0)
-    return uncompress_ms(prediction, cfg.ms_power) * phase
+    return uncompress_ms(prediction) * phase
 
 
 @dataclass(frozen=True)
 class Target:
-    """One training objective; `cfg` is the ModelConfig.
+    """One training objective.
 
     width  prediction channels per frequency bin
     head   the model's output nonlinearity, or None for a linear output
-    grid   (clean, noise, noisy, cfg) -> the real loss target
-    apply  (noisy, prediction, cfg) -> the enhanced complex spectrum
+    grid   (clean, noise, noisy) -> the real loss target
+    apply  (noisy, prediction) -> the enhanced complex spectrum
     """
 
     width: int
@@ -169,16 +168,16 @@ class Target:
 TARGETS: dict[TargetKind, Target] = {
     TargetKind.MS: Target(
         width=1, head=lambda z: relu(z),
-        grid=lambda clean, noise, noisy, cfg: ms_target(clean, cfg.ms_power),
+        grid=lambda clean, noise, noisy: ms_target(clean),
         apply=_ms_apply),
     TargetKind.IRM: Target(
         width=1, head=lambda z: sigmoid(z),
-        grid=lambda clean, noise, noisy, cfg: irm(clean, noise, cfg.irm_gamma),
-        apply=lambda noisy, prediction, cfg: noisy * prediction),
+        grid=lambda clean, noise, noisy: irm(clean, noise),
+        apply=lambda noisy, prediction: noisy * prediction),
     TargetKind.PSM: Target(
         width=1, head=lambda z: sigmoid(z),
-        grid=lambda clean, noise, noisy, cfg: psm(clean, noisy),
-        apply=lambda noisy, prediction, cfg: noisy * prediction),
+        grid=lambda clean, noise, noisy: psm(clean, noisy),
+        apply=lambda noisy, prediction: noisy * prediction),
     TargetKind.CIRM: Target(width=2, head=None, grid=_cirm_grid, apply=_cirm_apply),
 }
 
@@ -187,7 +186,7 @@ def target_grid(cfg, clean: np.ndarray, noise: np.ndarray,
                 noisy: np.ndarray) -> np.ndarray:
     """Real-valued loss target for `cfg.target`, shaped like the model's
     prediction: (..., L, K), or (..., L, 2K) for cIRM."""
-    return TARGETS[cfg.target].grid(clean, noise, noisy, cfg)
+    return TARGETS[cfg.target].grid(clean, noise, noisy)
 
 
 def apply_target(cfg, noisy: np.ndarray, prediction: np.ndarray) -> np.ndarray:
@@ -204,4 +203,4 @@ def apply_target(cfg, noisy: np.ndarray, prediction: np.ndarray) -> np.ndarray:
         raise ValueError(
             f"{cfg.target.value} prediction shape {prediction.shape} does not "
             f"match spectrogram {noisy.shape}; expected {want}")
-    return target.apply(noisy, prediction, cfg)
+    return target.apply(noisy, prediction)

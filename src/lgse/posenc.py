@@ -281,10 +281,10 @@ def _bertpos_init(cfg, rng) -> tuple[dict, dict]:
 
 
 def _tisa_init(cfg, rng) -> tuple[dict, dict]:
-    shape = (cfg.n_layers, cfg.n_heads, cfg.tisa_kernels)
+    shape = (cfg.n_layers, cfg.n_heads, TISA_KERNELS)
     return {"a": rng.normal(0.0, 0.1, size=shape),
             "b": np.full(shape, 0.5),
-            "c": np.tile(np.linspace(-8.0, 8.0, cfg.tisa_kernels), shape[:2] + (1,))}, {}
+            "c": np.tile(np.linspace(-8.0, 8.0, TISA_KERNELS), shape[:2] + (1,))}, {}
 
 
 SCHEMES: dict[PeKind, Scheme] = {
@@ -318,13 +318,11 @@ SCHEMES: dict[PeKind, Scheme] = {
 }
 
 
-def param_count(kind: PeKind, *, heads: int, layers: int = 1,
-                kernels: int = TISA_KERNELS, max_len: int = 0,
+def param_count(kind: PeKind, *, heads: int, layers: int = 1, max_len: int = 0,
                 d_model: int = 0) -> int:
     """Trainable parameter count contributed by a scheme: the sizes of the
     parameters its `init` draws for these dimensions."""
-    dims = SimpleNamespace(n_heads=heads, n_layers=layers, tisa_kernels=kernels,
-                           bertpos_max_len=max_len, bertpos_hard_cap=max_len,
-                           d_model=d_model)
+    dims = SimpleNamespace(n_heads=heads, n_layers=layers, bertpos_max_len=max_len,
+                           bertpos_hard_cap=max_len, d_model=d_model)
     params, _ = SCHEMES[PeKind(kind)].init(dims, np.random.default_rng(0))
     return sum(a.size for a in params.values())

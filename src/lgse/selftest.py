@@ -124,11 +124,11 @@ def model_gradient_mismatches(model: EnhancementModel, x: np.ndarray,
 
 
 def check_param_counts():
-    """Reference trainable-parameter counts at H=8, N=4, S=5."""
+    """Reference trainable-parameter counts at H=8, N=4 and tisa's S=5."""
     expected = {"learnlin": 8, "gauss": 8, "dabias": 16, "kerple": 16, "t5": 256,
                 "tisa": 480, "sinusoidal": 0, "nopos": 0, "rope": 0}
     for kind, want in expected.items():
-        got = posenc.param_count(kind, heads=8, layers=4, kernels=5)
+        got = posenc.param_count(kind, heads=8, layers=4)
         assert got == want, f"{kind}: {got} != {want}"
     assert posenc.param_count("bertpos", heads=8, max_len=64,
                               d_model=256) == 64 * 256

@@ -34,7 +34,12 @@ __all__ = [
 ]
 
 CHECKPOINT_MAGIC = b"LGSE"
-CHECKPOINT_VERSION = 2
+CHECKPOINT_VERSION = 3
+
+# Adam's moment decays and epsilon.
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.98
+ADAM_EPS = 1e-9
 
 
 class CheckpointError(RuntimeError):
@@ -50,9 +55,6 @@ class TrainConfig:
     epochs: int = 150
     max_steps: int = 0            # 0: run all epochs
     w_steps: int = 40000
-    adam_beta1: float = 0.9
-    adam_beta2: float = 0.98
-    adam_eps: float = 1e-9
     grad_clip: float = 1.0
     seed: int = 0
     freeze: tuple[str, ...] = ()  # parameter names excluded from updates
@@ -143,7 +145,7 @@ def adam_step(params: dict[str, Tensor], state: AdamState, lr: float,
               cfg: TrainConfig) -> None:
     """One bias-corrected Adam update over all parameters with gradients."""
     state.t += 1
-    b1, b2, eps = cfg.adam_beta1, cfg.adam_beta2, cfg.adam_eps
+    b1, b2, eps = ADAM_BETA1, ADAM_BETA2, ADAM_EPS
     c1 = 1.0 - b1 ** state.t
     c2 = 1.0 - b2 ** state.t
     for name, p in params.items():
@@ -248,7 +250,7 @@ def write_loss_csv(path, trace: list[tuple[int, float, float]]) -> None:
 
 # -- checkpoint serialization -------------------------------------------------
 #
-# Layout (all little-endian), version 2:
+# Layout (all little-endian), version 3:
 #   magic "LGSE" | u32 version | u64 meta_len | meta JSON (sorted keys)
 #   | u32 n_records | records
 # meta: {"model_config": {...every ModelConfig field...}, "step": steps trained}
@@ -256,6 +258,9 @@ def write_loss_csv(path, trace: list[tuple[int, float, float]]) -> None:
 # Records are sorted by name and are exactly the model's tensors: parameters
 # "param.<name>" and fixed buffers "buffer.<name>". A checkpoint holds no
 # optimizer or RNG state, so training cannot resume from one.
+# Version 3 stores each attention projection as one (d_model, d_model) record,
+# "param.layers.<i>.attn.q" (k, v), with head h in column block h; version 2
+# stored one record per head and seven more ModelConfig fields.
 
 
 def _record_header(name: str, arr: np.ndarray) -> bytes:

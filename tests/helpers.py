@@ -188,7 +188,7 @@ def seg_snr_loop(est: np.ndarray, ref: np.ndarray, frame: int = 512,
 
 
 def _layer_norm(x: np.ndarray, gain: np.ndarray, bias: np.ndarray,
-                eps: float) -> np.ndarray:
+                eps: float = 1e-5) -> np.ndarray:
     mu = x.mean(axis=1, keepdims=True)
     var = ((x - mu) ** 2).mean(axis=1, keepdims=True)
     return (x - mu) / np.sqrt(var + eps) * gain + bias
@@ -226,8 +226,7 @@ def reference_forward(model: EnhancementModel, x_mag: np.ndarray) -> np.ndarray:
     kind = cfg.pe_kind
     length = x_mag.shape[0]
     z = x_mag @ p["embed.weight"] + p["embed.bias"]
-    z = np.maximum(_layer_norm(z, p["embed.ln_gain"], p["embed.ln_bias"],
-                               cfg.ln_eps), 0.0)
+    z = np.maximum(_layer_norm(z, p["embed.ln_gain"], p["embed.ln_bias"]), 0.0)
     if kind is PeKind.SINUSOIDAL:
         z = z + sinusoidal_embedding(length, cfg.d_model)
     elif kind is PeKind.BERTPOS:
@@ -237,9 +236,10 @@ def reference_forward(model: EnhancementModel, x_mag: np.ndarray) -> np.ndarray:
     for i in range(cfg.n_layers):
         heads = []
         for h in range(cfg.n_heads):
-            q = z @ p[f"layers.{i}.attn.q.{h}"]
-            k = z @ p[f"layers.{i}.attn.k.{h}"]
-            v = z @ p[f"layers.{i}.attn.v.{h}"]
+            cols = slice(h * cfg.d_k, (h + 1) * cfg.d_k)
+            q = z @ p[f"layers.{i}.attn.q"][:, cols]
+            k = z @ p[f"layers.{i}.attn.k"][:, cols]
+            v = z @ p[f"layers.{i}.attn.v"][:, cols]
             if kind is PeKind.ROPE:
                 q, k = _rope(q), _rope(k)
             scores = q @ k.T / math.sqrt(cfg.d_k)
@@ -252,14 +252,10 @@ def reference_forward(model: EnhancementModel, x_mag: np.ndarray) -> np.ndarray:
             e = np.exp(scores - scores.max(axis=1, keepdims=True))
             heads.append(e / e.sum(axis=1, keepdims=True) @ v)
         y = z + np.concatenate(heads, axis=1) @ p[f"layers.{i}.attn.out"]
-        if cfg.post_ln:
-            y = _layer_norm(y, p[f"layers.{i}.ln1.gain"], p[f"layers.{i}.ln1.bias"],
-                            cfg.ln_eps)
+        y = _layer_norm(y, p[f"layers.{i}.ln1.gain"], p[f"layers.{i}.ln1.bias"])
         hidden = np.maximum(y @ p[f"layers.{i}.ffn.w1"] + p[f"layers.{i}.ffn.b1"], 0.0)
         z = y + hidden @ p[f"layers.{i}.ffn.w2"] + p[f"layers.{i}.ffn.b2"]
-        if cfg.post_ln:
-            z = _layer_norm(z, p[f"layers.{i}.ln2.gain"], p[f"layers.{i}.ln2.bias"],
-                            cfg.ln_eps)
+        z = _layer_norm(z, p[f"layers.{i}.ln2.gain"], p[f"layers.{i}.ln2.bias"])
     out = z @ p["head.weight"] + p["head.bias"]
     if cfg.target.value in ("irm", "psm"):
         return 1.0 / (1.0 + np.exp(-out))

@@ -23,9 +23,6 @@ def test_defaults_match_recipe():
     assert cfg.model.d_model == 256
     assert cfg.model.d_ff == 1024
     assert cfg.train.w_steps == 40000
-    assert cfg.train.adam_beta1 == 0.9
-    assert cfg.train.adam_beta2 == 0.98
-    assert cfg.train.adam_eps == 1e-9
     assert cfg.train.snr_low_db == -10 and cfg.train.snr_high_db == 20
     assert cfg.train.batch_utts == 10
     assert cfg.suite.durations_s == (1.0, 2.0, 5.0, 10.0, 15.0, 20.0)
@@ -62,6 +59,14 @@ def test_overrides_apply_as_one_change_per_section():
                                  "model.bertpos_hard_cap=8000", "model.n_heads=5"])
     assert (cfg.model.d_model, cfg.model.n_heads) == (30, 5)
     assert (cfg.model.bertpos_max_len, cfg.model.bertpos_hard_cap) == (5000, 8000)
+
+
+def test_help_check_names_help_lines_without_a_field(monkeypatch):
+    from lgse.config import KEY_HELP, assert_help_covers_all_fields
+
+    monkeypatch.setitem(KEY_HELP, "model.post_ln", "layer norm after each sub-layer")
+    with pytest.raises(ConfigError, match=r"not config fields: \['model.post_ln'\]"):
+        assert_help_covers_all_fields()
 
 
 def test_bad_override_format():
@@ -265,8 +270,11 @@ def test_enhance_checkpoint_with_unknown_record_errors(trained, tmp_path, capsys
     ("model.n_layers=-1", "n_layers"),
     ("model.d_ff=0", "d_ff"),
     ("model.bertpos_hard_cap=10", "bertpos_max_len"),
-    ("model.tisa_kernels=0", "tisa_kernels"),
-    ("model.ln_eps=-1", "ln_eps"),
+    # Constants since checkpoint format 3: rejected as unknown keys.
+    pytest.param("model.tisa_kernels=0", "unknown config key 'model.tisa_kernels'",
+                 id="model.tisa_kernels=0-tisa_kernels"),
+    pytest.param("model.ln_eps=-1", "unknown config key 'model.ln_eps'",
+                 id="model.ln_eps=-1-ln_eps"),
     ("train.clip_len_s=0.01", "clip_len_s"),
     ("train.w_steps=0", "w_steps"),
     ("train.max_steps=-1", "max_steps"),
@@ -366,6 +374,11 @@ def test_enhance_directory_input_errors(trained, tmp_path, capsys):
     ("train.freeze=no.such.param", "freeze"),
     ("train.freeze=pe.beta", "freeze"),
     ("train.max_steps=301", "max_steps"),
+    ("experiment.train_utts=-3", "train_utts"),
+    ("experiment.train_utt_dur_s=-1", "train_utt_dur_s"),
+    ("experiment.train_utt_dur_s=0.01", "train_utt_dur_s"),
+    ("model.pe_kind=fire", "pe_kind must be one of nopos,"),
+    ("model.target=bogus", "target must be one of ms,"),
 ])
 def test_experiment_rejects_bad_config_before_training(tmp_path, capsys, override,
                                                        field):
@@ -376,7 +389,38 @@ def test_experiment_rejects_bad_config_before_training(tmp_path, capsys, overrid
                           "--set", "model.n_heads=2", "--set", "model.d_ff=16",
                           "experiment", "--out-dir", str(tmp_path / "exp"))
     assert field in err
-    assert not list((tmp_path / "exp").glob("*.lgse"))
+    assert not (tmp_path / "exp").exists()
+
+
+def test_second_experiment_loads_checkpoints_unless_retrain(tmp_path, monkeypatch):
+    from lgse import evaluate
+
+    trained = []
+    train = evaluate.train
+
+    def spy(model, *args, **kwargs):
+        trained.append(model.config.pe_kind.value)
+        return train(model, *args, **kwargs)
+
+    monkeypatch.setattr(evaluate, "train", spy)
+    out = tmp_path / "exp"
+    argv = ["--set", "experiment.kinds=nopos", "--set", "experiment.modes=full",
+            "--set", "experiment.train_utts=2", "--set", "train.clip_len_s=0.5",
+            "--set", "train.max_steps=1",
+            "--set", "model.n_layers=1", "--set", "model.d_model=8",
+            "--set", "model.n_heads=2", "--set", "model.d_ff=16",
+            "--set", "suite.durations_s=0.5", "--set", "suite.snrs_db=0",
+            "--set", "suite.utts_per_condition=1"]
+    assert run_cli(*argv, "experiment", "--out-dir", str(out)) == 0
+    assert trained == ["nopos"]
+    ckpt, report = (out / "model_nopos.lgse").read_bytes(), (out / "report.csv").read_bytes()
+    assert run_cli(*argv, "experiment", "--out-dir", str(out)) == 0
+    assert trained == ["nopos"]
+    assert (out / "report.csv").read_bytes() == report
+    assert run_cli(*argv, "--set", "experiment.retrain=1",
+                   "experiment", "--out-dir", str(out)) == 0
+    assert trained == ["nopos", "nopos"]
+    assert (out / "model_nopos.lgse").read_bytes() == ckpt
 
 
 def test_train_rejects_unknown_freeze_name(trained, tmp_path, capsys):
@@ -406,8 +450,8 @@ def test_experiment_with_utterances_shorter_than_a_clip_errors(tmp_path, capsys)
                           "--set", "model.n_layers=1", "--set", "model.d_model=8",
                           "--set", "model.n_heads=2", "--set", "model.d_ff=16",
                           "experiment", "--out-dir", str(tmp_path / "exp"))
-    assert "clip_len_s" in err
-    assert not list((tmp_path / "exp").glob("model_*.lgse"))
+    assert "train_utt_dur_s 0.3 s" in err and "clip_len_s" in err
+    assert not (tmp_path / "exp").exists()
 
 
 def test_target_choices_and_help_come_from_target_kind():

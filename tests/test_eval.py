@@ -457,6 +457,9 @@ def test_experiment_synthesizes_the_training_corpus_only_to_train(tmp_path,
     (dict(chunk_s=0.0315), "chunk_s"),
     (dict(kinds=("learnlin", "learnlin")), "kinds"),
     (dict(modes=("full", "seg", "full")), "modes"),
+    (dict(train_utts=0), "train_utts"),
+    (dict(train_utt_dur_s=-1.0), "train_utt_dur_s"),
+    (dict(train_utt_dur_s=0.01), "train_utt_dur_s"),
 ])
 def test_experiment_config_rejects_unknown_modes_and_kinds(kw, field):
     from lgse.evaluate import ExperimentConfig

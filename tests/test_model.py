@@ -40,8 +40,7 @@ def test_config_rejects_indivisible_heads():
 @pytest.mark.parametrize("field,value", [
     ("n_layers", 0), ("n_layers", -1), ("n_heads", 0), ("n_heads", -4),
     ("d_model", 0), ("d_ff", 0), ("k_bins", 0), ("bertpos_max_len", 0),
-    ("bertpos_max_len", 33), ("tisa_kernels", 0), ("tisa_kernels", -1),
-    ("ln_eps", 0.0), ("ln_eps", -1.0),
+    ("bertpos_max_len", 33), ("pe_kind", "fire"), ("target", "bogus"),
 ])
 def test_config_rejects_sizes_it_cannot_build(field, value):
     with pytest.raises(ValueError, match=f"^{field} must be"):
@@ -153,9 +152,9 @@ def test_mhsa_shape_preserved():
 def test_single_head_equals_attention_plus_projection():
     m = tiny_model(n_heads=1)
     z = m.embed(rand_input(5))
-    q = z.data @ m.params["layers.0.attn.q.0"].data
-    k = z.data @ m.params["layers.0.attn.k.0"].data
-    v = z.data @ m.params["layers.0.attn.v.0"].data
+    q = z.data @ m.params["layers.0.attn.q"].data
+    k = z.data @ m.params["layers.0.attn.k"].data
+    v = z.data @ m.params["layers.0.attn.v"].data
     head = attention_head(Tensor(q), Tensor(k), Tensor(v), None).data
     expect = head @ m.params["layers.0.attn.out"].data
     got = m.mhsa(z, 0, None).data
@@ -167,12 +166,10 @@ def test_head_permutation_with_matching_out_rows():
     x = rand_input(6, seed=5)
     base = m.forward(x).data
     d_k = m.config.d_k
-    # Swap head 0 and 1 plus the matching W_O row blocks.
+    # Swap the column blocks of head 0 and 1 plus the matching W_O row blocks.
     for name in ("q", "k", "v"):
-        a = m.params[f"layers.0.attn.{name}.0"].data.copy()
-        m.params[f"layers.0.attn.{name}.0"].data = \
-            m.params[f"layers.0.attn.{name}.1"].data.copy()
-        m.params[f"layers.0.attn.{name}.1"].data = a
+        w = m.params[f"layers.0.attn.{name}"].data
+        w[:] = np.concatenate([w[:, d_k:2 * d_k], w[:, :d_k]], axis=1)
     w_o = m.params["layers.0.attn.out"].data
     w_o[:] = np.concatenate([w_o[d_k:2 * d_k], w_o[:d_k]], axis=0)
     assert np.allclose(m.forward(x).data, base, atol=1e-12)
@@ -245,15 +242,25 @@ def test_rpe_forward_is_length_agnostic(kind):
 
 
 def test_residual_identity_with_zeroed_sublayers():
-    m = tiny_model(pe="nopos", post_ln=False)
+    from helpers import _layer_norm
+
+    m = tiny_model(pe="nopos", n_layers=2)
+    rng = np.random.default_rng(12)
     for i in range(m.config.n_layers):
         m.params[f"layers.{i}.attn.out"].data[:] = 0.0
         m.params[f"layers.{i}.ffn.w2"].data[:] = 0.0
         m.params[f"layers.{i}.ffn.b2"].data[:] = 0.0
+        for norm in ("ln1", "ln2"):
+            m.params[f"layers.{i}.{norm}.gain"].data[:] = rng.uniform(0.5, 2.0, 8)
+            m.params[f"layers.{i}.{norm}.bias"].data[:] = rng.normal(size=8)
     x = rand_input(6, seed=12)
-    embedded = m.embed(x).data
-    # The head sees exactly the embedding stream.
-    expect = 1.0 / (1.0 + np.exp(-(embedded @ m.params["head.weight"].data
+    stream = m.embed(x).data
+    # With both sub-layers zeroed, each layer is its two norms, in order.
+    for i in range(m.config.n_layers):
+        for norm in ("ln1", "ln2"):
+            stream = _layer_norm(stream, m.params[f"layers.{i}.{norm}.gain"].data,
+                                 m.params[f"layers.{i}.{norm}.bias"].data)
+    expect = 1.0 / (1.0 + np.exp(-(stream @ m.params["head.weight"].data
                                    + m.params["head.bias"].data)))
     assert np.allclose(m.forward(x).data, expect, atol=1e-12)
 
@@ -262,7 +269,6 @@ def test_pe_param_subcount_matches_table():
     for kind in ALL_KINDS:
         m = tiny_model(pe=kind, n_layers=2, n_heads=2)
         expect = param_count(PeKind(kind), heads=2, layers=2,
-                             kernels=m.config.tisa_kernels,
                              max_len=m.config.bertpos_max_len,
                              d_model=m.config.d_model)
         assert m.pe_parameter_count() == expect, kind
@@ -383,7 +389,7 @@ def test_predict_records_no_tape_and_training_still_does(monkeypatch):
     assert not outs[0].requires_grad
     backward(reduce_sum(m.forward(x)))
     assert m.params["pe.beta"].grad is not None
-    assert np.any(m.params["layers.0.attn.q.0"].grad != 0.0)
+    assert np.any(m.params["layers.0.attn.q"].grad != 0.0)
 
 
 # -- tape-free attention in query blocks ------------------------------------------

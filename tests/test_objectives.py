@@ -186,8 +186,8 @@ def test_apply_zeros_mask_is_silence():
 def test_apply_ms_reattaches_noisy_phase():
     rng = np.random.default_rng(4)
     x = rng.normal(size=(2, 3)) + 1j * rng.normal(size=(2, 3))
-    pred = ms_target(x, 0.3)  # compressed |x| itself
-    out = apply_target(ModelConfig(target=TargetKind.MS, ms_power=0.3), x, pred)
+    pred = ms_target(x)  # compressed |x| itself
+    out = apply_target(ModelConfig(target=TargetKind.MS), x, pred)
     assert np.allclose(out, x, atol=1e-10)
 
 

@@ -10,6 +10,7 @@ from lgse.numerics import Tensor, backward, constant, matmul, mul, reduce_sum
 from lgse.posenc import (
     CAUSAL_NEG,
     SCHEMES,
+    TISA_KERNELS,
     PeKind,
     causal_mask,
     da_bias,
@@ -303,7 +304,7 @@ def test_param_count_reference_values():
     assert param_count(PeKind.LEARNLIN, heads=8) == 8
     assert param_count(PeKind.GAUSS, heads=8) == 8
     assert param_count(PeKind.T5, heads=8) == 256
-    assert param_count(PeKind.TISA, heads=8, layers=4, kernels=5) == 480
+    assert param_count(PeKind.TISA, heads=8, layers=4) == 480
     assert param_count(PeKind.KERPLE, heads=8) == 16
     assert param_count(PeKind.DABIAS, heads=8) == 16
     assert param_count(PeKind.SINUSOIDAL, heads=8) == 0
@@ -313,11 +314,11 @@ def test_param_count_reference_values():
 
 
 @settings(max_examples=25, deadline=None)
-@given(st.integers(1, 16), st.integers(1, 8), st.integers(1, 8),
-       st.integers(1, 512), st.sampled_from([16, 64, 256]))
-def test_param_count_formulas(heads, layers, kernels, max_len, d_model):
-    assert param_count(PeKind.TISA, heads=heads, layers=layers,
-                       kernels=kernels) == 3 * kernels * heads * layers
+@given(st.integers(1, 16), st.integers(1, 8), st.integers(1, 512),
+       st.sampled_from([16, 64, 256]))
+def test_param_count_formulas(heads, layers, max_len, d_model):
+    assert param_count(PeKind.TISA, heads=heads,
+                       layers=layers) == 3 * TISA_KERNELS * heads * layers
     assert param_count(PeKind.T5, heads=heads) == 32 * heads
     assert param_count(PeKind.BERTPOS, heads=heads, max_len=max_len,
                        d_model=d_model) == max_len * d_model

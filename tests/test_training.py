@@ -250,11 +250,12 @@ def _target_bound(model_cfg, spec_s, spec_v, spec_x) -> np.ndarray:
     scale = _frame_scale(spec_s, spec_v)
     kind = model_cfg.target.value
     if kind == "irm":
-        m = objectives.irm(spec_s, spec_v, model_cfg.irm_gamma)
-        return 2 * model_cfg.irm_gamma * m * a_v * scale / (a_s ** 2 + a_v ** 2)
+        gamma = objectives.DEFAULT_IRM_GAMMA
+        m = objectives.irm(spec_s, spec_v)
+        return 2 * gamma * m * a_v * scale / (a_s ** 2 + a_v ** 2)
     cond = a_s * scale / a_x ** 2
     if kind == "cirm":
-        slope = 0.5 * model_cfg.cirm_k * model_cfg.cirm_c
+        slope = 0.5 * objectives.DEFAULT_CIRM_K * objectives.DEFAULT_CIRM_C
         return slope * np.concatenate([cond, cond], axis=-1)
     return cond
 
@@ -440,16 +441,16 @@ def test_trained_checkpoint_holds_only_the_model(tmp_path, kind):
 # sha256 of a freshly initialized tiny model's checkpoint, per PE kind. Any
 # change to parameter names, order, shapes or init draws changes these.
 INIT_CHECKPOINT_SHA256 = {
-    "nopos": "806055af8fb8a127772bbaf06f232ed0e77720a91e5cd4b1d4f4f88cb4743a05",
-    "sinusoidal": "8ee5d0c20e649bc34cc3698a7d8cd81a335f4b09618f2b6f2ec43e3287d866ea",
-    "bertpos": "23e6373f41610c7245f4c52f0b7ff4f4763d22cc98f35608566c31f425bee6d1",
-    "gauss": "521eee7d1f78024d34c7abdd38e925fa4e1a5a2eaebce7a6b4802df08e03d28d",
-    "t5": "80d646da37e6b4ba40e5b0905d425205fb58750382d28206f860b590ccca70f6",
-    "tisa": "46320f80acf36590a3a1c2211b978de56783b05a5db7cf32e841a00e5fec923b",
-    "dabias": "f0f86aa097f4254cc62aff94aacdf26ab736bd0cb78240139505d741491eaaf3",
-    "kerple": "ea8c0d5df79acc4eb4adafa22f4c513f6ee90f351e0ee08995fd016fb5f619f7",
-    "rope": "9887dab27f50e0c871005aa0f6bc1770ed942ef311be6de6df62d72b2745e582",
-    "learnlin": "75db7781e38e9bf963a6272978bab3146b6b00fa84793c422c9f55e7b3407959",
+    "nopos": "1595998fb720e968d80c0e902111bc63f0ab4f7be01fa2aff1981d8f47d53167",
+    "sinusoidal": "c5fd5fc66ea9bf5dcc7b433c0ba7d56e032072a9f05abfdfd2c9c81c3316651f",
+    "bertpos": "8183265a6f59e12f169251c4e6fb24ee9fdc254a01d11705824f01c11893baaf",
+    "gauss": "b2c4f3fe935d8e2e863c5980e21d2aba5f034d5289479ecc14d895faa0e49099",
+    "t5": "e4c68c08db025724bf1a1803ef53bf7384db4cf1af411f883f5f162239d98678",
+    "tisa": "9e6bbf79c3f2421bdb9561bf0411ef3c1d24dde8f9f81840f987af0a87b028b1",
+    "dabias": "05ea40352bee24924fa935a789079f467c1321a6e46cb9d4be3def38331277d6",
+    "kerple": "9a54ad0fea12d6454c7233a9488ea300b5a62a5f5c5a66fac72f3ebc6152fa14",
+    "rope": "2d5ce1d8dbb22583863dcd95dfe036af9b666c2d9cbc4682caa4f144df6db815",
+    "learnlin": "9c073b53c5717ee29e5b4b919f0d3f5ccaafc3ebb814526161e831baea207ad0",
 }
 
 
@@ -472,15 +473,17 @@ def test_checkpoint_magic_and_validation(tmp_path):
         load_checkpoint(bad)
 
 
-def test_checkpoint_version_1_rejected(tmp_path):
+@pytest.mark.parametrize("version", [1, 2])
+def test_old_checkpoint_version_rejected(tmp_path, version):
     import struct
 
     model = EnhancementModel(ModelConfig(pe_kind="nopos", **TINY_MODEL))
     path = tmp_path / "m.lgse"
     save_checkpoint(path, model, None, 0)
     raw = path.read_bytes()
-    path.write_bytes(raw[:4] + struct.pack("<I", 1) + raw[8:])
-    with pytest.raises(CheckpointError, match="unsupported checkpoint version 1;"):
+    path.write_bytes(raw[:4] + struct.pack("<I", version) + raw[8:])
+    with pytest.raises(CheckpointError,
+                       match=f"unsupported checkpoint version {version};"):
         load_checkpoint(path)
 
 
@@ -537,9 +540,11 @@ def test_checkpoint_shape_validation(tmp_path):
     (lambda c: c.update(d_model=0), "bad model_config: d_model must be at least 1"),
     (lambda c: c.update(n_layers=-1), "bad model_config: n_layers must be at least 1"),
     (lambda c: c.update(bertpos_hard_cap=8), "bad model_config: bertpos_max_len must be"),
-    (lambda c: c.update(tisa_kernels=0),
-     "bad model_config: tisa_kernels must be at least 1"),
-    (lambda c: c.update(ln_eps=-1.0), "bad model_config: ln_eps must be positive"),
+    # Settings that became constants in format 3 are unknown keys.
+    pytest.param(lambda c: c.update(tisa_kernels=5),
+                 r"unknown model_config keys \['tisa_kernels'\]", id="unknown-tisa_kernels"),
+    pytest.param(lambda c: c.update(ln_eps=1e-5),
+                 r"unknown model_config keys \['ln_eps'\]", id="unknown-ln_eps"),
 ])
 def test_checkpoint_config_errors(tmp_path, edit, match):
     from helpers import rewrite_model_config
