@@ -17,9 +17,9 @@ from . import dsp, selftest
 from .config import ConfigError, RunConfig, config_key_lines, load_run_config
 from .evaluate import (MODES, chunk_starts, enhance_chunked, enhance_full,
                        run_lengen_experiment, seg_chunk_s)
-from .model import CapabilityError, EnhancementModel
+from .model import EnhancementModel
 from .objectives import TargetKind
-from .posenc import PeKind
+from .posenc import CapabilityError, PeKind
 from .training import CheckpointError, load_checkpoint, train
 
 __all__ = ["main", "build_parser"]
@@ -105,14 +105,23 @@ def _read_corpus(corpus_dir: str) -> list[dsp.Utterance]:
     if not os.path.exists(manifest_path):
         raise FileNotFoundError(f"no manifest.json in {corpus_dir}; run synth first")
     with open(manifest_path, encoding="utf-8") as f:
-        manifest = json.load(f)
+        try:
+            manifest = json.load(f)
+        except json.JSONDecodeError as exc:
+            raise ValueError(f"{manifest_path}: invalid JSON ({exc})") from None
+    pairs = manifest.get("pairs") if isinstance(manifest, dict) else None
+    if not isinstance(pairs, list):
+        raise ValueError(f"{manifest_path}: expected an object whose 'pairs' key "
+                         f"holds a list of clean/noise file pairs")
     corpus = []
-    for pair in manifest["pairs"]:
+    for i, pair in enumerate(pairs):
+        for key in ("clean", "noise"):
+            if not isinstance(pair, dict) or not isinstance(pair.get(key), str):
+                raise ValueError(f"{manifest_path}: pairs[{i}] has no '{key}' "
+                                 f"file name")
         corpus.append(dsp.Utterance(
             clean=dsp.read_wav(os.path.join(corpus_dir, pair["clean"])),
-            noise=dsp.read_wav(os.path.join(corpus_dir, pair["noise"])),
-            clean_freqs_hz=tuple(pair.get("clean_freqs_hz", ())),
-            noise_kind=pair.get("noise_kind", "")))
+            noise=dsp.read_wav(os.path.join(corpus_dir, pair["noise"]))))
     return corpus
 
 

@@ -72,9 +72,7 @@ KEY_HELP = {
     "model.k_bins": f"frequency bins per frame; must be fft/2+1 = {N_BINS}",
     "model.pe_kind": "positional encoding: " + "|".join(k.value for k in SCHEMES),
     "model.target": "training objective: " + "|".join(k.value for k in TargetKind),
-    "model.causal": "mask attention to past frames only",
     "model.bertpos_max_len": "trained absolute-embedding rows L'",
-    "model.bertpos_hard_cap": "hard frame cap for bertpos inference",
     "model.init_seed": "weight-init seed (derived from master seed by default)",
     "train.clip_len_s": "training clip length in seconds",
     "train.batch_utts": "clean utterances per mini-batch",
@@ -121,7 +119,7 @@ def _coerce(name: str, ftype: Any, value: Any):
             return int(value)
         if ftype is float or base == "float":
             return float(value)
-        return value if not isinstance(value, str) else value
+        return value
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"bad value for {name!r}: {value!r}") from exc
 

@@ -93,8 +93,11 @@ def frame_count(n_samples: int) -> int:
 
 
 def require_one_frame(name: str, dur_s: float) -> None:
-    """Raise a ValueError naming setting `name` when `dur_s` seconds hold
-    fewer samples than one analysis window, the least any STFT can frame."""
+    """Raise a ValueError naming setting `name` when `dur_s` is not a finite
+    number of seconds, or holds fewer samples than one analysis window, the
+    least any STFT can frame."""
+    if not np.isfinite(dur_s):
+        raise ValueError(f"{name} must be a finite number of seconds, got {dur_s:g}")
     if int(round(dur_s * SAMPLE_RATE)) < WIN_LEN:
         raise ValueError(f"{name} must be at least one analysis window "
                          f"({WIN_LEN} samples, {WIN_LEN / SAMPLE_RATE:g} s), "

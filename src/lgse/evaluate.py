@@ -366,18 +366,31 @@ class MetricReport:
         return "\n".join(lines) + "\n"
 
 
+def _shown(cfg: ModelConfig, name: str):
+    value = getattr(cfg, name)
+    return getattr(value, "value", value)
+
+
 def train_or_load(kind: str, model_cfg: ModelConfig, train_cfg: TrainConfig,
                   corpus: Callable[[], list[Utterance]], ckpt_path,
                   retrain: bool = False, loss_csv=None) -> EnhancementModel:
     """Load the checkpoint for a scheme if present, otherwise train on
-    `corpus()` and save; `corpus` is only called when the model trains."""
+    `corpus()` and save; `corpus` is only called when the model trains.
+
+    A loaded model must have been built with `model_cfg` for this scheme,
+    except for its init seed, which a saved model may have drawn from another
+    stream; any other difference raises a ValueError naming the fields."""
     cfg = model_cfg.with_pe(kind)
     if not retrain and ckpt_path is not None and os.path.exists(ckpt_path):
         model, _ = load_checkpoint(ckpt_path)
-        if model.config.pe_kind is not PeKind(kind):
-            raise ValueError(
-                f"checkpoint {ckpt_path} holds {model.config.pe_kind.value!r}, "
-                f"expected {kind!r}")
+        differ = [f"{f.name} {_shown(model.config, f.name)} (requested "
+                  f"{_shown(cfg, f.name)})" for f in fields(ModelConfig)
+                  if f.name != "init_seed"
+                  and getattr(model.config, f.name) != getattr(cfg, f.name)]
+        if differ:
+            raise ValueError(f"checkpoint {ckpt_path} was built with other model "
+                             f"settings: {', '.join(differ)}; set "
+                             f"experiment.retrain=1 to train it again")
         return model
     model = EnhancementModel(cfg)
     train(model, corpus(), train_cfg, ckpt_path=ckpt_path, loss_csv=loss_csv)

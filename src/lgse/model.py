@@ -3,9 +3,10 @@
 The network is: FC embedding with frame-wise layer norm and ReLU, N identical
 layers of multi-head self-attention plus a two-layer feed-forward block (each
 wrapped in a residual connection and followed by a frame-wise layer norm),
-and a target-specific output head. The positional-encoding scheme decides
-where position enters: added to the input embedding, injected into the
-attention logits, or rotated into q/k.
+and a target-specific output head. The positional-encoding scheme's
+`posenc.SCHEMES` record decides where position enters: rows added to the
+input embedding, a bias on the attention scores, or a rotation of q/k. This
+module calls those hooks and holds no scheme-specific code.
 """
 
 from __future__ import annotations
@@ -20,7 +21,6 @@ from . import dsp, posenc
 from .numerics import (
     Tensor,
     add,
-    concat_cols,
     constant,
     layer_norm_frames,
     matmul,
@@ -38,13 +38,8 @@ from .posenc import PeKind
 __all__ = [
     "ModelConfig",
     "EnhancementModel",
-    "CapabilityError",
     "attention_head",
 ]
-
-
-class CapabilityError(RuntimeError):
-    """The configured scheme cannot handle the requested sequence length."""
 
 
 @dataclass(frozen=True)
@@ -56,9 +51,7 @@ class ModelConfig:
     k_bins: int = dsp.N_BINS
     pe_kind: PeKind = PeKind.LEARNLIN
     target: TargetKind = TargetKind.IRM
-    causal: bool = False
     bertpos_max_len: int = 64
-    bertpos_hard_cap: int = 4096
     init_seed: int = 0
 
     def __post_init__(self):
@@ -72,10 +65,10 @@ class ModelConfig:
         for name in ("n_layers", "n_heads", "d_model", "d_ff", "k_bins"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be at least 1, got {getattr(self, name)}")
-        if not 1 <= self.bertpos_max_len <= self.bertpos_hard_cap:
+        if not 1 <= self.bertpos_max_len <= posenc.BERTPOS_MAX_FRAMES:
             raise ValueError(
-                f"bertpos_max_len must be between 1 and bertpos_hard_cap "
-                f"({self.bertpos_hard_cap}), got {self.bertpos_max_len}")
+                f"bertpos_max_len must be between 1 and {posenc.BERTPOS_MAX_FRAMES}, "
+                f"got {self.bertpos_max_len}")
         if self.d_model % self.n_heads != 0:
             raise ValueError(
                 f"d_model {self.d_model} not divisible by n_heads {self.n_heads}")
@@ -115,47 +108,38 @@ def _usable_cpus() -> int:
 
 
 def attention_head(q: Tensor, k: Tensor, v: Tensor, bias: Tensor | None = None,
-                   *, mode: str = "additive", causal: bool = False) -> Tensor:
+                   *, multiplicative: bool = False) -> Tensor:
     """Scaled dot-product attention over (..., L, d_k) queries, keys and values.
 
-    Leading axes (clips, heads) are independent attention problems. Additive
-    biases join the scaled scores before the softmax; the multiplicative bias
+    Leading axes (clips, heads) are independent attention problems. A bias
+    joins the scaled scores before the softmax or, if `multiplicative`,
     scales the ReLU-clipped scores instead. A bias is (L, L) or carries
     leading axes that broadcast against the scores, e.g. one (H, L, L) stack
-    for every clip. Causal masking pushes logits above the diagonal to -1e9
-    after bias injection. On the tape path masked frames therefore receive
-    exactly zero weight after renormalization.
+    for every clip.
 
     When no operand needs a gradient, the scores are computed one block of
     query rows at a time, within `_BLOCK_BYTES` in all, and a call too large
     for one block spreads its independent problems over the CPUs this process
     may use (see `_attention_blocks`); no tape is recorded. That path floors
-    shifted logits at `numerics.EXP_FLOOR`, so a masked frame, or one a strong
-    decay bias pushes that far down, gets a weight of at most e^-600 relative
-    to its row's largest rather than zero.
+    shifted logits at `numerics.EXP_FLOOR`, so a frame that a strong decay
+    bias pushes that far down gets a weight of at most e^-600 relative to its
+    row's largest rather than zero.
     """
     length, d_k = q.shape[-2:]
     if bias is not None and bias.shape[-2:] != (length, length):
         raise ValueError(
             f"bias shape {bias.shape} does not match sequence length {length}")
-    if bias is not None and mode not in ("additive", "multiplicative"):
-        raise ValueError(f"unknown bias mode {mode!r}")
     operands = (q, k, v) if bias is None else (q, k, v, bias)
     if not any(t.requires_grad for t in operands):
-        return _attention_blocks(q, k, v, bias, mode, causal)
+        return _attention_blocks(q, k, v, bias, multiplicative)
     scores = mul(matmul(q, transpose(k)), 1.0 / math.sqrt(d_k))
     if bias is not None:
-        if mode == "multiplicative":
-            scores = mul(relu(scores), bias)
-        else:
-            scores = add(scores, bias)
-    if causal:
-        scores = add(scores, constant(posenc.causal_mask(length)))
+        scores = mul(relu(scores), bias) if multiplicative else add(scores, bias)
     return matmul(softmax_rows(scores), v)
 
 
 def _attention_blocks(q: Tensor, k: Tensor, v: Tensor, bias: Tensor | None,
-                      mode: str, causal: bool) -> Tensor:
+                      multiplicative: bool) -> Tensor:
     """`attention_head` without a tape, one block of query rows at a time.
 
     A block's scores span all L keys, so each row's softmax is exact and no
@@ -169,7 +153,7 @@ def _attention_blocks(q: Tensor, k: Tensor, v: Tensor, bias: Tensor | None,
     depend on its row count. Each worker owns a buffer of its part's share of
     the budget, allocated here before any starts, and a block's scores are a
     contiguous prefix of it. 1/sqrt(d_k) is folded into q once per call;
-    QK^T is written into the buffer, the bias and mask are applied in place,
+    QK^T is written into the buffer, the bias is applied in place,
     and `softmax_rows(block, v)` then shifts, floors and exponentiates the
     block in the buffer and normalizes the small (..., rows, d) product after
     the value product. Pool threads do not inherit the `no_grad` context, so
@@ -190,7 +174,6 @@ def _attention_blocks(q: Tensor, k: Tensor, v: Tensor, bias: Tensor | None,
     k_t = np.ascontiguousarray(np.swapaxes(full(k.data), -1, -2))
     values = full(v.data)
     bias_data = None if bias is None else full(bias.data)
-    mask = posenc.causal_mask(length) if causal else None
     rows = max(1, _BLOCK_BYTES // (8 * length * math.prod(lead)))
     # Split the longest leading axis: the heads of one clip, or a stack's clips.
     axis = lead.index(max(lead))
@@ -212,13 +195,11 @@ def _attention_blocks(q: Tensor, k: Tensor, v: Tensor, bias: Tensor | None,
             s = buffers[worker][:math.prod(block_shape)].reshape(block_shape)
             np.matmul(q_scaled[block], k_t[part], out=s)
             if bias_data is not None:
-                if mode == "multiplicative":
+                if multiplicative:
                     np.maximum(s, 0.0, out=s)
                     s *= bias_data[block]
                 else:
                     s += bias_data[block]
-            if causal:
-                s += mask[r0:r0 + rows]
             out[block] = softmax_rows(s, values[part]).data
 
     if workers == 1:
@@ -320,24 +301,15 @@ class EnhancementModel:
 
     # -- forward pieces ------------------------------------------------------
 
-    def _position_rows(self, length: int) -> np.ndarray | Tensor:
-        cfg = self.config
-        if cfg.pe_kind is PeKind.SINUSOIDAL:
-            return constant(posenc.sinusoidal_embedding(length, cfg.d_model))
-        table = self.params["pe.embed"]
-        trained = cfg.bertpos_max_len
-        if length <= trained:
-            return take(table, np.arange(length))
-        if length > cfg.bertpos_hard_cap:
-            raise CapabilityError(
-                f"bertpos supports at most {cfg.bertpos_hard_cap} frames, "
-                f"got {length}")
-        ext = constant(self.buffers["pe.embed_ext"][:length - trained])
-        return concat_cols([table, ext], axis=0)
+    def _pe_tensors(self) -> dict[str, Tensor | np.ndarray]:
+        """The scheme's parameters and buffers, without their "pe." prefix."""
+        cut = len("pe.")
+        return {name[cut:]: t for name, t in {**self.params, **self.buffers}.items()
+                if name.startswith("pe.")}
 
     def embed(self, x_mag: np.ndarray) -> Tensor:
-        """FC -> frame-wise layer norm -> ReLU, plus the absolute embedding
-        for the input-injection kinds. Accepts (L, K) or a (B, L, K) stack."""
+        """FC -> frame-wise layer norm -> ReLU, plus the scheme's position
+        rows if it has any. Accepts (L, K) or a (B, L, K) stack."""
         cfg = self.config
         x_mag = np.asarray(x_mag, dtype=np.float64)
         if x_mag.ndim not in (2, 3) or x_mag.shape[-1] != cfg.k_bins:
@@ -349,8 +321,9 @@ class EnhancementModel:
         z = layer_norm_frames(z, self.params["embed.ln_gain"],
                               self.params["embed.ln_bias"])
         z = relu(z)
-        if posenc.SCHEMES[cfg.pe_kind].mode == "input":
-            z = add(z, self._position_rows(x_mag.shape[-2]))
+        rows = posenc.SCHEMES[cfg.pe_kind].rows
+        if rows is not None:
+            z = add(z, rows(x_mag.shape[-2], cfg, self._pe_tensors()))
         return z
 
     def _biases_for(self, length: int) -> list[Tensor | None]:
@@ -361,8 +334,7 @@ class EnhancementModel:
         scheme = posenc.SCHEMES[self.config.pe_kind]
         if scheme.bias is None:
             return [None] * n
-        pe = {name[len("pe."):]: t for name, t in self.params.items()
-              if name.startswith("pe.")}
+        pe = self._pe_tensors()
         if scheme.per_layer:
             return [scheme.bias(length, {name: take(t, i) for name, t in pe.items()})
                     for i in range(n)]
@@ -379,15 +351,13 @@ class EnhancementModel:
     def mhsa(self, x: Tensor, layer: int, bias: Tensor | None) -> Tensor:
         """Self-attention of every head at once over (..., L, d_model) frames;
         `bias` is the layer's (H, L, L) position bias or None."""
-        cfg = self.config
-        mode = posenc.SCHEMES[cfg.pe_kind].mode
-        bias_mode = "multiplicative" if mode == "multiplicative" else "additive"
+        scheme = posenc.SCHEMES[self.config.pe_kind]
         q = self._split_heads(x, "q", layer)
         k = self._split_heads(x, "k", layer)
         v = self._split_heads(x, "v", layer)
-        if mode == "rotation":
-            q, k = posenc.rope_rotate(q, k)
-        heads = attention_head(q, k, v, bias, mode=bias_mode, causal=cfg.causal)
+        if scheme.rotate is not None:
+            q, k = scheme.rotate(q, k)
+        heads = attention_head(q, k, v, bias, multiplicative=scheme.multiplicative)
         joined = reshape(transpose(heads, -3, -2), x.shape)
         return matmul(joined, self.params[f"layers.{layer}.attn.out"])
 

@@ -25,14 +25,14 @@ Builder parameters may carry leading head axes: a scalar `beta` gives an
 (L, L) bias, a (H,)-shaped one an (H, L, L) stack, one matrix per head.
 
 `SCHEMES` holds one `Scheme` record per kind, and every kind-dependent
-decision reads it: its report label, where position enters the model
-(`mode`), whether its parameters are stacked per layer, how they are drawn
-(`init`, which also fixes their checkpoint names and order), and how its
-bias is built from them (`bias`). `param_count` sums the sizes `init`
-returns. A record calls the public builders by their module-global names,
-so wrapping a builder in this module's namespace also wraps it for the
-model. The naive oracles for each bias live apart from this table, in
-`selftest.NAIVE_OFFSET`.
+decision reads it: its report label, how its parameters are drawn (`init`,
+which also fixes their checkpoint names and order) and whether they are
+stacked per layer, and where position enters the model, through the hooks it
+sets: input rows (`rows`), a bias on the attention scores (`bias`) or a q/k
+rotation (`rotate`). `param_count` sums the sizes `init` returns. A record
+calls the public builders by their module-global names, so wrapping a
+builder in this module's namespace also wraps it for the model. The naive
+oracles for each bias live apart from this table, in `selftest.NAIVE_OFFSET`.
 """
 
 from __future__ import annotations
@@ -48,6 +48,7 @@ from .numerics import (
     Tensor,
     absolute,
     add,
+    concat_cols,
     constant,
     div,
     exp,
@@ -66,12 +67,13 @@ __all__ = [
     "PeKind",
     "Scheme",
     "SCHEMES",
+    "CapabilityError",
     "TISA_KERNELS",
     "T5_BUCKETS",
-    "CAUSAL_NEG",
+    "BERTPOS_MAX_FRAMES",
     "toeplitz_offsets",
-    "causal_mask",
     "sinusoidal_embedding",
+    "bertpos_rows",
     "gauss_bias",
     "t5_bucket_index",
     "t5_bias",
@@ -86,8 +88,12 @@ __all__ = [
 
 TISA_KERNELS = 5
 T5_BUCKETS = 32
-# Large negative constant standing in for -inf in masked attention logits.
-CAUSAL_NEG = 1e9
+# Frames a bertpos model can embed: its L' trained rows, then fixed ones.
+BERTPOS_MAX_FRAMES = 4096
+
+
+class CapabilityError(RuntimeError):
+    """The configured scheme cannot handle the requested sequence length."""
 
 
 class PeKind(str, Enum):
@@ -106,18 +112,6 @@ class PeKind(str, Enum):
 def toeplitz_offsets(length: int) -> np.ndarray:
     """Relative positions i-j covered by an L x L grid: -(L-1) .. L-1."""
     return np.arange(-(length - 1), length)
-
-
-def causal_mask(length: int) -> np.ndarray:
-    """Additive mask: -CAUSAL_NEG above the diagonal (j > i), 0 elsewhere.
-
-    A read-only (L, L) Toeplitz view of one row of 2L-1 per-offset values, so
-    a block of query rows is a slice of it, not a fresh array.
-    """
-    # The row is stored last offset first, so the view's key axis runs
-    # forward through memory, the faster operand to add to a score block.
-    backwards = np.where(np.arange(2 * length - 1) >= length, -CAUSAL_NEG, 0.0)
-    return toeplitz(backwards[::-1], length).data
 
 
 def _per_head(p: Tensor, core_ndim: int = 0) -> Tensor:
@@ -142,6 +136,19 @@ def sinusoidal_embedding(length: int, d_model: int) -> np.ndarray:
     out[:, 0::2] = np.sin(angles[:, 0::2])
     out[:, 1::2] = np.cos(angles[:, 1::2])
     return out
+
+
+def bertpos_rows(length: int, table: Tensor, fixed: np.ndarray) -> Tensor:
+    """The first `length` rows of the learned table, continued past its L'
+    rows by the fixed, never-trained rows; more than BERTPOS_MAX_FRAMES
+    raise CapabilityError."""
+    trained = table.shape[0]
+    if length <= trained:
+        return take(table, np.arange(length))
+    if length > BERTPOS_MAX_FRAMES:
+        raise CapabilityError(f"bertpos supports at most {BERTPOS_MAX_FRAMES} "
+                              f"frames, got {length}")
+    return concat_cols([table, constant(fixed[:length - trained])], axis=0)
 
 
 def gauss_bias(length: int, sigma: Tensor) -> Tensor:
@@ -247,25 +254,29 @@ def rope_rotate(q: Tensor, k: Tensor, base: float = 10000.0) -> tuple[Tensor, Te
 
 @dataclass(frozen=True)
 class Scheme:
-    """One positional-encoding scheme.
+    """One positional-encoding scheme; position enters through the hooks it
+    sets, and a scheme that sets none carries no position.
 
     label      its name in reports
-    mode       where position enters: "none", "input" (added to the
-               embedding), "additive" or "multiplicative" (a bias on the
-               attention scores) or "rotation" (of q/k)
     init       (cfg, rng) -> (params, buffers): the arrays a ModelConfig-like
                `cfg` implies, named without the "pe." prefix, in checkpoint
                order; random draws come from `rng` only
-    bias       (length, params) -> the (H, L, L) bias from the parameter
-               Tensors, or None for kinds without one
+    bias       (length, params) -> the (H, L, L) bias on the attention scores,
+               from the parameter Tensors; if `multiplicative`, it scales the
+               ReLU-clipped scores instead of joining them
+    rows       (length, cfg, tensors) -> (L, d_model) rows added to the input
+               embedding, from the parameter Tensors and buffer arrays
+    rotate     (q, k) -> q and k rotated by position
     per_layer  parameters carry a leading layer axis; `bias` then receives
                one layer's slice
     """
 
     label: str
-    mode: str
     init: Callable[..., tuple[dict, dict]]
     bias: Callable[[int, dict], Tensor] | None = None
+    multiplicative: bool = False
+    rows: Callable[..., Tensor] | None = None
+    rotate: Callable[[Tensor, Tensor], tuple[Tensor, Tensor]] | None = None
     per_layer: bool = False
 
 
@@ -275,7 +286,7 @@ def _no_params(cfg, rng) -> tuple[dict, dict]:
 
 def _bertpos_init(cfg, rng) -> tuple[dict, dict]:
     # Rows past L' are drawn too but never trained: a fixed buffer.
-    extra = cfg.bertpos_hard_cap - cfg.bertpos_max_len
+    extra = BERTPOS_MAX_FRAMES - cfg.bertpos_max_len
     embed = rng.normal(0.0, 0.02, size=(cfg.bertpos_max_len, cfg.d_model))
     return {"embed": embed}, {"embed_ext": rng.normal(0.0, 0.02, size=(extra, cfg.d_model))}
 
@@ -288,31 +299,35 @@ def _tisa_init(cfg, rng) -> tuple[dict, dict]:
 
 
 SCHEMES: dict[PeKind, Scheme] = {
-    PeKind.NOPOS: Scheme("No-Pos", "none", _no_params),
-    PeKind.SINUSOIDAL: Scheme("Sinusoidal", "input", _no_params),
-    PeKind.BERTPOS: Scheme("BERT-Pos", "input", _bertpos_init),
+    PeKind.NOPOS: Scheme("No-Pos", _no_params),
+    PeKind.SINUSOIDAL: Scheme(
+        "Sinusoidal", _no_params,
+        rows=lambda n, cfg, t: constant(sinusoidal_embedding(n, cfg.d_model))),
+    PeKind.BERTPOS: Scheme(
+        "BERT-Pos", _bertpos_init,
+        rows=lambda n, cfg, t: bertpos_rows(n, t["embed"], t["embed_ext"])),
     PeKind.GAUSS: Scheme(
-        "Gauss-Bias", "additive",
+        "Gauss-Bias",
         lambda cfg, rng: ({"sigma": np.full(cfg.n_heads, 10.0)}, {}),
         lambda n, p: gauss_bias(n, p["sigma"])),
     PeKind.T5: Scheme(
-        "T5-Bias", "additive",
+        "T5-Bias",
         lambda cfg, rng: ({"bucket": np.zeros((cfg.n_heads, T5_BUCKETS))}, {}),
         lambda n, p: t5_bias(n, p["bucket"])),
     PeKind.TISA: Scheme(
-        "TISA", "additive", _tisa_init,
+        "TISA", _tisa_init,
         lambda n, p: tisa_bias(n, p["a"], p["b"], p["c"]), per_layer=True),
     PeKind.DABIAS: Scheme(
-        "DA-Bias", "multiplicative",
+        "DA-Bias",
         lambda cfg, rng: ({"w": np.full(cfg.n_heads, 0.01), "v": np.zeros(cfg.n_heads)}, {}),
-        lambda n, p: da_bias(n, p["w"], p["v"])),
+        lambda n, p: da_bias(n, p["w"], p["v"]), multiplicative=True),
     PeKind.KERPLE: Scheme(
-        "KERPLE", "additive",
+        "KERPLE",
         lambda cfg, rng: ({"rho1": np.zeros(cfg.n_heads), "rho2": np.zeros(cfg.n_heads)}, {}),
         lambda n, p: kerple_bias(n, p["rho1"], p["rho2"])),
-    PeKind.ROPE: Scheme("RoPE", "rotation", _no_params),
+    PeKind.ROPE: Scheme("RoPE", _no_params, rotate=lambda q, k: rope_rotate(q, k)),
     PeKind.LEARNLIN: Scheme(
-        "LearnLin", "additive",
+        "LearnLin",
         lambda cfg, rng: ({"beta": rng.uniform(-0.2, 0.0, size=cfg.n_heads)}, {}),
         lambda n, p: learnlin_bias(n, p["beta"])),
 }
@@ -323,6 +338,6 @@ def param_count(kind: PeKind, *, heads: int, layers: int = 1, max_len: int = 0,
     """Trainable parameter count contributed by a scheme: the sizes of the
     parameters its `init` draws for these dimensions."""
     dims = SimpleNamespace(n_heads=heads, n_layers=layers, bertpos_max_len=max_len,
-                           bertpos_hard_cap=max_len, d_model=d_model)
+                           d_model=d_model)
     params, _ = SCHEMES[PeKind(kind)].init(dims, np.random.default_rng(0))
     return sum(a.size for a in params.values())

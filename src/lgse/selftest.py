@@ -221,20 +221,19 @@ def check_gradient_small():
 
 def check_tape_free_forward():
     """Blocked tape-free `predict` against the tape `forward` for every
-    scheme, a learnlin decay strong enough to hit the softmax floor, and a
-    causal model, with blocks small enough that each call makes several;
-    and `predict` on one worker against the CPUs this process may use,
-    bitwise."""
+    scheme and a learnlin decay strong enough to hit the softmax floor, with
+    blocks small enough that each call makes several; and `predict` on one
+    worker against the CPUs this process may use, bitwise."""
     rng = np.random.default_rng(12)
-    # (kind, causal, length, learnlin beta); beta -2 reaches -798 at L = 400.
-    cases = [(kind, False, 13, None) for kind in posenc.SCHEMES]
-    cases += [(PeKind.LEARNLIN, False, 400, -2.0), (PeKind.NOPOS, True, 13, None)]
+    # (kind, length, learnlin beta); beta -2 reaches -798 at L = 400.
+    cases = [(kind, 13, None) for kind in posenc.SCHEMES]
+    cases += [(PeKind.LEARNLIN, 400, -2.0)]
     saved, usable = model_module._BLOCK_BYTES, model_module._usable_cpus
     try:
-        for kind, causal, length, beta in cases:
+        for kind, length, beta in cases:
             model = EnhancementModel(ModelConfig(
                 n_layers=2, n_heads=2, d_model=8, d_ff=16, k_bins=9, pe_kind=kind,
-                causal=causal, bertpos_max_len=8, bertpos_hard_cap=16, init_seed=5))
+                bertpos_max_len=8, init_seed=5))
             for name, t in model.params.items():
                 if name.startswith("pe."):
                     t.data = t.data + rng.normal(0.0, 0.3, t.shape)
@@ -245,12 +244,12 @@ def check_tape_free_forward():
             x = rng.uniform(0.0, 2.0, (length, 9))
             pred = model.predict(x)
             err = np.max(np.abs(pred - model.forward(x).data))
-            assert err <= 1e-12, f"{kind.value} causal={causal} L={length}: {err:.3g}"
+            assert err <= 1e-12, f"{kind.value} L={length}: {err:.3g}"
             model_module._usable_cpus = lambda: 1
             one = model.predict(x)
             model_module._usable_cpus = usable
             assert np.array_equal(one, pred), (
-                f"{kind.value} causal={causal} L={length}: one worker differs "
+                f"{kind.value} L={length}: one worker differs "
                 f"from {usable()}")
     finally:
         model_module._BLOCK_BYTES, model_module._usable_cpus = saved, usable
@@ -268,7 +267,7 @@ def check_checkpoint_roundtrip():
         for kind in posenc.SCHEMES:
             model = EnhancementModel(ModelConfig(
                 n_layers=2, n_heads=2, d_model=8, d_ff=16, k_bins=9, pe_kind=kind,
-                bertpos_max_len=8, bertpos_hard_cap=16, init_seed=5))
+                bertpos_max_len=8, init_seed=5))
             for t in model.params.values():
                 t.data = t.data + rng.normal(0.0, 0.1, t.shape)
             for name, arr in model.buffers.items():

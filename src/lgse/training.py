@@ -34,7 +34,7 @@ __all__ = [
 ]
 
 CHECKPOINT_MAGIC = b"LGSE"
-CHECKPOINT_VERSION = 3
+CHECKPOINT_VERSION = 4
 
 # Adam's moment decays and epsilon.
 ADAM_BETA1 = 0.9
@@ -250,7 +250,7 @@ def write_loss_csv(path, trace: list[tuple[int, float, float]]) -> None:
 
 # -- checkpoint serialization -------------------------------------------------
 #
-# Layout (all little-endian), version 3:
+# Layout (all little-endian), version 4:
 #   magic "LGSE" | u32 version | u64 meta_len | meta JSON (sorted keys)
 #   | u32 n_records | records
 # meta: {"model_config": {...every ModelConfig field...}, "step": steps trained}
@@ -258,9 +258,9 @@ def write_loss_csv(path, trace: list[tuple[int, float, float]]) -> None:
 # Records are sorted by name and are exactly the model's tensors: parameters
 # "param.<name>" and fixed buffers "buffer.<name>". A checkpoint holds no
 # optimizer or RNG state, so training cannot resume from one.
-# Version 3 stores each attention projection as one (d_model, d_model) record,
+# Since version 3 each attention projection is one (d_model, d_model) record,
 # "param.layers.<i>.attn.q" (k, v), with head h in column block h; version 2
-# stored one record per head and seven more ModelConfig fields.
+# stored one record per head. Versions 2 and 3 stored more ModelConfig fields.
 
 
 def _record_header(name: str, arr: np.ndarray) -> bytes:

@@ -12,7 +12,7 @@ from lgse import dsp, objectives
 from lgse.dsp import Waveform
 from lgse.evaluate import _triangle, chunk_starts, enhance_full
 from lgse.model import EnhancementModel
-from lgse.posenc import CAUSAL_NEG, PeKind, sinusoidal_embedding
+from lgse.posenc import PeKind, sinusoidal_embedding
 from lgse.selftest import NAIVE_OFFSET, model_gradient_mismatches, naive_bias  # noqa: F401
 
 
@@ -232,7 +232,6 @@ def reference_forward(model: EnhancementModel, x_mag: np.ndarray) -> np.ndarray:
     elif kind is PeKind.BERTPOS:
         table = np.concatenate([p["pe.embed"], model.buffers["pe.embed_ext"]])
         z = z + table[:length]
-    causal = np.triu(np.full((length, length), -CAUSAL_NEG), k=1)
     for i in range(cfg.n_layers):
         heads = []
         for h in range(cfg.n_heads):
@@ -247,8 +246,6 @@ def reference_forward(model: EnhancementModel, x_mag: np.ndarray) -> np.ndarray:
                 scores = np.maximum(scores, 0.0) * _head_bias(model, length, i, h)
             elif kind in NAIVE_OFFSET:
                 scores = scores + _head_bias(model, length, i, h)
-            if cfg.causal:
-                scores = scores + causal
             e = np.exp(scores - scores.max(axis=1, keepdims=True))
             heads.append(e / e.sum(axis=1, keepdims=True) @ v)
         y = z + np.concatenate(heads, axis=1) @ p[f"layers.{i}.attn.out"]

@@ -55,10 +55,10 @@ def test_override_and_seed_derivation(tmp_path):
 
 def test_overrides_apply_as_one_change_per_section():
     cfg = load_run_config(None, ["model.d_model=30", "model.n_heads=3",
-                                 "model.bertpos_max_len=5000",
-                                 "model.bertpos_hard_cap=8000", "model.n_heads=5"])
+                                 "train.snr_low_db=25", "train.snr_high_db=30",
+                                 "model.n_heads=5"])
     assert (cfg.model.d_model, cfg.model.n_heads) == (30, 5)
-    assert (cfg.model.bertpos_max_len, cfg.model.bertpos_hard_cap) == (5000, 8000)
+    assert (cfg.train.snr_low_db, cfg.train.snr_high_db) == (25, 30)
 
 
 def test_help_check_names_help_lines_without_a_field(monkeypatch):
@@ -116,6 +116,8 @@ def test_synth_writes_corpus_and_manifest(tmp_path):
     ("synth.n_utts=0", "n_utts"),
     ("synth.n_utts=-3", "n_utts"),
     ("synth.dur_s=0.001", "dur_s"),
+    ("synth.dur_s=inf", "dur_s"),
+    ("synth.dur_s=nan", "dur_s"),
 ])
 def test_synth_rejects_a_corpus_nothing_can_use(tmp_path, capsys, override, field):
     err = _one_error_line(capsys, "--set", override, "synth",
@@ -269,13 +271,20 @@ def test_enhance_checkpoint_with_unknown_record_errors(trained, tmp_path, capsys
     ("model.d_model=0", "d_model"),
     ("model.n_layers=-1", "n_layers"),
     ("model.d_ff=0", "d_ff"),
-    ("model.bertpos_hard_cap=10", "bertpos_max_len"),
-    # Constants since checkpoint format 3: rejected as unknown keys.
+    ("model.bertpos_max_len=4097", "bertpos_max_len"),
+    # Settings removed in checkpoint formats 3 and 4: rejected as unknown keys.
+    pytest.param("model.bertpos_hard_cap=10",
+                 "unknown config key 'model.bertpos_hard_cap'",
+                 id="model.bertpos_hard_cap=10-bertpos_hard_cap"),
+    pytest.param("model.causal=1", "unknown config key 'model.causal'",
+                 id="model.causal=1-causal"),
     pytest.param("model.tisa_kernels=0", "unknown config key 'model.tisa_kernels'",
                  id="model.tisa_kernels=0-tisa_kernels"),
     pytest.param("model.ln_eps=-1", "unknown config key 'model.ln_eps'",
                  id="model.ln_eps=-1-ln_eps"),
     ("train.clip_len_s=0.01", "clip_len_s"),
+    ("train.clip_len_s=inf", "clip_len_s"),
+    ("train.clip_len_s=nan", "clip_len_s"),
     ("train.w_steps=0", "w_steps"),
     ("train.max_steps=-1", "max_steps"),
     ("train.grad_clip=-1", "grad_clip"),
@@ -335,7 +344,7 @@ def test_enhance_unreadable_wav_errors(trained, tmp_path, capsys, content):
     assert not (tmp_path / "y.wav").exists()
 
 
-@pytest.mark.parametrize("chunk_s", ["-1", "0.01", "5"])
+@pytest.mark.parametrize("chunk_s", ["-1", "0.01", "5", "inf", "nan"])
 def test_enhance_rejects_unusable_chunk_length(tmp_path, capsys, chunk_s):
     # The checkpoint does not exist: the option is checked before it loads.
     # The WAV is 2 s long, so a 5 s chunk does not fit.
@@ -346,6 +355,23 @@ def test_enhance_rejects_unusable_chunk_length(tmp_path, capsys, chunk_s):
                           "--checkpoint", str(tmp_path / "missing.lgse"),
                           "--mode", "seg", "--chunk-s", chunk_s)
     assert "--chunk-s" in err
+    assert not (tmp_path / "y.wav").exists()
+
+
+def test_enhance_past_the_bertpos_frame_cap_errors(tmp_path, capsys):
+    from lgse.model import EnhancementModel, ModelConfig
+    from lgse.posenc import BERTPOS_MAX_FRAMES
+    from lgse.training import save_checkpoint
+
+    ckpt = tmp_path / "bertpos.lgse"
+    save_checkpoint(ckpt, EnhancementModel(ModelConfig(
+        n_layers=1, n_heads=2, d_model=8, d_ff=16, pe_kind="bertpos", bertpos_max_len=8)))
+    # One frame past the cap: the first window and 4096 hops after it.
+    wav = tmp_path / "long.wav"
+    dsp.write_wav(wav, dsp.Waveform(np.zeros(dsp.WIN_LEN + BERTPOS_MAX_FRAMES * dsp.HOP)))
+    err = _one_error_line(capsys, "enhance", str(wav), str(tmp_path / "y.wav"),
+                          "--checkpoint", str(ckpt))
+    assert f"bertpos supports at most {BERTPOS_MAX_FRAMES} frames, got 4097" in err
     assert not (tmp_path / "y.wav").exists()
 
 
@@ -369,14 +395,19 @@ def test_enhance_directory_input_errors(trained, tmp_path, capsys):
     ("suite.snrs_db=", "snrs_db"),
     ("suite.utts_per_condition=0", "utts_per_condition"),
     ("suite.durations_s=0.02", "durations_s"),
+    ("suite.durations_s=1,inf", "durations_s"),
+    ("suite.durations_s=nan", "durations_s"),
     ("experiment.chunk_s=0.01", "chunk_s"),
     ("experiment.chunk_s=-1", "chunk_s"),
+    ("experiment.chunk_s=inf", "chunk_s"),
+    ("experiment.chunk_s=nan", "chunk_s"),
     ("train.freeze=no.such.param", "freeze"),
     ("train.freeze=pe.beta", "freeze"),
     ("train.max_steps=301", "max_steps"),
     ("experiment.train_utts=-3", "train_utts"),
     ("experiment.train_utt_dur_s=-1", "train_utt_dur_s"),
     ("experiment.train_utt_dur_s=0.01", "train_utt_dur_s"),
+    ("experiment.train_utt_dur_s=inf", "train_utt_dur_s"),
     ("model.pe_kind=fire", "pe_kind must be one of nopos,"),
     ("model.target=bogus", "target must be one of ms,"),
 ])
@@ -392,7 +423,8 @@ def test_experiment_rejects_bad_config_before_training(tmp_path, capsys, overrid
     assert not (tmp_path / "exp").exists()
 
 
-def test_second_experiment_loads_checkpoints_unless_retrain(tmp_path, monkeypatch):
+def test_second_experiment_loads_checkpoints_unless_retrain(tmp_path, monkeypatch,
+                                                            capsys):
     from lgse import evaluate
 
     trained = []
@@ -421,6 +453,37 @@ def test_second_experiment_loads_checkpoints_unless_retrain(tmp_path, monkeypatc
                    "experiment", "--out-dir", str(out)) == 0
     assert trained == ["nopos", "nopos"]
     assert (out / "model_nopos.lgse").read_bytes() == ckpt
+    # Every model setting but the init seed must match the checkpoint's.
+    err = _one_error_line(capsys, *argv, "--set", "model.d_model=16",
+                          "--set", "model.target=cirm",
+                          "experiment", "--out-dir", str(out))
+    assert str(out / "model_nopos.lgse") in err
+    assert "d_model 8 (requested 16)" in err and "target irm (requested cirm)" in err
+    assert "experiment.retrain=1" in err
+    assert trained == ["nopos", "nopos"]
+    assert (out / "report.csv").read_bytes() == report
+    assert (out / "model_nopos.lgse").read_bytes() == ckpt
+    # Another master seed derives another init seed: the model still loads.
+    assert run_cli("--seed", "9", *argv, "experiment", "--out-dir", str(out)) == 0
+    assert trained == ["nopos", "nopos"]
+
+
+@pytest.mark.parametrize("text,named", [
+    ("[]", "'pairs'"),
+    ('{"seed": 3}', "'pairs'"),
+    ('{"pairs": 3}', "'pairs'"),
+    ('{"pairs": [{"clean": "utt_0000_clean.wav"}]}', "pairs[0] has no 'noise'"),
+    ('{"pairs": [', "invalid JSON"),
+], ids=["top-level list", "no pairs", "pairs not a list", "pair without noise",
+        "invalid JSON"])
+def test_train_with_malformed_manifest_errors(tmp_path, capsys, text, named):
+    corpus = tmp_path / "corpus"
+    corpus.mkdir()
+    (corpus / "manifest.json").write_text(text, encoding="utf-8")
+    err = _one_error_line(capsys, "train", "--corpus-dir", str(corpus),
+                          "--out", str(tmp_path / "m.lgse"), "--steps", "1")
+    assert str(corpus / "manifest.json") in err and named in err
+    assert not (tmp_path / "m.lgse").exists()
 
 
 def test_train_rejects_unknown_freeze_name(trained, tmp_path, capsys):

@@ -3,12 +3,11 @@ import threading
 import numpy as np
 import pytest
 
-from lgse.model import CapabilityError, EnhancementModel, ModelConfig, attention_head
+from lgse.model import EnhancementModel, ModelConfig, attention_head
 from lgse.numerics import Tensor, constant
-from lgse.posenc import PeKind, param_count
+from lgse.posenc import BERTPOS_MAX_FRAMES, CapabilityError, PeKind, param_count
 
-TINY = dict(n_layers=1, n_heads=2, d_model=8, d_ff=16, k_bins=9,
-            bertpos_max_len=8, bertpos_hard_cap=32)
+TINY = dict(n_layers=1, n_heads=2, d_model=8, d_ff=16, k_bins=9, bertpos_max_len=8)
 
 ALL_KINDS = [k.value for k in PeKind]
 
@@ -40,7 +39,7 @@ def test_config_rejects_indivisible_heads():
 @pytest.mark.parametrize("field,value", [
     ("n_layers", 0), ("n_layers", -1), ("n_heads", 0), ("n_heads", -4),
     ("d_model", 0), ("d_ff", 0), ("k_bins", 0), ("bertpos_max_len", 0),
-    ("bertpos_max_len", 33), ("pe_kind", "fire"), ("target", "bogus"),
+    ("bertpos_max_len", BERTPOS_MAX_FRAMES + 1), ("pe_kind", "fire"), ("target", "bogus"),
 ])
 def test_config_rejects_sizes_it_cannot_build(field, value):
     with pytest.raises(ValueError, match=f"^{field} must be"):
@@ -88,8 +87,9 @@ def test_bertpos_uses_frozen_extension_rows():
 
 def test_bertpos_cap_raises_capability_error():
     m = tiny_model(pe="bertpos")
-    with pytest.raises(CapabilityError):
-        m.forward(rand_input(33))
+    assert m.embed(rand_input(BERTPOS_MAX_FRAMES)).shape == (BERTPOS_MAX_FRAMES, 8)
+    with pytest.raises(CapabilityError, match=f"at most {BERTPOS_MAX_FRAMES} frames"):
+        m.embed(rand_input(BERTPOS_MAX_FRAMES + 1))
 
 
 # -- attention head --------------------------------------------------------------
@@ -99,7 +99,7 @@ def test_zero_bias_equals_no_bias():
     rng = np.random.default_rng(1)
     q, k, v = (Tensor(rng.normal(size=(5, 4))) for _ in range(3))
     plain = attention_head(q, k, v, None)
-    biased = attention_head(q, k, v, constant(np.zeros((5, 5))), mode="additive")
+    biased = attention_head(q, k, v, constant(np.zeros((5, 5))))
     assert np.array_equal(plain.data, biased.data)
 
 
@@ -108,7 +108,7 @@ def test_uniform_values_pass_through():
     q, k = Tensor(rng.normal(size=(6, 4))), Tensor(rng.normal(size=(6, 4)))
     v = Tensor(np.tile(np.array([1.0, 2.0, 3.0, 4.0]), (6, 1)))
     bias = constant(rng.normal(size=(6, 6)))
-    out = attention_head(q, k, v, bias, mode="additive")
+    out = attention_head(q, k, v, bias)
     assert np.allclose(out.data, v.data, atol=1e-12)
 
 
@@ -119,19 +119,8 @@ def test_attention_bias_shape_check():
         attention_head(q, k, v, constant(np.zeros((4, 4))))
 
 
-@pytest.mark.parametrize("kind", ALL_KINDS)
-def test_causal_future_perturbation_invisible(kind):
-    m = tiny_model(pe=kind, causal=True)
-    x = rand_input(7, seed=4)
-    base = m.forward(x).data
-    x2 = x.copy()
-    x2[5:] += 1.0
-    out = m.forward(x2).data
-    assert np.allclose(out[:5], base[:5], atol=1e-12)
-
-
 def test_noncausal_sees_future():
-    m = tiny_model(pe="nopos", causal=False)
+    m = tiny_model(pe="nopos")
     x = rand_input(7, seed=4)
     base = m.forward(x).data
     x2 = x.copy()
@@ -351,16 +340,6 @@ def test_batched_forward_and_loss_match_reference(kind, target):
 
 
 @pytest.mark.parametrize("kind", ALL_KINDS)
-def test_batched_causal_forward_matches_reference(kind):
-    from helpers import reference_forward
-
-    m = _randomized_pe(tiny_model(pe=kind, n_layers=2, causal=True), seed=23)
-    xs, _ = _batch(m, seed=24)
-    expect = np.stack([reference_forward(m, x) for x in xs])
-    assert np.max(np.abs(m.forward(xs).data - expect)) <= 1e-12
-
-
-@pytest.mark.parametrize("kind", ALL_KINDS)
 def test_batched_gradients_match_finite_differences(kind):
     from helpers import model_gradient_mismatches
 
@@ -455,21 +434,13 @@ def test_blocked_predict_matches_reference(kind, target, monkeypatch):
     _predict_matches_reference(m, monkeypatch)
 
 
-@pytest.mark.parametrize("kind", ALL_KINDS)
-def test_blocked_causal_predict_matches_reference(kind, monkeypatch):
-    m = _randomized_pe(tiny_model(pe=kind, n_layers=2, causal=True), seed=30)
-    _predict_matches_reference(m, monkeypatch)
-
-
-@pytest.mark.parametrize("kind,causal", [("learnlin", False), ("nopos", True)])
-def test_blocked_predict_with_floored_logits_matches_reference(kind, causal):
-    """At L = 800 a learnlin decay of beta = -2 pushes logits to -1598, and a
-    causal mask to -1e9, both far below the tape-free softmax's floor."""
+def test_blocked_predict_with_floored_logits_matches_reference():
+    """At L = 800 a learnlin decay of beta = -2 pushes logits to -1598, far
+    below the tape-free softmax's floor."""
     from helpers import reference_forward
 
-    m = tiny_model(pe=kind, causal=causal)
-    if kind == "learnlin":
-        m.params["pe.beta"].data[:] = -2.0
+    m = tiny_model(pe="learnlin")
+    m.params["pe.beta"].data[:] = -2.0
     x = rand_input(800, seed=34)
     assert np.max(np.abs(m.predict(x) - reference_forward(m, x))) <= 1e-12
 
@@ -481,25 +452,22 @@ def test_blocked_predict_with_floored_logits_matches_reference(kind, causal):
 def test_blocked_attention_matches_tape_with_broadcast_operands(shapes):
     rng = np.random.default_rng(31)
     q, k, v, bias = (rng.normal(size=shape) for shape in shapes)
-    for mode in ("additive", "multiplicative"):
-        for causal in (False, True):
-            tape = attention_head(Tensor(q, requires_grad=True), constant(k),
-                                  constant(v), constant(bias), mode=mode,
-                                  causal=causal)
-            blocked = attention_head(constant(q), constant(k), constant(v),
-                                     constant(bias), mode=mode, causal=causal)
-            assert tape._parents and not blocked._parents
-            assert np.max(np.abs(blocked.data - tape.data)) <= 1e-14
+    for multiplicative in (False, True):
+        tape = attention_head(Tensor(q, requires_grad=True), constant(k), constant(v),
+                              constant(bias), multiplicative=multiplicative)
+        blocked = attention_head(constant(q), constant(k), constant(v), constant(bias),
+                                 multiplicative=multiplicative)
+        assert tape._parents and not blocked._parents
+        assert np.max(np.abs(blocked.data - tape.data)) <= 1e-14
 
 
-@pytest.mark.parametrize("kind,causal", [("learnlin", False), ("dabias", False),
-                                         ("rope", False), ("t5", True)])
-def test_three_workers_over_an_uneven_split_equal_one_worker(kind, causal, monkeypatch):
+@pytest.mark.parametrize("kind", ["learnlin", "dabias", "rope", "t5"])
+def test_three_workers_over_an_uneven_split_equal_one_worker(kind, monkeypatch):
     """Five stacked clips over three workers: parts of 1, 2 and 2 clips, each
     through three blocks of 3 rows and one of 2."""
     import lgse.model as model_module
 
-    m = _randomized_pe(tiny_model(pe=kind, n_layers=2, causal=causal), seed=35)
+    m = _randomized_pe(tiny_model(pe=kind, n_layers=2), seed=35)
     clips, length, h = 5, 11, m.config.n_heads
     monkeypatch.setattr(model_module, "_BLOCK_BYTES", 8 * length * h * clips * 3)
     calls = _softmax_spy(monkeypatch)
@@ -588,5 +556,5 @@ def test_selftest_tape_free_check_catches_a_floor_that_changes_weights(monkeypat
 
     check_tape_free_forward()
     monkeypatch.setattr(numerics, "EXP_FLOOR", -5.0)
-    with pytest.raises(AssertionError, match="causal=False L=13"):
+    with pytest.raises(AssertionError, match=" L=13: "):
         check_tape_free_forward()

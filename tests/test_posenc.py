@@ -1,18 +1,19 @@
+import ast
 import math
 import zlib
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import lgse
 from lgse.numerics import Tensor, backward, constant, matmul, mul, reduce_sum
 from lgse.posenc import (
-    CAUSAL_NEG,
     SCHEMES,
     TISA_KERNELS,
     PeKind,
-    causal_mask,
     da_bias,
     gauss_bias,
     kerple_bias,
@@ -216,21 +217,26 @@ def test_head_stacked_bias_equals_per_head_calls(kind):
 
 def test_model_reaches_bias_builders_through_module_globals(monkeypatch):
     """A forward looks each builder up in `posenc`, so wrapping one there sees
-    every call: once per forward for shared schemes, once per layer for tisa."""
+    every call: once per forward for shared biases and input rows, once per
+    layer for tisa and for rope's rotation."""
     from lgse import posenc
     from lgse.model import EnhancementModel, ModelConfig
 
+    builders = {"learnlin": "learnlin_bias", "tisa": "tisa_bias", "dabias": "da_bias",
+                "sinusoidal": "sinusoidal_embedding", "bertpos": "bertpos_rows",
+                "rope": "rope_rotate"}
     calls = {}
-    for name in ("learnlin_bias", "tisa_bias", "da_bias"):
+    for name in builders.values():
         def counted(*args, _name=name, _fn=getattr(posenc, name)):
             calls[_name] = calls.get(_name, 0) + 1
             return _fn(*args)
         monkeypatch.setattr(posenc, name, counted)
     x = np.random.default_rng(0).uniform(0.0, 1.0, (2, 5, 9))
-    for kind in ("learnlin", "tisa", "dabias"):
+    for kind in builders:
         EnhancementModel(ModelConfig(n_layers=2, n_heads=2, d_model=8, d_ff=16,
                                      k_bins=9, pe_kind=kind)).forward(x)
-    assert calls == {"learnlin_bias": 1, "tisa_bias": 2, "da_bias": 1}
+    assert calls == {"learnlin_bias": 1, "tisa_bias": 2, "da_bias": 1,
+                     "sinusoidal_embedding": 1, "bertpos_rows": 1, "rope_rotate": 2}
 
 
 def test_rope_rotates_stacked_heads_like_single_heads():
@@ -241,21 +247,6 @@ def test_rope_rotates_stacked_heads_like_single_heads():
         q1, k1 = rope_rotate(Tensor(q[idx]), Tensor(k[idx]))
         assert np.array_equal(qr.data[idx], q1.data)
         assert np.array_equal(kr.data[idx], k1.data)
-
-
-def test_causal_mask_shape_and_values():
-    m = causal_mask(4)
-    assert m[0, 1] == -CAUSAL_NEG
-    assert m[2, 1] == 0.0
-    assert np.all(np.tril(m) == 0.0)
-
-
-def test_causal_mask_is_a_read_only_view_of_the_upper_triangle():
-    for length in (1, 2, 7, 40):
-        m = causal_mask(length)
-        assert not m.flags.writeable and m.base is not None
-        assert np.array_equal(m, np.triu(np.full((length, length), -CAUSAL_NEG), k=1))
-        assert not np.signbit(m[m == 0.0]).any()
 
 
 # -- rope ----------------------------------------------------------------------
@@ -323,3 +314,24 @@ def test_param_count_formulas(heads, layers, max_len, d_model):
     assert param_count(PeKind.BERTPOS, heads=heads, max_len=max_len,
                        d_model=d_model) == max_len * d_model
     assert param_count(PeKind.LEARNLIN, heads=heads) == heads
+
+
+def _names_pe_member(node) -> bool:
+    members = {k.name for k in PeKind}
+    if not (isinstance(node, ast.Attribute) and node.attr in members):
+        return False
+    owner = node.value
+    return ((isinstance(owner, ast.Name) and owner.id == "PeKind")
+            or (isinstance(owner, ast.Attribute) and owner.attr == "PeKind"))
+
+
+def test_only_the_scheme_table_branches_on_pe_kind():
+    """No lgse module compares against, or matches on, a PeKind member:
+    scheme-specific behaviour lives in `SCHEMES`."""
+    found = []
+    for path in sorted(Path(lgse.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, (ast.Compare, ast.MatchValue)):
+                found += [f"{path.name}:{sub.lineno}" for sub in ast.walk(node)
+                          if _names_pe_member(sub)]
+    assert found == []

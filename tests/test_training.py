@@ -441,16 +441,16 @@ def test_trained_checkpoint_holds_only_the_model(tmp_path, kind):
 # sha256 of a freshly initialized tiny model's checkpoint, per PE kind. Any
 # change to parameter names, order, shapes or init draws changes these.
 INIT_CHECKPOINT_SHA256 = {
-    "nopos": "1595998fb720e968d80c0e902111bc63f0ab4f7be01fa2aff1981d8f47d53167",
-    "sinusoidal": "c5fd5fc66ea9bf5dcc7b433c0ba7d56e032072a9f05abfdfd2c9c81c3316651f",
-    "bertpos": "8183265a6f59e12f169251c4e6fb24ee9fdc254a01d11705824f01c11893baaf",
-    "gauss": "b2c4f3fe935d8e2e863c5980e21d2aba5f034d5289479ecc14d895faa0e49099",
-    "t5": "e4c68c08db025724bf1a1803ef53bf7384db4cf1af411f883f5f162239d98678",
-    "tisa": "9e6bbf79c3f2421bdb9561bf0411ef3c1d24dde8f9f81840f987af0a87b028b1",
-    "dabias": "05ea40352bee24924fa935a789079f467c1321a6e46cb9d4be3def38331277d6",
-    "kerple": "9a54ad0fea12d6454c7233a9488ea300b5a62a5f5c5a66fac72f3ebc6152fa14",
-    "rope": "2d5ce1d8dbb22583863dcd95dfe036af9b666c2d9cbc4682caa4f144df6db815",
-    "learnlin": "9c073b53c5717ee29e5b4b919f0d3f5ccaafc3ebb814526161e831baea207ad0",
+    "nopos": "27cb766e4a163ff11fb31d6a5edec5a820e0b3f6a127347586b3fdff0c7c57a2",
+    "sinusoidal": "c535824f63a7a65a7cf87aa429b9ef95d3c0fc8ae5efc47c54b39c66d468e8c0",
+    "bertpos": "4b401a9fb468aae731383997cdfe3df3381f4437cf5e69c402ca6e42307f0d74",
+    "gauss": "2d5ac887dc4094ec74785254820a0ad62249302f7d99c716ed2e226e570cb1d5",
+    "t5": "2b0e1f77c6ab7a0a0dca753da3a29b713ef06530318647f8b6ef41306e27969c",
+    "tisa": "17b0e5c632b82de3d6f66236273822f908acf65ffd9fad72aa71cdee1e8cc765",
+    "dabias": "cae4af058be88eb704e1b5b1b0209b26606c078a42bef04d622a13065d74b701",
+    "kerple": "7dd275c4b6e04f1cd5be709e73f35cd7a940204d62f4f50e6e2135d70f664ec0",
+    "rope": "43c12b19662a569398a79b2a7d4b0a7ed129d5cf34165d1ba15a80f32ef7b21b",
+    "learnlin": "f39df97dbb34dfe5e2d69c0c632a7219e3c8b253519f5b646c6b6dd490c0d2bd",
 }
 
 
@@ -460,7 +460,7 @@ def test_init_checkpoint_bytes_are_pinned(tmp_path, kind):
 
     model = EnhancementModel(ModelConfig(
         n_layers=2, n_heads=2, d_model=8, d_ff=16, k_bins=9, pe_kind=kind,
-        bertpos_max_len=8, bertpos_hard_cap=16, init_seed=3))
+        bertpos_max_len=8, init_seed=3))
     path = tmp_path / "m.lgse"
     save_checkpoint(path, model, None, 0)
     assert hashlib.sha256(path.read_bytes()).hexdigest() == INIT_CHECKPOINT_SHA256[kind]
@@ -473,7 +473,7 @@ def test_checkpoint_magic_and_validation(tmp_path):
         load_checkpoint(bad)
 
 
-@pytest.mark.parametrize("version", [1, 2])
+@pytest.mark.parametrize("version", [1, 2, 3])
 def test_old_checkpoint_version_rejected(tmp_path, version):
     import struct
 
@@ -534,17 +534,22 @@ def test_checkpoint_shape_validation(tmp_path):
 
 @pytest.mark.parametrize("edit,match", [
     (lambda c: c.update(n_experts=4), "unknown model_config keys"),
-    (lambda c: c.pop("causal"), "lacks keys"),
+    (lambda c: c.pop("d_ff"), "lacks keys"),
     (lambda c: c.update(pe_kind="fire"), "bad model_config"),
     (lambda c: c.update(n_heads=0), "bad model_config: n_heads must be at least 1"),
     (lambda c: c.update(d_model=0), "bad model_config: d_model must be at least 1"),
     (lambda c: c.update(n_layers=-1), "bad model_config: n_layers must be at least 1"),
-    (lambda c: c.update(bertpos_hard_cap=8), "bad model_config: bertpos_max_len must be"),
-    # Settings that became constants in format 3 are unknown keys.
+    (lambda c: c.update(bertpos_max_len=4097), "bad model_config: bertpos_max_len must be"),
+    # Settings removed in formats 3 and 4 are unknown keys.
     pytest.param(lambda c: c.update(tisa_kernels=5),
                  r"unknown model_config keys \['tisa_kernels'\]", id="unknown-tisa_kernels"),
     pytest.param(lambda c: c.update(ln_eps=1e-5),
                  r"unknown model_config keys \['ln_eps'\]", id="unknown-ln_eps"),
+    pytest.param(lambda c: c.update(bertpos_hard_cap=4096),
+                 r"unknown model_config keys \['bertpos_hard_cap'\]",
+                 id="unknown-bertpos_hard_cap"),
+    pytest.param(lambda c: c.update(causal=False),
+                 r"unknown model_config keys \['causal'\]", id="unknown-causal"),
 ])
 def test_checkpoint_config_errors(tmp_path, edit, match):
     from helpers import rewrite_model_config
