@@ -86,9 +86,7 @@ def cmd_synth(cfg: RunConfig, args) -> int:
         dsp.write_wav(os.path.join(args.out_dir, clean_name), utt.clean)
         dsp.write_wav(os.path.join(args.out_dir, noise_name), utt.noise)
         pairs.append({"id": cid, "clean": clean_name, "noise": noise_name,
-                      "duration_s": utt.clean.duration_s,
-                      "clean_freqs_hz": list(utt.clean_freqs_hz),
-                      "noise_kind": utt.noise_kind})
+                      "duration_s": utt.clean.duration_s})
     manifest = {"seed": cfg.seed, "n_utts": cfg.synth.n_utts,
                 "dur_s": cfg.synth.dur_s, "sample_rate": dsp.SAMPLE_RATE,
                 "pairs": pairs}

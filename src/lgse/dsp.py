@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import wave
 import zlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -219,12 +219,10 @@ def derived_seed(seed: int, role: str) -> int:
 
 @dataclass
 class Utterance:
-    """One synthetic clean/noise pair plus the metadata used to build it."""
+    """One clean/noise pair."""
 
     clean: Waveform
     noise: Waveform
-    clean_freqs_hz: tuple[float, ...] = field(default_factory=tuple)
-    noise_kind: str = ""
 
 
 def _envelope(rng: np.random.Generator, n: int, knot_s: float,
@@ -262,13 +260,12 @@ def synth_utterance(rng: np.random.Generator, dur_s: float) -> Utterance:
         clean += amp * env * np.sin(2.0 * np.pi * f * t + phase)
     clean *= 0.6 / max(np.max(np.abs(clean)), 1e-12)
 
-    noise_kind = "white" if rng.uniform() < 0.5 else "pink"
-    noise = rng.standard_normal(n) if noise_kind == "white" else _pink_noise(rng, n)
+    white = rng.uniform() < 0.5
+    noise = rng.standard_normal(n) if white else _pink_noise(rng, n)
     noise *= _envelope(rng, n, knot_s=0.5, lo=0.4, hi=1.0)
     noise *= 0.6 / max(np.max(np.abs(noise)), 1e-12)
 
-    return Utterance(Waveform(clean), Waveform(noise),
-                     tuple(float(f) for f in sorted(freqs)), noise_kind)
+    return Utterance(Waveform(clean), Waveform(noise))
 
 
 def synth_corpus(seed: int, n_utts: int, dur_s: float) -> list[Utterance]:

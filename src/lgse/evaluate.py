@@ -33,14 +33,15 @@ __all__ = [
 ]
 
 SI_SDR_CAP_DB = 100.0
+# Range each frame's SNR is clamped to in `seg_snr`.
+SEG_SNR_FLOOR_DB, SEG_SNR_CEIL_DB = -10.0, 35.0
 
 
-def si_sdr(est: Waveform | np.ndarray, ref: Waveform | np.ndarray,
-           cap_db: float = SI_SDR_CAP_DB) -> float:
+def si_sdr(est: Waveform | np.ndarray, ref: Waveform | np.ndarray) -> float:
     """Scale-invariant SDR in dB: project est onto ref, compare energies.
 
-    Perfect (or perfectly scaled) estimates are capped at +cap_db; estimates
-    orthogonal to the reference floor at -cap_db.
+    Perfect (or perfectly scaled) estimates are capped at +SI_SDR_CAP_DB;
+    estimates orthogonal to the reference floor at -SI_SDR_CAP_DB.
     """
     e = est.samples if isinstance(est, Waveform) else np.asarray(est, dtype=np.float64)
     r = ref.samples if isinstance(ref, Waveform) else np.asarray(ref, dtype=np.float64)
@@ -54,32 +55,30 @@ def si_sdr(est: Waveform | np.ndarray, ref: Waveform | np.ndarray,
     e_target = float(np.dot(target, target))
     e_resid = float(np.dot(e - target, e - target))
     if e_target <= 0.0:
-        return -cap_db
-    if e_resid <= e_target * 10.0 ** (-cap_db / 10.0):
-        return cap_db
-    return min(10.0 * float(np.log10(e_target / e_resid)), cap_db)
+        return -SI_SDR_CAP_DB
+    if e_resid <= e_target * 10.0 ** (-SI_SDR_CAP_DB / 10.0):
+        return SI_SDR_CAP_DB
+    return min(10.0 * float(np.log10(e_target / e_resid)), SI_SDR_CAP_DB)
 
 
-def seg_snr(est: Waveform | np.ndarray, ref: Waveform | np.ndarray,
-            frame: int = dsp.WIN_LEN, hop: int = dsp.HOP, floor_db: float = -10.0,
-            ceil_db: float = 35.0) -> float:
-    """Mean per-frame SNR in dB, each frame clamped to [floor, ceil];
-    silent reference frames are skipped."""
+def seg_snr(est: Waveform | np.ndarray, ref: Waveform | np.ndarray) -> float:
+    """Mean SNR in dB over the STFT's frames, each clamped to
+    [SEG_SNR_FLOOR_DB, SEG_SNR_CEIL_DB]; silent reference frames are skipped."""
     e = est.samples if isinstance(est, Waveform) else np.asarray(est, dtype=np.float64)
     r = ref.samples if isinstance(ref, Waveform) else np.asarray(ref, dtype=np.float64)
     if e.shape != r.shape:
         raise ValueError(f"estimate ({e.shape}) and reference ({r.shape}) differ")
-    if len(r) < frame:
-        return floor_db
-    ref_frames = np.lib.stride_tricks.sliding_window_view(r, frame)[::hop]
-    err_frames = np.lib.stride_tricks.sliding_window_view(r - e, frame)[::hop]
+    if len(r) < dsp.WIN_LEN:
+        return SEG_SNR_FLOOR_DB
+    ref_frames = np.lib.stride_tricks.sliding_window_view(r, dsp.WIN_LEN)[::dsp.HOP]
+    err_frames = np.lib.stride_tricks.sliding_window_view(r - e, dsp.WIN_LEN)[::dsp.HOP]
     e_ref = np.einsum("ij,ij->i", ref_frames, ref_frames)
     e_err = np.einsum("ij,ij->i", err_frames, err_frames)
     voiced = e_ref >= 1e-10
     if not voiced.any():
-        return floor_db
+        return SEG_SNR_FLOOR_DB
     v = 10.0 * np.log10(e_ref[voiced] / np.maximum(e_err[voiced], 1e-12))
-    return float(np.mean(np.clip(v, floor_db, ceil_db)))
+    return float(np.mean(np.clip(v, SEG_SNR_FLOOR_DB, SEG_SNR_CEIL_DB)))
 
 
 def enhance_full(model: EnhancementModel | tuple[EnhancementModel, ...],
@@ -323,19 +322,6 @@ class MetricReport:
         for key, val in criteria.items():
             out = [r for r in out if getattr(r, key) == val]
         return out
-
-    def mean_si_sdr(self, kind: str, test_len_s: float, mode: str = "full") -> float:
-        rows = self.select(kind=kind, test_len_s=test_len_s, mode=mode)
-        if not rows:
-            raise ValueError(f"no rows for kind={kind} len={test_len_s} mode={mode}")
-        return float(np.mean([r.si_sdr_out for r in rows]))
-
-    def mean_improvement(self, kind: str, test_len_s: float,
-                         mode: str = "full") -> float:
-        rows = self.select(kind=kind, test_len_s=test_len_s, mode=mode)
-        if not rows:
-            raise ValueError(f"no rows for kind={kind} len={test_len_s} mode={mode}")
-        return float(np.mean([r.si_sdr_out - r.si_sdr_in for r in rows]))
 
     def to_markdown(self, train_len_s: float) -> str:
         """Summary table grouped by test length, one block per model variant."""

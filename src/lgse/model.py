@@ -217,17 +217,15 @@ def _attention_blocks(q: Tensor, k: Tensor, v: Tensor, bias: Tensor | None,
 
 
 class EnhancementModel:
-    """Enhancement network; owns named parameter tensors and fixed buffers.
+    """Enhancement network; its state is its config and named parameter tensors.
 
     Parameters live in an insertion-ordered dict so initialization draws and
-    checkpoint layout are reproducible. `buffers` holds non-trainable state
-    (the never-trained absolute-embedding extension rows).
+    checkpoint layout are reproducible.
     """
 
     def __init__(self, config: ModelConfig):
         self.config = config
         self.params: dict[str, Tensor] = {}
-        self.buffers: dict[str, np.ndarray] = {}
         self._init_params()
 
     # -- construction -------------------------------------------------------
@@ -246,11 +244,9 @@ class EnhancementModel:
 
     def _init_params(self) -> None:
         cfg = self.config
-        # Separate streams so the backbone draws are identical across PE kinds.
-        ss = np.random.SeedSequence(entropy=cfg.init_seed, spawn_key=(0x6d61,))
-        rng = np.random.default_rng(ss)
-        rng_pe = np.random.default_rng(
-            np.random.SeedSequence(entropy=cfg.init_seed, spawn_key=(0x7065,)))
+        # The backbone's own stream, so its draws are the same for every PE kind.
+        rng = np.random.default_rng(
+            np.random.SeedSequence(entropy=cfg.init_seed, spawn_key=(0x6d61,)))
 
         self._add_param("embed.weight", self._xavier(rng, cfg.k_bins, cfg.d_model))
         self._add_param("embed.bias", np.zeros(cfg.d_model))
@@ -278,14 +274,9 @@ class EnhancementModel:
             self._add_param(f"layers.{i}.ln2.bias", np.zeros(cfg.d_model))
         self._add_param("head.weight", self._xavier(rng, cfg.d_model, cfg.out_width))
         self._add_param("head.bias", np.zeros(cfg.out_width))
-        self._init_pe_params(rng_pe)
-
-    def _init_pe_params(self, rng: np.random.Generator) -> None:
-        params, buffers = posenc.SCHEMES[self.config.pe_kind].init(self.config, rng)
-        for name, data in params.items():
+        pe = posenc.SCHEMES[cfg.pe_kind].init(cfg, posenc.pe_rng(cfg.init_seed))
+        for name, data in pe.items():
             self._add_param(f"pe.{name}", data)
-        for name, data in buffers.items():
-            self.buffers[f"pe.{name}"] = data
 
     # -- bookkeeping ---------------------------------------------------------
 
@@ -301,11 +292,9 @@ class EnhancementModel:
 
     # -- forward pieces ------------------------------------------------------
 
-    def _pe_tensors(self) -> dict[str, Tensor | np.ndarray]:
-        """The scheme's parameters and buffers, without their "pe." prefix."""
-        cut = len("pe.")
-        return {name[cut:]: t for name, t in {**self.params, **self.buffers}.items()
-                if name.startswith("pe.")}
+    def _pe_tensors(self) -> dict[str, Tensor]:
+        """The scheme's parameters, without their "pe." prefix."""
+        return {n.removeprefix("pe."): t for n, t in self.params.items() if n.startswith("pe.")}
 
     def embed(self, x_mag: np.ndarray) -> Tensor:
         """FC -> frame-wise layer norm -> ReLU, plus the scheme's position

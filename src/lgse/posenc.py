@@ -6,7 +6,7 @@ queries/keys, and one is the no-position baseline:
 
     nopos       no position information
     sinusoidal  fixed sin/cos input embedding
-    bertpos     learned absolute input embedding, L' rows
+    bertpos     learned absolute input embedding, L' rows, then fixed ones
     gauss       additive bias  -(i-j)^2 / (2 sigma^2)
     t5          additive bias from a 32-entry log-binned bucket table
     tisa        additive bias  sum_s a_s exp(-|b_s| (j-i-c_s)^2)
@@ -29,10 +29,11 @@ decision reads it: its report label, how its parameters are drawn (`init`,
 which also fixes their checkpoint names and order) and whether they are
 stacked per layer, and where position enters the model, through the hooks it
 sets: input rows (`rows`), a bias on the attention scores (`bias`) or a q/k
-rotation (`rotate`). `param_count` sums the sizes `init` returns. A record
-calls the public builders by their module-global names, so wrapping a
-builder in this module's namespace also wraps it for the model. The naive
-oracles for each bias live apart from this table, in `selftest.NAIVE_OFFSET`.
+rotation (`rotate`). A scheme's state is its parameters; random draws come
+from `pe_rng`. `param_count` sums the sizes `init` returns. A record calls
+the public builders by their module-global names, so wrapping a builder in
+this module's namespace also wraps it for the model. The naive oracles for
+each bias live apart from this table, in `selftest.NAIVE_OFFSET`.
 """
 
 from __future__ import annotations
@@ -71,6 +72,8 @@ __all__ = [
     "TISA_KERNELS",
     "T5_BUCKETS",
     "BERTPOS_MAX_FRAMES",
+    "ROPE_BASE",
+    "pe_rng",
     "toeplitz_offsets",
     "sinusoidal_embedding",
     "bertpos_rows",
@@ -90,6 +93,7 @@ TISA_KERNELS = 5
 T5_BUCKETS = 32
 # Frames a bertpos model can embed: its L' trained rows, then fixed ones.
 BERTPOS_MAX_FRAMES = 4096
+ROPE_BASE = 10000.0  # RoPE's pair m turns by ROPE_BASE^(-2m/d_k) per frame
 
 
 class CapabilityError(RuntimeError):
@@ -107,6 +111,11 @@ class PeKind(str, Enum):
     KERPLE = "kerple"
     ROPE = "rope"
     LEARNLIN = "learnlin"
+
+
+def pe_rng(init_seed: int) -> np.random.Generator:
+    """A model's PE stream: `init`'s draws, then bertpos's fixed rows."""
+    return np.random.default_rng(np.random.SeedSequence(init_seed, spawn_key=(0x7065,)))
 
 
 def toeplitz_offsets(length: int) -> np.ndarray:
@@ -138,17 +147,21 @@ def sinusoidal_embedding(length: int, d_model: int) -> np.ndarray:
     return out
 
 
-def bertpos_rows(length: int, table: Tensor, fixed: np.ndarray) -> Tensor:
+def bertpos_rows(length: int, table: Tensor, init_seed: int) -> Tensor:
     """The first `length` rows of the learned table, continued past its L'
-    rows by the fixed, never-trained rows; more than BERTPOS_MAX_FRAMES
-    raise CapabilityError."""
+    rows by the never-trained draws after it in the PE stream of `init_seed`;
+    more than BERTPOS_MAX_FRAMES raise CapabilityError."""
     trained = table.shape[0]
     if length <= trained:
         return take(table, np.arange(length))
     if length > BERTPOS_MAX_FRAMES:
         raise CapabilityError(f"bertpos supports at most {BERTPOS_MAX_FRAMES} "
                               f"frames, got {length}")
-    return concat_cols([table, constant(fixed[:length - trained])], axis=0)
+    rng = pe_rng(init_seed)
+    rng.normal(0.0, 0.02, size=table.shape)  # the table's init draw, discarded
+    # `Generator.normal` fills in C order: a shorter draw is a longer one's prefix.
+    fixed = rng.normal(0.0, 0.02, size=(length - trained, table.shape[1]))
+    return concat_cols([table, constant(fixed)], axis=0)
 
 
 def gauss_bias(length: int, sigma: Tensor) -> Tensor:
@@ -229,23 +242,23 @@ def learnlin_bias(length: int, beta: Tensor) -> Tensor:
     return toeplitz(mul(absr, _per_head(beta)), length)
 
 
-def rope_angles(length: int, d_k: int, base: float = 10000.0) -> tuple[np.ndarray, np.ndarray]:
+def rope_angles(length: int, d_k: int) -> tuple[np.ndarray, np.ndarray]:
     """cos/sin grids (L, d_k); column pair (2m, 2m+1) shares angle
-    l * base^(-2m/d_k)."""
+    l * ROPE_BASE^(-2m/d_k)."""
     if d_k % 2 != 0:
         raise ValueError(f"head width must be even for rotation, got {d_k}")
     pos = np.arange(length, dtype=np.float64)[:, None]
     m = np.repeat(np.arange(d_k // 2, dtype=np.float64), 2)[None, :]
-    angles = pos * base ** (-2.0 * m / d_k)
+    angles = pos * ROPE_BASE ** (-2.0 * m / d_k)
     return np.cos(angles), np.sin(angles)
 
 
-def rope_rotate(q: Tensor, k: Tensor, base: float = 10000.0) -> tuple[Tensor, Tensor]:
+def rope_rotate(q: Tensor, k: Tensor) -> tuple[Tensor, Tensor]:
     """Rotate query/key rows of (..., L, d_k) tensors by position-proportional
     angles (norm-preserving); leading (batch, head) axes share the angles."""
     if q.shape != k.shape:
         raise ValueError(f"q and k shapes differ: {q.shape} vs {k.shape}")
-    cos, sin = rope_angles(q.shape[-2], q.shape[-1], base)
+    cos, sin = rope_angles(q.shape[-2], q.shape[-1])
     cos_t, sin_t = constant(cos), constant(sin)
     q_rot = add(mul(q, cos_t), mul(rotate_pairs(q), sin_t))
     k_rot = add(mul(k, cos_t), mul(rotate_pairs(k), sin_t))
@@ -258,21 +271,21 @@ class Scheme:
     sets, and a scheme that sets none carries no position.
 
     label      its name in reports
-    init       (cfg, rng) -> (params, buffers): the arrays a ModelConfig-like
-               `cfg` implies, named without the "pe." prefix, in checkpoint
-               order; random draws come from `rng` only
+    init       (cfg, rng) -> params: the arrays a ModelConfig-like `cfg`
+               implies, named without the "pe." prefix, in checkpoint order;
+               random draws come from `rng` only
     bias       (length, params) -> the (H, L, L) bias on the attention scores,
                from the parameter Tensors; if `multiplicative`, it scales the
                ReLU-clipped scores instead of joining them
-    rows       (length, cfg, tensors) -> (L, d_model) rows added to the input
-               embedding, from the parameter Tensors and buffer arrays
+    rows       (length, cfg, params) -> (L, d_model) rows added to the input
+               embedding, from the parameter Tensors and the model's config
     rotate     (q, k) -> q and k rotated by position
     per_layer  parameters carry a leading layer axis; `bias` then receives
                one layer's slice
     """
 
     label: str
-    init: Callable[..., tuple[dict, dict]]
+    init: Callable[..., dict]
     bias: Callable[[int, dict], Tensor] | None = None
     multiplicative: bool = False
     rows: Callable[..., Tensor] | None = None
@@ -280,22 +293,19 @@ class Scheme:
     per_layer: bool = False
 
 
-def _no_params(cfg, rng) -> tuple[dict, dict]:
-    return {}, {}
+def _no_params(cfg, rng) -> dict:
+    return {}
 
 
-def _bertpos_init(cfg, rng) -> tuple[dict, dict]:
-    # Rows past L' are drawn too but never trained: a fixed buffer.
-    extra = BERTPOS_MAX_FRAMES - cfg.bertpos_max_len
-    embed = rng.normal(0.0, 0.02, size=(cfg.bertpos_max_len, cfg.d_model))
-    return {"embed": embed}, {"embed_ext": rng.normal(0.0, 0.02, size=(extra, cfg.d_model))}
+def _bertpos_init(cfg, rng) -> dict:
+    return {"embed": rng.normal(0.0, 0.02, size=(cfg.bertpos_max_len, cfg.d_model))}
 
 
-def _tisa_init(cfg, rng) -> tuple[dict, dict]:
+def _tisa_init(cfg, rng) -> dict:
     shape = (cfg.n_layers, cfg.n_heads, TISA_KERNELS)
     return {"a": rng.normal(0.0, 0.1, size=shape),
             "b": np.full(shape, 0.5),
-            "c": np.tile(np.linspace(-8.0, 8.0, TISA_KERNELS), shape[:2] + (1,))}, {}
+            "c": np.tile(np.linspace(-8.0, 8.0, TISA_KERNELS), shape[:2] + (1,))}
 
 
 SCHEMES: dict[PeKind, Scheme] = {
@@ -305,30 +315,30 @@ SCHEMES: dict[PeKind, Scheme] = {
         rows=lambda n, cfg, t: constant(sinusoidal_embedding(n, cfg.d_model))),
     PeKind.BERTPOS: Scheme(
         "BERT-Pos", _bertpos_init,
-        rows=lambda n, cfg, t: bertpos_rows(n, t["embed"], t["embed_ext"])),
+        rows=lambda n, cfg, t: bertpos_rows(n, t["embed"], cfg.init_seed)),
     PeKind.GAUSS: Scheme(
         "Gauss-Bias",
-        lambda cfg, rng: ({"sigma": np.full(cfg.n_heads, 10.0)}, {}),
+        lambda cfg, rng: {"sigma": np.full(cfg.n_heads, 10.0)},
         lambda n, p: gauss_bias(n, p["sigma"])),
     PeKind.T5: Scheme(
         "T5-Bias",
-        lambda cfg, rng: ({"bucket": np.zeros((cfg.n_heads, T5_BUCKETS))}, {}),
+        lambda cfg, rng: {"bucket": np.zeros((cfg.n_heads, T5_BUCKETS))},
         lambda n, p: t5_bias(n, p["bucket"])),
     PeKind.TISA: Scheme(
         "TISA", _tisa_init,
         lambda n, p: tisa_bias(n, p["a"], p["b"], p["c"]), per_layer=True),
     PeKind.DABIAS: Scheme(
         "DA-Bias",
-        lambda cfg, rng: ({"w": np.full(cfg.n_heads, 0.01), "v": np.zeros(cfg.n_heads)}, {}),
+        lambda cfg, rng: {"w": np.full(cfg.n_heads, 0.01), "v": np.zeros(cfg.n_heads)},
         lambda n, p: da_bias(n, p["w"], p["v"]), multiplicative=True),
     PeKind.KERPLE: Scheme(
         "KERPLE",
-        lambda cfg, rng: ({"rho1": np.zeros(cfg.n_heads), "rho2": np.zeros(cfg.n_heads)}, {}),
+        lambda cfg, rng: {"rho1": np.zeros(cfg.n_heads), "rho2": np.zeros(cfg.n_heads)},
         lambda n, p: kerple_bias(n, p["rho1"], p["rho2"])),
     PeKind.ROPE: Scheme("RoPE", _no_params, rotate=lambda q, k: rope_rotate(q, k)),
     PeKind.LEARNLIN: Scheme(
         "LearnLin",
-        lambda cfg, rng: ({"beta": rng.uniform(-0.2, 0.0, size=cfg.n_heads)}, {}),
+        lambda cfg, rng: {"beta": rng.uniform(-0.2, 0.0, size=cfg.n_heads)},
         lambda n, p: learnlin_bias(n, p["beta"])),
 }
 
@@ -339,5 +349,5 @@ def param_count(kind: PeKind, *, heads: int, layers: int = 1, max_len: int = 0,
     parameters its `init` draws for these dimensions."""
     dims = SimpleNamespace(n_heads=heads, n_layers=layers, bertpos_max_len=max_len,
                            d_model=d_model)
-    params, _ = SCHEMES[PeKind(kind)].init(dims, np.random.default_rng(0))
+    params = SCHEMES[PeKind(kind)].init(dims, np.random.default_rng(0))
     return sum(a.size for a in params.values())

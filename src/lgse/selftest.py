@@ -259,7 +259,7 @@ def check_checkpoint_roundtrip():
     """Save and load a tiny model per scheme, its tensors moved off their
     init values so that a record the loader skips shows: `predict` must be
     bitwise equal and a second save byte-identical. L = 13 runs bertpos
-    past its trained rows, into its buffer."""
+    past its trained rows, into its fixed ones."""
     rng = np.random.default_rng(13)
     x = rng.uniform(0.0, 2.0, (13, 9))
     with tempfile.TemporaryDirectory() as tmp:
@@ -270,8 +270,6 @@ def check_checkpoint_roundtrip():
                 bertpos_max_len=8, init_seed=5))
             for t in model.params.values():
                 t.data = t.data + rng.normal(0.0, 0.1, t.shape)
-            for name, arr in model.buffers.items():
-                model.buffers[name] = arr + rng.normal(0.0, 0.1, arr.shape)
             training.save_checkpoint(first, model, step=3)
             loaded, step = training.load_checkpoint(first)
             assert step == 3, f"{kind.value}: step {step} != 3"

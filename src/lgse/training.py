@@ -34,7 +34,7 @@ __all__ = [
 ]
 
 CHECKPOINT_MAGIC = b"LGSE"
-CHECKPOINT_VERSION = 4
+CHECKPOINT_VERSION = 5
 
 # Adam's moment decays and epsilon.
 ADAM_BETA1 = 0.9
@@ -250,17 +250,17 @@ def write_loss_csv(path, trace: list[tuple[int, float, float]]) -> None:
 
 # -- checkpoint serialization -------------------------------------------------
 #
-# Layout (all little-endian), version 4:
+# Layout (all little-endian), version 5:
 #   magic "LGSE" | u32 version | u64 meta_len | meta JSON (sorted keys)
 #   | u32 n_records | records
 # meta: {"model_config": {...every ModelConfig field...}, "step": steps trained}
 # record: u32 name_len | name utf8 | u32 ndim | u64 dims... | f64 payload...
-# Records are sorted by name and are exactly the model's tensors: parameters
-# "param.<name>" and fixed buffers "buffer.<name>". A checkpoint holds no
-# optimizer or RNG state, so training cannot resume from one.
+# Records, sorted by name, are exactly the model's parameters "param.<name>":
+# no optimizer or RNG state, so training cannot resume from a checkpoint.
 # Since version 3 each attention projection is one (d_model, d_model) record,
 # "param.layers.<i>.attn.q" (k, v), with head h in column block h; version 2
 # stored one record per head. Versions 2 and 3 stored more ModelConfig fields.
+# Version 4 also stored bertpos's fixed rows past L', as a record of their own.
 
 
 def _record_header(name: str, arr: np.ndarray) -> bytes:
@@ -277,10 +277,8 @@ def _config_dict(cfg: ModelConfig) -> dict:
 
 
 def _model_records(model: EnhancementModel) -> dict[str, np.ndarray]:
-    """The model's tensors under their checkpoint record names."""
-    records = {f"param.{name}": t.data for name, t in model.params.items()}
-    records.update((f"buffer.{name}", arr) for name, arr in model.buffers.items())
-    return records
+    """The model's parameters under their checkpoint record names."""
+    return {f"param.{name}": t.data for name, t in model.params.items()}
 
 
 def save_checkpoint(path, model: EnhancementModel, unused: None = None,
@@ -345,7 +343,7 @@ def load_checkpoint(path) -> tuple[EnhancementModel, int]:
 
     The stored config must name every ModelConfig field and nothing else, the
     meta step must be an integer, and the records must be exactly the
-    tensors of a fresh model of the stored config, each finite and of that
+    parameters of a fresh model of the stored config, each finite and of that
     model's shape. Any violation raises CheckpointError.
     """
     with open(path, "rb") as f:
@@ -391,6 +389,4 @@ def load_checkpoint(path) -> tuple[EnhancementModel, int]:
                                   f"{records[key].shape}, config implies {fresh.shape}")
     for name, t in model.params.items():
         t.data = records[f"param.{name}"]
-    for name in model.buffers:
-        model.buffers[name] = records[f"buffer.{name}"]
     return model, step

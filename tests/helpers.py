@@ -215,6 +215,15 @@ def _head_bias(model: EnhancementModel, length: int, layer: int,
     return naive_bias(kind, length, params)
 
 
+def bertpos_stream_rows(cfg, length: int) -> np.ndarray:
+    """`length` rows of a bertpos model's PE stream in one draw from its
+    seed: the rows below L' are the table's init values, the rest its fixed
+    rows."""
+    rng = np.random.default_rng(
+        np.random.SeedSequence(entropy=cfg.init_seed, spawn_key=(0x7065,)))
+    return rng.normal(0.0, 0.02, size=(length, cfg.d_model))
+
+
 def reference_forward(model: EnhancementModel, x_mag: np.ndarray) -> np.ndarray:
     """Plain-numpy forward of one (L, K) clip, one head at a time.
 
@@ -230,8 +239,8 @@ def reference_forward(model: EnhancementModel, x_mag: np.ndarray) -> np.ndarray:
     if kind is PeKind.SINUSOIDAL:
         z = z + sinusoidal_embedding(length, cfg.d_model)
     elif kind is PeKind.BERTPOS:
-        table = np.concatenate([p["pe.embed"], model.buffers["pe.embed_ext"]])
-        z = z + table[:length]
+        fixed = bertpos_stream_rows(cfg, length)[cfg.bertpos_max_len:]
+        z = z + np.concatenate([p["pe.embed"], fixed])[:length]
     for i in range(cfg.n_layers):
         heads = []
         for h in range(cfg.n_heads):

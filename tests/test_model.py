@@ -77,12 +77,16 @@ def test_ape_adds_position_rows(kind):
 
 
 def test_bertpos_uses_frozen_extension_rows():
+    from helpers import bertpos_stream_rows
+
     m = tiny_model(pe="bertpos")
+    drawn = bertpos_stream_rows(m.config, 12)
+    assert np.array_equal(m.params["pe.embed"].data, drawn[:8])
+    # Moving the trained table leaves the fixed rows past it where they were.
+    m.params["pe.embed"].data = m.params["pe.embed"].data + 1.0
     x = rand_input(12)  # beyond the 8 trained rows
-    with_pe = m.embed(x).data
-    without = tiny_model(pe="nopos").embed(x).data
-    ext = (with_pe - without)[8:]
-    assert np.allclose(ext, m.buffers["pe.embed_ext"][:4])
+    ext = (m.embed(x).data - tiny_model(pe="nopos").embed(x).data)[8:]
+    assert np.allclose(ext, drawn[8:])
 
 
 def test_bertpos_cap_raises_capability_error():

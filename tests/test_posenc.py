@@ -2,6 +2,7 @@ import ast
 import math
 import zlib
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -11,9 +12,12 @@ from hypothesis import strategies as st
 import lgse
 from lgse.numerics import Tensor, backward, constant, matmul, mul, reduce_sum
 from lgse.posenc import (
+    BERTPOS_MAX_FRAMES,
     SCHEMES,
     TISA_KERNELS,
+    CapabilityError,
     PeKind,
+    bertpos_rows,
     da_bias,
     gauss_bias,
     kerple_bias,
@@ -286,6 +290,43 @@ def test_rope_dot_depends_on_offset_only():
 def test_rope_rejects_odd_width():
     with pytest.raises(ValueError):
         rope_rotate(Tensor(np.zeros((2, 3))), Tensor(np.zeros((2, 3))))
+
+
+# -- bertpos ---------------------------------------------------------------------
+
+
+def test_bertpos_rows_past_the_table_agree_on_common_rows():
+    table = Tensor(np.random.default_rng(4).normal(size=(64, 8)))
+    short, long = bertpos_rows(100, table, 7).data, bertpos_rows(300, table, 7).data
+    assert np.array_equal(short[:64], table.data)
+    assert np.array_equal(long[:100], short)
+
+
+def test_bertpos_rows_draw_only_past_the_table_and_under_the_cap(monkeypatch):
+    from lgse import posenc
+
+    def no_draw(init_seed):
+        raise AssertionError("drew fixed rows")
+
+    monkeypatch.setattr(posenc, "pe_rng", no_draw)
+    table = Tensor(np.ones((8, 4)))
+    assert np.array_equal(posenc.bertpos_rows(8, table, 0).data, table.data)
+    with pytest.raises(CapabilityError, match="at most"):
+        posenc.bertpos_rows(BERTPOS_MAX_FRAMES + 1, table, 0)
+    with pytest.raises(AssertionError, match="drew fixed rows"):
+        posenc.bertpos_rows(9, table, 0)
+
+
+def test_bertpos_init_draws_only_the_table():
+    """`init` draws the L' trained rows and nothing more; the fixed rows
+    past them are drawn by `bertpos_rows` when a length needs them."""
+    dims = SimpleNamespace(n_heads=2, n_layers=1, bertpos_max_len=64, d_model=16)
+    rng = np.random.default_rng(3)
+    params = SCHEMES[PeKind.BERTPOS].init(dims, rng)
+    assert list(params) == ["embed"] and params["embed"].shape == (64, 16)
+    fresh = np.random.default_rng(3)
+    fresh.normal(0.0, 0.02, size=(64, 16))
+    assert rng.bit_generator.state == fresh.bit_generator.state
 
 
 # -- parameter counts ------------------------------------------------------------

@@ -6,6 +6,7 @@ from lgse import dsp, numerics, objectives
 from lgse.dsp import Utterance, Waveform
 from lgse.model import EnhancementModel, ModelConfig
 from lgse.numerics import Tensor, add, backward, constant, mul, reduce_sum
+from lgse.posenc import PeKind
 from lgse.training import (
     AdamState,
     CheckpointError,
@@ -421,7 +422,7 @@ def test_checkpoint_roundtrip_bitexact(tmp_path):
     assert path2.read_bytes() == path.read_bytes()
 
 
-@pytest.mark.parametrize("kind", ["learnlin", "bertpos"])
+@pytest.mark.parametrize("kind", [k.value for k in PeKind])
 def test_trained_checkpoint_holds_only_the_model(tmp_path, kind):
     from helpers import rewrite_meta
 
@@ -433,24 +434,22 @@ def test_trained_checkpoint_holds_only_the_model(tmp_path, kind):
     rewrite_meta(path, metas.append)
     assert sorted(metas[0]) == ["model_config", "step"]
     names = rewrite_records(path, lambda records: None)
-    assert names == sorted([f"param.{n}" for n in model.params]
-                           + [f"buffer.{n}" for n in model.buffers])
-    assert (kind == "bertpos") == any(n.startswith("buffer.") for n in names)
+    assert names == sorted(f"param.{n}" for n in model.params)
 
 
 # sha256 of a freshly initialized tiny model's checkpoint, per PE kind. Any
 # change to parameter names, order, shapes or init draws changes these.
 INIT_CHECKPOINT_SHA256 = {
-    "nopos": "27cb766e4a163ff11fb31d6a5edec5a820e0b3f6a127347586b3fdff0c7c57a2",
-    "sinusoidal": "c535824f63a7a65a7cf87aa429b9ef95d3c0fc8ae5efc47c54b39c66d468e8c0",
-    "bertpos": "4b401a9fb468aae731383997cdfe3df3381f4437cf5e69c402ca6e42307f0d74",
-    "gauss": "2d5ac887dc4094ec74785254820a0ad62249302f7d99c716ed2e226e570cb1d5",
-    "t5": "2b0e1f77c6ab7a0a0dca753da3a29b713ef06530318647f8b6ef41306e27969c",
-    "tisa": "17b0e5c632b82de3d6f66236273822f908acf65ffd9fad72aa71cdee1e8cc765",
-    "dabias": "cae4af058be88eb704e1b5b1b0209b26606c078a42bef04d622a13065d74b701",
-    "kerple": "7dd275c4b6e04f1cd5be709e73f35cd7a940204d62f4f50e6e2135d70f664ec0",
-    "rope": "43c12b19662a569398a79b2a7d4b0a7ed129d5cf34165d1ba15a80f32ef7b21b",
-    "learnlin": "f39df97dbb34dfe5e2d69c0c632a7219e3c8b253519f5b646c6b6dd490c0d2bd",
+    "nopos": "7be25902cf3649542e80273aaaf66542035912d4aded9ecd495e48f87f224242",
+    "sinusoidal": "2918d9237e8b93f7b392fbd02c37ad87cf5f8d0dd2c972f19f27931f7d60dc0a",
+    "bertpos": "a35915af6c9ec2eb38f47ab745922365b9c52b0fe4168c2038af15e93740d351",
+    "gauss": "12aabe6655c018bc4fb78b3cd8194d1f1415ea95cc643d58c163c25e80ef8798",
+    "t5": "cb43f7d9bb564fe951910aef30c1fdfa9dbd54c41f5b639f17a0af8fb3513f19",
+    "tisa": "efa2434c64534b6d8c84b8211f54ac3b2448aa0a7fb4e5ae8da691ba24f01756",
+    "dabias": "509fda0f42af7c28d1d404f25f8a2a23ee09311ae67784f803db75506239d0c0",
+    "kerple": "14e0134e56c791923235b7c1328d0ee53a8a9eebc2ddb5509056bd8871fee4b5",
+    "rope": "9c4f5dc1de95e161bae8e3bb9958d2581c05dfb510e99db622d6e9af4547b5f6",
+    "learnlin": "17c9cb715c67069dc2ff2c206b35d9a2fcef2d8a5e197582f7c481a4ef55a43e",
 }
 
 
@@ -473,7 +472,7 @@ def test_checkpoint_magic_and_validation(tmp_path):
         load_checkpoint(bad)
 
 
-@pytest.mark.parametrize("version", [1, 2, 3])
+@pytest.mark.parametrize("version", [1, 2, 3, 4])
 def test_old_checkpoint_version_rejected(tmp_path, version):
     import struct
 
@@ -586,7 +585,6 @@ def test_checkpoint_meta_errors(tmp_path, edit, match):
      "unknown records.*param.bogus"),
     (lambda r: r.update(adam=record_bytes("adam.m.pe.embed", np.zeros(2))),
      "unknown records.*adam.m.pe.embed"),
-    (lambda r: r.pop("buffer.pe.embed_ext"), "missing records.*buffer.pe.embed_ext"),
     (lambda r: r.pop("param.pe.embed"), "missing records.*param.pe.embed"),
     (lambda r: r.update(again=r["param.pe.embed"]), "duplicate record param.pe.embed"),
 ])
