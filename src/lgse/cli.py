@@ -64,7 +64,13 @@ def build_parser() -> argparse.ArgumentParser:
                         f"window ({dsp.WIN_LEN / dsp.SAMPLE_RATE:g} s)")
 
     p = sub.add_parser("experiment",
-                       help="train per-scheme models and score length generalization")
+                       help="train per-scheme models and score length generalization",
+                       description="Train one model per scheme, then score every suite "
+                                   "mixture. Uses every usable CPU, with no setting of "
+                                   "its own: one process per CPU when BLAS is pinned to "
+                                   "one thread (OPENBLAS_NUM_THREADS=1), else one per "
+                                   "BLAS thread group. The output bytes do not depend "
+                                   "on the process count.")
     p.add_argument("--out-dir", required=True)
 
     p = sub.add_parser("selftest", help="run per-module oracle and invariant checks")

@@ -1,19 +1,28 @@
 """Length-generalization evaluation: surrogate metrics, full-length vs.
-chunked inference, and the train-short / test-long experiment runner."""
+chunked inference, and the train-short / test-long experiment runner.
+
+The experiment uses every CPU this process may use, and no setting of its
+own controls how many: the kinds to train and the mixtures to score are dealt
+out to one forked process per CPU, or per group of CPUs that one BLAS call
+may use, and the output bytes are the same for any process count. It forks
+only while no other Python thread is alive; attention's worker threads are
+joined before their call returns, so none is alive between calls."""
 
 from __future__ import annotations
 
 import csv
-import functools
 import io
 import os
+import pickle
+import threading
 from collections.abc import Callable
 from dataclasses import dataclass, fields
 
 import numpy as np
 
 from . import dsp, objectives
-from .dsp import Utterance, Waveform, derived_seed
+from . import model as model_module
+from .dsp import Waveform, derived_seed
 from .model import EnhancementModel, ModelConfig
 from .posenc import SCHEMES, PeKind
 from .training import TrainConfig, check_freeze, check_step_cap, load_checkpoint, train
@@ -357,30 +366,106 @@ def _shown(cfg: ModelConfig, name: str):
     return getattr(value, "value", value)
 
 
-def train_or_load(kind: str, model_cfg: ModelConfig, train_cfg: TrainConfig,
-                  corpus: Callable[[], list[Utterance]], ckpt_path,
-                  retrain: bool = False, loss_csv=None) -> EnhancementModel:
-    """Load the checkpoint for a scheme if present, otherwise train on
-    `corpus()` and save; `corpus` is only called when the model trains.
-
-    A loaded model must have been built with `model_cfg` for this scheme,
+def _load_model(ckpt_path, cfg: ModelConfig) -> EnhancementModel:
+    """The model saved at `ckpt_path`, which must have been built with `cfg`
     except for its init seed, which a saved model may have drawn from another
     stream; any other difference raises a ValueError naming the fields."""
-    cfg = model_cfg.with_pe(kind)
-    if not retrain and ckpt_path is not None and os.path.exists(ckpt_path):
-        model, _ = load_checkpoint(ckpt_path)
-        differ = [f"{f.name} {_shown(model.config, f.name)} (requested "
-                  f"{_shown(cfg, f.name)})" for f in fields(ModelConfig)
-                  if f.name != "init_seed"
-                  and getattr(model.config, f.name) != getattr(cfg, f.name)]
-        if differ:
-            raise ValueError(f"checkpoint {ckpt_path} was built with other model "
-                             f"settings: {', '.join(differ)}; set "
-                             f"experiment.retrain=1 to train it again")
-        return model
-    model = EnhancementModel(cfg)
-    train(model, corpus(), train_cfg, ckpt_path=ckpt_path, loss_csv=loss_csv)
+    model, _ = load_checkpoint(ckpt_path)
+    differ = [f"{f.name} {_shown(model.config, f.name)} (requested "
+              f"{_shown(cfg, f.name)})" for f in fields(ModelConfig)
+              if f.name != "init_seed"
+              and getattr(model.config, f.name) != getattr(cfg, f.name)]
+    if differ:
+        raise ValueError(f"checkpoint {ckpt_path} was built with other model "
+                         f"settings: {', '.join(differ)}; set "
+                         f"experiment.retrain=1 to train it again")
     return model
+
+
+# OpenBLAS takes its thread count from the first of these that is set when
+# numpy loads it, capped at the usable CPUs; unset, it uses every one.
+_BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")
+
+
+def _blas_threads(usable: int) -> int:
+    """Threads one BLAS call may use, by OpenBLAS's rule (see
+    `_BLAS_THREAD_VARS`)."""
+    for var in _BLAS_THREAD_VARS:
+        value = os.environ.get(var, "")
+        if value.isdigit() and int(value) > 0:
+            return min(int(value), usable)
+    return usable
+
+
+def _in_processes(jobs: int, share: Callable[[int, int], object]) -> list:
+    """[share(w, W) for w in range(W)], run on W = min(usable CPUs // BLAS
+    threads, jobs) processes.
+
+    W processes of that many BLAS threads each fill the usable CPUs. More
+    would oversubscribe them: on a 2-CPU host with BLAS unpinned, two
+    processes took 113 s for a desk experiment that one finished in 41 s.
+    W does not change the bytes; the BLAS thread count does, and children
+    keep the caller's.
+
+    The calling process runs share 0 and W - 1 forked children the others.
+    A child pickles its result, or the exception it raised, into a pipe and
+    leaves through `os._exit`. Every child is read and waited for before
+    anything is raised, also when share 0 raises. A child's exception is then
+    raised here with its type and message; a child that exits without
+    reporting raises ChildProcessError naming its exit status. Nothing forks
+    while another Python thread is alive, since a forked child would inherit
+    any lock that thread holds; W is then 1.
+    """
+    usable = model_module._usable_cpus()
+    workers = min(usable // _blas_threads(usable), jobs) if threading.active_count() == 1 else 1
+    children: list[tuple[int, int]] = []
+    try:
+        for w in range(1, workers):
+            read, write = os.pipe()
+            pid = os.fork()
+            if pid == 0:
+                os.close(read)
+                _report(write, share, w, workers)
+            os.close(write)
+            children.append((pid, read))
+        mine = share(0, workers)
+    finally:
+        ends = [_reap(pid, read) for pid, read in children]
+    results = [mine]
+    for pid, code, data in ends:
+        if code != 0 or not data:
+            raise ChildProcessError(f"worker process {pid} exited with status "
+                                    f"{code} without reporting")
+        ok, value = pickle.loads(data)
+        if not ok:
+            raise value
+        results.append(value)
+    return results
+
+
+def _report(write: int, share, w: int, workers: int) -> None:
+    """In a forked child: run share w, pickle (True, result) or (False,
+    exception) into fd `write`, and leave through `os._exit`, with status 0
+    only if the report was written whole."""
+    code = 1
+    try:
+        try:
+            report = (True, share(w, workers))
+        except BaseException as exc:  # noqa: BLE001 - the caller re-raises it
+            report = (False, exc)
+        with os.fdopen(write, "wb") as f:
+            f.write(pickle.dumps(report))
+        code = 0
+    finally:
+        os._exit(code)
+
+
+def _reap(pid: int, read: int) -> tuple[int, int, bytes]:
+    """A child's pid, exit status and everything it wrote to fd `read`."""
+    with os.fdopen(read, "rb") as f:
+        data = f.read()
+    _, status = os.waitpid(pid, 0)
+    return pid, os.waitstatus_to_exitcode(status), data
 
 
 def run_lengen_experiment(seed: int, model_cfg: ModelConfig,
@@ -389,10 +474,18 @@ def run_lengen_experiment(seed: int, model_cfg: ModelConfig,
     """Train one model per scheme on short clips, then score every
     (duration, SNR) condition with full-length and chunked inference.
 
-    Every mixture is enhanced by all models in one call per mode, so each
-    mixture (and each chunk group) is analysed once, and each estimate is
-    scored as soon as it is made. The training corpus is synthesized only
-    if some model trains.
+    A kind whose checkpoint is in `out_dir` is loaded, unless `exp.retrain`;
+    the others train on one corpus, synthesized only if some model trains,
+    and are saved and loaded back. Every mixture is enhanced by all models in
+    one call per mode, so each mixture (and each chunk group) is analysed
+    once, and each estimate is scored as soon as it is made.
+
+    Both phases use every CPU this process may use, in one process per CPU
+    when BLAS is pinned to one thread (see `_in_processes`); no setting of
+    the experiment controls this. The kinds to train are dealt out by stride,
+    and mixture n of the suite loop is scored by process n mod W, each
+    process walking the whole loop. The rows are joined in mixture order,
+    so every output byte is the same for any process count.
 
     Writes report.csv and report.md into out_dir and returns the report.
     Deterministic for a fixed seed, including the CSV bytes.
@@ -407,28 +500,51 @@ def run_lengen_experiment(seed: int, model_cfg: ModelConfig,
                          f"({train_cfg.clip_len_s:g} s)")
     check_step_cap(train_cfg, exp.train_utts)
     for kind in exp.kinds if train_cfg.freeze else ():
-        check_freeze(train_cfg, EnhancementModel(model_cfg.with_pe(kind)))
+        check_freeze(train_cfg, model_cfg.with_pe(kind))
     os.makedirs(out_dir, exist_ok=True)
-    corpus = functools.cache(lambda: dsp.synth_corpus(
-        derived_seed(seed, "corpus.train"), exp.train_utts, exp.train_utt_dur_s))
-    models: dict[str, EnhancementModel] = {}
-    for kind in exp.kinds:
-        ckpt = os.path.join(out_dir, f"model_{kind}.lgse")
-        losses = os.path.join(out_dir, f"loss_{kind}.csv")
-        models[kind] = train_or_load(kind, model_cfg, train_cfg, corpus, ckpt,
-                                     retrain=exp.retrain, loss_csv=losses)
+
+    ckpts = {kind: os.path.join(out_dir, f"model_{kind}.lgse") for kind in exp.kinds}
+    to_train = [kind for kind in exp.kinds if exp.retrain or not os.path.exists(ckpts[kind])]
+    # Saved models are checked before any training starts.
+    models = {kind: _load_model(ckpts[kind], model_cfg.with_pe(kind))
+              for kind in exp.kinds if kind not in to_train}
+    if to_train:
+        # Synthesized before the fork, so every child shares it.
+        corpus = dsp.synth_corpus(derived_seed(seed, "corpus.train"),
+                                  exp.train_utts, exp.train_utt_dur_s)
+
+        def train_share(w: int, workers: int) -> None:
+            for kind in to_train[w::workers]:
+                train(EnhancementModel(model_cfg.with_pe(kind)), corpus, train_cfg,
+                      ckpt_path=ckpts[kind],
+                      loss_csv=os.path.join(out_dir, f"loss_{kind}.csv"))
+
+        _in_processes(len(to_train), train_share)
+        del corpus
+        models.update((kind, load_checkpoint(ckpts[kind])[0]) for kind in to_train)
+    models = {kind: models[kind] for kind in exp.kinds}
 
     chunk_s = seg_chunk_s("chunk_s", exp.chunk_s, train_cfg.clip_len_s)
-    rows: list[ReportRow] = []
-    for dur in suite.durations_s:
-        utts = dsp.synth_corpus(derived_seed(seed, f"corpus.test.{dur:g}"),
-                                suite.utts_per_condition, dur)
-        for snr in suite.snrs_db:
-            cases = [(i, utt, dsp.mix_at_snr(utt.clean, utt.noise, snr))
-                     for i, utt in enumerate(utts)]
-            for case in cases:
-                rows.extend(_score_case(case, models, exp, chunk_s, dur, snr,
-                                        train_cfg.clip_len_s))
+
+    def score_share(w: int, workers: int) -> list[list[ReportRow]]:
+        """The rows of each mixture n with n mod `workers` == w, in order."""
+        mixtures, n = [], 0
+        for dur in suite.durations_s:
+            utts = dsp.synth_corpus(derived_seed(seed, f"corpus.test.{dur:g}"),
+                                    suite.utts_per_condition, dur)
+            for snr in suite.snrs_db:
+                for i, utt in enumerate(utts):
+                    if n % workers == w:
+                        case = (i, utt, dsp.mix_at_snr(utt.clean, utt.noise, snr))
+                        mixtures.append(_score_case(case, models, exp, chunk_s, dur,
+                                                    snr, train_cfg.clip_len_s))
+                    n += 1
+        return mixtures
+
+    total = len(suite.durations_s) * len(suite.snrs_db) * suite.utts_per_condition
+    shares = _in_processes(total, score_share)
+    workers = len(shares)
+    rows = [row for n in range(total) for row in shares[n % workers][n // workers]]
 
     report = MetricReport(rows)
     report.to_csv(os.path.join(out_dir, "report.csv"))

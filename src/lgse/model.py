@@ -39,6 +39,7 @@ __all__ = [
     "ModelConfig",
     "EnhancementModel",
     "attention_head",
+    "param_shapes",
 ]
 
 
@@ -159,7 +160,8 @@ def _attention_blocks(q: Tensor, k: Tensor, v: Tensor, bias: Tensor | None,
     the value product. Pool threads do not inherit the `no_grad` context, so
     the block code touches only ndarrays and constants, which record no tape
     whatever that flag says. A worker's error is raised by `result()` once
-    the calling thread's part is done.
+    the calling thread's part is done. The pool's threads are joined before
+    the call returns, so none outlives it to block `evaluate`'s fork.
     """
     length, d_k = q.shape[-2:]
     operands = (q, k, v) if bias is None else (q, k, v, bias)
@@ -216,6 +218,58 @@ def _attention_blocks(q: Tensor, k: Tensor, v: Tensor, bias: Tensor | None,
     return constant(out.reshape(shape + out.shape[-2:]))
 
 
+class _NoDraw:
+    """Stands in for a Generator in `_initial_params`: each draw is a
+    read-only zero-stride view of its shape, so nothing is drawn."""
+
+    @staticmethod
+    def uniform(low, high, size):
+        return np.broadcast_to(0.0, size)
+
+    normal = uniform
+
+
+def _xavier(rng, fan_in: int, fan_out: int, lead: tuple[int, ...] = ()) -> np.ndarray:
+    """(*lead, fan_in, fan_out) Xavier-uniform draws: one (fan_in, fan_out)
+    matrix after another, the same values as one call per matrix."""
+    limit = math.sqrt(6.0 / (fan_in + fan_out))
+    return rng.uniform(-limit, limit, size=lead + (fan_in, fan_out))
+
+
+def _initial_params(cfg: ModelConfig, rng, pe_rng) -> dict[str, np.ndarray]:
+    """The parameters of a fresh model, by name in init order: the backbone
+    draws from `rng`, the scheme's from `pe_rng`."""
+    p = {"embed.weight": _xavier(rng, cfg.k_bins, cfg.d_model),
+         "embed.bias": np.zeros(cfg.d_model),
+         "embed.ln_gain": np.ones(cfg.d_model),
+         "embed.ln_bias": np.zeros(cfg.d_model)}
+    for i in range(cfg.n_layers):
+        # One draw per layer, in the order head by head, then q, k, v;
+        # head h of a projection is its column block h.
+        qkv = _xavier(rng, cfg.d_model, cfg.d_k, lead=(cfg.n_heads, 3)).transpose(1, 2, 0, 3)
+        for j, name in enumerate("qkv"):
+            p[f"layers.{i}.attn.{name}"] = qkv[j].reshape(cfg.d_model, cfg.d_model)
+        p[f"layers.{i}.attn.out"] = _xavier(rng, cfg.d_model, cfg.d_model)
+        p[f"layers.{i}.ffn.w1"] = _xavier(rng, cfg.d_model, cfg.d_ff)
+        p[f"layers.{i}.ffn.b1"] = np.zeros(cfg.d_ff)
+        p[f"layers.{i}.ffn.w2"] = _xavier(rng, cfg.d_ff, cfg.d_model)
+        p[f"layers.{i}.ffn.b2"] = np.zeros(cfg.d_model)
+        for norm in ("ln1", "ln2"):
+            p[f"layers.{i}.{norm}.gain"] = np.ones(cfg.d_model)
+            p[f"layers.{i}.{norm}.bias"] = np.zeros(cfg.d_model)
+    p["head.weight"] = _xavier(rng, cfg.d_model, cfg.out_width)
+    p["head.bias"] = np.zeros(cfg.out_width)
+    for name, data in posenc.SCHEMES[cfg.pe_kind].init(cfg, pe_rng).items():
+        p[f"pe.{name}"] = data
+    return p
+
+
+def param_shapes(config: ModelConfig) -> dict[str, tuple[int, ...]]:
+    """The shape of every parameter `config` implies, by name in init order,
+    found without a random draw."""
+    return {name: a.shape for name, a in _initial_params(config, _NoDraw, _NoDraw).items()}
+
+
 class EnhancementModel:
     """Enhancement network; its state is its config and named parameter tensors.
 
@@ -223,60 +277,17 @@ class EnhancementModel:
     checkpoint layout are reproducible.
     """
 
-    def __init__(self, config: ModelConfig):
+    def __init__(self, config: ModelConfig, params: dict[str, np.ndarray] | None = None):
+        """Draw fresh parameters from `config.init_seed`, or take `params`,
+        which the caller has checked against `param_shapes(config)`."""
         self.config = config
-        self.params: dict[str, Tensor] = {}
-        self._init_params()
-
-    # -- construction -------------------------------------------------------
-
-    def _add_param(self, name: str, data: np.ndarray) -> Tensor:
-        t = Tensor(data, requires_grad=True)
-        self.params[name] = t
-        return t
-
-    def _xavier(self, rng: np.random.Generator, fan_in: int, fan_out: int,
-                lead: tuple[int, ...] = ()) -> np.ndarray:
-        """(*lead, fan_in, fan_out) Xavier-uniform draws: one (fan_in, fan_out)
-        matrix after another, the same values as one call per matrix."""
-        limit = math.sqrt(6.0 / (fan_in + fan_out))
-        return rng.uniform(-limit, limit, size=lead + (fan_in, fan_out))
-
-    def _init_params(self) -> None:
-        cfg = self.config
-        # The backbone's own stream, so its draws are the same for every PE kind.
-        rng = np.random.default_rng(
-            np.random.SeedSequence(entropy=cfg.init_seed, spawn_key=(0x6d61,)))
-
-        self._add_param("embed.weight", self._xavier(rng, cfg.k_bins, cfg.d_model))
-        self._add_param("embed.bias", np.zeros(cfg.d_model))
-        self._add_param("embed.ln_gain", np.ones(cfg.d_model))
-        self._add_param("embed.ln_bias", np.zeros(cfg.d_model))
-        for i in range(cfg.n_layers):
-            # One draw per layer, in the order head by head, then q, k, v;
-            # head h of a projection is its column block h.
-            qkv = self._xavier(rng, cfg.d_model, cfg.d_k,
-                               lead=(cfg.n_heads, 3)).transpose(1, 2, 0, 3)
-            for j, name in enumerate("qkv"):
-                self._add_param(f"layers.{i}.attn.{name}",
-                                qkv[j].reshape(cfg.d_model, cfg.d_model))
-            self._add_param(f"layers.{i}.attn.out",
-                            self._xavier(rng, cfg.d_model, cfg.d_model))
-            self._add_param(f"layers.{i}.ffn.w1",
-                            self._xavier(rng, cfg.d_model, cfg.d_ff))
-            self._add_param(f"layers.{i}.ffn.b1", np.zeros(cfg.d_ff))
-            self._add_param(f"layers.{i}.ffn.w2",
-                            self._xavier(rng, cfg.d_ff, cfg.d_model))
-            self._add_param(f"layers.{i}.ffn.b2", np.zeros(cfg.d_model))
-            self._add_param(f"layers.{i}.ln1.gain", np.ones(cfg.d_model))
-            self._add_param(f"layers.{i}.ln1.bias", np.zeros(cfg.d_model))
-            self._add_param(f"layers.{i}.ln2.gain", np.ones(cfg.d_model))
-            self._add_param(f"layers.{i}.ln2.bias", np.zeros(cfg.d_model))
-        self._add_param("head.weight", self._xavier(rng, cfg.d_model, cfg.out_width))
-        self._add_param("head.bias", np.zeros(cfg.out_width))
-        pe = posenc.SCHEMES[cfg.pe_kind].init(cfg, posenc.pe_rng(cfg.init_seed))
-        for name, data in pe.items():
-            self._add_param(f"pe.{name}", data)
+        if params is None:
+            # The backbone's own stream, so its draws are the same for every PE kind.
+            rng = np.random.default_rng(
+                np.random.SeedSequence(entropy=config.init_seed, spawn_key=(0x6d61,)))
+            params = _initial_params(config, rng, posenc.pe_rng(config.init_seed))
+        self.params: dict[str, Tensor] = {
+            name: Tensor(data, requires_grad=True) for name, data in params.items()}
 
     # -- bookkeeping ---------------------------------------------------------
 

@@ -279,6 +279,31 @@ def check_checkpoint_roundtrip():
                 assert a.read() == b.read(), f"{kind.value}: second save differs"
 
 
+def check_experiment_workers():
+    """A tiny experiment, one kind loaded and two trained, writes the same
+    report.csv bytes on one process and on every CPU this process may use."""
+    cfg = ModelConfig(n_layers=1, n_heads=2, d_model=8, d_ff=16)
+    usable = model_module._usable_cpus
+    reports = []
+    for workers in (lambda: 1, usable):
+        with tempfile.TemporaryDirectory() as out:
+            training.save_checkpoint(os.path.join(out, "model_learnlin.lgse"),
+                                     EnhancementModel(cfg))
+            model_module._usable_cpus = workers
+            try:
+                reports.append(evaluate.run_lengen_experiment(
+                    3, cfg, training.TrainConfig(clip_len_s=0.5, batch_utts=2,
+                                                 max_steps=1, w_steps=10),
+                    evaluate.ExperimentConfig(kinds=("learnlin", "nopos", "sinusoidal"),
+                                              train_utts=2),
+                    evaluate.TestSuiteConfig(durations_s=(0.5, 1.25), snrs_db=(0, 5),
+                                             utts_per_condition=1),
+                    out).to_csv_text())
+            finally:
+                model_module._usable_cpus = usable
+    assert reports[0] == reports[1], f"report.csv differs on 1 and {usable()} processes"
+
+
 def check_mix_snr():
     rng = np.random.default_rng(2)
     clean = Waveform(rng.uniform(-0.3, 0.3, 8000))
@@ -301,6 +326,7 @@ CHECKS = [
     ("training", "lr_schedule", check_lr_schedule, False),
     ("training", "checkpoint_roundtrip", check_checkpoint_roundtrip, False),
     ("eval", "chunk_counts", check_chunk_counts, False),
+    ("eval", "experiment_workers", check_experiment_workers, False),
     ("model", "tape_free_forward", check_tape_free_forward, False),
     ("numerics", "model_gradient_check", check_gradient_small, True),
 ]

@@ -12,7 +12,7 @@ import numpy as np
 
 from . import dsp, objectives
 from .dsp import Utterance
-from .model import EnhancementModel, ModelConfig
+from .model import EnhancementModel, ModelConfig, param_shapes
 from .numerics import Tensor, backward, constant, mul, reduce_mean, sub
 
 __all__ = [
@@ -171,12 +171,13 @@ class TrainResult:
     trace: list[tuple[int, float, float]]          # (step, lr, loss)
 
 
-def check_freeze(cfg: TrainConfig, model: EnhancementModel) -> None:
+def check_freeze(cfg: TrainConfig, model_cfg: ModelConfig) -> None:
     """Raise ValueError if `cfg.freeze` names something that is not one of
-    the model's parameters."""
-    unknown = [name for name in cfg.freeze if name not in model.params]
+    the parameters of a `model_cfg` model."""
+    names = param_shapes(model_cfg)
+    unknown = [name for name in cfg.freeze if name not in names]
     if unknown:
-        raise ValueError(f"freeze names no parameter of this {model.config.pe_kind.value} "
+        raise ValueError(f"freeze names no parameter of this {model_cfg.pe_kind.value} "
                          f"model: {', '.join(unknown)}")
 
 
@@ -210,7 +211,7 @@ def train(model: EnhancementModel, corpus: list[Utterance], cfg: TrainConfig, *,
         raise ValueError(f"no corpus utterance is at least one clip long: the longest "
                          f"is {longest / dsp.SAMPLE_RATE:g} s, train.clip_len_s is "
                          f"{cfg.clip_len_s:g} s")
-    check_freeze(cfg, model)
+    check_freeze(cfg, model.config)
     check_step_cap(cfg, len(corpus))
     rng = np.random.default_rng(np.random.SeedSequence(entropy=cfg.seed,
                                                        spawn_key=(0x7472,)))
@@ -343,8 +344,9 @@ def load_checkpoint(path) -> tuple[EnhancementModel, int]:
 
     The stored config must name every ModelConfig field and nothing else, the
     meta step must be an integer, and the records must be exactly the
-    parameters of a fresh model of the stored config, each finite and of that
-    model's shape. Any violation raises CheckpointError.
+    parameters the stored config implies (`param_shapes`), each finite and of
+    its implied shape. Any violation raises CheckpointError. The model is
+    built from the records; nothing is drawn.
     """
     with open(path, "rb") as f:
         r = _Reader(f.read(), path)
@@ -368,25 +370,22 @@ def load_checkpoint(path) -> tuple[EnhancementModel, int]:
         if not np.isfinite(data).all():
             raise CheckpointError(f"{path}: tensor {name} holds non-finite values")
         records[name] = np.array(data, dtype=np.float64)
-    # Free the file image before the model is built, so it never coexists
-    # with both the records and a fresh model.
+    # The records are copies: free the file image before the model is built.
     del r
 
     config = _stored_config(path, meta)
     step = meta.get("step")
     if isinstance(step, bool) or not isinstance(step, int):
         raise CheckpointError(f"{path}: meta step must be an integer, got {step!r}")
-    model = EnhancementModel(config)
-    expected = _model_records(model)
+    shapes = param_shapes(config)
+    expected = {f"param.{name}": shape for name, shape in shapes.items()}
     unknown, missing = set(records) - set(expected), set(expected) - set(records)
     if unknown:
         raise CheckpointError(f"{path}: unknown records {sorted(unknown)}")
     if missing:
         raise CheckpointError(f"{path}: missing records {sorted(missing)}")
-    for key, fresh in expected.items():
-        if records[key].shape != fresh.shape:
+    for key, shape in expected.items():
+        if records[key].shape != shape:
             raise CheckpointError(f"{path}: tensor {key} has shape "
-                                  f"{records[key].shape}, config implies {fresh.shape}")
-    for name, t in model.params.items():
-        t.data = records[f"param.{name}"]
-    return model, step
+                                  f"{records[key].shape}, config implies {shape}")
+    return EnhancementModel(config, {name: records[f"param.{name}"] for name in shapes}), step

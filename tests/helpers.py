@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import struct
 
 import numpy as np
@@ -275,3 +276,12 @@ def reference_batch_loss(model: EnhancementModel, xs: np.ndarray,
     """Mean over clips of each clip's mean squared error."""
     return float(np.mean([np.mean((reference_forward(model, x) - t) ** 2)
                           for x, t in zip(xs, targets)]))
+
+
+def no_child_left() -> bool:
+    """True if this process has no child process, running or unreaped."""
+    try:
+        os.waitpid(-1, os.WNOHANG)
+    except ChildProcessError:
+        return True
+    return False

@@ -1,9 +1,11 @@
 import hashlib
 import json
+import os
 
 import numpy as np
 import pytest
 
+from helpers import no_child_left
 from lgse import dsp
 from lgse.cli import build_parser, main
 from lgse.config import ConfigError, load_run_config
@@ -466,6 +468,46 @@ def test_second_experiment_loads_checkpoints_unless_retrain(tmp_path, monkeypatc
     # Another master seed derives another init seed: the model still loads.
     assert run_cli("--seed", "9", *argv, "experiment", "--out-dir", str(out)) == 0
     assert trained == ["nopos", "nopos"]
+
+
+TINY_EXPERIMENT = ["--set", "experiment.modes=full", "--set", "experiment.train_utts=2",
+                   "--set", "train.clip_len_s=0.5", "--set", "train.max_steps=1",
+                   "--set", "model.n_layers=1", "--set", "model.d_model=8",
+                   "--set", "model.n_heads=2", "--set", "model.d_ff=16",
+                   "--set", "suite.snrs_db=0", "--set", "suite.utts_per_condition=1"]
+
+
+def test_experiment_error_in_a_worker_process_is_one_line(tmp_path, capsys, monkeypatch):
+    from lgse import model as model_module
+    from lgse.posenc import BERTPOS_MAX_FRAMES
+
+    monkeypatch.setattr(model_module, "_usable_cpus", lambda: 2)
+    # The 66 s mixture, 4,124 frames, is mixture 1: the forked worker's.
+    err = _one_error_line(capsys, *TINY_EXPERIMENT, "--set", "experiment.kinds=bertpos",
+                          "--set", "suite.durations_s=0.5,66",
+                          "experiment", "--out-dir", str(tmp_path))
+    assert f"bertpos supports at most {BERTPOS_MAX_FRAMES} frames, got 4124" in err
+    assert no_child_left() and not (tmp_path / "report.csv").exists()
+
+
+def test_experiment_worker_that_dies_is_one_line(tmp_path, capsys, monkeypatch):
+    from lgse import evaluate
+    from lgse import model as model_module
+
+    monkeypatch.setattr(model_module, "_usable_cpus", lambda: 2)
+    caller, score = os.getpid(), evaluate._score_case
+
+    def dies_in_a_child(*args):
+        if os.getpid() != caller:
+            os._exit(3)
+        return score(*args)
+
+    monkeypatch.setattr(evaluate, "_score_case", dies_in_a_child)
+    err = _one_error_line(capsys, *TINY_EXPERIMENT, "--set", "experiment.kinds=nopos",
+                          "--set", "suite.durations_s=0.5,1",
+                          "experiment", "--out-dir", str(tmp_path))
+    assert "exited with status 3 without reporting" in err
+    assert no_child_left() and not (tmp_path / "report.csv").exists()
 
 
 @pytest.mark.parametrize("text,named", [

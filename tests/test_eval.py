@@ -1,13 +1,17 @@
 import hashlib
 import math
+import os
+import threading
+import time
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import enhance_chunked_loop
+from helpers import enhance_chunked_loop, no_child_left
 from lgse import dsp, evaluate, objectives
+from lgse import model as model_module
 from lgse.dsp import SAMPLE_RATE, Waveform
 from lgse.evaluate import (
     MetricReport,
@@ -408,6 +412,8 @@ def test_experiment_report_bytes_are_pinned(tmp_path):
 
 def test_experiment_analyses_each_mixture_once_whatever_the_kinds(tmp_path,
                                                                   monkeypatch):
+    # The counters see one process only, so the experiment runs on one.
+    monkeypatch.setattr(model_module, "_usable_cpus", lambda: 1)
     counted = {name: count_calls(monkeypatch, module, name) for module, name in
                ((dsp, "stft"), (dsp, "synth_corpus"), (evaluate, "enhance_full"),
                 (evaluate, "enhance_chunked"), (EnhancementModel, "predict"))}
@@ -443,6 +449,142 @@ def test_experiment_synthesizes_the_training_corpus_only_to_train(tmp_path,
     synth.clear()
     _tiny_experiment(tmp_path, ("learnlin", "nopos"))
     assert train_seed not in [a[0] for a in synth]
+
+
+def test_experiment_bytes_are_the_same_on_any_process_count(tmp_path, monkeypatch):
+    kinds = ("learnlin", "nopos", "sinusoidal")
+    forks = count_calls(monkeypatch, os, "fork")
+    outputs, fork_counts = [], []
+    for workers in (1, 2, 3):
+        monkeypatch.setattr(model_module, "_usable_cpus", lambda: workers)
+        out_dir = tmp_path / str(workers)
+        out_dir.mkdir()
+        # learnlin loads; nopos and sinusoidal train, fewer kinds than 3 CPUs.
+        _save_models(out_dir, kinds[:1])
+        forks.clear()
+        _tiny_experiment(out_dir, kinds)
+        fork_counts.append(len(forks))
+        assert no_child_left()
+        outputs.append({p.name: p.read_bytes() for p in sorted(out_dir.iterdir())})
+    # Training forks min(W, 2) - 1 children, scoring min(W, 8) - 1.
+    assert fork_counts == [0, 2, 3]
+    assert sorted(outputs[0]) == ["loss_nopos.csv", "loss_sinusoidal.csv",
+                                  "model_learnlin.lgse", "model_nopos.lgse",
+                                  "model_sinusoidal.lgse", "report.csv", "report.md"]
+    assert outputs[1] == outputs[0] and outputs[2] == outputs[0]
+
+
+def test_worker_results_come_back_in_share_order(monkeypatch):
+    monkeypatch.setattr(model_module, "_usable_cpus", lambda: 3)
+    results = evaluate._in_processes(5, lambda w, workers: (w, workers, os.getpid()))
+    assert [r[:2] for r in results] == [(0, 3), (1, 3), (2, 3)]
+    pids = [r[2] for r in results]
+    assert pids[0] == os.getpid() and len(set(pids)) == 3
+    assert len(evaluate._in_processes(1, lambda w, workers: w)) == 1
+    assert no_child_left()
+
+
+@pytest.mark.parametrize("env,usable,workers", [
+    ({}, 2, 1),
+    ({"OPENBLAS_NUM_THREADS": "1"}, 2, 2),
+    ({"OMP_NUM_THREADS": "1"}, 3, 3),
+    ({"OPENBLAS_NUM_THREADS": "2", "OMP_NUM_THREADS": "1"}, 5, 2),
+    ({"OPENBLAS_NUM_THREADS": "8"}, 2, 1),
+    ({"OPENBLAS_NUM_THREADS": "x", "OMP_NUM_THREADS": "1"}, 2, 2),
+], ids=["unpinned", "pinned", "omp", "openblas-first", "capped", "unreadable"])
+def test_one_process_per_group_of_cpus_one_blas_call_may_use(monkeypatch, env, usable,
+                                                             workers):
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
+        monkeypatch.delenv(var, raising=False)
+    for var, value in env.items():
+        monkeypatch.setenv(var, value)
+    monkeypatch.setattr(model_module, "_usable_cpus", lambda: usable)
+    assert evaluate._in_processes(8, lambda w, w_count: w_count) == [workers] * workers
+    assert no_child_left()
+
+
+def test_worker_exception_is_raised_with_its_type_and_message(monkeypatch):
+    monkeypatch.setattr(model_module, "_usable_cpus", lambda: 2)
+
+    def share(w, workers):
+        if w == 1:
+            raise KeyError("only in the child")
+        return w
+
+    with pytest.raises(KeyError, match="only in the child"):
+        evaluate._in_processes(2, share)
+    assert no_child_left()
+
+
+def test_worker_that_dies_without_reporting_names_its_status(monkeypatch):
+    monkeypatch.setattr(model_module, "_usable_cpus", lambda: 2)
+    caller = os.getpid()
+
+    def share(w, workers):
+        if os.getpid() != caller:
+            os._exit(3)
+        return w
+
+    with pytest.raises(ChildProcessError, match="exited with status 3 without reporting"):
+        evaluate._in_processes(2, share)
+    assert no_child_left()
+
+
+def test_caller_share_error_still_waits_for_the_children(monkeypatch, tmp_path):
+    monkeypatch.setattr(model_module, "_usable_cpus", lambda: 3)
+    done = tmp_path / "done"
+
+    def share(w, workers):
+        if w == 0:
+            raise ValueError("caller's share")
+        time.sleep(0.2)
+        (done / str(w)).write_text("")
+
+    done.mkdir()
+    with pytest.raises(ValueError, match="caller's share"):
+        evaluate._in_processes(3, share)
+    assert no_child_left()
+    assert sorted(p.name for p in done.iterdir()) == ["1", "2"]
+
+
+def test_nothing_forks_while_another_thread_is_alive(monkeypatch):
+    monkeypatch.setattr(model_module, "_usable_cpus", lambda: 2)
+    forks = count_calls(monkeypatch, os, "fork")
+    release = threading.Event()
+    waiter = threading.Thread(target=release.wait)
+    waiter.start()
+    try:
+        results = evaluate._in_processes(2, lambda w, workers: (w, workers))
+    finally:
+        release.set()
+        waiter.join(timeout=10)
+    assert not waiter.is_alive()
+    assert results == [(0, 1)] and forks == []
+
+
+def test_experiment_error_on_either_side_of_the_fork_is_raised(tmp_path, monkeypatch):
+    from lgse.evaluate import ExperimentConfig, TestSuiteConfig, run_lengen_experiment
+    from lgse.posenc import CapabilityError
+    from lgse.training import TrainConfig
+
+    monkeypatch.setattr(model_module, "_usable_cpus", lambda: 2)
+    forks = count_calls(monkeypatch, os, "fork")
+    _save_models(tmp_path, ("bertpos",))
+    # A 66 s mixture is 4,124 frames, past bertpos's cap. As mixture 1 it is
+    # the child's, as mixture 0 the caller's.
+    for durations in ((0.5, 66.0), (66.0, 0.5)):
+        forks.clear()
+        with pytest.raises(CapabilityError, match="got 4124"):
+            run_lengen_experiment(
+                7, ModelConfig(n_layers=1, n_heads=2, d_model=8, d_ff=16, k_bins=257),
+                TrainConfig(clip_len_s=0.5, batch_utts=2, max_steps=1, w_steps=10),
+                ExperimentConfig(kinds=("bertpos",), modes=("full",), train_utts=2),
+                TestSuiteConfig(durations_s=durations, snrs_db=(0,),
+                                utts_per_condition=1),
+                tmp_path)
+        assert len(forks) == 1
+        assert no_child_left()
+    assert not (tmp_path / "report.csv").exists()
 
 
 @pytest.mark.parametrize("kw,field", [

@@ -4,7 +4,7 @@ import pytest
 from helpers import record_bytes, rewrite_records
 from lgse import dsp, numerics, objectives
 from lgse.dsp import Utterance, Waveform
-from lgse.model import EnhancementModel, ModelConfig
+from lgse.model import EnhancementModel, ModelConfig, param_shapes
 from lgse.numerics import Tensor, add, backward, constant, mul, reduce_sum
 from lgse.posenc import PeKind
 from lgse.training import (
@@ -12,6 +12,7 @@ from lgse.training import (
     CheckpointError,
     TrainConfig,
     adam_step,
+    check_freeze,
     clip_gradients,
     load_checkpoint,
     lr_schedule,
@@ -598,6 +599,39 @@ def test_checkpoint_record_set_errors(tmp_path, edit, match):
     rewrite_records(path, edit)
     with pytest.raises(CheckpointError, match=match):
         load_checkpoint(path)
+
+
+def test_checkpoint_record_of_another_shape_rejected(tmp_path):
+    model = EnhancementModel(ModelConfig(pe_kind="learnlin", **TINY_MODEL))
+    path = tmp_path / "m.lgse"
+    save_checkpoint(path, model, None, 0)
+    rewrite_records(path, lambda r: r.update(
+        {"param.pe.beta": record_bytes("param.pe.beta", np.zeros(3))}))
+    with pytest.raises(CheckpointError,
+                       match=r"tensor param.pe.beta has shape \(3,\), config implies \(2,\)"):
+        load_checkpoint(path)
+
+
+@pytest.mark.parametrize("kind", [k.value for k in PeKind])
+def test_load_and_freeze_check_draw_nothing(tmp_path, monkeypatch, kind):
+    cfg = ModelConfig(pe_kind=kind, init_seed=6, bertpos_max_len=40, **TINY_MODEL)
+    model = EnhancementModel(cfg)
+    path = tmp_path / "m.lgse"
+    save_checkpoint(path, model, None, 4)
+
+    def no_draw(*args, **kwargs):
+        raise AssertionError("a random generator was made")
+
+    monkeypatch.setattr(np.random, "default_rng", no_draw)
+    assert list(param_shapes(cfg).items()) == [(n, t.shape) for n, t in model.params.items()]
+    loaded, step = load_checkpoint(path)
+    assert step == 4 and loaded.config == cfg and list(loaded.params) == list(model.params)
+    for name, t in model.params.items():
+        assert np.array_equal(loaded.params[name].data, t.data), name
+        assert loaded.params[name].requires_grad
+    check_freeze(tiny_cfg(freeze=tuple(model.params)[:2]), cfg)
+    with pytest.raises(ValueError, match=f"no parameter of this {kind} model: pe.bogus"):
+        check_freeze(tiny_cfg(freeze=("embed.bias", "pe.bogus")), cfg)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
