@@ -8,9 +8,9 @@ seed so one integer pins the whole pipeline.
 
 from __future__ import annotations
 
-import dataclasses
 import json
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields, is_dataclass, replace
+from enum import Enum
 from typing import Any
 
 from .dsp import N_BINS, derived_seed, require_one_frame
@@ -54,13 +54,8 @@ class RunConfig:
     experiment: ExperimentConfig = field(default_factory=ExperimentConfig)
 
 
-_SECTIONS = {
-    "model": ModelConfig,
-    "train": TrainConfig,
-    "synth": SynthConfig,
-    "suite": TestSuiteConfig,
-    "experiment": ExperimentConfig,
-}
+_SECTIONS = [f.name for f in fields(RunConfig)
+             if is_dataclass(f.default_factory)]
 
 # One help line per key so --help can enumerate the whole surface.
 KEY_HELP = {
@@ -98,117 +93,106 @@ KEY_HELP = {
 }
 
 
-def _coerce(name: str, ftype: Any, value: Any):
-    """Coerce a JSON or string override value to the dataclass field type."""
-    base = str(ftype)
+def _coerce(name: str, default: Any, value: Any):
+    """Coerce a JSON or `--set` string value to the type of the key's default.
+    A tuple's elements take its first element's type (str when empty). A bool
+    is refused for a number and a fraction for an int; enums are left to their
+    section's own check."""
     try:
-        if "tuple" in base:
+        if isinstance(default, tuple):
             if isinstance(value, str):
                 value = [v for v in value.split(",") if v != ""]
-            inner = float if "float" in base else (int if "int" in base else str)
-            return tuple(inner(v) for v in value)
-        if ftype is bool or base == "bool":
-            if isinstance(value, bool):
-                return value
-            if str(value).lower() in ("1", "true", "yes"):
-                return True
-            if str(value).lower() in ("0", "false", "no"):
-                return False
+            return tuple(_coerce(name, default[0] if default else "", v) for v in value)
+        if isinstance(default, Enum):
+            return value
+        if isinstance(default, bool):
+            return {"1": True, "true": True, "yes": True, "0": False, "false": False,
+                    "no": False}[str(value).lower()]
+        if isinstance(value, bool) or (isinstance(default, int) and isinstance(value, float)
+                                       and not value.is_integer()):
             raise ValueError(value)
-        if ftype is int or base == "int":
-            return int(value)
-        if ftype is float or base == "float":
-            return float(value)
-        return value
-    except (TypeError, ValueError) as exc:
+        return type(default)(value)
+    except (TypeError, ValueError, KeyError) as exc:
         raise ConfigError(f"bad value for {name!r}: {value!r}") from exc
 
 
-def _field_map(cls) -> dict[str, dataclasses.Field]:
-    return {f.name: f for f in fields(cls)}
+def _key_defaults() -> dict[str, Any]:
+    """Every config key, dotted, with its default value."""
+    cfg = RunConfig()
+    out: dict[str, Any] = {}
+    for f in fields(RunConfig):
+        value = getattr(cfg, f.name)
+        if f.name in _SECTIONS:
+            out.update((f"{f.name}.{g.name}", getattr(value, g.name))
+                       for g in fields(value))
+        else:
+            out[f.name] = value
+    return out
 
 
-def _apply_section(obj, section: str, updates: dict[str, Any], provided: set[str]):
-    fmap = _field_map(type(obj))
-    clean = {}
-    for key, value in updates.items():
-        if key not in fmap:
-            raise ConfigError(f"unknown config key {section + '.' + key!r}")
-        clean[key] = _coerce(f"{section}.{key}", fmap[key].type, value)
-        provided.add(f"{section}.{key}")
-    return replace(obj, **clean) if clean else obj
+def _file_pairs(path) -> list[tuple[str, Any]]:
+    """The (dotted key, value) pairs of a JSON config file, in file order."""
+    with open(path, encoding="utf-8") as f:
+        try:
+            doc = json.load(f)
+        except json.JSONDecodeError as exc:
+            raise ConfigError(f"{path}: invalid JSON ({exc})") from exc
+    if not isinstance(doc, dict):
+        raise ConfigError(f"{path}: top level must be an object")
+    pairs = []
+    for key, value in doc.items():
+        if key not in _SECTIONS:
+            if "." in key:
+                raise ConfigError(f"unknown config key {key!r}")
+            pairs.append((key, value))
+        elif not isinstance(value, dict):
+            raise ConfigError(f"section {key!r} must be an object")
+        else:
+            pairs += [(f"{key}.{k}", v) for k, v in value.items()]
+    return pairs
 
 
 def load_run_config(path=None, overrides: list[str] | None = None,
                     seed: int | None = None) -> RunConfig:
-    """Build a RunConfig from an optional JSON file plus `a.b=c` overrides."""
-    cfg = RunConfig()
-    provided: set[str] = set()
-    if path is not None:
-        with open(path, encoding="utf-8") as f:
-            try:
-                doc = json.load(f)
-            except json.JSONDecodeError as exc:
-                raise ConfigError(f"{path}: invalid JSON ({exc})") from exc
-        if not isinstance(doc, dict):
-            raise ConfigError(f"{path}: top level must be an object")
-        for key, value in doc.items():
-            if key == "seed":
-                cfg.seed = _coerce("seed", int, value)
-                provided.add("seed")
-            elif key in _SECTIONS:
-                if not isinstance(value, dict):
-                    raise ConfigError(f"section {key!r} must be an object")
-                setattr(cfg, key, _apply_section(getattr(cfg, key), key, value,
-                                                 provided))
-            else:
-                raise ConfigError(f"unknown config key {key!r}")
-    # Overrides are applied one section at a time, so a valid final config
-    # never fails on an intermediate pair (a new d_model with the old n_heads).
-    updates: dict[str, dict[str, Any]] = {}
+    """Build a RunConfig from an optional JSON file, `a.b=c` overrides and a
+    master seed. The file's keys, then each override in order, then `seed`
+    form one list of pairs in which a later pair wins. Each section is built
+    once from its final values, so a valid final config never fails on an
+    intermediate pair (a new d_model with the old n_heads)."""
+    pairs = [] if path is None else _file_pairs(path)
     for item in overrides or []:
         if "=" not in item:
             raise ConfigError(f"override {item!r} is not of the form key=value")
-        dotted, value = item.split("=", 1)
-        if dotted == "seed":
-            cfg.seed = _coerce("seed", int, value)
-            provided.add("seed")
-            continue
-        if "." not in dotted:
-            raise ConfigError(f"unknown config key {dotted!r}")
-        section, key = dotted.split(".", 1)
-        if section not in _SECTIONS:
-            raise ConfigError(f"unknown config key {dotted!r}")
-        updates.setdefault(section, {})[key] = value
-    for section, values in updates.items():
-        setattr(cfg, section,
-                _apply_section(getattr(cfg, section), section, values, provided))
+        pairs.append(tuple(item.split("=", 1)))
+    if seed is not None:
+        pairs.append(("seed", seed))
+    defaults, values = _key_defaults(), {}
+    for key, value in dict(pairs).items():
+        if key not in defaults:
+            raise ConfigError(f"unknown config key {key!r}")
+        values[key] = _coerce(key, defaults[key], value)
+    # Sub-seeds not pinned explicitly derive from the master seed.
+    master = values.get("seed", defaults["seed"])
+    values.setdefault("train.seed", derived_seed(master, "train"))
+    values.setdefault("model.init_seed", derived_seed(master, "init"))
+    cfg = RunConfig(seed=master)
+    for s in _SECTIONS:
+        mine = {k[len(s) + 1:]: v for k, v in values.items() if k.startswith(s + ".")}
+        setattr(cfg, s, replace(getattr(cfg, s), **mine))
     # ModelConfig takes any k_bins so that tests can build small models, but
     # only the fixed STFT's bin count can train or enhance audio.
     if cfg.model.k_bins != N_BINS:
         raise ConfigError(f"model.k_bins must be {N_BINS} (the STFT's bins per "
                           f"frame), got {cfg.model.k_bins}")
-    if seed is not None:
-        cfg.seed = seed
-        provided.add("seed")
-    # Derive sub-seeds not pinned explicitly.
-    if "train.seed" not in provided:
-        cfg.train = replace(cfg.train, seed=derived_seed(cfg.seed, "train"))
-    if "model.init_seed" not in provided:
-        cfg.model = replace(cfg.model, init_seed=derived_seed(cfg.seed, "init"))
     return cfg
 
 
 def config_key_lines() -> list[str]:
     """`key (default: value)  help` line for every config key."""
-    defaults = RunConfig()
+    defaults = _key_defaults()
     lines = []
     for dotted, text in KEY_HELP.items():
-        if "." in dotted:
-            section, key = dotted.split(".", 1)
-            value = getattr(getattr(defaults, section), key)
-        else:
-            value = getattr(defaults, dotted)
+        value = defaults[dotted]
         if isinstance(value, tuple):
             shown = ",".join(str(v) for v in value) or "(empty)"
         elif hasattr(value, "value"):
@@ -222,8 +206,7 @@ def config_key_lines() -> list[str]:
 def assert_help_covers_all_fields() -> None:
     """Raise ConfigError if a config field has no KEY_HELP line or a KEY_HELP
     line names no config field; the CLI tests call it."""
-    keys = {"seed"} | {f"{section}.{f.name}" for section, cls in _SECTIONS.items()
-                       for f in fields(cls)}
+    keys = set(_key_defaults())
     missing, stale = sorted(keys - set(KEY_HELP)), sorted(set(KEY_HELP) - keys)
     if missing:
         raise ConfigError(f"config keys missing help text: {missing}")

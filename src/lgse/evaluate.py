@@ -326,31 +326,23 @@ class MetricReport:
                                          for col in _CSV_FIELDS}))
         return cls(rows)
 
-    def select(self, **criteria) -> list[ReportRow]:
-        out = self.rows
-        for key, val in criteria.items():
-            out = [r for r in out if getattr(r, key) == val]
-        return out
-
     def to_markdown(self, train_len_s: float) -> str:
         """Summary table grouped by test length, one block per model variant."""
-        lens = sorted({r.test_len_s for r in self.rows})
+        groups: dict[tuple[float, str, str], list[ReportRow]] = {}
+        for r in self.rows:
+            groups.setdefault((r.test_len_s, r.kind, r.mode), []).append(r)
         labels = {k.value: scheme.label for k, scheme in SCHEMES.items()}
+        variants = [("noisy", "full", "Noisy")] + [
+            (kind, mode, labels.get(kind, kind) + ("" if overlap is None else "-" + mode.title()))
+            for kind in sorted({r.kind for r in self.rows} - {"noisy"})
+            for mode, overlap in MODES.items()]
         lines = [f"## Models trained on {train_len_s:g}s clips",
                  "",
                  "| Test len | Model | SI-SDR (dB) | SI-SDRi (dB) | SegSNR (dB) | n |",
                  "|---|---|---|---|---|---|"]
-        for tl in lens:
-            variants: list[tuple[str, str, str]] = [("noisy", "full", "Noisy")]
-            kinds = sorted({r.kind for r in self.rows} - {"noisy"})
-            for kind in kinds:
-                label = labels.get(kind, kind)
-                for mode, overlap in MODES.items():
-                    suffix = "" if overlap is None else "-" + mode.title()
-                    if self.select(kind=kind, test_len_s=tl, mode=mode):
-                        variants.append((kind, mode, label + suffix))
+        for tl in sorted({r.test_len_s for r in self.rows}):
             for kind, mode, label in variants:
-                rows = self.select(kind=kind, test_len_s=tl, mode=mode)
+                rows = groups.get((tl, kind, mode))
                 if not rows:
                     continue
                 sdr = np.mean([r.si_sdr_out for r in rows])
@@ -490,23 +482,24 @@ def run_lengen_experiment(seed: int, model_cfg: ModelConfig,
     Writes report.csv and report.md into out_dir and returns the report.
     Deterministic for a fixed seed, including the CSV bytes.
     """
-    # A step cap, freeze list or clip longer than the training utterances
-    # fails here, before anything is written and not after the first models
-    # have trained.
+    # A step cap, freeze list, clip longer than the training utterances or
+    # model shape some kind cannot take fails here, before anything is written
+    # and not after the first models have trained.
     if (int(round(exp.train_utt_dur_s * dsp.SAMPLE_RATE))
             < int(round(train_cfg.clip_len_s * dsp.SAMPLE_RATE))):
         raise ValueError(f"experiment.train_utt_dur_s {exp.train_utt_dur_s:g} s is "
                          f"shorter than one train.clip_len_s clip "
                          f"({train_cfg.clip_len_s:g} s)")
     check_step_cap(train_cfg, exp.train_utts)
+    cfgs = {kind: model_cfg.with_pe(kind) for kind in exp.kinds}
     for kind in exp.kinds if train_cfg.freeze else ():
-        check_freeze(train_cfg, model_cfg.with_pe(kind))
+        check_freeze(train_cfg, cfgs[kind])
     os.makedirs(out_dir, exist_ok=True)
 
     ckpts = {kind: os.path.join(out_dir, f"model_{kind}.lgse") for kind in exp.kinds}
     to_train = [kind for kind in exp.kinds if exp.retrain or not os.path.exists(ckpts[kind])]
     # Saved models are checked before any training starts.
-    models = {kind: _load_model(ckpts[kind], model_cfg.with_pe(kind))
+    models = {kind: _load_model(ckpts[kind], cfgs[kind])
               for kind in exp.kinds if kind not in to_train}
     if to_train:
         # Synthesized before the fork, so every child shares it.
@@ -515,7 +508,7 @@ def run_lengen_experiment(seed: int, model_cfg: ModelConfig,
 
         def train_share(w: int, workers: int) -> None:
             for kind in to_train[w::workers]:
-                train(EnhancementModel(model_cfg.with_pe(kind)), corpus, train_cfg,
+                train(EnhancementModel(cfgs[kind]), corpus, train_cfg,
                       ckpt_path=ckpts[kind],
                       loss_csv=os.path.join(out_dir, f"loss_{kind}.csv"))
 

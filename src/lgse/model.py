@@ -75,6 +75,9 @@ class ModelConfig:
                 f"d_model {self.d_model} not divisible by n_heads {self.n_heads}")
         if self.d_model % 2 != 0:
             raise ValueError(f"d_model must be even, got {self.d_model}")
+        if posenc.SCHEMES[self.pe_kind].rotate and self.d_k % 2 != 0:
+            raise ValueError(f"{self.pe_kind.value} rotates pairs of head dimensions, "
+                             f"so d_model / n_heads must be even, got {self.d_k}")
 
     @property
     def d_k(self) -> int:

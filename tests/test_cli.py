@@ -1,6 +1,8 @@
+import functools
 import hashlib
 import json
 import os
+from enum import Enum
 
 import numpy as np
 import pytest
@@ -8,7 +10,7 @@ import pytest
 from helpers import no_child_left
 from lgse import dsp
 from lgse.cli import build_parser, main
-from lgse.config import ConfigError, load_run_config
+from lgse.config import KEY_HELP, ConfigError, RunConfig, load_run_config
 
 
 def run_cli(*argv):
@@ -76,6 +78,54 @@ def test_bad_override_format():
         load_run_config(None, ["model.n_layers"])
     with pytest.raises(ConfigError):
         load_run_config(None, ["nosuch.key=1"])
+
+
+def test_file_and_set_build_each_section_once(tmp_path):
+    # n_heads 3 does not divide the default d_model 256, but divides the final 48.
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"model": {"n_heads": 3}}))
+    cfg = load_run_config(path, ["model.d_model=48"])
+    assert (cfg.model.n_heads, cfg.model.d_model) == (3, 48)
+
+
+@pytest.mark.parametrize("section,key,value", [
+    ("model", "n_layers", 2.7), ("model", "n_layers", True),
+    ("train", "max_steps", True), ("train", "clip_len_s", True),
+])
+def test_json_value_of_another_type_is_refused(tmp_path, section, key, value):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({section: {key: value}}))
+    with pytest.raises(ConfigError, match=f"'{section}.{key}'"):
+        load_run_config(path)
+
+
+def _key_value(cfg, dotted):
+    return functools.reduce(getattr, dotted.split("."), cfg)
+
+
+def _as_json(value):
+    if isinstance(value, tuple):
+        return [_as_json(v) for v in value]
+    return value.value if isinstance(value, Enum) else value
+
+
+def _as_text(value):
+    if isinstance(value, tuple):
+        return ",".join(_as_text(v) for v in value)
+    return value.value if isinstance(value, Enum) else str(value)
+
+
+@pytest.mark.parametrize("dotted", list(KEY_HELP))
+def test_every_default_loads_back_from_json_and_from_set(tmp_path, dotted):
+    default = _key_value(RunConfig(), dotted)
+    section, _, key = dotted.rpartition(".")
+    path = tmp_path / "cfg.json"
+    value = _as_json(default)
+    path.write_text(json.dumps({section: {key: value}} if section else {key: value}))
+    from_set = load_run_config(None, [f"{dotted}={_as_text(default)}"])
+    # repr tells 1 from 1.0 and (1.0,) from (1,).
+    for cfg in (load_run_config(path), from_set):
+        assert repr(_key_value(cfg, dotted)) == repr(default)
 
 
 def test_help_lists_every_config_key(capsys):
@@ -297,8 +347,8 @@ def test_enhance_checkpoint_with_unknown_record_errors(trained, tmp_path, capsys
 def test_train_with_unusable_sizes_errors(trained, tmp_path, capsys, override, field):
     _, corpus, _, _ = trained
     capsys.readouterr()
-    code = run_cli("--set", override, "train", "--corpus-dir", str(corpus),
-                   "--out", str(tmp_path / "m.lgse"), "--steps", "1")
+    code = run_cli("--set", "train.max_steps=1", "--set", override, "train",
+                   "--corpus-dir", str(corpus), "--out", str(tmp_path / "m.lgse"))
     err = capsys.readouterr().err
     assert code == 1
     assert err.startswith("error: ") and err.count("\n") == 1
@@ -312,6 +362,23 @@ def test_train_with_negative_steps_errors(trained, tmp_path, capsys):
                           "--out", str(tmp_path / "m.lgse"), "--steps", "-1")
     assert "max_steps" in err
     assert not (tmp_path / "m.lgse").exists()
+
+
+def test_steps_flag_wins_over_set_as_a_later_set_would(trained, tmp_path):
+    # The -1 is replaced before any section is built, so it is never checked.
+    _, corpus, _, _ = trained
+    small = ["--set", "model.n_layers=1", "--set", "model.n_heads=2",
+             "--set", "model.d_model=16", "--set", "model.d_ff=32",
+             "--set", "train.clip_len_s=0.5", "--set", "train.batch_utts=2",
+             "--set", "train.max_steps=-1"]
+    traces = []
+    for last in (["--set", "train.max_steps=2", "train"], ["train", "--steps", "2"]):
+        loss_csv = tmp_path / f"loss_{len(traces)}.csv"
+        assert run_cli(*small, *last, "--corpus-dir", str(corpus),
+                       "--out", str(tmp_path / "m.lgse"), "--loss-csv", str(loss_csv)) == 0
+        traces.append(loss_csv.read_text())
+    assert traces[0] == traces[1]
+    assert len(traces[0].strip().split("\n")) == 3
 
 
 def test_train_with_unreachable_steps_errors(trained, tmp_path, capsys):
@@ -475,6 +542,15 @@ TINY_EXPERIMENT = ["--set", "experiment.modes=full", "--set", "experiment.train_
                    "--set", "model.n_layers=1", "--set", "model.d_model=8",
                    "--set", "model.n_heads=2", "--set", "model.d_ff=16",
                    "--set", "suite.snrs_db=0", "--set", "suite.utts_per_condition=1"]
+
+
+def test_experiment_rejects_an_odd_rope_head_width_before_writing(tmp_path, capsys):
+    # A head width of 3 suits nopos, so rope must fail before nopos trains.
+    err = _one_error_line(capsys, *TINY_EXPERIMENT, "--set", "model.d_model=6",
+                          "--set", "experiment.kinds=nopos,rope",
+                          "experiment", "--out-dir", str(tmp_path / "exp"))
+    assert "must be even, got 3" in err
+    assert not (tmp_path / "exp").exists()
 
 
 def test_experiment_error_in_a_worker_process_is_one_line(tmp_path, capsys, monkeypatch):

@@ -5,7 +5,8 @@ import pytest
 
 from lgse.model import EnhancementModel, ModelConfig, attention_head
 from lgse.numerics import Tensor, constant
-from lgse.posenc import BERTPOS_MAX_FRAMES, CapabilityError, PeKind, param_count
+from lgse.posenc import (BERTPOS_MAX_FRAMES, SCHEMES, CapabilityError, PeKind,
+                         param_count)
 
 TINY = dict(n_layers=1, n_heads=2, d_model=8, d_ff=16, k_bins=9, bertpos_max_len=8)
 
@@ -44,6 +45,18 @@ def test_config_rejects_indivisible_heads():
 def test_config_rejects_sizes_it_cannot_build(field, value):
     with pytest.raises(ValueError, match=f"^{field} must be"):
         ModelConfig(**{**TINY, field: value})
+
+
+def test_config_refuses_an_odd_head_width_for_a_rotating_scheme():
+    # d_model 6 over 2 heads is a head width of 3: no pairs to rotate.
+    rotating = [kind for kind, scheme in SCHEMES.items() if scheme.rotate]
+    assert rotating
+    for kind in SCHEMES:
+        if kind in rotating:
+            with pytest.raises(ValueError, match="must be even, got 3"):
+                ModelConfig(**{**TINY, "d_model": 6, "pe_kind": kind})
+        else:
+            assert ModelConfig(**{**TINY, "d_model": 6, "pe_kind": kind}).d_k == 3
 
 
 # -- embedding -----------------------------------------------------------------
