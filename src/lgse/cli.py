@@ -59,7 +59,12 @@ budget on a CPU box. The desk preset, a 2 x 32 model that can:
                    help="shortcut for --set model.target=...")
     p.add_argument("--steps", type=int, help="shortcut for --set train.max_steps=...")
 
-    p = sub.add_parser("enhance", help="enhance one WAV file")
+    p = sub.add_parser("enhance", help="enhance one WAV file",
+                       description="Enhance one WAV file. A long input uses every "
+                                   "usable CPU, with no setting of its own, only when "
+                                   "BLAS is pinned to one thread "
+                                   "(OPENBLAS_NUM_THREADS=1); the output bytes then do "
+                                   "not depend on the CPU count.")
     p.add_argument("input")
     p.add_argument("output")
     p.add_argument("--checkpoint", required=True)

@@ -282,7 +282,7 @@ def read_wav(path) -> Waveform:
         f = wave.open(str(path), "rb")
     except (wave.Error, EOFError) as exc:
         raise AudioFormatError(f"{path}: not a readable WAV file "
-                               f"({exc or 'it ends inside the header'})") from None
+                               f"({str(exc) or 'it ends inside the header'})") from None
     with f:
         channels = f.getnchannels()
         width = f.getsampwidth()

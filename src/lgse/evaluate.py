@@ -5,8 +5,9 @@ The experiment uses every CPU this process may use, and no setting of its
 own controls how many: the kinds to train and the mixtures to score are dealt
 out to one forked process per CPU, or per group of CPUs that one BLAS call
 may use, and the output bytes are the same for any process count. It forks
-only while no other Python thread is alive; attention's worker threads are
-joined before their call returns, so none is alive between calls."""
+only while no other Python thread is alive; the model's worker threads, for
+attention and for the per-frame parts of a long forward, are joined before
+their call returns, so none is alive between calls."""
 
 from __future__ import annotations
 
@@ -374,21 +375,6 @@ def _load_model(ckpt_path, cfg: ModelConfig) -> EnhancementModel:
     return model
 
 
-# OpenBLAS takes its thread count from the first of these that is set when
-# numpy loads it, capped at the usable CPUs; unset, it uses every one.
-_BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")
-
-
-def _blas_threads(usable: int) -> int:
-    """Threads one BLAS call may use, by OpenBLAS's rule (see
-    `_BLAS_THREAD_VARS`)."""
-    for var in _BLAS_THREAD_VARS:
-        value = os.environ.get(var, "")
-        if value.isdigit() and int(value) > 0:
-            return min(int(value), usable)
-    return usable
-
-
 def _in_processes(jobs: int, share: Callable[[int, int], object]) -> list:
     """[share(w, W) for w in range(W)], run on W = min(usable CPUs // BLAS
     threads, jobs) processes.
@@ -409,7 +395,8 @@ def _in_processes(jobs: int, share: Callable[[int, int], object]) -> list:
     any lock that thread holds; W is then 1.
     """
     usable = model_module._usable_cpus()
-    workers = min(usable // _blas_threads(usable), jobs) if threading.active_count() == 1 else 1
+    workers = (min(usable // model_module._blas_threads(usable), jobs)
+               if threading.active_count() == 1 else 1)
     children: list[tuple[int, int]] = []
     try:
         for w in range(1, workers):

@@ -7,6 +7,13 @@ and a target-specific output head. The positional-encoding scheme's
 `posenc.SCHEMES` record decides where position enters: rows added to the
 input embedding, a bias on the attention scores, or a rotation of q/k. This
 module calls those hooks and holds no scheme-specific code.
+
+A long input without a tape runs on every CPU this process may use, with the
+same output bits as on one. Attention splits its independent problems among
+workers (`_attention_blocks`), and every per-frame part of the forward (the
+embedding, the q/k/v and output projections, the residual adds, the layer
+norms and the FFN) splits its frames among them (`EnhancementModel._by_frames`).
+Each call joins its worker threads before it returns.
 """
 
 from __future__ import annotations
@@ -14,6 +21,7 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import dataclass, replace
+from functools import partial
 
 import numpy as np
 
@@ -22,6 +30,7 @@ from .numerics import (
     Tensor,
     add,
     constant,
+    grad_enabled,
     layer_norm_frames,
     matmul,
     mul,
@@ -100,7 +109,30 @@ class ModelConfig:
 # There is no setting for W: numpy releases the GIL in every block's matmuls
 # and ufuncs, and each attention problem's blocks make the same BLAS calls
 # whichever thread makes them, so the output is the same bits for every W.
+# The forward's per-frame parts split their frames among frame workers by
+# their own rule (`_FRAME_WORK`, `_FRAME_ROWS`), not by this budget, and give
+# the same bits for every W too.
 _BLOCK_BYTES = 2 * 2**20
+
+# Multiply-adds of a forward's FFN work, frames x d_model x d_ff with every
+# clip of a stack counted, from which a tape-free forward runs its per-frame
+# parts in blocks of `_FRAME_ROWS` frames across workers
+# (`EnhancementModel._by_frames`); below it each part runs once on whole
+# arrays. Set by a sweep of `predict`, whole against split, with BLAS pinned
+# to one thread on 2 CPUs. The 4 x 256 reference model gained from 187 frames
+# (2^25.5 multiply-adds, 59 -> 49 ms) to 1,249 (2^28.3, 601 -> 493 ms), and
+# lost 1 ms at 124 frames (2^24.95), a single block. The 2 x 32 desk model
+# lost at 1,249 frames (2^22.3, 54 -> 69 ms), its blocks too little work to
+# leave the GIL for long, and broke even at 4,999 (2^24.3). 2^25 is two
+# blocks of the reference model.
+_FRAME_WORK = 2**25
+# Frames per block of a split per-frame part; the last block of a call also
+# takes the remainder, so none is shorter. OpenBLAS sums a product of at most
+# 10^6 multiply-adds on a small-matrix path, whose bits differed from the
+# large path's at inner widths of 512 and 1024, and numpy sends a one-row
+# product to gemv, whose bits differed at every width. 64 frames keep every
+# block product of the reference model on the large path.
+_FRAME_ROWS = 64
 
 
 def _usable_cpus() -> int:
@@ -109,6 +141,40 @@ def _usable_cpus() -> int:
         return len(os.sched_getaffinity(0))
     except AttributeError:  # no CPU affinity on this platform
         return os.cpu_count() or 1
+
+
+# OpenBLAS takes its thread count from the first of these that is set when
+# numpy loads it, capped at the usable CPUs; unset, it uses every one.
+_BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")
+
+
+def _blas_threads(usable: int) -> int:
+    """Threads one BLAS call may use, by OpenBLAS's rule (see
+    `_BLAS_THREAD_VARS`)."""
+    for var in _BLAS_THREAD_VARS:
+        value = os.environ.get(var, "")
+        if value.isdigit() and int(value) > 0:
+            return min(int(value), usable)
+    return usable
+
+
+def _on_workers(run, workers: int) -> None:
+    """run(0), ..., run(workers - 1): run(0) on the calling thread and the
+    rest on a pool whose threads are joined before this returns, so none
+    outlives the call to block `evaluate`'s fork. A pool worker's error is
+    raised once run(0) is done; an error of run(0) is raised after the pool
+    is joined."""
+    if workers == 1:
+        run(0)
+        return
+    # Imported on first use, as only calls split among workers start threads.
+    from concurrent.futures import ThreadPoolExecutor
+
+    with ThreadPoolExecutor(workers - 1) as pool:
+        shares = [pool.submit(run, w) for w in range(1, workers)]
+        run(0)
+        for share in shares:
+            share.result()
 
 
 def attention_head(q: Tensor, k: Tensor, v: Tensor, bias: Tensor | None = None,
@@ -124,10 +190,12 @@ def attention_head(q: Tensor, k: Tensor, v: Tensor, bias: Tensor | None = None,
     When no operand needs a gradient, the scores are computed one block of
     query rows at a time, within `_BLOCK_BYTES` in all, and a call too large
     for one block spreads its independent problems over the CPUs this process
-    may use (see `_attention_blocks`); no tape is recorded. That path floors
-    shifted logits at `numerics.EXP_FLOOR`, so a frame that a strong decay
-    bias pushes that far down gets a weight of at most e^-600 relative to its
-    row's largest rather than zero.
+    may use (see `_attention_blocks`), as the forward's per-frame parts
+    around it spread their frames (see `EnhancementModel._by_frames`); no
+    tape is recorded. That path floors shifted logits at
+    `numerics.EXP_FLOOR`, so a frame that a strong decay bias pushes that far
+    down gets a weight of at most e^-600 relative to its row's largest rather
+    than zero.
     """
     length, d_k = q.shape[-2:]
     if bias is not None and bias.shape[-2:] != (length, length):
@@ -162,9 +230,8 @@ def _attention_blocks(q: Tensor, k: Tensor, v: Tensor, bias: Tensor | None,
     block in the buffer and normalizes the small (..., rows, d) product after
     the value product. Pool threads do not inherit the `no_grad` context, so
     the block code touches only ndarrays and constants, which record no tape
-    whatever that flag says. A worker's error is raised by `result()` once
-    the calling thread's part is done. The pool's threads are joined before
-    the call returns, so none outlives it to block `evaluate`'s fork.
+    whatever that flag says. `_on_workers` runs the parts, joins the pool
+    before the call returns and raises a worker's error.
     """
     length, d_k = q.shape[-2:]
     operands = (q, k, v) if bias is None else (q, k, v, bias)
@@ -207,17 +274,7 @@ def _attention_blocks(q: Tensor, k: Tensor, v: Tensor, bias: Tensor | None,
                     s += bias_data[block]
             out[block] = softmax_rows(s, values[part]).data
 
-    if workers == 1:
-        run(0)
-    else:
-        # Imported on first use, as only calls over the budget start threads.
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(workers - 1) as pool:
-            shares = [pool.submit(run, w) for w in range(1, workers)]
-            run(0)
-            for share in shares:
-                share.result()
+    _on_workers(run, workers)
     return constant(out.reshape(shape + out.shape[-2:]))
 
 
@@ -310,6 +367,47 @@ class EnhancementModel:
         """The scheme's parameters, without their "pe." prefix."""
         return {n.removeprefix("pe."): t for n, t in self.params.items() if n.startswith("pe.")}
 
+    def _by_frames(self, part, *inputs: Tensor) -> Tensor:
+        """part(*inputs) for a per-frame `part`: its (..., L, d_model) output's
+        row r depends only on row r of each (..., L, width) input.
+
+        With a tape, or when the forward's FFN work (frames x d_model x d_ff)
+        is below `_FRAME_WORK`, `part` runs once on the whole arrays. Otherwise
+        the frames of every clip, one row each, are cut into blocks of
+        `_FRAME_ROWS`, the last block taking the remainder, and each of
+        W = min(usable CPUs // BLAS threads, blocks) workers runs `part` over
+        one contiguous run of blocks: the calling thread takes run 0 and a
+        pool the others (`_on_workers`). Each writes its rows of one output
+        allocated here, so no (frames, d_ff) FFN array is made, and each
+        enters `no_grad()`, which pool threads do not inherit. A block makes
+        the whole arrays' row-wise ufuncs and, at the widths of the reference
+        model, their BLAS sums (see `_FRAME_ROWS`), so the output is the
+        whole-array bits for every W. The output head stays whole: its
+        257-wide products gave other bits in blocks of 64 to 512 rows.
+        """
+        cfg = self.config
+        lead = inputs[0].shape[:-1]
+        frames = math.prod(lead)
+        if grad_enabled() or frames * cfg.d_model * cfg.d_ff < _FRAME_WORK:
+            return part(*inputs)
+        rows = [t.data.reshape(frames, t.shape[-1]) for t in inputs]
+        out = np.empty((frames, cfg.d_model))
+        blocks = max(1, frames // _FRAME_ROWS)
+        edges = [b * _FRAME_ROWS for b in range(blocks)] + [frames]
+        usable = _usable_cpus()
+        workers = min(usable // _blas_threads(usable), blocks)
+        # Rounded up, so the run with the remainder block has the fewest blocks.
+        bounds = [-(-blocks * w // workers) for w in range(workers + 1)]
+
+        def run(worker: int) -> None:
+            with no_grad():
+                for b in range(bounds[worker], bounds[worker + 1]):
+                    block = slice(edges[b], edges[b + 1])
+                    out[block] = part(*(constant(a[block]) for a in rows)).data
+
+        _on_workers(run, workers)
+        return constant(out.reshape(lead + (cfg.d_model,)))
+
     def embed(self, x_mag: np.ndarray) -> Tensor:
         """FC -> frame-wise layer norm -> ReLU, plus the scheme's position
         rows if it has any. Accepts (L, K) or a (B, L, K) stack."""
@@ -319,11 +417,13 @@ class EnhancementModel:
             raise ValueError(
                 f"expected input of shape (L, {cfg.k_bins}) or "
                 f"(B, L, {cfg.k_bins}), got {x_mag.shape}")
-        z = add(matmul(constant(x_mag), self.params["embed.weight"]),
-                self.params["embed.bias"])
-        z = layer_norm_frames(z, self.params["embed.ln_gain"],
-                              self.params["embed.ln_bias"])
-        z = relu(z)
+        p = self.params
+
+        def frames(x: Tensor) -> Tensor:
+            z = add(matmul(x, p["embed.weight"]), p["embed.bias"])
+            return relu(layer_norm_frames(z, p["embed.ln_gain"], p["embed.ln_bias"]))
+
+        z = self._by_frames(frames, constant(x_mag))
         rows = posenc.SCHEMES[cfg.pe_kind].rows
         if rows is not None:
             z = add(z, rows(x_mag.shape[-2], cfg, self._pe_tensors()))
@@ -343,11 +443,17 @@ class EnhancementModel:
                     for i in range(n)]
         return [scheme.bias(length, pe)] * n
 
+    def _project(self, x: Tensor, name: str, layer: int) -> Tensor:
+        """(..., L, d_model) frames times the layer's (d_model, d_model)
+        attention weight `name`."""
+        weight = self.params[f"layers.{layer}.attn.{name}"]
+        return self._by_frames(lambda rows: matmul(rows, weight), x)
+
     def _split_heads(self, x: Tensor, name: str, layer: int) -> Tensor:
-        """Project (..., L, d_model) frames with the (d_model, d_model) weight
-        of `name`, whose column block h is head h, giving (..., H, L, d_k)."""
+        """Project (..., L, d_model) frames with the weight of `name`, whose
+        column block h is head h, giving (..., H, L, d_k)."""
         cfg = self.config
-        y = matmul(x, self.params[f"layers.{layer}.attn.{name}"])
+        y = self._project(x, name, layer)
         y = reshape(y, y.shape[:-1] + (cfg.n_heads, cfg.d_k))
         return transpose(y, -3, -2)
 
@@ -361,8 +467,7 @@ class EnhancementModel:
         if scheme.rotate is not None:
             q, k = scheme.rotate(q, k)
         heads = attention_head(q, k, v, bias, multiplicative=scheme.multiplicative)
-        joined = reshape(transpose(heads, -3, -2), x.shape)
-        return matmul(joined, self.params[f"layers.{layer}.attn.out"])
+        return self._project(reshape(transpose(heads, -3, -2), x.shape), "out", layer)
 
     def ffn(self, y: Tensor, layer: int) -> Tensor:
         p = self.params
@@ -370,6 +475,15 @@ class EnhancementModel:
                           p[f"layers.{layer}.ffn.b1"]))
         return add(matmul(hidden, p[f"layers.{layer}.ffn.w2"]),
                    p[f"layers.{layer}.ffn.b2"])
+
+    def _layer_tail(self, layer: int, z: Tensor, attended: Tensor) -> Tensor:
+        """A layer after its attention: residual add and LN1, then the FFN,
+        residual add and LN2."""
+        p = self.params
+        y = layer_norm_frames(add(z, attended), p[f"layers.{layer}.ln1.gain"],
+                              p[f"layers.{layer}.ln1.bias"])
+        return layer_norm_frames(add(y, self.ffn(y, layer)), p[f"layers.{layer}.ln2.gain"],
+                                 p[f"layers.{layer}.ln2.bias"])
 
     def forward(self, x_mag: np.ndarray) -> Tensor:
         """Predict the mask/magnitude grid for one utterance's (L, K) |X|, or
@@ -379,10 +493,7 @@ class EnhancementModel:
         biases = self._biases_for(z.shape[-2])
         p = self.params
         for i in range(cfg.n_layers):
-            y = layer_norm_frames(add(z, self.mhsa(z, i, biases[i])),
-                                  p[f"layers.{i}.ln1.gain"], p[f"layers.{i}.ln1.bias"])
-            z = layer_norm_frames(add(y, self.ffn(y, i)),
-                                  p[f"layers.{i}.ln2.gain"], p[f"layers.{i}.ln2.bias"])
+            z = self._by_frames(partial(self._layer_tail, i), z, self.mhsa(z, i, biases[i]))
         out = add(matmul(z, p["head.weight"]), p["head.bias"])
         head = TARGETS[cfg.target].head
         return out if head is None else head(out)

@@ -52,6 +52,7 @@ __all__ = [
     "trace",
     "backward",
     "no_grad",
+    "grad_enabled",
     "finite_difference",
 ]
 
@@ -118,6 +119,12 @@ def no_grad() -> Iterator[None]:
         yield
     finally:
         _GRAD_ENABLED.reset(token)
+
+
+def grad_enabled() -> bool:
+    """Whether this thread's context records a tape (it is not inside
+    `no_grad()`)."""
+    return _GRAD_ENABLED.get()
 
 
 def _node(data: np.ndarray, parents: Sequence[Tensor],

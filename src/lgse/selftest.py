@@ -222,14 +222,17 @@ def check_gradient_small():
 def check_tape_free_forward():
     """Blocked tape-free `predict` against the tape `forward` for every
     scheme and a learnlin decay strong enough to hit the softmax floor, with
-    blocks small enough that each call makes several; and `predict` on one
-    worker against the CPUs this process may use, bitwise."""
+    attention blocks small enough that each call makes several and every
+    per-frame part split into blocks of 4 frames; and `predict` on one worker
+    against the CPUs this process may use, bitwise."""
     rng = np.random.default_rng(12)
     # (kind, length, learnlin beta); beta -2 reaches -798 at L = 400.
     cases = [(kind, 13, None) for kind in posenc.SCHEMES]
     cases += [(PeKind.LEARNLIN, 400, -2.0)]
-    saved, usable = model_module._BLOCK_BYTES, model_module._usable_cpus
+    saved = (model_module._BLOCK_BYTES, model_module._FRAME_WORK, model_module._FRAME_ROWS)
+    usable = model_module._usable_cpus
     try:
+        model_module._FRAME_WORK, model_module._FRAME_ROWS = 1, 4
         for kind, length, beta in cases:
             model = EnhancementModel(ModelConfig(
                 n_layers=2, n_heads=2, d_model=8, d_ff=16, k_bins=9, pe_kind=kind,
@@ -252,7 +255,8 @@ def check_tape_free_forward():
                 f"{kind.value} L={length}: one worker differs "
                 f"from {usable()}")
     finally:
-        model_module._BLOCK_BYTES, model_module._usable_cpus = saved, usable
+        model_module._BLOCK_BYTES, model_module._FRAME_WORK, model_module._FRAME_ROWS = saved
+        model_module._usable_cpus = usable
 
 
 def check_checkpoint_roundtrip():

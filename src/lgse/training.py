@@ -5,6 +5,7 @@ reload to a bitwise-equal model."""
 from __future__ import annotations
 
 import json
+import math
 import struct
 from dataclasses import asdict, dataclass, field, fields
 
@@ -365,7 +366,7 @@ def load_checkpoint(path) -> tuple[EnhancementModel, int]:
             raise CheckpointError(f"{path}: duplicate record {name}")
         ndim = r.u32()
         shape = tuple(r.u64() for _ in range(ndim))
-        count = int(np.prod(shape)) if shape else 1
+        count = math.prod(shape)
         data = np.frombuffer(r.read(8 * count), dtype="<f8").reshape(shape)
         if not np.isfinite(data).all():
             raise CheckpointError(f"{path}: tensor {name} holds non-finite values")

@@ -506,9 +506,14 @@ def test_more_workers_than_cores_switching_often_equal_one_worker(monkeypatch):
     clips, length = 9, 11
     monkeypatch.setattr(model_module, "_BLOCK_BYTES",
                         8 * length * m.config.n_heads * clips * 2)
+    # And the per-frame parts: 99 frames in 49 blocks over nine workers.
+    monkeypatch.setattr(model_module, "_FRAME_WORK", 1)
+    monkeypatch.setattr(model_module, "_FRAME_ROWS", 2)
     calls = _softmax_spy(monkeypatch)
+    ffn_calls = _ffn_spy(monkeypatch)
     xs, _ = _batch(m, seed=40, clips=clips, length=length)
     one = _predict_on(1, m, xs, calls, monkeypatch)
+    ffn_calls.clear()
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
@@ -516,6 +521,8 @@ def test_more_workers_than_cores_switching_often_equal_one_worker(monkeypatch):
     finally:
         sys.setswitchinterval(interval)
     assert len(calls) == clips * 6 * m.config.n_layers
+    assert len(ffn_calls) == 49 * m.config.n_layers
+    assert len({thread for _, thread in ffn_calls}) > 1
     assert np.array_equal(one, many)
 
 
@@ -564,6 +571,99 @@ def test_long_predict_never_allocates_a_full_score_stack():
     finally:
         tracemalloc.stop()
     assert peak < stack_bytes / 2
+    assert np.max(np.abs(pred - m.forward(x).data)) <= 1e-12
+
+
+# -- per-frame parts in blocks of frames --------------------------------------
+
+
+def _ffn_spy(monkeypatch, fail=None):
+    """Record the input shape and thread of every `ffn` call; `fail(n)` true
+    makes the n-th call (from 1) raise instead."""
+    calls = []
+    ffn = EnhancementModel.ffn
+
+    def spy(self, y, layer):
+        calls.append((y.shape, threading.get_ident()))
+        if fail is not None and fail(len(calls)):
+            raise RuntimeError(f"ffn call {len(calls)} failed")
+        return ffn(self, y, layer)
+
+    monkeypatch.setattr(EnhancementModel, "ffn", spy)
+    return calls
+
+
+@pytest.mark.parametrize("target", ["irm", "psm", "ms", "cirm"])
+@pytest.mark.parametrize("kind", ALL_KINDS)
+def test_frame_blocks_on_any_worker_count_equal_whole_arrays(kind, target, monkeypatch):
+    """One clip of 11 frames (blocks of 3, 3 and 5) and a stack of two (22
+    frames, six blocks of 3 and one of 4), split on 1, 2 and 3 workers, give
+    the bits of the whole-array path; a forward with a tape stays whole."""
+    import lgse.model as model_module
+
+    m = _randomized_pe(tiny_model(pe=kind, target=target, n_layers=2), seed=41)
+    xs, _ = _batch(m, seed=42, clips=2, length=11)
+    ffn_calls = _ffn_spy(monkeypatch)
+    threshold = model_module._FRAME_WORK
+    for x in (xs[0], xs):
+        frames = x.size // x.shape[-1]
+        monkeypatch.setattr(model_module, "_FRAME_WORK", threshold)
+        whole = m.predict(x)
+        assert [shape for shape, _ in ffn_calls] == [x.shape[:-1] + (8,)] * 2
+        monkeypatch.setattr(model_module, "_FRAME_WORK", 1)
+        monkeypatch.setattr(model_module, "_FRAME_ROWS", 3)
+        rows = [3] * (frames // 3 - 1) + [3 + frames % 3]
+        for workers in (1, 2, 3):
+            monkeypatch.setattr(model_module, "_usable_cpus", lambda: workers)
+            ffn_calls.clear()
+            assert np.array_equal(m.predict(x), whole), workers
+            assert sorted(shape for shape, _ in ffn_calls) == sorted([(r, 8) for r in rows] * 2)
+            # A pool thread may take two runs, but never the calling thread's.
+            assert (len({thread for _, thread in ffn_calls}) > 1) == (workers > 1)
+        ffn_calls.clear()
+        assert np.max(np.abs(m.forward(x).data - whole)) <= 1e-12
+        assert [shape for shape, _ in ffn_calls] == [x.shape[:-1] + (8,)] * 2
+        ffn_calls.clear()
+
+
+@pytest.mark.parametrize("fail", [lambda n: n == 2,
+                                  lambda n: threading.current_thread()
+                                  is not threading.main_thread()],
+                         ids=["second call", "pool thread"])
+def test_error_in_a_frame_worker_propagates_and_its_threads_end(fail, monkeypatch):
+    import lgse.model as model_module
+
+    m = tiny_model(pe="learnlin")
+    monkeypatch.setattr(model_module, "_FRAME_WORK", 1)
+    monkeypatch.setattr(model_module, "_FRAME_ROWS", 2)
+    monkeypatch.setattr(model_module, "_usable_cpus", lambda: 2)
+    _ffn_spy(monkeypatch, fail)
+    before = threading.active_count()
+    with pytest.raises(RuntimeError, match="ffn call"):
+        m.predict(rand_input(11))
+    assert threading.active_count() == before
+
+
+def test_long_split_predict_never_allocates_a_frames_by_d_ff_array(monkeypatch):
+    """At 2,000 frames and d_ff 1024 one (frames, d_ff) array is 16 MB, over
+    twice the peak a split predict allocates."""
+    import tracemalloc
+
+    import lgse.model as model_module
+
+    m = _randomized_pe(tiny_model(pe="learnlin", n_layers=2, d_ff=1024), seed=43)
+    length = 2000
+    monkeypatch.setattr(model_module, "_FRAME_WORK", length * 8 * 1024)
+    monkeypatch.setattr(model_module, "_usable_cpus", lambda: 2)
+    x = rand_input(length, seed=44)
+    hidden_bytes = length * m.config.d_ff * 8
+    tracemalloc.start()
+    try:
+        pred = m.predict(x)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < hidden_bytes / 2
     assert np.max(np.abs(pred - m.forward(x).data)) <= 1e-12
 
 

@@ -516,6 +516,24 @@ def test_checkpoint_claiming_a_huge_record_is_truncated_not_allocated(tmp_path):
         load_checkpoint(path)
 
 
+def test_checkpoint_whose_record_dims_multiply_past_2_to_63_is_truncated(tmp_path):
+    """(2^32, 2^32) holds 2^64 values, which wraps to 0 in int64 arithmetic."""
+    import struct
+
+    model = EnhancementModel(ModelConfig(pe_kind="nopos", **TINY_MODEL))
+    path = tmp_path / "m.lgse"
+    save_checkpoint(path, model, None, 0)
+    raw = bytearray(path.read_bytes())
+    (meta_len,) = struct.unpack("<Q", raw[8:16])
+    first = 16 + meta_len + 4
+    (name_len,) = struct.unpack("<I", raw[first:first + 4])
+    ndim = first + 4 + name_len
+    raw[ndim:ndim + 20] = struct.pack("<IQQ", 2, 2**32, 2**32)
+    path.write_bytes(bytes(raw))
+    with pytest.raises(CheckpointError, match="truncated checkpoint"):
+        load_checkpoint(path)
+
+
 def test_checkpoint_shape_validation(tmp_path):
     model = EnhancementModel(ModelConfig(pe_kind="learnlin", target="irm",
                                          init_seed=1, **TINY_MODEL))
