@@ -60,11 +60,10 @@ budget on a CPU box. The desk preset, a 2 x 32 model that can:
     p.add_argument("--steps", type=int, help="shortcut for --set train.max_steps=...")
 
     p = sub.add_parser("enhance", help="enhance one WAV file",
-                       description="Enhance one WAV file. A long input uses every "
-                                   "usable CPU, with no setting of its own, only when "
-                                   "BLAS is pinned to one thread "
-                                   "(OPENBLAS_NUM_THREADS=1); the output bytes then do "
-                                   "not depend on the CPU count.")
+                       description="Enhance one WAV file. A long input runs on "
+                                   "worker threads, as many as lgse.model._workers "
+                                   "allows; the output bytes do not depend on how "
+                                   "many.")
     p.add_argument("input")
     p.add_argument("output")
     p.add_argument("--checkpoint", required=True)
@@ -77,11 +76,9 @@ budget on a CPU box. The desk preset, a 2 x 32 model that can:
     p = sub.add_parser("experiment",
                        help="train per-scheme models and score length generalization",
                        description="Train one model per scheme, then score every suite "
-                                   "mixture. Uses every usable CPU, with no setting of "
-                                   "its own: one process per CPU when BLAS is pinned to "
-                                   "one thread (OPENBLAS_NUM_THREADS=1), else one per "
-                                   "BLAS thread group. The output bytes do not depend "
-                                   "on the process count.")
+                                   "mixture, on worker processes, as many as "
+                                   "lgse.model._workers allows. The output bytes do not "
+                                   "depend on how many.")
     p.add_argument("--out-dir", required=True)
 
     p = sub.add_parser("selftest", help="run per-module oracle and invariant checks")

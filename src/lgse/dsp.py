@@ -306,7 +306,9 @@ def write_wav(path, w: Waveform) -> None:
     if peak > 0.999:
         samples = samples * (0.999 / peak)
     pcm = np.clip(np.rint(samples * 32767.0), -32768, 32767).astype("<i2")
-    with wave.open(str(path), "wb") as f:
+    # Opened first, so a path that cannot be written fails before `wave`
+    # builds a writer whose finalizer would then report a second error.
+    with open(path, "wb") as raw, wave.open(raw, "wb") as f:
         f.setnchannels(1)
         f.setsampwidth(2)
         f.setframerate(SAMPLE_RATE)

@@ -1,13 +1,12 @@
 """Length-generalization evaluation: surrogate metrics, full-length vs.
 chunked inference, and the train-short / test-long experiment runner.
 
-The experiment uses every CPU this process may use, and no setting of its
-own controls how many: the kinds to train and the mixtures to score are dealt
-out to one forked process per CPU, or per group of CPUs that one BLAS call
-may use, and the output bytes are the same for any process count. It forks
-only while no other Python thread is alive; the model's worker threads, for
-attention and for the per-frame parts of a long forward, are joined before
-their call returns, so none is alive between calls."""
+The experiment deals the kinds to train and the mixtures to score out to
+forked processes, as many as `model._workers` allows, and the output bytes
+are the same for any process count. It forks only while no other Python
+thread is alive; the model's worker threads, for attention and for the
+per-frame parts of a long forward, are joined before their call returns, so
+none is alive between calls."""
 
 from __future__ import annotations
 
@@ -222,14 +221,19 @@ def enhance_chunked(model: EnhancementModel | tuple[EnhancementModel, ...],
 # -- experiment protocol ------------------------------------------------------
 
 
-def _require_distinct(name: str, values) -> None:
-    """Raise a ValueError naming setting `name` and a value it lists twice:
-    a repeated value would add its rows to the report twice."""
-    seen = set()
+def _require_distinct(name: str, values, label=str) -> None:
+    """Raise a ValueError naming setting `name` and a value whose `label`
+    an earlier value has: a repeated value would add its rows to the report
+    twice, and two durations of one label (`f"{dur:g}"`, which names their
+    corpus seed and utt_ids) would score the same mixtures twice."""
+    seen = {}
     for value in values:
-        if value in seen:
-            raise ValueError(f"{name} must be distinct; {value} appears twice")
-        seen.add(value)
+        key = label(value)
+        if key in seen:
+            raise ValueError(f"{name} must be distinct; {value} "
+                             + ("appears twice" if value == seen[key] else
+                                f"and {seen[key]} are both labelled {key}"))
+        seen[key] = value
 
 
 @dataclass(frozen=True)
@@ -246,7 +250,7 @@ class TestSuiteConfig:
             dsp.require_one_frame("durations_s", dur)
         if not self.snrs_db:
             raise ValueError("snrs_db must name at least one SNR")
-        _require_distinct("durations_s", self.durations_s)
+        _require_distinct("durations_s", self.durations_s, lambda dur: f"{dur:g}")
         _require_distinct("snrs_db", self.snrs_db)
         if self.utts_per_condition < 1:
             raise ValueError(f"utts_per_condition must be at least 1, "
@@ -376,14 +380,9 @@ def _load_model(ckpt_path, cfg: ModelConfig) -> EnhancementModel:
 
 
 def _in_processes(jobs: int, share: Callable[[int, int], object]) -> list:
-    """[share(w, W) for w in range(W)], run on W = min(usable CPUs // BLAS
-    threads, jobs) processes.
-
-    W processes of that many BLAS threads each fill the usable CPUs. More
-    would oversubscribe them: on a 2-CPU host with BLAS unpinned, two
-    processes took 113 s for a desk experiment that one finished in 41 s.
-    W does not change the bytes; the BLAS thread count does, and children
-    keep the caller's.
+    """[share(w, W) for w in range(W)], run on W = `model._workers(jobs)`
+    processes. Children keep the caller's BLAS thread count, so W does not
+    change the bytes.
 
     The calling process runs share 0 and W - 1 forked children the others.
     A child pickles its result, or the exception it raised, into a pipe and
@@ -394,9 +393,7 @@ def _in_processes(jobs: int, share: Callable[[int, int], object]) -> list:
     while another Python thread is alive, since a forked child would inherit
     any lock that thread holds; W is then 1.
     """
-    usable = model_module._usable_cpus()
-    workers = (min(usable // model_module._blas_threads(usable), jobs)
-               if threading.active_count() == 1 else 1)
+    workers = model_module._workers(jobs) if threading.active_count() == 1 else 1
     children: list[tuple[int, int]] = []
     try:
         for w in range(1, workers):
@@ -459,12 +456,11 @@ def run_lengen_experiment(seed: int, model_cfg: ModelConfig,
     one call per mode, so each mixture (and each chunk group) is analysed
     once, and each estimate is scored as soon as it is made.
 
-    Both phases use every CPU this process may use, in one process per CPU
-    when BLAS is pinned to one thread (see `_in_processes`); no setting of
-    the experiment controls this. The kinds to train are dealt out by stride,
-    and mixture n of the suite loop is scored by process n mod W, each
-    process walking the whole loop. The rows are joined in mixture order,
-    so every output byte is the same for any process count.
+    Both phases run on as many processes as `model._workers` allows (see
+    `_in_processes`). The kinds to train are dealt out by stride, and
+    mixture n of the suite loop is scored by process n mod W, each process
+    walking the whole loop. The rows are joined in mixture order, so every
+    output byte is the same for any process count.
 
     Writes report.csv and report.md into out_dir and returns the report.
     Deterministic for a fixed seed, including the CSV bytes.

@@ -8,16 +8,17 @@ and a target-specific output head. The positional-encoding scheme's
 input embedding, a bias on the attention scores, or a rotation of q/k. This
 module calls those hooks and holds no scheme-specific code.
 
-A long input without a tape runs on every CPU this process may use, with the
-same output bits as on one. Attention splits its independent problems among
-workers (`_attention_blocks`), and every per-frame part of the forward (the
-embedding, the q/k/v and output projections, the residual adds, the layer
-norms and the FFN) splits its frames among them (`EnhancementModel._by_frames`).
-Each call joins its worker threads before it returns.
+A long input without a tape runs on as many worker threads as `_workers`
+allows, with the same output bits as on one. Attention splits its independent
+problems among them (`_attention_blocks`), and every per-frame part of the
+forward (the embedding, the q/k/v and output projections, the residual adds,
+the layer norms and the FFN) its frames (`EnhancementModel._by_frames`). Each
+call joins its worker threads before it returns.
 """
 
 from __future__ import annotations
 
+import contextvars
 import math
 import os
 from dataclasses import dataclass, replace
@@ -105,13 +106,11 @@ class ModelConfig:
 # the 20 s test length. A call whose whole (..., L, L) score stack fits runs as
 # one block on the calling thread. A larger call keeps the blocks of query rows
 # this budget gives and splits its longest leading axis (the heads of one
-# clip, or a stack's clips) among W = min(usable CPUs, that axis) workers.
-# There is no setting for W: numpy releases the GIL in every block's matmuls
-# and ufuncs, and each attention problem's blocks make the same BLAS calls
-# whichever thread makes them, so the output is the same bits for every W.
-# The forward's per-frame parts split their frames among frame workers by
-# their own rule (`_FRAME_WORK`, `_FRAME_ROWS`), not by this budget, and give
-# the same bits for every W too.
+# clip, or a stack's clips) among the workers `_workers` allows. numpy
+# releases the GIL in every block's matmuls and ufuncs, and each attention
+# problem's blocks make the same BLAS calls whichever thread makes them, so
+# the output is the same bits for every W. The forward's per-frame parts are
+# cut into blocks by `_FRAME_WORK` and `_FRAME_ROWS`, not by this budget.
 _BLOCK_BYTES = 2 * 2**20
 
 # Multiply-adds of a forward's FFN work, frames x d_model x d_ff with every
@@ -148,31 +147,48 @@ def _usable_cpus() -> int:
 _BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")
 
 
-def _blas_threads(usable: int) -> int:
-    """Threads one BLAS call may use, by OpenBLAS's rule (see
-    `_BLAS_THREAD_VARS`)."""
-    for var in _BLAS_THREAD_VARS:
-        value = os.environ.get(var, "")
-        if value.isdigit() and int(value) > 0:
-            return min(int(value), usable)
-    return usable
+def _workers(jobs: int) -> int:
+    """Workers to split `jobs` independent jobs among: min(usable CPUs //
+    threads of one BLAS call, jobs), at least 1.
+
+    The one worker rule, for attention (`_attention_blocks`), the frame
+    blocks of a long forward (`EnhancementModel._by_frames`) and the
+    experiment's processes (`evaluate._in_processes`). More workers would
+    oversubscribe the CPUs: on 2 CPUs with BLAS unpinned, a desk experiment
+    took 113 s on two processes against 41 s on one, and a 20 s
+    reference-model `predict` 762 ms with attention on two threads against
+    617 ms on one. W changes no output bit, so no setting picks it; the BLAS
+    thread count does change bits (see `_BLAS_THREAD_VARS`).
+    """
+    usable = _usable_cpus()
+    blas = next((int(value) for value in map(os.getenv, _BLAS_THREAD_VARS)
+                 if value and value.isdigit() and int(value) > 0), usable)
+    return max(1, min(usable // min(blas, usable), jobs))
 
 
-def _on_workers(run, workers: int) -> None:
-    """run(0), ..., run(workers - 1): run(0) on the calling thread and the
-    rest on a pool whose threads are joined before this returns, so none
-    outlives the call to block `evaluate`'s fork. A pool worker's error is
-    raised once run(0) is done; an error of run(0) is raised after the pool
-    is joined."""
+def _on_workers(run, jobs: int) -> None:
+    """run(lo, hi) over W = `_workers(jobs)` contiguous runs of range(jobs),
+    their bounds rounded up, so the last run is never longer than another.
+
+    The calling thread takes the first run and a pool the others. Each pool
+    thread runs in a copy of the caller's context, so it inherits its
+    `no_grad()`. The pool is joined before this returns, so no thread
+    outlives the call to block `evaluate`'s fork. A pool run's error is
+    raised once the first run is done; an error of the first run is raised
+    after the pool is joined.
+    """
+    workers = _workers(jobs)
+    bounds = [-(-jobs * w // workers) for w in range(workers + 1)]
     if workers == 1:
-        run(0)
+        run(0, jobs)
         return
     # Imported on first use, as only calls split among workers start threads.
     from concurrent.futures import ThreadPoolExecutor
 
     with ThreadPoolExecutor(workers - 1) as pool:
-        shares = [pool.submit(run, w) for w in range(1, workers)]
-        run(0)
+        shares = [pool.submit(contextvars.copy_context().run, run, lo, hi)
+                  for lo, hi in zip(bounds[1:-1], bounds[2:])]
+        run(bounds[0], bounds[1])
         for share in shares:
             share.result()
 
@@ -189,13 +205,11 @@ def attention_head(q: Tensor, k: Tensor, v: Tensor, bias: Tensor | None = None,
 
     When no operand needs a gradient, the scores are computed one block of
     query rows at a time, within `_BLOCK_BYTES` in all, and a call too large
-    for one block spreads its independent problems over the CPUs this process
-    may use (see `_attention_blocks`), as the forward's per-frame parts
-    around it spread their frames (see `EnhancementModel._by_frames`); no
-    tape is recorded. That path floors shifted logits at
-    `numerics.EXP_FLOOR`, so a frame that a strong decay bias pushes that far
-    down gets a weight of at most e^-600 relative to its row's largest rather
-    than zero.
+    for one block spreads its independent problems over the workers that
+    `_workers` allows (see `_attention_blocks`); no tape is recorded. That
+    path floors shifted logits at `numerics.EXP_FLOOR`, so a frame that a
+    strong decay bias pushes that far down gets a weight of at most e^-600
+    relative to its row's largest rather than zero.
     """
     length, d_k = q.shape[-2:]
     if bias is not None and bias.shape[-2:] != (length, length):
@@ -218,20 +232,15 @@ def _attention_blocks(q: Tensor, k: Tensor, v: Tensor, bias: Tensor | None,
     online renormalization is needed. The score bytes alive at once stay
     within `_BLOCK_BYTES` instead of the (..., L, L) stack. If the stack fits,
     the call is one block on the calling thread. Otherwise the longest leading
-    axis is cut into W = min(usable CPUs, its length) contiguous parts, one
-    per worker: the calling thread takes part 0 and W - 1 pool threads the
-    rest, and each walks every block of rows over its part. Rows per block
-    are set by the whole call, not per worker, because a BLAS product's bits
-    depend on its row count. Each worker owns a buffer of its part's share of
-    the budget, allocated here before any starts, and a block's scores are a
-    contiguous prefix of it. 1/sqrt(d_k) is folded into q once per call;
-    QK^T is written into the buffer, the bias is applied in place,
-    and `softmax_rows(block, v)` then shifts, floors and exponentiates the
-    block in the buffer and normalizes the small (..., rows, d) product after
-    the value product. Pool threads do not inherit the `no_grad` context, so
-    the block code touches only ndarrays and constants, which record no tape
-    whatever that flag says. `_on_workers` runs the parts, joins the pool
-    before the call returns and raises a worker's error.
+    axis is cut into contiguous runs by `_on_workers`, as many as `_workers`
+    allows, and each worker walks every block of rows over its run. Rows per
+    block are set by the whole call, not per worker, because a BLAS product's
+    bits depend on its row count. Each worker owns a buffer of its run's share
+    of the budget, and a block's scores are a contiguous prefix of it.
+    1/sqrt(d_k) is folded into q once per call; QK^T is written into the
+    buffer, the bias is applied in place, and `softmax_rows(block, v)` then
+    shifts, floors and exponentiates the block in the buffer and normalizes
+    the small (..., rows, d) product after the value product.
     """
     length, d_k = q.shape[-2:]
     operands = (q, k, v) if bias is None else (q, k, v, bias)
@@ -249,22 +258,17 @@ def _attention_blocks(q: Tensor, k: Tensor, v: Tensor, bias: Tensor | None,
     rows = max(1, _BLOCK_BYTES // (8 * length * math.prod(lead)))
     # Split the longest leading axis: the heads of one clip, or a stack's clips.
     axis = lead.index(max(lead))
-    workers = 1 if rows >= length else min(_usable_cpus(), lead[axis])
-    rows = min(rows, length)
-    bounds = [lead[axis] * w // workers for w in range(workers + 1)]
-    scores_per_item = math.prod(lead) // lead[axis] * rows * length
-    buffers = [np.empty((hi - lo) * scores_per_item)
-               for lo, hi in zip(bounds, bounds[1:])]
+    scores_per_item = math.prod(lead) // lead[axis] * min(rows, length) * length
     out = np.empty(lead + (length, v.shape[-1]))
 
-    def run(worker: int) -> None:
-        lo, hi = bounds[worker], bounds[worker + 1]
+    def run(lo: int, hi: int) -> None:
         part = (slice(None),) * axis + (slice(lo, hi), Ellipsis)
         part_lead = lead[:axis] + (hi - lo,) + lead[axis + 1:]
+        buffer = np.empty((hi - lo) * scores_per_item)
         for r0 in range(0, length, rows):
             block = part + (slice(r0, r0 + rows), slice(None))
             block_shape = part_lead + (min(rows, length - r0), length)
-            s = buffers[worker][:math.prod(block_shape)].reshape(block_shape)
+            s = buffer[:math.prod(block_shape)].reshape(block_shape)
             np.matmul(q_scaled[block], k_t[part], out=s)
             if bias_data is not None:
                 if multiplicative:
@@ -274,7 +278,10 @@ def _attention_blocks(q: Tensor, k: Tensor, v: Tensor, bias: Tensor | None,
                     s += bias_data[block]
             out[block] = softmax_rows(s, values[part]).data
 
-    _on_workers(run, workers)
+    if rows >= length:
+        run(0, lead[axis])
+    else:
+        _on_workers(run, lead[axis])
     return constant(out.reshape(shape + out.shape[-2:]))
 
 
@@ -374,16 +381,14 @@ class EnhancementModel:
         With a tape, or when the forward's FFN work (frames x d_model x d_ff)
         is below `_FRAME_WORK`, `part` runs once on the whole arrays. Otherwise
         the frames of every clip, one row each, are cut into blocks of
-        `_FRAME_ROWS`, the last block taking the remainder, and each of
-        W = min(usable CPUs // BLAS threads, blocks) workers runs `part` over
-        one contiguous run of blocks: the calling thread takes run 0 and a
-        pool the others (`_on_workers`). Each writes its rows of one output
-        allocated here, so no (frames, d_ff) FFN array is made, and each
-        enters `no_grad()`, which pool threads do not inherit. A block makes
-        the whole arrays' row-wise ufuncs and, at the widths of the reference
-        model, their BLAS sums (see `_FRAME_ROWS`), so the output is the
-        whole-array bits for every W. The output head stays whole: its
-        257-wide products gave other bits in blocks of 64 to 512 rows.
+        `_FRAME_ROWS`, the last block taking the remainder, and `_on_workers`
+        deals contiguous runs of blocks to as many workers as `_workers`
+        allows. Each writes its rows of one output allocated here, so no
+        (frames, d_ff) FFN array is made. A block makes the whole arrays'
+        row-wise ufuncs and, at the widths of the reference model, their BLAS
+        sums (see `_FRAME_ROWS`), so the output is the whole-array bits for
+        every W. The output head stays whole: its 257-wide products gave other
+        bits in blocks of 64 to 512 rows.
         """
         cfg = self.config
         lead = inputs[0].shape[:-1]
@@ -394,18 +399,13 @@ class EnhancementModel:
         out = np.empty((frames, cfg.d_model))
         blocks = max(1, frames // _FRAME_ROWS)
         edges = [b * _FRAME_ROWS for b in range(blocks)] + [frames]
-        usable = _usable_cpus()
-        workers = min(usable // _blas_threads(usable), blocks)
-        # Rounded up, so the run with the remainder block has the fewest blocks.
-        bounds = [-(-blocks * w // workers) for w in range(workers + 1)]
 
-        def run(worker: int) -> None:
-            with no_grad():
-                for b in range(bounds[worker], bounds[worker + 1]):
-                    block = slice(edges[b], edges[b + 1])
-                    out[block] = part(*(constant(a[block]) for a in rows)).data
+        def run(lo: int, hi: int) -> None:
+            for b in range(lo, hi):
+                block = slice(edges[b], edges[b + 1])
+                out[block] = part(*(constant(a[block]) for a in rows)).data
 
-        _on_workers(run, workers)
+        _on_workers(run, blocks)
         return constant(out.reshape(lead + (cfg.d_model,)))
 
     def embed(self, x_mag: np.ndarray) -> Tensor:

@@ -30,17 +30,16 @@ which also fixes their checkpoint names and order) and whether they are
 stacked per layer, and where position enters the model, through the hooks it
 sets: input rows (`rows`), a bias on the attention scores (`bias`) or a q/k
 rotation (`rotate`). A scheme's state is its parameters; random draws come
-from `pe_rng`. `param_count` sums the sizes `init` returns. A record calls
-the public builders by their module-global names, so wrapping a builder in
-this module's namespace also wraps it for the model. The naive oracles for
-each bias live apart from this table, in `selftest.NAIVE_OFFSET`.
+from `pe_rng`. A record calls the public builders by their module-global
+names, so wrapping a builder in this module's namespace also wraps it for the
+model. The naive oracles for each bias live apart from this table, in
+`selftest.NAIVE_OFFSET`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from types import SimpleNamespace
 from typing import Callable
 
 import numpy as np
@@ -86,7 +85,6 @@ __all__ = [
     "learnlin_bias",
     "rope_angles",
     "rope_rotate",
-    "param_count",
 ]
 
 TISA_KERNELS = 5
@@ -341,13 +339,3 @@ SCHEMES: dict[PeKind, Scheme] = {
         lambda cfg, rng: {"beta": rng.uniform(-0.2, 0.0, size=cfg.n_heads)},
         lambda n, p: learnlin_bias(n, p["beta"])),
 }
-
-
-def param_count(kind: PeKind, *, heads: int, layers: int = 1, max_len: int = 0,
-                d_model: int = 0) -> int:
-    """Trainable parameter count contributed by a scheme: the sizes of the
-    parameters its `init` draws for these dimensions."""
-    dims = SimpleNamespace(n_heads=heads, n_layers=layers, bertpos_max_len=max_len,
-                           d_model=d_model)
-    params = SCHEMES[PeKind(kind)].init(dims, np.random.default_rng(0))
-    return sum(a.size for a in params.values())

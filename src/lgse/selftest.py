@@ -7,17 +7,19 @@ computed by naive independent evaluators, never by the code under test.
 
 from __future__ import annotations
 
+import math
 import os
 import tempfile
 import time
 import traceback
+from functools import partial
 
 import numpy as np
 
 from . import dsp, evaluate, objectives, posenc, training
 from . import model as model_module
 from .dsp import Waveform
-from .model import EnhancementModel, ModelConfig
+from .model import EnhancementModel, ModelConfig, param_shapes
 from .numerics import Tensor, backward, finite_difference
 from .posenc import PeKind
 
@@ -124,14 +126,16 @@ def model_gradient_mismatches(model: EnhancementModel, x: np.ndarray,
 
 
 def check_param_counts():
-    """Reference trainable-parameter counts at H=8, N=4 and tisa's S=5."""
+    """Reference sizes of the `pe.*` parameters `param_shapes` implies at
+    H=8, N=4 and tisa's S=5; bertpos holds L' = 64 rows of d_model = 256."""
     expected = {"learnlin": 8, "gauss": 8, "dabias": 16, "kerple": 16, "t5": 256,
-                "tisa": 480, "sinusoidal": 0, "nopos": 0, "rope": 0}
+                "tisa": 480, "sinusoidal": 0, "nopos": 0, "rope": 0, "bertpos": 64 * 256}
     for kind, want in expected.items():
-        got = posenc.param_count(kind, heads=8, layers=4)
+        shapes = param_shapes(ModelConfig(n_layers=4, n_heads=8, d_model=256,
+                                          pe_kind=kind, bertpos_max_len=64))
+        got = sum(math.prod(shape) for name, shape in shapes.items()
+                  if name.startswith("pe."))
         assert got == want, f"{kind}: {got} != {want}"
-    assert posenc.param_count("bertpos", heads=8, max_len=64,
-                              d_model=256) == 64 * 256
 
 
 def check_bias_oracle():
@@ -223,14 +227,14 @@ def check_tape_free_forward():
     """Blocked tape-free `predict` against the tape `forward` for every
     scheme and a learnlin decay strong enough to hit the softmax floor, with
     attention blocks small enough that each call makes several and every
-    per-frame part split into blocks of 4 frames; and `predict` on one worker
-    against the CPUs this process may use, bitwise."""
+    per-frame part split into blocks of 4 frames; and `predict` on up to
+    three workers against one, bitwise, on any host."""
     rng = np.random.default_rng(12)
     # (kind, length, learnlin beta); beta -2 reaches -798 at L = 400.
     cases = [(kind, 13, None) for kind in posenc.SCHEMES]
     cases += [(PeKind.LEARNLIN, 400, -2.0)]
-    saved = (model_module._BLOCK_BYTES, model_module._FRAME_WORK, model_module._FRAME_ROWS)
-    usable = model_module._usable_cpus
+    saved = (model_module._BLOCK_BYTES, model_module._FRAME_WORK, model_module._FRAME_ROWS,
+             model_module._workers)
     try:
         model_module._FRAME_WORK, model_module._FRAME_ROWS = 1, 4
         for kind, length, beta in cases:
@@ -245,18 +249,17 @@ def check_tape_free_forward():
             # Three query blocks per attention call over the two heads.
             model_module._BLOCK_BYTES = 8 * 2 * length * -(-length // 3)
             x = rng.uniform(0.0, 2.0, (length, 9))
-            pred = model.predict(x)
-            err = np.max(np.abs(pred - model.forward(x).data))
+            preds = {}
+            for cap in (3, 1):
+                model_module._workers = partial(min, cap)
+                preds[cap] = model.predict(x)
+            err = np.max(np.abs(preds[3] - model.forward(x).data))
             assert err <= 1e-12, f"{kind.value} L={length}: {err:.3g}"
-            model_module._usable_cpus = lambda: 1
-            one = model.predict(x)
-            model_module._usable_cpus = usable
-            assert np.array_equal(one, pred), (
-                f"{kind.value} L={length}: one worker differs "
-                f"from {usable()}")
+            assert np.array_equal(preds[1], preds[3]), (
+                f"{kind.value} L={length}: one worker differs from three")
     finally:
-        model_module._BLOCK_BYTES, model_module._FRAME_WORK, model_module._FRAME_ROWS = saved
-        model_module._usable_cpus = usable
+        (model_module._BLOCK_BYTES, model_module._FRAME_WORK, model_module._FRAME_ROWS,
+         model_module._workers) = saved
 
 
 def check_checkpoint_roundtrip():
@@ -285,15 +288,15 @@ def check_checkpoint_roundtrip():
 
 def check_experiment_workers():
     """A tiny experiment, one kind loaded and two trained, writes the same
-    report.csv bytes on one process and on every CPU this process may use."""
+    report.csv bytes on one process and on up to three."""
     cfg = ModelConfig(n_layers=1, n_heads=2, d_model=8, d_ff=16)
-    usable = model_module._usable_cpus
+    workers = model_module._workers
     reports = []
-    for workers in (lambda: 1, usable):
+    for cap in (1, 3):
         with tempfile.TemporaryDirectory() as out:
             training.save_checkpoint(os.path.join(out, "model_learnlin.lgse"),
                                      EnhancementModel(cfg))
-            model_module._usable_cpus = workers
+            model_module._workers = partial(min, cap)
             try:
                 reports.append(evaluate.run_lengen_experiment(
                     3, cfg, training.TrainConfig(clip_len_s=0.5, batch_utts=2,
@@ -304,8 +307,8 @@ def check_experiment_workers():
                                              utts_per_condition=1),
                     out).to_csv_text())
             finally:
-                model_module._usable_cpus = usable
-    assert reports[0] == reports[1], f"report.csv differs on 1 and {usable()} processes"
+                model_module._workers = workers
+    assert reports[0] == reports[1], "report.csv differs on 1 and 3 processes"
 
 
 def check_mix_snr():

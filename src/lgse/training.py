@@ -357,11 +357,19 @@ def load_checkpoint(path) -> tuple[EnhancementModel, int]:
     if version != CHECKPOINT_VERSION:
         raise CheckpointError(f"{path}: unsupported checkpoint version {version}; "
                               f"this build reads version {CHECKPOINT_VERSION}")
-    meta = json.loads(r.read(r.u64()).decode("utf-8"))
+    blob = r.read(r.u64())
+    try:
+        meta = json.loads(blob.decode("utf-8"))
+    except ValueError as exc:  # UnicodeDecodeError or JSONDecodeError
+        raise CheckpointError(f"{path}: meta block is not UTF-8 JSON: {exc}") from None
     n_records = r.u32()
     records: dict[str, np.ndarray] = {}
     for _ in range(n_records):
-        name = r.read(r.u32()).decode("utf-8")
+        blob = r.read(r.u32())
+        try:
+            name = blob.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise CheckpointError(f"{path}: record name is not UTF-8: {exc}") from None
         if name in records:
             raise CheckpointError(f"{path}: duplicate record {name}")
         ndim = r.u32()

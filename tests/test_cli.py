@@ -451,6 +451,25 @@ def test_enhance_directory_input_errors(trained, tmp_path, capsys):
     assert str(tmp_path) in err
 
 
+def test_enhance_to_an_unwritable_path_prints_one_error_line(trained, tmp_path):
+    """In a process of its own, so stderr also holds what the interpreter
+    prints after the command, such as an error in a finalizer."""
+    import subprocess
+    import sys
+
+    import lgse
+
+    _, corpus, ckpt, _ = trained
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(lgse.__file__)))
+    done = subprocess.run(
+        [sys.executable, "-m", "lgse", "enhance", str(corpus / "utt_0000_clean.wav"),
+         str(tmp_path / "no_such_dir" / "y.wav"), "--checkpoint", str(ckpt)],
+        capture_output=True, text=True, env=env, timeout=120)
+    assert done.returncode == 1
+    assert done.stderr.startswith("error: ") and done.stderr.count("\n") == 1
+    assert "No such file or directory" in done.stderr
+
+
 @pytest.mark.parametrize("override,field", [
     ("experiment.modes=full,segx", "modes"),
     ("experiment.kinds=learnlin,bogus", "kinds"),
@@ -458,6 +477,9 @@ def test_enhance_directory_input_errors(trained, tmp_path, capsys):
     ("experiment.kinds=learnlin,learnlin", "kinds"),
     ("experiment.modes=full,full", "modes"),
     ("suite.durations_s=0.5,0.5", "durations_s"),
+    # One label, "1", names both durations' corpus seed and utt_ids.
+    ("suite.durations_s=1,1.000001",
+     "durations_s must be distinct; 1.000001 and 1.0 are both labelled 1"),
     ("suite.snrs_db=0,5,0", "snrs_db"),
     ("suite.durations_s=0,-1", "durations_s"),
     ("suite.durations_s=", "durations_s"),

@@ -1,12 +1,12 @@
+import math
 import threading
 
 import numpy as np
 import pytest
 
-from lgse.model import EnhancementModel, ModelConfig, attention_head
+from lgse.model import EnhancementModel, ModelConfig, attention_head, param_shapes
 from lgse.numerics import Tensor, constant
-from lgse.posenc import (BERTPOS_MAX_FRAMES, SCHEMES, CapabilityError, PeKind,
-                         param_count)
+from lgse.posenc import BERTPOS_MAX_FRAMES, SCHEMES, CapabilityError, PeKind
 
 TINY = dict(n_layers=1, n_heads=2, d_model=8, d_ff=16, k_bins=9, bertpos_max_len=8)
 
@@ -274,9 +274,8 @@ def test_residual_identity_with_zeroed_sublayers():
 def test_pe_param_subcount_matches_table():
     for kind in ALL_KINDS:
         m = tiny_model(pe=kind, n_layers=2, n_heads=2)
-        expect = param_count(PeKind(kind), heads=2, layers=2,
-                             max_len=m.config.bertpos_max_len,
-                             d_model=m.config.d_model)
+        expect = sum(math.prod(shape) for name, shape in param_shapes(m.config).items()
+                     if name.startswith("pe."))
         assert m.pe_parameter_count() == expect, kind
 
 
@@ -555,6 +554,78 @@ def test_error_in_a_worker_block_propagates_and_its_threads_end(fail, monkeypatc
     with pytest.raises(RuntimeError, match="softmax call"):
         m.predict(rand_input(11))
     assert threading.active_count() == before
+
+
+@pytest.mark.parametrize("blas_threads,pool_threads", [("2", 0), ("1", 1)])
+def test_long_attention_takes_one_worker_per_group_of_blas_threads(blas_threads,
+                                                                    pool_threads,
+                                                                    monkeypatch):
+    """On 2 usable CPUs one BLAS call of two threads fills both, so a long
+    attention call stays on the calling thread; with one BLAS thread a
+    second worker takes a head."""
+    import lgse.model as model_module
+
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", blas_threads)
+    monkeypatch.setattr(model_module, "_usable_cpus", lambda: 2)
+    # Blocks of 4 query rows over both heads: 11 rows do not fit one block.
+    monkeypatch.setattr(model_module, "_BLOCK_BYTES", 8 * 11 * 2 * 4)
+    threads, softmax = [], model_module.softmax_rows
+
+    def spy(a, values=None):
+        threads.append(threading.get_ident())
+        return softmax(a, values)
+
+    monkeypatch.setattr(model_module, "softmax_rows", spy)
+    rng = np.random.default_rng(45)
+    q, k, v = (constant(rng.normal(size=(2, 11, 4))) for _ in range(3))
+    attention_head(q, k, v)
+    assert len(threads) == 3 * (1 + pool_threads)
+    assert len(set(threads) - {threading.get_ident()}) == pool_threads
+
+
+def test_on_workers_deals_contiguous_runs_in_the_callers_context(monkeypatch):
+    """Five jobs on three workers: runs of 2, 2 and 1, the first on the
+    calling thread, and every run inside the caller's `no_grad()`."""
+    import lgse.model as model_module
+    from lgse.numerics import grad_enabled, no_grad
+
+    monkeypatch.setattr(model_module, "_usable_cpus", lambda: 3)
+    seen = {}
+
+    def run(lo, hi):
+        seen[lo, hi] = (grad_enabled(), threading.get_ident())
+
+    with no_grad():
+        model_module._on_workers(run, 5)
+    assert sorted(seen) == [(0, 2), (2, 4), (4, 5)]
+    assert [enabled for enabled, _ in seen.values()] == [False] * 3
+    assert seen[0, 2][1] == threading.get_ident()
+    assert threading.get_ident() not in (seen[2, 4][1], seen[4, 5][1])
+
+
+def test_only_the_model_module_counts_cpus_and_starts_threads():
+    """CPU and BLAS-thread lookups and thread pools appear in `model`
+    alone, and `evaluate` uses no private `model` helper but `_workers`."""
+    import ast
+    from pathlib import Path
+
+    import lgse
+
+    package = Path(lgse.__file__).parent
+    names = ("sched_getaffinity", "cpu_count", "ThreadPoolExecutor",
+             "OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")
+    found = [f"{path.name}: {name}" for path in sorted(package.glob("*.py"))
+             if path.name != "model.py"
+             for name in names if name in path.read_text(encoding="utf-8")]
+    assert found == []
+    tree = ast.parse((package / "evaluate.py").read_text(encoding="utf-8"))
+    used = {node.attr for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+            and node.value.id == "model_module"}
+    used |= {alias.name for node in ast.walk(tree)
+             if isinstance(node, ast.ImportFrom) and node.module == "model"
+             for alias in node.names}
+    assert {name for name in used if name.startswith("_")} == {"_workers"}
 
 
 def test_long_predict_never_allocates_a_full_score_stack():

@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import lgse
+from lgse.model import ModelConfig, param_shapes
 from lgse.numerics import Tensor, backward, constant, matmul, mul, reduce_sum
 from lgse.posenc import (
     BERTPOS_MAX_FRAMES,
@@ -22,7 +23,6 @@ from lgse.posenc import (
     gauss_bias,
     kerple_bias,
     learnlin_bias,
-    param_count,
     rope_rotate,
     sinusoidal_embedding,
     t5_bias,
@@ -332,29 +332,34 @@ def test_bertpos_init_draws_only_the_table():
 # -- parameter counts ------------------------------------------------------------
 
 
+def _pe_count(kind, **dims) -> int:
+    """Total size of the `pe.*` parameters `param_shapes` implies for a
+    model of `dims`."""
+    shapes = param_shapes(ModelConfig(pe_kind=kind, **dims))
+    return sum(math.prod(shape) for name, shape in shapes.items() if name.startswith("pe."))
+
+
 def test_param_count_reference_values():
-    assert param_count(PeKind.LEARNLIN, heads=8) == 8
-    assert param_count(PeKind.GAUSS, heads=8) == 8
-    assert param_count(PeKind.T5, heads=8) == 256
-    assert param_count(PeKind.TISA, heads=8, layers=4) == 480
-    assert param_count(PeKind.KERPLE, heads=8) == 16
-    assert param_count(PeKind.DABIAS, heads=8) == 16
-    assert param_count(PeKind.SINUSOIDAL, heads=8) == 0
-    assert param_count(PeKind.NOPOS, heads=8) == 0
-    assert param_count(PeKind.ROPE, heads=8) == 0
-    assert param_count(PeKind.BERTPOS, heads=8, max_len=100, d_model=64) == 6400
+    counts = {PeKind.LEARNLIN: 8, PeKind.GAUSS: 8, PeKind.T5: 256, PeKind.TISA: 480,
+              PeKind.KERPLE: 16, PeKind.DABIAS: 16, PeKind.SINUSOIDAL: 0,
+              PeKind.NOPOS: 0, PeKind.ROPE: 0}
+    for kind, want in counts.items():
+        assert _pe_count(kind, n_layers=4, n_heads=8) == want, kind
+    assert _pe_count(PeKind.BERTPOS, n_heads=8, bertpos_max_len=100, d_model=64) == 6400
 
 
 @settings(max_examples=25, deadline=None)
 @given(st.integers(1, 16), st.integers(1, 8), st.integers(1, 512),
        st.sampled_from([16, 64, 256]))
 def test_param_count_formulas(heads, layers, max_len, d_model):
-    assert param_count(PeKind.TISA, heads=heads,
-                       layers=layers) == 3 * TISA_KERNELS * heads * layers
-    assert param_count(PeKind.T5, heads=heads) == 32 * heads
-    assert param_count(PeKind.BERTPOS, heads=heads, max_len=max_len,
-                       d_model=d_model) == max_len * d_model
-    assert param_count(PeKind.LEARNLIN, heads=heads) == heads
+    # d_model must split into heads of an even width; bertpos does not
+    # depend on the heads.
+    dims = dict(n_heads=heads, n_layers=layers, d_model=2 * heads)
+    assert _pe_count(PeKind.TISA, **dims) == 3 * TISA_KERNELS * heads * layers
+    assert _pe_count(PeKind.T5, **dims) == 32 * heads
+    assert _pe_count(PeKind.LEARNLIN, **dims) == heads
+    assert _pe_count(PeKind.BERTPOS, n_heads=1, n_layers=layers, bertpos_max_len=max_len,
+                     d_model=d_model) == max_len * d_model
 
 
 def _names_pe_member(node) -> bool:

@@ -473,6 +473,28 @@ def test_checkpoint_magic_and_validation(tmp_path):
         load_checkpoint(bad)
 
 
+@pytest.mark.parametrize("where,byte,match", [
+    ("meta", b"x", "meta block is not UTF-8 JSON: Expecting value"),
+    ("meta", b"\xff", "meta block is not UTF-8 JSON: 'utf-8' codec"),
+    ("record name", b"\xff", "record name is not UTF-8: 'utf-8' codec"),
+], ids=["meta not JSON", "meta not UTF-8", "record name not UTF-8"])
+def test_checkpoint_that_does_not_decode_names_its_file(tmp_path, where, byte, match):
+    import re
+    import struct
+
+    model = EnhancementModel(ModelConfig(pe_kind="nopos", **TINY_MODEL))
+    path = tmp_path / "m.lgse"
+    save_checkpoint(path, model, None, 0)
+    raw = bytearray(path.read_bytes())
+    (meta_len,) = struct.unpack("<Q", raw[8:16])
+    # The first byte of the meta block or of the first record's name.
+    at = 16 if where == "meta" else 16 + meta_len + 4 + 4
+    raw[at:at + 1] = byte
+    path.write_bytes(bytes(raw))
+    with pytest.raises(CheckpointError, match=f"^{re.escape(str(path))}: {match}"):
+        load_checkpoint(path)
+
+
 @pytest.mark.parametrize("version", [1, 2, 3, 4])
 def test_old_checkpoint_version_rejected(tmp_path, version):
     import struct
