@@ -144,8 +144,21 @@ def cmd_train(cfg: RunConfig, args) -> int:
     return 0
 
 
+def _check_writable(path) -> None:
+    """Raise now the OSError that writing `path` would raise, and leave no
+    file behind that was not there."""
+    existed = os.path.lexists(path)
+    with open(path, "ab"):
+        pass
+    if not existed:
+        os.remove(path)
+
+
 def cmd_enhance(cfg: RunConfig, args) -> int:
     chunk_s = seg_chunk_s("--chunk-s", args.chunk_s, cfg.train.clip_len_s)
+    # Before the checkpoint loads and the forward runs, whose cost grows
+    # with the input.
+    _check_writable(args.output)
     noisy = dsp.read_wav(args.input)
     overlap = MODES[args.mode]
     if overlap is not None:

@@ -2,11 +2,12 @@
 chunked inference, and the train-short / test-long experiment runner.
 
 The experiment deals the kinds to train and the mixtures to score out to
-forked processes, as many as `model._workers` allows, and the output bytes
-are the same for any process count. It forks only while no other Python
-thread is alive; the model's worker threads, for attention and for the
-per-frame parts of a long forward, are joined before their call returns, so
-none is alive between calls."""
+forked processes, as many as `model._workers` allows. Each runs BLAS on one
+thread, as importing lgse set it, so the output bytes are the same for any
+process count. It forks only while no other Python thread is alive; the
+model's worker threads, for attention and for the per-frame parts of a long
+forward, are joined before their call returns, so none is alive between
+calls."""
 
 from __future__ import annotations
 
@@ -381,8 +382,8 @@ def _load_model(ckpt_path, cfg: ModelConfig) -> EnhancementModel:
 
 def _in_processes(jobs: int, share: Callable[[int, int], object]) -> list:
     """[share(w, W) for w in range(W)], run on W = `model._workers(jobs)`
-    processes. Children keep the caller's BLAS thread count, so W does not
-    change the bytes.
+    processes. A forked child runs BLAS on one thread, as its parent does,
+    so W does not change the bytes.
 
     The calling process runs share 0 and W - 1 forked children the others.
     A child pickles its result, or the exception it raised, into a pipe and

@@ -26,7 +26,7 @@ from functools import partial
 
 import numpy as np
 
-from . import dsp, posenc
+from . import _blas_pinned, dsp, posenc
 from .numerics import (
     Tensor,
     add,
@@ -142,28 +142,18 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
-# OpenBLAS takes its thread count from the first of these that is set when
-# numpy loads it, capped at the usable CPUs; unset, it uses every one.
-_BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")
-
-
 def _workers(jobs: int) -> int:
-    """Workers to split `jobs` independent jobs among: min(usable CPUs //
-    threads of one BLAS call, jobs), at least 1.
+    """Workers to split `jobs` independent jobs among: min(usable CPUs, jobs),
+    at least 1.
 
     The one worker rule, for attention (`_attention_blocks`), the frame
     blocks of a long forward (`EnhancementModel._by_frames`) and the
-    experiment's processes (`evaluate._in_processes`). More workers would
-    oversubscribe the CPUs: on 2 CPUs with BLAS unpinned, a desk experiment
-    took 113 s on two processes against 41 s on one, and a 20 s
-    reference-model `predict` 762 ms with attention on two threads against
-    617 ms on one. W changes no output bit, so no setting picks it; the BLAS
-    thread count does change bits (see `_BLAS_THREAD_VARS`).
+    experiment's processes (`evaluate._in_processes`). Importing lgse runs
+    BLAS on one thread (see `lgse._pin_blas`), so a worker keeps one CPU
+    busy; where that failed, a BLAS call may fill every CPU, and each split
+    runs on one worker. W changes no output bit, so no setting picks it.
     """
-    usable = _usable_cpus()
-    blas = next((int(value) for value in map(os.getenv, _BLAS_THREAD_VARS)
-                 if value and value.isdigit() and int(value) > 0), usable)
-    return max(1, min(usable // min(blas, usable), jobs))
+    return max(1, min(_usable_cpus(), jobs)) if _blas_pinned else 1
 
 
 def _on_workers(run, jobs: int) -> None:

@@ -9,6 +9,7 @@ import struct
 
 import numpy as np
 
+import lgse
 from lgse import dsp, objectives
 from lgse.dsp import Waveform
 from lgse.evaluate import _triangle, chunk_starts, enhance_full
@@ -285,3 +286,14 @@ def no_child_left() -> bool:
     except ChildProcessError:
         return True
     return False
+
+
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+def unpinned_env() -> dict:
+    """Environment for a Python subprocess that imports this lgse, with no
+    BLAS thread variable set."""
+    env = {k: v for k, v in os.environ.items() if k not in BLAS_THREAD_VARS}
+    env["PYTHONPATH"] = os.path.dirname(os.path.dirname(lgse.__file__))
+    return env

@@ -470,6 +470,33 @@ def test_enhance_to_an_unwritable_path_prints_one_error_line(trained, tmp_path):
     assert "No such file or directory" in done.stderr
 
 
+def test_enhance_checks_its_output_before_the_forward(trained, tmp_path, monkeypatch,
+                                                     capsys):
+    from lgse.model import EnhancementModel
+
+    _, corpus, ckpt, _ = trained
+    wav = str(corpus / "utt_0000_clean.wav")
+    calls, predict = [], EnhancementModel.predict
+    monkeypatch.setattr(EnhancementModel, "predict",
+                        lambda self, *a, **kw: calls.append(1) or predict(self, *a, **kw))
+    err = _one_error_line(capsys, "enhance", wav, str(tmp_path / "no_such_dir" / "y.wav"),
+                          "--checkpoint", str(ckpt))
+    assert "No such file or directory" in err
+    assert calls == []
+    # A failure after the check leaves the output as it was: absent, or its
+    # old bytes.
+    old = tmp_path / "old.wav"
+    old.write_bytes(b"old")
+    for out in (tmp_path / "y.wav", old):
+        err = _one_error_line(capsys, "enhance", wav, str(out),
+                              "--checkpoint", str(tmp_path / "missing.lgse"))
+        assert "missing.lgse" in err
+    assert not (tmp_path / "y.wav").exists() and old.read_bytes() == b"old"
+    assert run_cli("enhance", wav, str(old), "--checkpoint", str(ckpt)) == 0
+    assert calls == [1]
+    assert dsp.read_wav(old).duration_s > 0
+
+
 @pytest.mark.parametrize("override,field", [
     ("experiment.modes=full,segx", "modes"),
     ("experiment.kinds=learnlin,bogus", "kinds"),

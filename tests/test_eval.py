@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import enhance_chunked_loop, no_child_left
+from helpers import BLAS_THREAD_VARS, enhance_chunked_loop, no_child_left, unpinned_env
 from lgse import dsp, evaluate, objectives
 from lgse import model as model_module
 from lgse.dsp import SAMPLE_RATE, Waveform
@@ -393,7 +393,7 @@ def _tiny_experiment(out_dir, kinds, seed=7):
 
 # Recorded from the loop that enhanced each mixture once per model; scoring
 # every model from one analysis must reproduce the reports byte for byte.
-# The bytes depend on the BLAS thread count; conftest.py pins it to one.
+# The bytes depend on the BLAS thread count, which importing lgse pins to one.
 PINNED_REPORT_SHA256 = {
     "report.csv": "7da026b681869cab637ff60942adb23e64a2fada08eea4907b5762144275fe06",
     "report.md": "26313eef57d22771a74446781c13defbc4947cf4cd9bd51722af19bdd71d591b",
@@ -408,6 +408,44 @@ def test_experiment_report_bytes_are_pinned(tmp_path):
     assert len(report.rows) == 4 * 3 + 4 * 7
     for name, want in PINNED_REPORT_SHA256.items():
         assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == want, name
+
+
+# `python -m lgse` with each fork counted: the count goes to stderr on exit.
+_COUNT_FORKS = """
+import os, runpy, sys
+fork, forks = os.fork, []
+os.fork = lambda: forks.append(1) or fork()
+try:
+    runpy.run_module("lgse", run_name="__main__", alter_sys=True)
+finally:
+    print(f"forks {len(forks)}", file=sys.stderr)
+"""
+
+
+def test_cli_experiment_with_blas_unset_gives_the_pinned_report(tmp_path):
+    """The CLI in a process whose caller set no BLAS thread count: lgse pins
+    it, so the report has the pinned bytes and the scoring runs on
+    min(usable CPUs, 8 mixtures) processes."""
+    import subprocess
+    import sys
+
+    kinds = ("learnlin", "nopos")
+    _save_models(tmp_path, kinds)
+    sets = ["model.n_layers=1", "model.n_heads=2", "model.d_model=8", "model.d_ff=16",
+            "train.clip_len_s=0.5", "train.batch_utts=2", "train.max_steps=1",
+            "train.w_steps=10", "experiment.kinds=learnlin,nopos",
+            "experiment.train_utts=2", "suite.durations_s=0.5,1.25",
+            "suite.snrs_db=0,5", "suite.utts_per_condition=2"]
+    done = subprocess.run(
+        [sys.executable, "-c", _COUNT_FORKS, "--seed", "7",
+         *(arg for pair in sets for arg in ("--set", pair)),
+         "experiment", "--out-dir", str(tmp_path)],
+        capture_output=True, text=True, env=unpinned_env(), timeout=300)
+    assert done.returncode == 0, done.stderr
+    for name, want in PINNED_REPORT_SHA256.items():
+        assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == want, name
+    # Both kinds load, so only the scoring forks.
+    assert done.stderr.splitlines()[-1] == f"forks {min(model_module._usable_cpus(), 8) - 1}"
 
 
 def test_experiment_analyses_each_mixture_once_whatever_the_kinds(tmp_path,
@@ -485,22 +523,31 @@ def test_worker_results_come_back_in_share_order(monkeypatch):
 
 
 @pytest.mark.parametrize("env,usable,workers", [
-    ({}, 2, 1),
-    ({"OPENBLAS_NUM_THREADS": "1"}, 2, 2),
+    ({}, 2, 2),
+    ({"OPENBLAS_NUM_THREADS": "1"}, 1, 1),
     ({"OMP_NUM_THREADS": "1"}, 3, 3),
-    ({"OPENBLAS_NUM_THREADS": "2", "OMP_NUM_THREADS": "1"}, 5, 2),
-    ({"OPENBLAS_NUM_THREADS": "8"}, 2, 1),
+    ({"OPENBLAS_NUM_THREADS": "2", "OMP_NUM_THREADS": "1"}, 5, 4),
+    ({"OPENBLAS_NUM_THREADS": "8"}, 8, 4),
     ({"OPENBLAS_NUM_THREADS": "x", "OMP_NUM_THREADS": "1"}, 2, 2),
 ], ids=["unpinned", "pinned", "omp", "openblas-first", "capped", "unreadable"])
 def test_one_process_per_group_of_cpus_one_blas_call_may_use(monkeypatch, env, usable,
                                                              workers):
-    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
+    """lgse runs BLAS on one thread, so a group is one CPU: W = min(usable
+    CPUs, jobs) for 4 jobs, whatever BLAS variables the caller sets now."""
+    for var in BLAS_THREAD_VARS:
         monkeypatch.delenv(var, raising=False)
     for var, value in env.items():
         monkeypatch.setenv(var, value)
     monkeypatch.setattr(model_module, "_usable_cpus", lambda: usable)
-    assert evaluate._in_processes(8, lambda w, w_count: w_count) == [workers] * workers
+    assert evaluate._in_processes(4, lambda w, w_count: w_count) == [workers] * workers
     assert no_child_left()
+
+
+def test_one_process_if_blas_could_not_be_pinned(monkeypatch):
+    monkeypatch.setattr(model_module, "_blas_pinned", False)
+    monkeypatch.setattr(model_module, "_usable_cpus", lambda: 4)
+    assert model_module._workers(4) == 1
+    assert evaluate._in_processes(4, lambda w, w_count: w_count) == [1]
 
 
 def test_worker_exception_is_raised_with_its_type_and_message(monkeypatch):

@@ -556,16 +556,11 @@ def test_error_in_a_worker_block_propagates_and_its_threads_end(fail, monkeypatc
     assert threading.active_count() == before
 
 
-@pytest.mark.parametrize("blas_threads,pool_threads", [("2", 0), ("1", 1)])
-def test_long_attention_takes_one_worker_per_group_of_blas_threads(blas_threads,
-                                                                    pool_threads,
-                                                                    monkeypatch):
-    """On 2 usable CPUs one BLAS call of two threads fills both, so a long
-    attention call stays on the calling thread; with one BLAS thread a
-    second worker takes a head."""
+def test_long_attention_gives_a_second_worker_a_head(monkeypatch):
+    """On 2 usable CPUs a long attention call splits its two heads between
+    the calling thread and one pool thread."""
     import lgse.model as model_module
 
-    monkeypatch.setenv("OPENBLAS_NUM_THREADS", blas_threads)
     monkeypatch.setattr(model_module, "_usable_cpus", lambda: 2)
     # Blocks of 4 query rows over both heads: 11 rows do not fit one block.
     monkeypatch.setattr(model_module, "_BLOCK_BYTES", 8 * 11 * 2 * 4)
@@ -579,8 +574,8 @@ def test_long_attention_takes_one_worker_per_group_of_blas_threads(blas_threads,
     rng = np.random.default_rng(45)
     q, k, v = (constant(rng.normal(size=(2, 11, 4))) for _ in range(3))
     attention_head(q, k, v)
-    assert len(threads) == 3 * (1 + pool_threads)
-    assert len(set(threads) - {threading.get_ident()}) == pool_threads
+    assert len(threads) == 3 * 2
+    assert len(set(threads) - {threading.get_ident()}) == 1
 
 
 def test_on_workers_deals_contiguous_runs_in_the_callers_context(monkeypatch):
@@ -604,20 +599,21 @@ def test_on_workers_deals_contiguous_runs_in_the_callers_context(monkeypatch):
 
 
 def test_only_the_model_module_counts_cpus_and_starts_threads():
-    """CPU and BLAS-thread lookups and thread pools appear in `model`
-    alone, and `evaluate` uses no private `model` helper but `_workers`."""
+    """CPU lookups and thread pools appear in `model` alone, the BLAS
+    thread variables in `lgse/__init__.py` alone, and `evaluate` uses no
+    private `model` helper but `_workers`."""
     import ast
     from pathlib import Path
 
     import lgse
 
     package = Path(lgse.__file__).parent
-    names = ("sched_getaffinity", "cpu_count", "ThreadPoolExecutor",
-             "OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")
-    found = [f"{path.name}: {name}" for path in sorted(package.glob("*.py"))
-             if path.name != "model.py"
-             for name in names if name in path.read_text(encoding="utf-8")]
-    assert found == []
+    homes = {"sched_getaffinity": "model.py", "cpu_count": "model.py",
+             "ThreadPoolExecutor": "model.py", "OPENBLAS_NUM_THREADS": "__init__.py",
+             "OMP_NUM_THREADS": "__init__.py", "MKL_NUM_THREADS": "__init__.py"}
+    found = {name: [path.name for path in sorted(package.glob("*.py"))
+                    if name in path.read_text(encoding="utf-8")] for name in homes}
+    assert found == {name: [home] for name, home in homes.items()}
     tree = ast.parse((package / "evaluate.py").read_text(encoding="utf-8"))
     used = {node.attr for node in ast.walk(tree)
             if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
@@ -626,6 +622,47 @@ def test_only_the_model_module_counts_cpus_and_starts_threads():
              if isinstance(node, ast.ImportFrom) and node.module == "model"
              for alias in node.names}
     assert {name for name in used if name.startswith("_")} == {"_workers"}
+
+
+# numpy loads its BLAS unpinned, then lgse is imported; prints the BLAS
+# thread count (-1 if numpy's BLAS is not OpenBLAS) and the sha256 of an
+# attention-shaped product (20 s of frames, heads of width 32), whose bits
+# changed with the thread count on 2 CPUs.
+_NUMPY_FIRST = """
+import ctypes, hashlib, sys
+import numpy as np
+
+core = (sys.modules.get("numpy._core._multiarray_umath")
+        or sys.modules.get("numpy.core._multiarray_umath"))
+blas = ctypes.CDLL(core.__file__)
+names = ("scipy_openblas_get_num_threads64_", "scipy_openblas_get_num_threads",
+         "openblas_get_num_threads64_", "openblas_get_num_threads")
+get = next((getattr(blas, name) for name in names if hasattr(blas, name)), lambda: -1)
+rng = np.random.default_rng(46)
+a, b = rng.normal(size=(1249, 1249)), rng.normal(size=(1249, 32))
+import lgse
+print(get(), hashlib.sha256(a @ b).hexdigest())
+"""
+
+
+def test_importing_lgse_after_numpy_pins_its_blas():
+    """A library caller that loads numpy first, with no BLAS variable set,
+    still gets one BLAS thread and the pinned bytes of a product."""
+    import hashlib
+    import subprocess
+    import sys
+
+    from helpers import unpinned_env
+
+    done = subprocess.run([sys.executable, "-c", _NUMPY_FIRST], capture_output=True,
+                          text=True, env=unpinned_env(), timeout=120, check=True)
+    threads, digest = done.stdout.split()
+    if threads == "-1":
+        pytest.skip("numpy's BLAS is not OpenBLAS")
+    rng = np.random.default_rng(46)
+    a, b = rng.normal(size=(1249, 1249)), rng.normal(size=(1249, 32))
+    assert threads == "1"
+    assert digest == hashlib.sha256(a @ b).hexdigest()
 
 
 def test_long_predict_never_allocates_a_full_score_stack():
