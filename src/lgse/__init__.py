@@ -1,6 +1,9 @@
 """Transformer speech enhancement with pluggable positional encodings,
 built small enough to train, verify, and study length generalization on a CPU.
 
+The package re-exports nothing: import the submodule that holds a name, such
+as `lgse.model` or `lgse.training`. The `lgse` command is `lgse.cli`.
+
 Importing lgse sets BLAS to one thread for the process and its children,
 whatever the caller set. A BLAS product's bits depend on how many threads sum
 it, and an unpinned OpenBLAS takes one per core, so the output bytes would
@@ -38,52 +41,5 @@ def _pin_blas() -> bool:
     return False
 
 
-# Set before any module below loads numpy; `model._workers` reads it.
+# Set before any submodule loads numpy; `model._workers` reads it.
 _blas_pinned = _pin_blas()
-
-from .dsp import Utterance, Waveform, mix_at_snr, stft, istft, synth_corpus
-from .evaluate import (
-    ExperimentConfig,
-    MetricReport,
-    TestSuiteConfig,
-    enhance_chunked,
-    enhance_full,
-    run_lengen_experiment,
-    seg_snr,
-    si_sdr,
-)
-from .model import EnhancementModel, ModelConfig
-from .numerics import Tensor, backward
-from .objectives import TargetKind
-from .posenc import PeKind
-from .training import TrainConfig, load_checkpoint, save_checkpoint, train
-
-__version__ = "0.1.0"
-
-__all__ = [
-    "Tensor",
-    "backward",
-    "Waveform",
-    "Utterance",
-    "stft",
-    "istft",
-    "mix_at_snr",
-    "synth_corpus",
-    "TargetKind",
-    "PeKind",
-    "ModelConfig",
-    "EnhancementModel",
-    "TrainConfig",
-    "train",
-    "save_checkpoint",
-    "load_checkpoint",
-    "si_sdr",
-    "seg_snr",
-    "enhance_full",
-    "enhance_chunked",
-    "TestSuiteConfig",
-    "ExperimentConfig",
-    "MetricReport",
-    "run_lengen_experiment",
-    "__version__",
-]

@@ -81,8 +81,7 @@ budget on a CPU box. The desk preset, a 2 x 32 model that can:
                                    "depend on how many.")
     p.add_argument("--out-dir", required=True)
 
-    p = sub.add_parser("selftest", help="run per-module oracle and invariant checks")
-    p.add_argument("--fast", action="store_true", help="skip the slower checks")
+    sub.add_parser("selftest", help="run per-module oracle and invariant checks")
     return parser
 
 
@@ -134,12 +133,16 @@ def _read_corpus(corpus_dir: str) -> list[dsp.Utterance]:
 
 
 def cmd_train(cfg: RunConfig, args) -> int:
+    # Before the corpus loads and the steps run.
+    for path in (args.out, args.loss_csv):
+        if path:
+            _check_writable(path)
     corpus = _read_corpus(args.corpus_dir)
     model = EnhancementModel(cfg.model)
-    result = train(model, corpus, cfg.train, ckpt_path=args.out,
-                   loss_csv=args.loss_csv)
-    last = result.trace[-1][2] if result.trace else float("nan")
-    print(f"trained {result.steps} steps; final loss {last:.6g}; "
+    trace = train(model, corpus, cfg.train, ckpt_path=args.out,
+                  loss_csv=args.loss_csv).trace
+    last = trace[-1][2] if trace else float("nan")
+    print(f"trained {len(trace)} steps; final loss {last:.6g}; "
           f"checkpoint at {args.out}")
     return 0
 
@@ -190,7 +193,7 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         if args.command == "selftest":
-            return selftest.run(fast=args.fast)
+            return selftest.run()
         # train's shortcut flags are pairs after every --set.
         shortcuts = [f"{key}={vars(args)[flag]}" for flag, key in (
             ("pe", "model.pe_kind"), ("target", "model.target"),

@@ -303,7 +303,6 @@ class ReportRow:
 # report.csv has one column per ReportRow field, in field order; floats are
 # written with repr so they read back exactly.
 _CSV_FIELDS = fields(ReportRow)
-_PARSE = {"str": str, "int": int, "float": float}
 
 
 @dataclass
@@ -322,15 +321,6 @@ class MetricReport:
             values = ((col.type, getattr(r, col.name)) for col in _CSV_FIELDS)
             writer.writerow(repr(v) if t == "float" else v for t, v in values)
         return buf.getvalue()
-
-    @classmethod
-    def from_csv(cls, path) -> "MetricReport":
-        rows = []
-        with open(path, newline="", encoding="utf-8") as f:
-            for rec in csv.DictReader(f):
-                rows.append(ReportRow(**{col.name: _PARSE[col.type](rec[col.name])
-                                         for col in _CSV_FIELDS}))
-        return cls(rows)
 
     def to_markdown(self, train_len_s: float) -> str:
         """Summary table grouped by test length, one block per model variant."""
@@ -532,15 +522,16 @@ def run_lengen_experiment(seed: int, model_cfg: ModelConfig,
 
 def _score_case(case, models, exp: ExperimentConfig, chunk_s: float,
                 dur: float, snr: int, train_len: float) -> list[ReportRow]:
-    """The noisy row, then one row per kind and mode, for one mixture."""
+    """The noisy row, then one row per kind and mode, for one mixture. Each
+    model's rows name its own target; the noisy row names the first model's."""
     i, utt, noisy = case
     utt_id = f"{dur:g}s_snr{snr}_{i:03d}"
-    base = dict(target=next(iter(models.values())).config.target.value,
-                train_len_s=train_len, test_len_s=dur, snr_db=snr, utt_id=utt_id)
+    base = dict(train_len_s=train_len, test_len_s=dur, snr_db=snr, utt_id=utt_id)
     sdr_in = si_sdr(noisy, utt.clean)
-    rows = [ReportRow(kind="noisy", si_sdr_in=sdr_in, si_sdr_out=sdr_in,
-                      seg_snr_out=seg_snr(noisy, utt.clean), mode="full", **base)]
     bundle = tuple(models.values())
+    rows = [ReportRow(kind="noisy", target=bundle[0].config.target.value, si_sdr_in=sdr_in,
+                      si_sdr_out=sdr_in, seg_snr_out=seg_snr(noisy, utt.clean),
+                      mode="full", **base)]
     scores: dict[tuple[str, str], tuple[float, float]] = {}
     for mode in exp.modes:
         overlap = MODES[mode]
@@ -552,10 +543,11 @@ def _score_case(case, models, exp: ExperimentConfig, chunk_s: float,
             ests = enhance_chunked(bundle, noisy, chunk_s, overlap)
         for kind, est in zip(models, ests):
             scores[kind, mode] = si_sdr(est, utt.clean), seg_snr(est, utt.clean)
-    for kind in models:
+    for kind, m in models.items():
         for mode in exp.modes:
             if (kind, mode) in scores:
                 sdr, seg = scores[kind, mode]
-                rows.append(ReportRow(kind=kind, si_sdr_in=sdr_in, si_sdr_out=sdr,
+                rows.append(ReportRow(kind=kind, target=m.config.target.value,
+                                      si_sdr_in=sdr_in, si_sdr_out=sdr,
                                       seg_snr_out=seg, mode=mode, **base))
     return rows

@@ -348,12 +348,6 @@ class EnhancementModel:
 
     # -- bookkeeping ---------------------------------------------------------
 
-    def parameter_count(self) -> int:
-        return sum(t.size for t in self.params.values())
-
-    def pe_parameter_count(self) -> int:
-        return sum(t.size for n, t in self.params.items() if n.startswith("pe."))
-
     def zero_grad(self) -> None:
         for t in self.params.values():
             t.grad = None

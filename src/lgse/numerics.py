@@ -352,10 +352,9 @@ def reduce_sum(a, axis: int | None = None) -> Tensor:
     return _node(data, (a,), back)
 
 
-def reduce_mean(a, axis: int | None = None) -> Tensor:
+def reduce_mean(a) -> Tensor:
     a = _promote(a)
-    n = a.data.size if axis is None else a.shape[axis]
-    return mul(reduce_sum(a, axis=axis), 1.0 / n)
+    return mul(reduce_sum(a), 1.0 / a.data.size)
 
 
 # Floor of the shifted scores on the tape-free softmax path. numpy's float64
@@ -410,7 +409,11 @@ def softmax_rows(a, values=None) -> Tensor:
     return _node(s, (a,), back)
 
 
-def layer_norm_frames(x, gain, bias, eps: float = 1e-5) -> Tensor:
+# Added to each frame's variance before the square root.
+LN_EPS = 1e-5
+
+
+def layer_norm_frames(x, gain, bias) -> Tensor:
     """Normalize each frame (last-axis vector of a (..., L, d) tensor) to
     zero mean / unit variance, then affine."""
     x, gain, bias = _promote(x), _promote(gain), _promote(bias)
@@ -424,7 +427,7 @@ def layer_norm_frames(x, gain, bias, eps: float = 1e-5) -> Tensor:
     mu = x.data.mean(axis=-1, keepdims=True)
     centered = x.data - mu
     var = (centered * centered).mean(axis=-1, keepdims=True)
-    inv_std = 1.0 / np.sqrt(var + eps)
+    inv_std = 1.0 / np.sqrt(var + LN_EPS)
     xhat = centered * inv_std
     data = xhat * gain.data + bias.data
 
@@ -561,15 +564,18 @@ def backward(loss: Tensor) -> None:
             node.grad = None
 
 
-def finite_difference(f: Callable[[np.ndarray], float], x0: np.ndarray,
-                      step: float = 1e-5) -> np.ndarray:
-    """Central-difference gradient of a scalar function of a flat vector."""
+FD_STEP = 1e-5
+
+
+def finite_difference(f: Callable[[np.ndarray], float], x0: np.ndarray) -> np.ndarray:
+    """Central-difference gradient, with step FD_STEP, of a scalar function of
+    a flat vector."""
     x0 = np.asarray(x0, dtype=np.float64)
     g = np.zeros_like(x0)
     for i in range(x0.size):
         xp = x0.copy()
         xm = x0.copy()
-        xp[i] += step
-        xm[i] -= step
-        g[i] = (f(xp) - f(xm)) / (2.0 * step)
+        xp[i] += FD_STEP
+        xm[i] -= FD_STEP
+        g[i] = (f(xp) - f(xm)) / (2.0 * FD_STEP)
     return g

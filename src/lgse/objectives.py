@@ -3,10 +3,10 @@
 An entry gives the model's prediction width and output nonlinearity, the
 loss-target grid and the step that turns a prediction into an enhanced
 spectrum. `target_grid` and `apply_target` look the `ModelConfig`'s target up
-there; every entry uses this module's constants (IRM gamma, MS power, cIRM K
-and C). The mask functions are pure and work on complex (L, K) spectrograms,
-or stacks with leading axes such as (B, L, K) clips; shapes must agree
-cell-for-cell. cIRM predictions and targets are real, laid out as
+there; every entry uses this module's constants (`IRM_GAMMA`, `MS_POWER`,
+`CIRM_K` and `CIRM_C`). The mask functions are pure and work on complex
+(L, K) spectrograms, or stacks with leading axes such as (B, L, K) clips;
+shapes must agree cell-for-cell. cIRM predictions and targets are real, laid out as
 (..., L, 2K): real parts, then imaginary parts.
 """
 
@@ -36,16 +36,16 @@ __all__ = [
     "uncompress_ms",
     "apply_target",
     "target_grid",
-    "DEFAULT_IRM_GAMMA",
-    "DEFAULT_MS_POWER",
-    "DEFAULT_CIRM_K",
-    "DEFAULT_CIRM_C",
+    "IRM_GAMMA",
+    "MS_POWER",
+    "CIRM_K",
+    "CIRM_C",
 ]
 
-DEFAULT_IRM_GAMMA = 0.5
-DEFAULT_MS_POWER = 0.3
-DEFAULT_CIRM_K = 10.0
-DEFAULT_CIRM_C = 0.1
+IRM_GAMMA = 0.5
+MS_POWER = 0.3
+CIRM_K = 10.0
+CIRM_C = 0.1
 
 _ZERO_FLOOR = 1e-12
 
@@ -62,15 +62,14 @@ def _check_shapes(a: np.ndarray, b: np.ndarray, what: str) -> None:
         raise ValueError(f"{what}: shapes {a.shape} and {b.shape} differ")
 
 
-def irm(clean: np.ndarray, noise: np.ndarray,
-        gamma: float = DEFAULT_IRM_GAMMA) -> np.ndarray:
-    """Energy-ratio mask (|S|^2 / (|S|^2 + |V|^2))^gamma, 0 where both are 0."""
+def irm(clean: np.ndarray, noise: np.ndarray) -> np.ndarray:
+    """Energy-ratio mask (|S|^2 / (|S|^2 + |V|^2))^IRM_GAMMA, 0 where both are 0."""
     _check_shapes(clean, noise, "irm")
     s2 = np.abs(clean) ** 2
     v2 = np.abs(noise) ** 2
     den = s2 + v2
     ratio = np.divide(s2, den, out=np.zeros_like(s2), where=den > 0)
-    return ratio ** gamma
+    return ratio ** IRM_GAMMA
 
 
 def psm(clean: np.ndarray, noisy: np.ndarray) -> np.ndarray:
@@ -96,38 +95,30 @@ def cirm(clean: np.ndarray, noisy: np.ndarray) -> np.ndarray:
     return out
 
 
-def compress_cirm(values: np.ndarray, k: float = DEFAULT_CIRM_K,
-                  c: float = DEFAULT_CIRM_C) -> np.ndarray:
-    """Elementwise bounded compression of real values into (-k, k)."""
-    if k <= 0 or c <= 0:
-        raise ValueError(f"compression constants must be positive, got k={k} c={c}")
-    # k*(1 - e^{-c t})/(1 + e^{-c t}) == k*tanh(c t / 2), stable for large |t|.
-    return k * np.tanh(0.5 * c * values)
+def compress_cirm(values: np.ndarray) -> np.ndarray:
+    """Elementwise bounded compression of real values into (-CIRM_K, CIRM_K)."""
+    # K*(1 - e^{-C t})/(1 + e^{-C t}) == K*tanh(C t / 2), stable for large |t|.
+    return CIRM_K * np.tanh(0.5 * CIRM_C * values)
 
 
-def decompress_cirm(values: np.ndarray, k: float = DEFAULT_CIRM_K,
-                    c: float = DEFAULT_CIRM_C) -> np.ndarray:
-    """Exact inverse of compress_cirm on (-k, k); out-of-range input is clamped
-    to the boundary and counted in a warning."""
-    if k <= 0 or c <= 0:
-        raise ValueError(f"compression constants must be positive, got k={k} c={c}")
-    limit = k * (1.0 - 1e-12)
+def decompress_cirm(values: np.ndarray) -> np.ndarray:
+    """Exact inverse of compress_cirm on (-CIRM_K, CIRM_K); out-of-range input
+    is clamped to the boundary and counted in a warning."""
+    limit = CIRM_K * (1.0 - 1e-12)
     clamped = int(np.count_nonzero(np.abs(values) >= limit))
     if clamped:
         logger.warning("decompress_cirm clamped %d component(s) outside (-%g, %g)",
-                       clamped, k, k)
-    return (2.0 / c) * np.arctanh(np.clip(values, -limit, limit) / k)
+                       clamped, CIRM_K, CIRM_K)
+    return (2.0 / CIRM_C) * np.arctanh(np.clip(values, -limit, limit) / CIRM_K)
 
 
-def ms_target(clean: np.ndarray, power: float = DEFAULT_MS_POWER) -> np.ndarray:
-    """Power-law compressed magnitude |S|^power; the loss-space mapping target."""
-    if not 0.0 < power <= 1.0:
-        raise ValueError(f"power must be in (0, 1], got {power}")
-    return np.abs(clean) ** power
+def ms_target(clean: np.ndarray) -> np.ndarray:
+    """Power-law compressed magnitude |S|^MS_POWER; the loss-space mapping target."""
+    return np.abs(clean) ** MS_POWER
 
 
-def uncompress_ms(mag: np.ndarray, power: float = DEFAULT_MS_POWER) -> np.ndarray:
-    return np.maximum(mag, 0.0) ** (1.0 / power)
+def uncompress_ms(mag: np.ndarray) -> np.ndarray:
+    return np.maximum(mag, 0.0) ** (1.0 / MS_POWER)
 
 
 def _cirm_grid(clean, noise, noisy) -> np.ndarray:

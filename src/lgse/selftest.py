@@ -1,8 +1,9 @@
 """Self-contained oracle and invariant checks, printed one PASS/FAIL per line.
 
-These are the fast subset of the verification suite (the full suite lives in
-tests/); `lgse selftest` runs them without pytest. Reference values are
-computed by naive independent evaluators, never by the code under test.
+They are a small subset of the verification suite in tests/, and `lgse
+selftest` runs every one of them, the model gradient check included, without
+pytest. Reference values are computed by naive independent evaluators, never
+by the code under test.
 """
 
 from __future__ import annotations
@@ -323,29 +324,27 @@ def check_mix_snr():
 
 
 CHECKS = [
-    ("posenc", "param_counts", check_param_counts, False),
-    ("posenc", "bias_oracle", check_bias_oracle, False),
-    ("posenc", "t5_bucket_fixtures", check_t5_fixtures, False),
-    ("dsp", "framing", check_framing, False),
-    ("dsp", "stft_roundtrip", check_stft_roundtrip, False),
-    ("dsp", "mix_at_snr", check_mix_snr, False),
-    ("objectives", "oracle_masks", check_oracle_masks, False),
-    ("training", "lr_schedule", check_lr_schedule, False),
-    ("training", "checkpoint_roundtrip", check_checkpoint_roundtrip, False),
-    ("eval", "chunk_counts", check_chunk_counts, False),
-    ("eval", "experiment_workers", check_experiment_workers, False),
-    ("model", "tape_free_forward", check_tape_free_forward, False),
-    ("numerics", "model_gradient_check", check_gradient_small, True),
+    ("posenc", "param_counts", check_param_counts),
+    ("posenc", "bias_oracle", check_bias_oracle),
+    ("posenc", "t5_bucket_fixtures", check_t5_fixtures),
+    ("dsp", "framing", check_framing),
+    ("dsp", "stft_roundtrip", check_stft_roundtrip),
+    ("dsp", "mix_at_snr", check_mix_snr),
+    ("objectives", "oracle_masks", check_oracle_masks),
+    ("training", "lr_schedule", check_lr_schedule),
+    ("training", "checkpoint_roundtrip", check_checkpoint_roundtrip),
+    ("eval", "chunk_counts", check_chunk_counts),
+    ("eval", "experiment_workers", check_experiment_workers),
+    ("model", "tape_free_forward", check_tape_free_forward),
+    ("numerics", "model_gradient_check", check_gradient_small),
 ]
 
 
-def run(fast: bool = False) -> int:
+def run() -> int:
     """Run all checks; print one line per check plus a per-module verdict."""
     failures = 0
     module_ok: dict[str, bool] = {}
-    for module, name, fn, slow in CHECKS:
-        if fast and slow:
-            continue
+    for module, name, fn in CHECKS:
         start = time.perf_counter()
         try:
             fn()

@@ -41,6 +41,11 @@ CHECKPOINT_VERSION = 5
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.98
 ADAM_EPS = 1e-9
+# Mixing SNRs are drawn from the integers in [SNR_LOW_DB, SNR_HIGH_DB].
+SNR_LOW_DB = -10
+SNR_HIGH_DB = 20
+# Elementwise gradient clip bound.
+GRAD_CLIP = 1.0
 
 
 class CheckpointError(RuntimeError):
@@ -51,18 +56,13 @@ class CheckpointError(RuntimeError):
 class TrainConfig:
     clip_len_s: float = 1.0
     batch_utts: int = 10
-    snr_low_db: int = -10
-    snr_high_db: int = 20
     epochs: int = 150
     max_steps: int = 0            # 0: run all epochs
     w_steps: int = 40000
-    grad_clip: float = 1.0
     seed: int = 0
     freeze: tuple[str, ...] = ()  # parameter names excluded from updates
 
     def __post_init__(self):
-        if self.snr_high_db < self.snr_low_db:
-            raise ValueError("snr_high_db must be >= snr_low_db")
         dsp.require_one_frame("clip_len_s", self.clip_len_s)
         for name in ("batch_utts", "epochs", "w_steps"):
             if getattr(self, name) < 1:
@@ -70,8 +70,6 @@ class TrainConfig:
         if self.max_steps < 0:
             raise ValueError(f"max_steps must be 0 (run all epochs) or a step count, "
                              f"got {self.max_steps}")
-        if not self.grad_clip > 0:
-            raise ValueError(f"grad_clip must be positive, got {self.grad_clip:g}")
 
 
 def lr_schedule(n_step: int, w_steps: int, d_model: int) -> float:
@@ -102,7 +100,7 @@ def make_batch(utts: list[Utterance], cfg: TrainConfig, rng: np.random.Generator
             if len(src) < clip_len:
                 continue
             offset = int(rng.integers(0, len(src) - clip_len + 1))
-            snrs.append(int(rng.integers(cfg.snr_low_db, cfg.snr_high_db + 1)))
+            snrs.append(int(rng.integers(SNR_LOW_DB, SNR_HIGH_DB + 1)))
             clips.append(utt.clean.samples[c * clip_len:(c + 1) * clip_len])
             segs.append(src[offset:offset + clip_len])
     sig = np.empty((2, len(snrs), clip_len))
@@ -168,7 +166,6 @@ def adam_step(params: dict[str, Tensor], state: AdamState, lr: float,
 
 @dataclass
 class TrainResult:
-    steps: int
     trace: list[tuple[int, float, float]]          # (step, lr, loss)
 
 
@@ -228,7 +225,7 @@ def train(model: EnhancementModel, corpus: list[Utterance], cfg: TrainConfig, *,
         model.zero_grad()
         loss = mse_loss(model.forward(x_mag), target)
         backward(loss)
-        clip_gradients(model.params, cfg.grad_clip)
+        clip_gradients(model.params, GRAD_CLIP)
         adam_step(model.params, state, lr, cfg)
         trace.append((step, lr, float(loss.data)))
         # Free the step's tape now; otherwise it lives on through the next
@@ -240,7 +237,7 @@ def train(model: EnhancementModel, corpus: list[Utterance], cfg: TrainConfig, *,
         save_checkpoint(ckpt_path, model, step=step)
     if loss_csv:
         write_loss_csv(loss_csv, trace)
-    return TrainResult(steps=step, trace=trace)
+    return TrainResult(trace=trace)
 
 
 def write_loss_csv(path, trace: list[tuple[int, float, float]]) -> None:

@@ -2,20 +2,24 @@
 
 from __future__ import annotations
 
+import csv
 import json
 import math
 import os
 import struct
+from dataclasses import fields
 
 import numpy as np
 
 import lgse
 from lgse import dsp, objectives
 from lgse.dsp import Waveform
-from lgse.evaluate import _triangle, chunk_starts, enhance_full
+from lgse.evaluate import MetricReport, ReportRow, _triangle, chunk_starts, enhance_full
 from lgse.model import EnhancementModel
+from lgse.numerics import LN_EPS
 from lgse.posenc import PeKind, sinusoidal_embedding
 from lgse.selftest import NAIVE_OFFSET, model_gradient_mismatches, naive_bias  # noqa: F401
+from lgse.training import SNR_HIGH_DB, SNR_LOW_DB
 
 
 def naive_dft(x: np.ndarray) -> np.ndarray:
@@ -41,7 +45,7 @@ def make_batch_loop(utts, cfg, rng, model_cfg):
                 continue
             offset = int(rng.integers(0, len(src) - clip_len + 1))
             noise = src[offset:offset + clip_len]
-            snr = int(rng.integers(cfg.snr_low_db, cfg.snr_high_db + 1))
+            snr = int(rng.integers(SNR_LOW_DB, SNR_HIGH_DB + 1))
             noise_scaled = dsp.noise_gain_for_snr(clean, noise, snr) * noise
             spec_s = dsp.stft(Waveform(clean))
             spec_v = dsp.stft(Waveform(noise_scaled))
@@ -49,6 +53,20 @@ def make_batch_loop(utts, cfg, rng, model_cfg):
             target = objectives.target_grid(model_cfg, spec_s, spec_v, spec_x)
             clips.append((clean, noise_scaled, snr, spec_s, spec_v, spec_x, target))
     return clips
+
+
+def param_count(model: EnhancementModel, prefix: str = "") -> int:
+    """Parameter values of `model` whose names start with `prefix`."""
+    return sum(t.size for name, t in model.params.items() if name.startswith(prefix))
+
+
+def report_from_csv(path) -> MetricReport:
+    """Read a report.csv back, each column as its ReportRow field's type."""
+    parse = {"str": str, "int": int, "float": float}
+    with open(path, newline="", encoding="utf-8") as f:
+        return MetricReport([ReportRow(**{col.name: parse[col.type](rec[col.name])
+                                          for col in fields(ReportRow)})
+                             for rec in csv.DictReader(f)])
 
 
 def copying_accumulate(t, g) -> None:
@@ -189,11 +207,10 @@ def seg_snr_loop(est: np.ndarray, ref: np.ndarray, frame: int = 512,
 # -- per-clip, per-head reference forward -------------------------------------
 
 
-def _layer_norm(x: np.ndarray, gain: np.ndarray, bias: np.ndarray,
-                eps: float = 1e-5) -> np.ndarray:
+def _layer_norm(x: np.ndarray, gain: np.ndarray, bias: np.ndarray) -> np.ndarray:
     mu = x.mean(axis=1, keepdims=True)
     var = ((x - mu) ** 2).mean(axis=1, keepdims=True)
-    return (x - mu) / np.sqrt(var + eps) * gain + bias
+    return (x - mu) / np.sqrt(var + LN_EPS) * gain + bias
 
 
 def _rope(x: np.ndarray) -> np.ndarray:

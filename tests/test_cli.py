@@ -7,10 +7,11 @@ from enum import Enum
 import numpy as np
 import pytest
 
-from helpers import no_child_left
+from helpers import no_child_left, param_count
 from lgse import dsp
 from lgse.cli import build_parser, main
 from lgse.config import KEY_HELP, ConfigError, RunConfig, load_run_config
+from lgse.training import GRAD_CLIP, SNR_HIGH_DB, SNR_LOW_DB
 
 
 def run_cli(*argv):
@@ -27,7 +28,7 @@ def test_defaults_match_recipe():
     assert cfg.model.d_model == 256
     assert cfg.model.d_ff == 1024
     assert cfg.train.w_steps == 40000
-    assert cfg.train.snr_low_db == -10 and cfg.train.snr_high_db == 20
+    assert (SNR_LOW_DB, SNR_HIGH_DB, GRAD_CLIP) == (-10, 20, 1.0)
     assert cfg.train.batch_utts == 10
     assert cfg.suite.durations_s == (1.0, 2.0, 5.0, 10.0, 15.0, 20.0)
     assert cfg.suite.snrs_db == (-5, 0, 5, 10, 15)
@@ -58,19 +59,8 @@ def test_override_and_seed_derivation(tmp_path):
 
 
 def test_overrides_apply_as_one_change_per_section():
-    cfg = load_run_config(None, ["model.d_model=30", "model.n_heads=3",
-                                 "train.snr_low_db=25", "train.snr_high_db=30",
-                                 "model.n_heads=5"])
+    cfg = load_run_config(None, ["model.d_model=30", "model.n_heads=3", "model.n_heads=5"])
     assert (cfg.model.d_model, cfg.model.n_heads) == (30, 5)
-    assert (cfg.train.snr_low_db, cfg.train.snr_high_db) == (25, 30)
-
-
-def test_help_check_names_help_lines_without_a_field(monkeypatch):
-    from lgse.config import KEY_HELP, assert_help_covers_all_fields
-
-    monkeypatch.setitem(KEY_HELP, "model.post_ln", "layer norm after each sub-layer")
-    with pytest.raises(ConfigError, match=r"not config fields: \['model.post_ln'\]"):
-        assert_help_covers_all_fields()
 
 
 def test_bad_override_format():
@@ -129,9 +119,9 @@ def test_every_default_loads_back_from_json_and_from_set(tmp_path, dotted):
 
 
 def test_help_lists_every_config_key(capsys):
-    from lgse.config import assert_help_covers_all_fields
+    from lgse.config import _key_defaults
 
-    assert_help_covers_all_fields()
+    assert list(KEY_HELP) == list(_key_defaults())
     parser = build_parser()
     text = parser.format_help()
     for key in ("model.d_model", "train.w_steps", "suite.durations_s",
@@ -226,7 +216,7 @@ def test_train_learnlin_checkpoint_has_h_betas(trained):
     _, _, ckpt, _ = trained
     model, _ = load_checkpoint(ckpt)
     assert model.params["pe.beta"].shape == (2,)
-    assert model.pe_parameter_count() == 2
+    assert param_count(model, "pe.") == 2
 
 
 def test_enhance_modes_and_duration(trained, tmp_path, capsys):
@@ -339,8 +329,15 @@ def test_enhance_checkpoint_with_unknown_record_errors(trained, tmp_path, capsys
     ("train.clip_len_s=nan", "clip_len_s"),
     ("train.w_steps=0", "w_steps"),
     ("train.max_steps=-1", "max_steps"),
-    ("train.grad_clip=-1", "grad_clip"),
-    ("train.grad_clip=0", "grad_clip"),
+    # Training settings that became constants: rejected as unknown keys.
+    pytest.param("train.grad_clip=-1", "unknown config key 'train.grad_clip'",
+                 id="train.grad_clip=-1-grad_clip"),
+    pytest.param("train.grad_clip=0", "unknown config key 'train.grad_clip'",
+                 id="train.grad_clip=0-grad_clip"),
+    pytest.param("train.snr_low_db=0", "unknown config key 'train.snr_low_db'",
+                 id="train.snr_low_db=0-snr_low_db"),
+    pytest.param("train.snr_high_db=30", "unknown config key 'train.snr_high_db'",
+                 id="train.snr_high_db=30-snr_high_db"),
     ("train.epochs=0", "epochs"),
     ("model.k_bins=9", "model.k_bins must be 257"),
 ])
@@ -495,6 +492,42 @@ def test_enhance_checks_its_output_before_the_forward(trained, tmp_path, monkeyp
     assert run_cli("enhance", wav, str(old), "--checkpoint", str(ckpt)) == 0
     assert calls == [1]
     assert dsp.read_wav(old).duration_s > 0
+
+
+def test_train_checks_its_outputs_before_the_steps(trained, tmp_path, monkeypatch, capsys):
+    from lgse import training
+
+    _, corpus, _, _ = trained
+    small = ["--set", "model.n_layers=1", "--set", "model.n_heads=2",
+             "--set", "model.d_model=16", "--set", "model.d_ff=32",
+             "--set", "train.clip_len_s=0.5", "--set", "train.batch_utts=2"]
+    calls, make_batch = [], training.make_batch
+    monkeypatch.setattr(training, "make_batch",
+                        lambda *a, **kw: calls.append(1) or make_batch(*a, **kw))
+    ckpt, missing = tmp_path / "m.lgse", tmp_path / "no_such_dir"
+    for outputs in (["--out", str(missing / "m.lgse")],
+                    ["--out", str(ckpt), "--loss-csv", str(missing / "loss.csv")]):
+        err = _one_error_line(capsys, *small, "train", "--corpus-dir", str(corpus),
+                              "--steps", "1", *outputs)
+        assert "No such file or directory" in err
+    assert calls == [] and not ckpt.exists()
+    # A failure after the check leaves the outputs as they were: absent, or
+    # their old bytes.
+    old_ckpt, old_csv = tmp_path / "old.lgse", tmp_path / "old.csv"
+    old_ckpt.write_bytes(b"old")
+    old_csv.write_bytes(b"old")
+    for out, loss_csv in ((ckpt, tmp_path / "loss.csv"), (old_ckpt, old_csv)):
+        err = _one_error_line(capsys, *small, "train", "--corpus-dir",
+                              str(tmp_path / "no_corpus"), "--out", str(out),
+                              "--loss-csv", str(loss_csv))
+        assert "no manifest.json" in err
+    assert not ckpt.exists() and not (tmp_path / "loss.csv").exists()
+    assert old_ckpt.read_bytes() == old_csv.read_bytes() == b"old"
+    assert run_cli(*small, "train", "--corpus-dir", str(corpus), "--steps", "1",
+                   "--out", str(old_ckpt), "--loss-csv", str(old_csv)) == 0
+    assert calls == [1]
+    assert training.load_checkpoint(old_ckpt)[1] == 1
+    assert old_csv.read_text().startswith("step,lr,loss\n1,")
 
 
 @pytest.mark.parametrize("override,field", [
@@ -701,5 +734,14 @@ def test_missing_corpus_errors(tmp_path):
     assert code == 1
 
 
-def test_selftest_fast_exits_zero():
-    assert run_cli("selftest", "--fast") == 0
+def test_selftest_runs_every_check_and_exits_zero(capsys):
+    from lgse.selftest import CHECKS
+
+    assert run_cli("selftest") == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split()[:2] for line in lines[:len(CHECKS)]] == [
+        ["PASS", f"{module}.{name}"] for module, name, _ in CHECKS]
+    assert "PASS  numerics.model_gradient_check" in lines[len(CHECKS) - 1]
+    with pytest.raises(SystemExit) as refused:
+        run_cli("selftest", "--fast")
+    assert refused.value.code == 2

@@ -9,7 +9,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import BLAS_THREAD_VARS, enhance_chunked_loop, no_child_left, unpinned_env
+from helpers import (BLAS_THREAD_VARS, enhance_chunked_loop, no_child_left, report_from_csv,
+                     unpinned_env)
 from lgse import dsp, evaluate, objectives
 from lgse import model as model_module
 from lgse.dsp import SAMPLE_RATE, Waveform
@@ -321,6 +322,25 @@ def test_triangle_crossfade_sums_to_one():
     assert np.max(np.abs(s - 1.0)) < 1e-12
 
 
+def test_each_scored_row_names_its_own_models_target():
+    """An IRM and a cIRM model scored together: each model's rows carry its
+    own target, and the noisy row the first model's."""
+    irm_model, cirm_model, _ = three_models()
+    utt = dsp.synth_corpus(3, 1, 1.0)[0]
+    case = (0, utt, dsp.mix_at_snr(utt.clean, utt.noise, 5))
+    exp = evaluate.ExperimentConfig(kinds=("learnlin", "nopos"), modes=("full", "seg"))
+    rows = evaluate._score_case(case, {"learnlin": irm_model, "nopos": cirm_model},
+                                exp, 0.5, 1.0, 5, 0.5)
+    assert [(r.kind, r.mode, r.target) for r in rows] == [
+        ("noisy", "full", "irm"), ("learnlin", "full", "irm"), ("learnlin", "seg", "irm"),
+        ("nopos", "full", "cirm"), ("nopos", "seg", "cirm")]
+    rows = evaluate._score_case(case, {"nopos": cirm_model, "learnlin": irm_model},
+                                exp, 0.5, 1.0, 5, 0.5)
+    assert [(r.kind, r.mode, r.target) for r in rows] == [
+        ("noisy", "full", "cirm"), ("nopos", "full", "cirm"), ("nopos", "seg", "cirm"),
+        ("learnlin", "full", "irm"), ("learnlin", "seg", "irm")]
+
+
 # -- report ---------------------------------------------------------------------------
 
 
@@ -336,7 +356,7 @@ def test_report_csv_roundtrip(tmp_path):
     report = MetricReport(sample_rows())
     path = tmp_path / "report.csv"
     report.to_csv(path)
-    loaded = MetricReport.from_csv(path)
+    loaded = report_from_csv(path)
     assert loaded.rows == report.rows
     # Writing again is byte-identical.
     path2 = tmp_path / "report2.csv"
@@ -361,7 +381,7 @@ def test_experiment_report_reads_back_with_from_csv(tmp_path):
         ExperimentConfig(kinds=("learnlin",), train_utts=2),
         TestSuiteConfig(durations_s=(1.0,), snrs_db=(0,), utts_per_condition=1),
         tmp_path)
-    loaded = MetricReport.from_csv(tmp_path / "report.csv")
+    loaded = report_from_csv(tmp_path / "report.csv")
     assert loaded.rows == report.rows
     assert len(loaded.rows) == 4
     assert "np.float64" not in (tmp_path / "report.csv").read_text()

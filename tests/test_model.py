@@ -4,6 +4,7 @@ import threading
 import numpy as np
 import pytest
 
+from helpers import param_count
 from lgse.model import EnhancementModel, ModelConfig, attention_head, param_shapes
 from lgse.numerics import Tensor, constant
 from lgse.posenc import BERTPOS_MAX_FRAMES, SCHEMES, CapabilityError, PeKind
@@ -239,12 +240,12 @@ def test_cirm_head_width_and_linearity():
                                   "kerple", "rope", "learnlin"])
 def test_rpe_forward_is_length_agnostic(kind):
     m = tiny_model(pe=kind, n_layers=1)
-    n_params_before = m.parameter_count()
+    n_params_before = param_count(m)
     short = m.forward(rand_input(61, seed=10))
     long = m.forward(rand_input(200, seed=11))
     assert short.shape == (61, 9)
     assert long.shape == (200, 9)
-    assert m.parameter_count() == n_params_before
+    assert param_count(m) == n_params_before
 
 
 def test_residual_identity_with_zeroed_sublayers():
@@ -276,13 +277,13 @@ def test_pe_param_subcount_matches_table():
         m = tiny_model(pe=kind, n_layers=2, n_heads=2)
         expect = sum(math.prod(shape) for name, shape in param_shapes(m.config).items()
                      if name.startswith("pe."))
-        assert m.pe_parameter_count() == expect, kind
+        assert param_count(m, "pe.") == expect, kind
 
 
 def test_total_param_count_deterministic_function_of_config():
     cfg = dict(pe="learnlin", target="irm")
     a, b = tiny_model(**cfg), tiny_model(**cfg)
-    assert a.parameter_count() == b.parameter_count()
+    assert param_count(a) == param_count(b)
     for name in a.params:
         assert a.params[name].shape == b.params[name].shape
         assert np.array_equal(a.params[name].data, b.params[name].data)
@@ -663,6 +664,30 @@ def test_importing_lgse_after_numpy_pins_its_blas():
     a, b = rng.normal(size=(1249, 1249)), rng.normal(size=(1249, 32))
     assert threads == "1"
     assert digest == hashlib.sha256(a @ b).hexdigest()
+
+
+# Imports lgse alone; prints whether numpy is loaded and the value of each
+# environment variable named on the command line.
+_LGSE_ALONE = """
+import json, os, sys
+import lgse
+print(json.dumps(["numpy" in sys.modules, [os.environ.get(v) for v in sys.argv[1:]]]))
+"""
+
+
+def test_importing_lgse_loads_no_numpy_and_sets_the_blas_variables():
+    """`import lgse` pins BLAS through the environment and imports no
+    submodule, so nothing has loaded numpy yet."""
+    import json
+    import subprocess
+    import sys
+
+    from helpers import BLAS_THREAD_VARS, unpinned_env
+
+    done = subprocess.run([sys.executable, "-c", _LGSE_ALONE, *BLAS_THREAD_VARS],
+                          capture_output=True, text=True, env=unpinned_env(),
+                          timeout=120, check=True)
+    assert json.loads(done.stdout) == [False, ["1", "1", "1"]]
 
 
 def test_long_predict_never_allocates_a_full_score_stack():

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from lgse import numerics
 from lgse.numerics import (
+    LN_EPS,
     ContractError,
     DimensionError,
     Tensor,
@@ -158,27 +159,24 @@ def test_softmax_rows_leaves_its_input_untouched():
 
 def test_layer_norm_constant_row_is_zero():
     x = np.full((1, 8), 3.7)
-    out = layer_norm_frames(constant(x), constant(np.ones(8)),
-                            constant(np.zeros(8)), eps=1e-5)
-    assert np.max(np.abs(out.data)) < 1e-2  # eps floor keeps it near zero
-    out2 = layer_norm_frames(constant(x), constant(np.ones(8)),
-                             constant(np.zeros(8)), eps=1e-30)
-    assert np.max(np.abs(out2.data)) < 1e-9
+    out = layer_norm_frames(constant(x), constant(np.ones(8)), constant(np.zeros(8)))
+    assert np.max(np.abs(out.data)) < 1e-9
 
 
 def test_layer_norm_already_normalized_row():
     out = layer_norm_frames(constant([[1.0, -1.0]]), constant(np.ones(2)),
-                            constant(np.zeros(2)), eps=1e-30)
-    assert np.allclose(out.data, [[1.0, -1.0]], atol=1e-12)
+                            constant(np.zeros(2)))
+    assert np.allclose(out.data, np.array([[1.0, -1.0]]) / np.sqrt(1.0 + LN_EPS),
+                       rtol=0.0, atol=1e-12)
 
 
 def test_layer_norm_row_statistics():
     x = rand((4, 8), 3)
     out = layer_norm_frames(constant(x), constant(np.ones(8)),
-                            constant(np.zeros(8)), eps=1e-12).data
-    for row in out:
+                            constant(np.zeros(8))).data
+    for row, var in zip(out, x.var(axis=1)):
         assert abs(row.mean()) < 1e-12
-        assert abs(row.var() - 1.0) < 1e-6
+        assert abs(row.var() - var / (var + LN_EPS)) < 1e-12
 
 
 def test_layer_norm_rejects_single_column():
@@ -390,7 +388,7 @@ def test_gradcheck_property(which, m, n, seed):
         wt = Tensor(flat.reshape(n, n))
         return float(f(x, wt).data)
 
-    fd = finite_difference(loss_at, w0.ravel(), step=1e-5)
+    fd = finite_difference(loss_at, w0.ravel())
     err = np.abs(auto - fd)
     tol = np.maximum(1e-4 * np.maximum(np.abs(auto), np.abs(fd)), 1e-8)
     assert np.all(err <= tol)

@@ -8,11 +8,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import lgse
-from lgse import dsp
+from lgse import dsp, objectives
 from lgse.dsp import Waveform
 from lgse.evaluate import si_sdr
 from lgse.model import ModelConfig
 from lgse.objectives import (
+    CIRM_K,
+    IRM_GAMMA,
+    MS_POWER,
     TARGETS,
     TargetKind,
     apply_target,
@@ -35,8 +38,8 @@ def grid(value, shape=(2, 3)):
 
 
 def test_irm_equal_magnitudes():
-    out = irm(grid(1 + 0j), grid(0 + 1j), gamma=0.5)
-    assert np.allclose(out, 0.5 ** 0.5)
+    out = irm(grid(1 + 0j), grid(0 + 1j))
+    assert np.allclose(out, 0.5 ** IRM_GAMMA)
 
 
 def test_irm_noise_free_and_speech_free():
@@ -118,8 +121,8 @@ def test_cirm_zero_cells():
 
 def test_compress_zero_and_asymptote():
     assert compress_cirm(np.array(0.0)) == 0.0
-    far = compress_cirm(np.array(1e6), k=10.0, c=0.1)
-    assert abs(far - 10.0) < 1e-9
+    far = compress_cirm(np.array(1e6))
+    assert abs(far - CIRM_K) < 1e-9
 
 
 def test_compress_decompress_roundtrip():
@@ -150,20 +153,23 @@ def test_compress_odd_and_monotone(a, b):
 # -- ms -----------------------------------------------------------------------
 
 
-def test_ms_power_one_is_identity():
+def test_ms_power_one_is_identity(monkeypatch):
+    monkeypatch.setattr(objectives, "MS_POWER", 1.0)
     s = grid(3.0 - 4.0j)
-    assert np.allclose(ms_target(s, power=1.0), 5.0)
+    assert np.allclose(ms_target(s), 5.0)
 
 
-def test_ms_sqrt_example():
-    assert np.allclose(ms_target(grid(4.0), power=0.5), 2.0)
+def test_ms_sqrt_example(monkeypatch):
+    monkeypatch.setattr(objectives, "MS_POWER", 0.5)
+    assert np.allclose(ms_target(grid(4.0)), 2.0)
 
 
 def test_ms_roundtrip_identity():
     rng = np.random.default_rng(1)
     s = rng.uniform(0, 5, (4, 6)) * np.exp(1j * rng.uniform(0, 2 * np.pi, (4, 6)))
-    compressed = ms_target(s, power=0.3)
-    assert np.max(np.abs(uncompress_ms(compressed, 0.3) - np.abs(s))) < 1e-12
+    compressed = ms_target(s)
+    assert np.array_equal(compressed, np.abs(s) ** MS_POWER)
+    assert np.max(np.abs(uncompress_ms(compressed) - np.abs(s))) < 1e-12
 
 
 # -- apply --------------------------------------------------------------------

@@ -8,6 +8,8 @@ from lgse.model import EnhancementModel, ModelConfig, param_shapes
 from lgse.numerics import Tensor, add, backward, constant, mul, reduce_sum
 from lgse.posenc import PeKind
 from lgse.training import (
+    SNR_HIGH_DB,
+    SNR_LOW_DB,
     AdamState,
     CheckpointError,
     TrainConfig,
@@ -173,7 +175,7 @@ def test_desk_train_steps_equal_copying_reference(monkeypatch, kind, target):
     each Adam update match the copying `_accumulate` and in-place clip."""
     from helpers import clip_in_place, copying_accumulate
 
-    cfg = tiny_cfg(grad_clip=1e-3)
+    cfg = tiny_cfg()
     model_cfg = ModelConfig(n_layers=2, n_heads=4, d_model=32, d_ff=128,
                             pe_kind=kind, target=target, init_seed=6)
     x_mag, grid = make_batch(corpus(2), cfg, np.random.default_rng(1), model_cfg)
@@ -183,7 +185,7 @@ def test_desk_train_steps_equal_copying_reference(monkeypatch, kind, target):
         for step in (1, 2):
             model.zero_grad()
             backward(mse_loss(model.forward(x_mag), grid))
-            clip(model.params, cfg.grad_clip)
+            clip(model.params, 1e-3)  # below GRAD_CLIP, so that clipping bites
             grads = {n: t.grad.copy() for n, t in model.params.items()}
             adam_step(model.params, state, lr_schedule(step, cfg.w_steps, 32), cfg)
             out.append((grads, {n: t.data.copy() for n, t in model.params.items()}))
@@ -252,12 +254,12 @@ def _target_bound(model_cfg, spec_s, spec_v, spec_x) -> np.ndarray:
     scale = _frame_scale(spec_s, spec_v)
     kind = model_cfg.target.value
     if kind == "irm":
-        gamma = objectives.DEFAULT_IRM_GAMMA
+        gamma = objectives.IRM_GAMMA
         m = objectives.irm(spec_s, spec_v)
         return 2 * gamma * m * a_v * scale / (a_s ** 2 + a_v ** 2)
     cond = a_s * scale / a_x ** 2
     if kind == "cirm":
-        slope = 0.5 * objectives.DEFAULT_CIRM_K * objectives.DEFAULT_CIRM_C
+        slope = 0.5 * objectives.CIRM_K * objectives.CIRM_C
         return slope * np.concatenate([cond, cond], axis=-1)
     return cond
 
@@ -323,7 +325,7 @@ def test_make_batch_snr_measured_matches_drawn():
         e_noise = np.sum(noise_scaled ** 2)
         measured = 10 * np.log10(e_clean / e_noise)
         assert abs(measured - snr_db) < 1e-6
-        assert cfg.snr_low_db <= snr_db <= cfg.snr_high_db
+        assert SNR_LOW_DB <= snr_db <= SNR_HIGH_DB
 
 
 def test_make_batch_skips_too_long_clip():
@@ -393,7 +395,7 @@ def test_train_rejects_unreachable_max_steps(tmp_path):
     with pytest.raises(ValueError, match="max_steps 5 .* at most 4 steps"):
         train(model, corpus(3), tiny_cfg(epochs=2, max_steps=5), ckpt_path=path)
     assert not path.exists()
-    assert train(model, corpus(3), tiny_cfg(epochs=2, max_steps=4)).steps == 4
+    assert len(train(model, corpus(3), tiny_cfg(epochs=2, max_steps=4)).trace) == 4
 
 
 def test_loss_csv_format(tmp_path):
