@@ -41,7 +41,6 @@ __all__ = [
     "mix_at_snr",
     "noise_gain_for_snr",
     "synth_corpus",
-    "sub_rng",
     "derived_seed",
     "read_wav",
     "write_wav",
@@ -206,15 +205,12 @@ def mix_at_snr(clean: Waveform, noise: Waveform, snr_db: float) -> Waveform:
     return Waveform(clean.samples + g * noise.samples)
 
 
-def sub_rng(seed: int, *roles: str) -> np.random.Generator:
-    """Named deterministic sub-stream of a master seed."""
-    keys = tuple(zlib.crc32(r.encode("utf-8")) for r in roles)
-    return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=keys))
-
-
 def derived_seed(seed: int, role: str) -> int:
-    """Integer seed for a named role, drawn from that role's sub-stream."""
-    return int(sub_rng(seed, role).integers(0, 2 ** 63 - 1))
+    """Integer seed for a named role, drawn from that role's deterministic
+    sub-stream of a master seed."""
+    key = (zlib.crc32(role.encode("utf-8")),)
+    rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=key))
+    return int(rng.integers(0, 2 ** 63 - 1))
 
 
 @dataclass

@@ -1,13 +1,13 @@
 """Length-generalization evaluation: surrogate metrics, full-length vs.
 chunked inference, and the train-short / test-long experiment runner.
 
-The experiment deals the kinds to train and the mixtures to score out to
-forked processes, as many as `model._workers` allows. Each runs BLAS on one
-thread, as importing lgse set it, so the output bytes are the same for any
-process count. It forks only while no other Python thread is alive; the
-model's worker threads, for attention and for the per-frame parts of a long
-forward, are joined before their call returns, so none is alive between
-calls."""
+The experiment lists the kinds to train and the mixtures to score as jobs,
+and `_in_processes` deals them out to forked processes, as many as
+`model._workers` allows. Each runs BLAS on one thread, as importing lgse set
+it, so the output bytes are the same for any process count. It forks only
+while no other Python thread is alive; the model's worker threads, for
+attention and for the per-frame parts of a long forward, are joined before
+their call returns, so none is alive between calls."""
 
 from __future__ import annotations
 
@@ -17,7 +17,7 @@ import os
 import pickle
 import threading
 from collections.abc import Callable
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -370,19 +370,20 @@ def _load_model(ckpt_path, cfg: ModelConfig) -> EnhancementModel:
     return model
 
 
-def _in_processes(jobs: int, share: Callable[[int, int], object]) -> list:
-    """[share(w, W) for w in range(W)], run on W = `model._workers(jobs)`
-    processes. A forked child runs BLAS on one thread, as its parent does,
-    so W does not change the bytes.
+def _in_processes(jobs: int, job: Callable[[int], object]) -> list:
+    """[job(n) for n in range(jobs)], job n run on process n mod W, where
+    W = `model._workers(jobs)`. A forked child runs BLAS on one thread, as
+    its parent does, so W does not change the bytes.
 
-    The calling process runs share 0 and W - 1 forked children the others.
-    A child pickles its result, or the exception it raised, into a pipe and
-    leaves through `os._exit`. Every child is read and waited for before
-    anything is raised, also when share 0 raises. A child's exception is then
-    raised here with its type and message; a child that exits without
-    reporting raises ChildProcessError naming its exit status. Nothing forks
-    while another Python thread is alive, since a forked child would inherit
-    any lock that thread holds; W is then 1.
+    The calling process runs jobs 0, W, 2W, ... and W - 1 forked children
+    the others. A child pickles its results, or the exception it raised,
+    into a pipe and leaves through `os._exit`. Every child is read and
+    waited for before anything is raised, also when a job of the caller's
+    raises. A child's exception is then raised here with its type and
+    message; a child that exits without reporting raises ChildProcessError
+    naming its exit status. Nothing forks while another Python thread is
+    alive, since a forked child would inherit any lock that thread holds; W
+    is then 1.
     """
     workers = model_module._workers(jobs) if threading.active_count() == 1 else 1
     children: list[tuple[int, int]] = []
@@ -392,13 +393,12 @@ def _in_processes(jobs: int, share: Callable[[int, int], object]) -> list:
             pid = os.fork()
             if pid == 0:
                 os.close(read)
-                _report(write, share, w, workers)
+                _report(write, job, range(w, jobs, workers))
             os.close(write)
             children.append((pid, read))
-        mine = share(0, workers)
+        shares = [[job(n) for n in range(0, jobs, workers)]]
     finally:
         ends = [_reap(pid, read) for pid, read in children]
-    results = [mine]
     for pid, code, data in ends:
         if code != 0 or not data:
             raise ChildProcessError(f"worker process {pid} exited with status "
@@ -406,18 +406,18 @@ def _in_processes(jobs: int, share: Callable[[int, int], object]) -> list:
         ok, value = pickle.loads(data)
         if not ok:
             raise value
-        results.append(value)
-    return results
+        shares.append(value)
+    return [shares[n % workers][n // workers] for n in range(jobs)]
 
 
-def _report(write: int, share, w: int, workers: int) -> None:
-    """In a forked child: run share w, pickle (True, result) or (False,
-    exception) into fd `write`, and leave through `os._exit`, with status 0
-    only if the report was written whole."""
+def _report(write: int, job, ns: range) -> None:
+    """In a forked child: run job n for each n in `ns`, pickle (True,
+    results) or (False, exception) into fd `write`, and leave through
+    `os._exit`, with status 0 only if the report was written whole."""
     code = 1
     try:
         try:
-            report = (True, share(w, workers))
+            report = (True, [job(n) for n in ns])
         except BaseException as exc:  # noqa: BLE001 - the caller re-raises it
             report = (False, exc)
         with os.fdopen(write, "wb") as f:
@@ -447,11 +447,11 @@ def run_lengen_experiment(seed: int, model_cfg: ModelConfig,
     one call per mode, so each mixture (and each chunk group) is analysed
     once, and each estimate is scored as soon as it is made.
 
-    Both phases run on as many processes as `model._workers` allows (see
-    `_in_processes`). The kinds to train are dealt out by stride, and
-    mixture n of the suite loop is scored by process n mod W, each process
-    walking the whole loop. The rows are joined in mixture order, so every
-    output byte is the same for any process count.
+    Both phases list their jobs, the kinds to train and the (duration, SNR,
+    utterance) mixtures to score, for `_in_processes` to deal out. A process
+    synthesizes a duration's test corpus the first time one of its jobs
+    needs it. The rows are joined in mixture order, so every output byte is
+    the same for any process count.
 
     Writes report.csv and report.md into out_dir and returns the report.
     Deterministic for a fixed seed, including the CSV bytes.
@@ -465,7 +465,7 @@ def run_lengen_experiment(seed: int, model_cfg: ModelConfig,
                          f"shorter than one train.clip_len_s clip "
                          f"({train_cfg.clip_len_s:g} s)")
     check_step_cap(train_cfg, exp.train_utts)
-    cfgs = {kind: model_cfg.with_pe(kind) for kind in exp.kinds}
+    cfgs = {kind: replace(model_cfg, pe_kind=kind) for kind in exp.kinds}
     for kind in exp.kinds if train_cfg.freeze else ():
         check_freeze(train_cfg, cfgs[kind])
     os.makedirs(out_dir, exist_ok=True)
@@ -480,38 +480,35 @@ def run_lengen_experiment(seed: int, model_cfg: ModelConfig,
         corpus = dsp.synth_corpus(derived_seed(seed, "corpus.train"),
                                   exp.train_utts, exp.train_utt_dur_s)
 
-        def train_share(w: int, workers: int) -> None:
-            for kind in to_train[w::workers]:
-                train(EnhancementModel(cfgs[kind]), corpus, train_cfg,
-                      ckpt_path=ckpts[kind],
-                      loss_csv=os.path.join(out_dir, f"loss_{kind}.csv"))
+        def train_kind(n: int) -> None:
+            kind = to_train[n]
+            train(EnhancementModel(cfgs[kind]), corpus, train_cfg, ckpt_path=ckpts[kind],
+                  loss_csv=os.path.join(out_dir, f"loss_{kind}.csv"))
 
-        _in_processes(len(to_train), train_share)
+        _in_processes(len(to_train), train_kind)
         del corpus
         models.update((kind, load_checkpoint(ckpts[kind])[0]) for kind in to_train)
     models = {kind: models[kind] for kind in exp.kinds}
 
     chunk_s = seg_chunk_s("chunk_s", exp.chunk_s, train_cfg.clip_len_s)
 
-    def score_share(w: int, workers: int) -> list[list[ReportRow]]:
-        """The rows of each mixture n with n mod `workers` == w, in order."""
-        mixtures, n = [], 0
-        for dur in suite.durations_s:
-            utts = dsp.synth_corpus(derived_seed(seed, f"corpus.test.{dur:g}"),
-                                    suite.utts_per_condition, dur)
-            for snr in suite.snrs_db:
-                for i, utt in enumerate(utts):
-                    if n % workers == w:
-                        case = (i, utt, dsp.mix_at_snr(utt.clean, utt.noise, snr))
-                        mixtures.append(_score_case(case, models, exp, chunk_s, dur,
-                                                    snr, train_cfg.clip_len_s))
-                    n += 1
-        return mixtures
+    mixtures = [(dur, snr, i) for dur in suite.durations_s for snr in suite.snrs_db
+                for i in range(suite.utts_per_condition)]
+    # The one test corpus this process holds: a process's jobs are in
+    # mixture order, so each duration's come in one run.
+    test_corpus: dict[float, list] = {}
 
-    total = len(suite.durations_s) * len(suite.snrs_db) * suite.utts_per_condition
-    shares = _in_processes(total, score_share)
-    workers = len(shares)
-    rows = [row for n in range(total) for row in shares[n % workers][n // workers]]
+    def score(n: int) -> list[ReportRow]:
+        dur, snr, i = mixtures[n]
+        if dur not in test_corpus:
+            test_corpus.clear()
+            test_corpus[dur] = dsp.synth_corpus(derived_seed(seed, f"corpus.test.{dur:g}"),
+                                                suite.utts_per_condition, dur)
+        utt = test_corpus[dur][i]
+        case = (i, utt, dsp.mix_at_snr(utt.clean, utt.noise, snr))
+        return _score_case(case, models, exp, chunk_s, dur, snr, train_cfg.clip_len_s)
+
+    rows = [row for mixture in _in_processes(len(mixtures), score) for row in mixture]
 
     report = MetricReport(rows)
     report.to_csv(os.path.join(out_dir, "report.csv"))

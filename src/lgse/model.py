@@ -9,10 +9,11 @@ input embedding, a bias on the attention scores, or a rotation of q/k. This
 module calls those hooks and holds no scheme-specific code.
 
 A long input without a tape runs on as many worker threads as `_workers`
-allows, with the same output bits as on one. Attention splits its independent
-problems among them (`_attention_blocks`), and every per-frame part of the
-forward (the embedding, the q/k/v and output projections, the residual adds,
-the layer norms and the FFN) its frames (`EnhancementModel._by_frames`). Each
+allows, with the same output bits as on one. Each split is a list of equal
+jobs that `_on_workers` deals out: attention's are blocks of query rows
+(`_attention_blocks`), and every per-frame part of the forward's (the
+embedding, the q/k/v and output projections, the residual adds, the layer
+norms and the FFN) blocks of frames (`EnhancementModel._by_frames`). Each
 call joins its worker threads before it returns.
 """
 
@@ -21,7 +22,7 @@ from __future__ import annotations
 import contextvars
 import math
 import os
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
@@ -97,20 +98,15 @@ class ModelConfig:
     def out_width(self) -> int:
         return TARGETS[self.target].width * self.k_bins
 
-    def with_pe(self, kind) -> "ModelConfig":
-        return replace(self, pe_kind=kind)
 
-
-# Bytes of float64 scores the tape-free attention path may hold at once in one
-# call, summed over its workers; a sweep from 0.5 to 16 MiB measured flat at
-# the 20 s test length. A call whose whole (..., L, L) score stack fits runs as
-# one block on the calling thread. A larger call keeps the blocks of query rows
-# this budget gives and splits its longest leading axis (the heads of one
-# clip, or a stack's clips) among the workers `_workers` allows. numpy
-# releases the GIL in every block's matmuls and ufuncs, and each attention
-# problem's blocks make the same BLAS calls whichever thread makes them, so
-# the output is the same bits for every W. The forward's per-frame parts are
-# cut into blocks by `_FRAME_WORK` and `_FRAME_ROWS`, not by this budget.
+# Bytes of float64 scores in one block of query rows of the tape-free
+# attention path; each worker holds one block at a time. A sweep from 0.5 to
+# 16 MiB in all measured flat at the 20 s test length. numpy releases the GIL
+# in every block's matmuls and ufuncs, and rows per block are set by the whole
+# call, so each attention problem makes the same BLAS calls whichever thread
+# makes them and the output is the same bits for every W. The forward's
+# per-frame parts are cut into blocks by `_FRAME_WORK` and `_FRAME_ROWS`, not
+# by this budget.
 _BLOCK_BYTES = 2 * 2**20
 
 # Multiply-adds of a forward's FFN work, frames x d_model x d_ff with every
@@ -194,12 +190,12 @@ def attention_head(q: Tensor, k: Tensor, v: Tensor, bias: Tensor | None = None,
     for every clip.
 
     When no operand needs a gradient, the scores are computed one block of
-    query rows at a time, within `_BLOCK_BYTES` in all, and a call too large
-    for one block spreads its independent problems over the workers that
-    `_workers` allows (see `_attention_blocks`); no tape is recorded. That
-    path floors shifted logits at `numerics.EXP_FLOOR`, so a frame that a
-    strong decay bias pushes that far down gets a weight of at most e^-600
-    relative to its row's largest rather than zero.
+    query rows at a time, each within `_BLOCK_BYTES`, and the blocks are
+    dealt out to the workers that `_workers` allows (see
+    `_attention_blocks`); no tape is recorded. That path floors shifted
+    logits at `numerics.EXP_FLOOR`, so a frame that a strong decay bias
+    pushes that far down gets a weight of at most e^-600 relative to its
+    row's largest rather than zero.
     """
     length, d_k = q.shape[-2:]
     if bias is not None and bias.shape[-2:] != (length, length):
@@ -216,63 +212,43 @@ def attention_head(q: Tensor, k: Tensor, v: Tensor, bias: Tensor | None = None,
 
 def _attention_blocks(q: Tensor, k: Tensor, v: Tensor, bias: Tensor | None,
                       multiplicative: bool) -> Tensor:
-    """`attention_head` without a tape, one block of query rows at a time.
-
-    A block's scores span all L keys, so each row's softmax is exact and no
-    online renormalization is needed. The score bytes alive at once stay
-    within `_BLOCK_BYTES` instead of the (..., L, L) stack. If the stack fits,
-    the call is one block on the calling thread. Otherwise the longest leading
-    axis is cut into contiguous runs by `_on_workers`, as many as `_workers`
-    allows, and each worker walks every block of rows over its run. Rows per
-    block are set by the whole call, not per worker, because a BLAS product's
-    bits depend on its row count. Each worker owns a buffer of its run's share
-    of the budget, and a block's scores are a contiguous prefix of it.
-    1/sqrt(d_k) is folded into q once per call; QK^T is written into the
-    buffer, the bias is applied in place, and `softmax_rows(block, v)` then
-    shifts, floors and exponentiates the block in the buffer and normalizes
-    the small (..., rows, d) product after the value product.
+    """`attention_head` without a tape. The jobs are blocks of query rows,
+    each spanning every leading axis and all L keys, so each row's softmax is
+    exact; `_on_workers` deals them out, and each worker owns one block's
+    buffer. 1/sqrt(d_k) is folded into q once per call; QK^T is written into
+    the buffer, the bias is applied in place, and `softmax_rows(block, v)`
+    then shifts, floors and exponentiates the block in the buffer and
+    normalizes the small (..., rows, d) product after the value product.
     """
     length, d_k = q.shape[-2:]
     operands = (q, k, v) if bias is None else (q, k, v, bias)
-    shape = np.broadcast_shapes(*(t.shape[:-2] for t in operands))
-    # One problem gets a unit leading axis, so every call has one to split.
-    lead = shape or (1,)
-
-    def full(a: np.ndarray) -> np.ndarray:
-        return a if a.shape[:-2] == lead else np.broadcast_to(a, lead + a.shape[-2:])
-
-    q_scaled = full(q.data * (1.0 / math.sqrt(d_k)))
-    k_t = np.ascontiguousarray(np.swapaxes(full(k.data), -1, -2))
-    values = full(v.data)
-    bias_data = None if bias is None else full(bias.data)
-    rows = max(1, _BLOCK_BYTES // (8 * length * math.prod(lead)))
-    # Split the longest leading axis: the heads of one clip, or a stack's clips.
-    axis = lead.index(max(lead))
-    scores_per_item = math.prod(lead) // lead[axis] * min(rows, length) * length
+    lead = np.broadcast_shapes(*(t.shape[:-2] for t in operands))
+    q_scaled = q.data * (1.0 / math.sqrt(d_k))
+    k_t = np.ascontiguousarray(np.swapaxes(k.data, -1, -2))
+    rows = min(length, max(1, _BLOCK_BYTES // (8 * length * math.prod(lead))))
+    blocks = -(-length // rows)
     out = np.empty(lead + (length, v.shape[-1]))
 
     def run(lo: int, hi: int) -> None:
-        part = (slice(None),) * axis + (slice(lo, hi), Ellipsis)
-        part_lead = lead[:axis] + (hi - lo,) + lead[axis + 1:]
-        buffer = np.empty((hi - lo) * scores_per_item)
-        for r0 in range(0, length, rows):
-            block = part + (slice(r0, r0 + rows), slice(None))
-            block_shape = part_lead + (min(rows, length - r0), length)
-            s = buffer[:math.prod(block_shape)].reshape(block_shape)
-            np.matmul(q_scaled[block], k_t[part], out=s)
-            if bias_data is not None:
+        buffer = np.empty(math.prod(lead) * rows * length)
+        for job in range(lo, hi):
+            # Job 0 is the last block, the only one that may be short, so
+            # the first run, the only one that may be a job longer, takes it.
+            r0 = (job - 1) % blocks * rows
+            block = (Ellipsis, slice(r0, r0 + rows), slice(None))
+            s_shape = lead + (min(rows, length - r0), length)
+            s = buffer[:math.prod(s_shape)].reshape(s_shape)
+            np.matmul(q_scaled[block], k_t, out=s)
+            if bias is not None:
                 if multiplicative:
                     np.maximum(s, 0.0, out=s)
-                    s *= bias_data[block]
+                    s *= bias.data[block]
                 else:
-                    s += bias_data[block]
-            out[block] = softmax_rows(s, values[part]).data
+                    s += bias.data[block]
+            out[block] = softmax_rows(s, v.data).data
 
-    if rows >= length:
-        run(0, lead[axis])
-    else:
-        _on_workers(run, lead[axis])
-    return constant(out.reshape(shape + out.shape[-2:]))
+    _on_workers(run, blocks)
+    return constant(out)
 
 
 class _NoDraw:

@@ -228,36 +228,37 @@ def check_tape_free_forward():
     """Blocked tape-free `predict` against the tape `forward` for every
     scheme and a learnlin decay strong enough to hit the softmax floor, with
     attention blocks small enough that each call makes several and every
-    per-frame part split into blocks of 4 frames; and `predict` on up to
-    three workers against one, bitwise, on any host."""
+    per-frame part split into blocks of 4 frames, with a one-head model too,
+    whose single attention problem splits; and `predict` on up to three
+    workers against one, bitwise, on any host."""
     rng = np.random.default_rng(12)
-    # (kind, length, learnlin beta); beta -2 reaches -798 at L = 400.
-    cases = [(kind, 13, None) for kind in posenc.SCHEMES]
-    cases += [(PeKind.LEARNLIN, 400, -2.0)]
+    # (kind, length, learnlin beta, heads); beta -2 reaches -798 at L = 400.
+    cases = [(kind, 13, None, 2) for kind in posenc.SCHEMES]
+    cases += [(PeKind.LEARNLIN, 400, -2.0, 2), (PeKind.LEARNLIN, 13, None, 1)]
     saved = (model_module._BLOCK_BYTES, model_module._FRAME_WORK, model_module._FRAME_ROWS,
              model_module._workers)
     try:
         model_module._FRAME_WORK, model_module._FRAME_ROWS = 1, 4
-        for kind, length, beta in cases:
+        for kind, length, beta, heads in cases:
             model = EnhancementModel(ModelConfig(
-                n_layers=2, n_heads=2, d_model=8, d_ff=16, k_bins=9, pe_kind=kind,
+                n_layers=2, n_heads=heads, d_model=8, d_ff=16, k_bins=9, pe_kind=kind,
                 bertpos_max_len=8, init_seed=5))
             for name, t in model.params.items():
                 if name.startswith("pe."):
                     t.data = t.data + rng.normal(0.0, 0.3, t.shape)
             if beta is not None:
                 model.params["pe.beta"].data[:] = beta
-            # Three query blocks per attention call over the two heads.
-            model_module._BLOCK_BYTES = 8 * 2 * length * -(-length // 3)
+            # Three query blocks per attention call over every head.
+            model_module._BLOCK_BYTES = 8 * heads * length * -(-length // 3)
             x = rng.uniform(0.0, 2.0, (length, 9))
             preds = {}
             for cap in (3, 1):
                 model_module._workers = partial(min, cap)
                 preds[cap] = model.predict(x)
             err = np.max(np.abs(preds[3] - model.forward(x).data))
-            assert err <= 1e-12, f"{kind.value} L={length}: {err:.3g}"
+            assert err <= 1e-12, f"{kind.value} H={heads} L={length}: {err:.3g}"
             assert np.array_equal(preds[1], preds[3]), (
-                f"{kind.value} L={length}: one worker differs from three")
+                f"{kind.value} H={heads} L={length}: one worker differs from three")
     finally:
         (model_module._BLOCK_BYTES, model_module._FRAME_WORK, model_module._FRAME_ROWS,
          model_module._workers) = saved

@@ -532,14 +532,23 @@ def test_experiment_bytes_are_the_same_on_any_process_count(tmp_path, monkeypatc
     assert outputs[1] == outputs[0] and outputs[2] == outputs[0]
 
 
-def test_worker_results_come_back_in_share_order(monkeypatch):
+def test_worker_results_come_back_in_job_order(monkeypatch):
+    """Five jobs on three processes: job n runs on process n mod 3, the
+    caller's jobs 0 and 3."""
     monkeypatch.setattr(model_module, "_usable_cpus", lambda: 3)
-    results = evaluate._in_processes(5, lambda w, workers: (w, workers, os.getpid()))
-    assert [r[:2] for r in results] == [(0, 3), (1, 3), (2, 3)]
-    pids = [r[2] for r in results]
-    assert pids[0] == os.getpid() and len(set(pids)) == 3
-    assert len(evaluate._in_processes(1, lambda w, workers: w)) == 1
+    results = evaluate._in_processes(5, lambda n: (n, os.getpid()))
+    assert [n for n, _ in results] == [0, 1, 2, 3, 4]
+    pids = [pid for _, pid in results]
+    assert pids[0] == pids[3] == os.getpid() and pids[1] == pids[4]
+    assert len(set(pids)) == 3
+    assert evaluate._in_processes(1, lambda n: n) == [0]
+    assert evaluate._in_processes(0, lambda n: n) == []
     assert no_child_left()
+
+
+def _pids(jobs: int) -> int:
+    """The distinct processes `_in_processes` runs `jobs` jobs on."""
+    return len(set(evaluate._in_processes(jobs, lambda n: os.getpid())))
 
 
 @pytest.mark.parametrize("env,usable,workers", [
@@ -559,7 +568,7 @@ def test_one_process_per_group_of_cpus_one_blas_call_may_use(monkeypatch, env, u
     for var, value in env.items():
         monkeypatch.setenv(var, value)
     monkeypatch.setattr(model_module, "_usable_cpus", lambda: usable)
-    assert evaluate._in_processes(4, lambda w, w_count: w_count) == [workers] * workers
+    assert _pids(4) == workers
     assert no_child_left()
 
 
@@ -567,19 +576,19 @@ def test_one_process_if_blas_could_not_be_pinned(monkeypatch):
     monkeypatch.setattr(model_module, "_blas_pinned", False)
     monkeypatch.setattr(model_module, "_usable_cpus", lambda: 4)
     assert model_module._workers(4) == 1
-    assert evaluate._in_processes(4, lambda w, w_count: w_count) == [1]
+    assert _pids(4) == 1
 
 
 def test_worker_exception_is_raised_with_its_type_and_message(monkeypatch):
     monkeypatch.setattr(model_module, "_usable_cpus", lambda: 2)
 
-    def share(w, workers):
-        if w == 1:
+    def job(n):
+        if n == 1:
             raise KeyError("only in the child")
-        return w
+        return n
 
     with pytest.raises(KeyError, match="only in the child"):
-        evaluate._in_processes(2, share)
+        evaluate._in_processes(2, job)
     assert no_child_left()
 
 
@@ -587,13 +596,13 @@ def test_worker_that_dies_without_reporting_names_its_status(monkeypatch):
     monkeypatch.setattr(model_module, "_usable_cpus", lambda: 2)
     caller = os.getpid()
 
-    def share(w, workers):
+    def job(n):
         if os.getpid() != caller:
             os._exit(3)
-        return w
+        return n
 
     with pytest.raises(ChildProcessError, match="exited with status 3 without reporting"):
-        evaluate._in_processes(2, share)
+        evaluate._in_processes(2, job)
     assert no_child_left()
 
 
@@ -601,15 +610,15 @@ def test_caller_share_error_still_waits_for_the_children(monkeypatch, tmp_path):
     monkeypatch.setattr(model_module, "_usable_cpus", lambda: 3)
     done = tmp_path / "done"
 
-    def share(w, workers):
-        if w == 0:
-            raise ValueError("caller's share")
+    def job(n):
+        if n == 0:
+            raise ValueError("caller's job")
         time.sleep(0.2)
-        (done / str(w)).write_text("")
+        (done / str(n)).write_text("")
 
     done.mkdir()
-    with pytest.raises(ValueError, match="caller's share"):
-        evaluate._in_processes(3, share)
+    with pytest.raises(ValueError, match="caller's job"):
+        evaluate._in_processes(3, job)
     assert no_child_left()
     assert sorted(p.name for p in done.iterdir()) == ["1", "2"]
 
@@ -621,12 +630,12 @@ def test_nothing_forks_while_another_thread_is_alive(monkeypatch):
     waiter = threading.Thread(target=release.wait)
     waiter.start()
     try:
-        results = evaluate._in_processes(2, lambda w, workers: (w, workers))
+        results = evaluate._in_processes(2, lambda n: (n, os.getpid()))
     finally:
         release.set()
         waiter.join(timeout=10)
     assert not waiter.is_alive()
-    assert results == [(0, 1)] and forks == []
+    assert results == [(0, os.getpid()), (1, os.getpid())] and forks == []
 
 
 def test_experiment_error_on_either_side_of_the_fork_is_raised(tmp_path, monkeypatch):

@@ -422,8 +422,8 @@ def _predict_on(workers, m, x, calls, monkeypatch):
 def _predict_matches_reference(m, monkeypatch, length=11, rows=3):
     """predict, in blocks of `rows` query rows, against the reference forward
     for one clip and for a stack of two, on one worker and on two. Two
-    workers take one head each through the same blocks and give the same
-    bits as one."""
+    workers share out the same blocks, each over every head, and give the
+    same bits as one."""
     import lgse.model as model_module
     from helpers import reference_forward
 
@@ -438,8 +438,8 @@ def _predict_matches_reference(m, monkeypatch, length=11, rows=3):
     for workers in (1, 2):
         preds[workers] = _predict_on(workers, m, xs[0], calls, monkeypatch)
         assert np.max(np.abs(preds[workers] - expect[0])) <= 1e-12
-        assert sorted(calls) == sorted([(h // workers, r, length) for r in block_rows]
-                                       * workers * m.config.n_layers)
+        assert sorted(calls) == sorted([(h, r, length) for r in block_rows]
+                                       * m.config.n_layers)
         assert np.max(np.abs(m.predict(xs) - expect)) <= 1e-12
     assert np.array_equal(preds[1], preds[2])
 
@@ -480,32 +480,32 @@ def test_blocked_attention_matches_tape_with_broadcast_operands(shapes):
 
 @pytest.mark.parametrize("kind", ["learnlin", "dabias", "rope", "t5"])
 def test_three_workers_over_an_uneven_split_equal_one_worker(kind, monkeypatch):
-    """Five stacked clips over three workers: parts of 1, 2 and 2 clips, each
-    through three blocks of 3 rows and one of 2."""
+    """Five stacked clips of 14 frames over three workers: four blocks of 3
+    query rows and one of 2, in runs of 2, 2 and 1 blocks."""
     import lgse.model as model_module
 
     m = _randomized_pe(tiny_model(pe=kind, n_layers=2), seed=35)
-    clips, length, h = 5, 11, m.config.n_heads
+    clips, length, h = 5, 14, m.config.n_heads
     monkeypatch.setattr(model_module, "_BLOCK_BYTES", 8 * length * h * clips * 3)
     calls = _softmax_spy(monkeypatch)
     xs, _ = _batch(m, seed=36, clips=clips, length=length)
     preds = [_predict_on(workers, m, xs, calls, monkeypatch) for workers in (1, 3)]
-    assert sorted(calls) == sorted([(part, h, r, length) for part in (1, 2, 2)
-                                    for r in (3, 3, 3, 2)] * m.config.n_layers)
+    assert sorted(calls) == sorted([(clips, h, r, length) for r in (3, 3, 3, 3, 2)]
+                                   * m.config.n_layers)
     assert np.array_equal(preds[0], preds[1])
 
 
 def test_more_workers_than_cores_switching_often_equal_one_worker(monkeypatch):
-    """Nine workers, one clip each, write disjoint rows of one output while
-    the interpreter switches threads every microsecond."""
+    """Nine workers write disjoint blocks of rows of one output, eleven
+    blocks of one query row over nine clips, while the interpreter switches
+    threads every microsecond."""
     import sys
 
     import lgse.model as model_module
 
     m = _randomized_pe(tiny_model(pe="learnlin", n_layers=2), seed=39)
     clips, length = 9, 11
-    monkeypatch.setattr(model_module, "_BLOCK_BYTES",
-                        8 * length * m.config.n_heads * clips * 2)
+    monkeypatch.setattr(model_module, "_BLOCK_BYTES", 8 * length * m.config.n_heads * clips)
     # And the per-frame parts: 99 frames in 49 blocks over nine workers.
     monkeypatch.setattr(model_module, "_FRAME_WORK", 1)
     monkeypatch.setattr(model_module, "_FRAME_ROWS", 2)
@@ -520,13 +520,13 @@ def test_more_workers_than_cores_switching_often_equal_one_worker(monkeypatch):
         many = _predict_on(clips, m, xs, calls, monkeypatch)
     finally:
         sys.setswitchinterval(interval)
-    assert len(calls) == clips * 6 * m.config.n_layers
+    assert len(calls) == length * m.config.n_layers
     assert len(ffn_calls) == 49 * m.config.n_layers
     assert len({thread for _, thread in ffn_calls}) > 1
     assert np.array_equal(one, many)
 
 
-def test_a_one_clip_stack_splits_its_heads(monkeypatch):
+def test_a_one_clip_stack_splits_its_query_rows(monkeypatch):
     import lgse.model as model_module
 
     m = _randomized_pe(tiny_model(pe="t5", n_layers=2), seed=37)
@@ -535,7 +535,7 @@ def test_a_one_clip_stack_splits_its_heads(monkeypatch):
     calls = _softmax_spy(monkeypatch)
     xs, _ = _batch(m, seed=38, clips=1, length=length)
     preds = [_predict_on(workers, m, xs, calls, monkeypatch) for workers in (1, 2)]
-    assert sorted(calls) == sorted([(1, 1, r, length) for r in (4, 4, 3)] * 2
+    assert sorted(calls) == sorted([(1, h, r, length) for r in (4, 4, 3)]
                                    * m.config.n_layers)
     assert np.array_equal(preds[0], preds[1])
 
@@ -557,26 +557,46 @@ def test_error_in_a_worker_block_propagates_and_its_threads_end(fail, monkeypatc
     assert threading.active_count() == before
 
 
-def test_long_attention_gives_a_second_worker_a_head(monkeypatch):
-    """On 2 usable CPUs a long attention call splits its two heads between
-    the calling thread and one pool thread."""
+def _attention_threads(monkeypatch, usable, block_bytes, *shape):
+    """Run `attention_head` on random (shape) q, k and v as if this process
+    could use `usable` CPUs, with `block_bytes` of scores per block; return
+    the output and the thread and query rows of each softmax call."""
     import lgse.model as model_module
 
-    monkeypatch.setattr(model_module, "_usable_cpus", lambda: 2)
-    # Blocks of 4 query rows over both heads: 11 rows do not fit one block.
-    monkeypatch.setattr(model_module, "_BLOCK_BYTES", 8 * 11 * 2 * 4)
+    monkeypatch.setattr(model_module, "_usable_cpus", lambda: usable)
+    monkeypatch.setattr(model_module, "_BLOCK_BYTES", block_bytes)
     threads, softmax = [], model_module.softmax_rows
 
     def spy(a, values=None):
-        threads.append(threading.get_ident())
+        threads.append((threading.get_ident(), a.shape[-2]))
         return softmax(a, values)
 
     monkeypatch.setattr(model_module, "softmax_rows", spy)
     rng = np.random.default_rng(45)
-    q, k, v = (constant(rng.normal(size=(2, 11, 4))) for _ in range(3))
-    attention_head(q, k, v)
-    assert len(threads) == 3 * 2
-    assert len(set(threads) - {threading.get_ident()}) == 1
+    q, k, v = (constant(rng.normal(size=shape)) for _ in range(3))
+    return attention_head(q, k, v).data, threads
+
+
+def test_long_attention_gives_a_second_worker_query_rows(monkeypatch):
+    """On 2 usable CPUs a long attention call over two heads, blocks of 4
+    query rows, splits its three blocks between the calling thread and one
+    pool thread."""
+    _, calls = _attention_threads(monkeypatch, 2, 8 * 11 * 2 * 4, 2, 11, 4)
+    threads = {thread for thread, _ in calls}
+    assert len(calls) == 3 and len(threads - {threading.get_ident()}) == 1
+
+
+def test_a_single_attention_problem_splits_its_query_rows(monkeypatch):
+    """One (L, d) problem, one clip and one head, in blocks of 4 query rows:
+    on 2 usable CPUs two threads take blocks, with the one-worker bits. The
+    calling thread, whose run is a block longer, takes the short block."""
+    main = threading.get_ident()
+    one, calls = _attention_threads(monkeypatch, 1, 8 * 11 * 4, 11, 4)
+    assert sorted(calls) == [(main, 3), (main, 4), (main, 4)]
+    two, calls = _attention_threads(monkeypatch, 2, 8 * 11 * 4, 11, 4)
+    assert sorted(rows for thread, rows in calls if thread == main) == [3, 4]
+    assert [rows for thread, rows in calls if thread != main] == [4]
+    assert np.array_equal(one, two)
 
 
 def test_on_workers_deals_contiguous_runs_in_the_callers_context(monkeypatch):
@@ -602,7 +622,8 @@ def test_on_workers_deals_contiguous_runs_in_the_callers_context(monkeypatch):
 def test_only_the_model_module_counts_cpus_and_starts_threads():
     """CPU lookups and thread pools appear in `model` alone, the BLAS
     thread variables in `lgse/__init__.py` alone, and `evaluate` uses no
-    private `model` helper but `_workers`."""
+    private `model` helper but `_workers`, and that only inside
+    `_in_processes`, so no other caller sees the worker count."""
     import ast
     from pathlib import Path
 
@@ -623,6 +644,12 @@ def test_only_the_model_module_counts_cpus_and_starts_threads():
              if isinstance(node, ast.ImportFrom) and node.module == "model"
              for alias in node.names}
     assert {name for name in used if name.startswith("_")} == {"_workers"}
+    uses = [node for node in ast.walk(tree)
+            if getattr(node, "attr", getattr(node, "id", None)) == "_workers"]
+    split, = (node for node in tree.body
+              if isinstance(node, ast.FunctionDef) and node.name == "_in_processes")
+    inside = set(map(id, ast.walk(split)))
+    assert uses and all(id(node) in inside for node in uses)
 
 
 # numpy loads its BLAS unpinned, then lgse is imported; prints the BLAS
