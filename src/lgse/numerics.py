@@ -8,6 +8,11 @@ broadcast like numpy; `matmul`, `transpose`, `softmax_rows` and
 batch dimensions, so a (B, L, K) stack of clips or a (B, H, L, d) stack of
 attention heads runs as one node. Inside `no_grad()` no tape is recorded.
 
+Every op follows one node rule: it is its forward value plus one
+local-gradient function per parent, handed to `_op`. `_op` alone records the
+node, reduces each local gradient to its parent's shape and accumulates it,
+so an op never touches the tape itself.
+
 One op has a tape-free form for inference: `softmax_rows(scores, values)`
 returns softmax(scores) @ values, consuming `scores` as its buffer. It
 normalizes the small (..., m, d) product after the value product rather than
@@ -127,21 +132,32 @@ def grad_enabled() -> bool:
     return _GRAD_ENABLED.get()
 
 
-def _node(data: np.ndarray, parents: Sequence[Tensor],
-          backward_fn: Callable[[np.ndarray], None]) -> Tensor:
-    out = Tensor(data, requires_grad=_GRAD_ENABLED.get()
-                 and any(p.requires_grad for p in parents))
-    if out.requires_grad:
-        out._parents = tuple(parents)
-        out._backward = backward_fn
+def _op(data, *edges: tuple[Tensor, Callable[[np.ndarray], np.ndarray]]) -> Tensor:
+    """The one node constructor: an op is its value plus one local-gradient
+    function per parent, given as `(parent, grad_fn)` edges.
+
+    The node is recorded only when a tape is on and some parent requires a
+    gradient. Its backward hands each such parent, in parent order,
+    `_unbroadcast(grad_fn(g), parent.shape)` through `_accumulate`; a
+    `grad_fn` is never called for a parent that requires none.
+    """
+    out = Tensor(data)
+    if _GRAD_ENABLED.get() and any(p.requires_grad for p, _ in edges):
+        out.requires_grad = True
+        out._parents = tuple(p for p, _ in edges)
+
+        def back(g):
+            for p, grad_fn in edges:
+                if p.requires_grad:
+                    _accumulate(p, _unbroadcast(grad_fn(g), p.shape))
+
+        out._backward = back
     return out
 
 
 def _accumulate(t: Tensor, g: np.ndarray) -> None:
     """Add a gradient contribution to `t.grad` without writing into either:
     the first contribution is kept as it is, later ones make a new sum."""
-    if not t.requires_grad:
-        return
     if t.grad is None:
         t.grad = g
     else:
@@ -164,71 +180,38 @@ def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
 
 def add(a, b) -> Tensor:
     a, b = _promote(a), _promote(b)
-    data = a.data + b.data
-
-    def back(g):
-        if a.requires_grad:
-            _accumulate(a, _unbroadcast(g, a.shape))
-        if b.requires_grad:
-            _accumulate(b, _unbroadcast(g, b.shape))
-
-    return _node(data, (a, b), back)
+    return _op(a.data + b.data, (a, lambda g: g), (b, lambda g: g))
 
 
 def sub(a, b) -> Tensor:
     a, b = _promote(a), _promote(b)
-    data = a.data - b.data
-
-    def back(g):
-        if a.requires_grad:
-            _accumulate(a, _unbroadcast(g, a.shape))
-        if b.requires_grad:
-            _accumulate(b, _unbroadcast(-g, b.shape))
-
-    return _node(data, (a, b), back)
+    return _op(a.data - b.data, (a, lambda g: g), (b, lambda g: -g))
 
 
 def mul(a, b) -> Tensor:
     a, b = _promote(a), _promote(b)
     data = a.data * b.data
+    if a is b:
+        # A square, as in the MSE loss: its two contributions in one array,
+        # not a sum made beside both. g*a + g*a == 2*(g*a) exactly.
+        def twice(g):
+            out = g * a.data
+            out *= 2.0
+            return out
 
-    def back(g):
-        if a is b:
-            # A square, as in the MSE loss: its two contributions in one
-            # array, not a sum made beside both. g*a + g*a == 2*(g*a) exactly.
-            if a.requires_grad:
-                twice = g * a.data
-                twice *= 2.0
-                _accumulate(a, _unbroadcast(twice, a.shape))
-            return
-        if a.requires_grad:
-            _accumulate(a, _unbroadcast(g * b.data, a.shape))
-        if b.requires_grad:
-            _accumulate(b, _unbroadcast(g * a.data, b.shape))
-
-    return _node(data, (a, b), back)
+        return _op(data, (a, twice))
+    return _op(data, (a, lambda g: g * b.data), (b, lambda g: g * a.data))
 
 
 def div(a, b) -> Tensor:
     a, b = _promote(a), _promote(b)
-    data = a.data / b.data
-
-    def back(g):
-        if a.requires_grad:
-            _accumulate(a, _unbroadcast(g / b.data, a.shape))
-        if b.requires_grad:
-            _accumulate(b, _unbroadcast(-g * a.data / (b.data * b.data), b.shape))
-
-    return _node(data, (a, b), back)
+    return _op(a.data / b.data, (a, lambda g: g / b.data),
+               (b, lambda g: -g * a.data / (b.data * b.data)))
 
 
 def neg(a) -> Tensor:
     a = _promote(a)
-
-    def back(g):
-        _accumulate(a, -g)
-
-    return _node(-a.data, (a,), back)
+    return _op(-a.data, (a, lambda g: -g))
 
 
 def _swap(x: np.ndarray) -> np.ndarray:
@@ -247,24 +230,11 @@ def matmul(a, b) -> Tensor:
             f"matmul requires (...,m,k)@(...,k,n); got {a.shape} and {b.shape}")
     if b.data.ndim == 2 and a.data.ndim > 2:
         rows = a.data.reshape(-1, a.shape[-1])
-        data = (rows @ b.data).reshape(a.shape[:-1] + b.shape[-1:])
-
-        def back(g):
-            g2 = g.reshape(-1, g.shape[-1])
-            if a.requires_grad:
-                _accumulate(a, (g2 @ b.data.T).reshape(a.shape))
-            if b.requires_grad:
-                _accumulate(b, rows.T @ g2)
-    else:
-        data = a.data @ b.data
-
-        def back(g):
-            if a.requires_grad:
-                _accumulate(a, _unbroadcast(g @ _swap(b.data), a.shape))
-            if b.requires_grad:
-                _accumulate(b, _unbroadcast(_swap(a.data) @ g, b.shape))
-
-    return _node(data, (a, b), back)
+        return _op((rows @ b.data).reshape(a.shape[:-1] + b.shape[-1:]),
+                   (a, lambda g: (g.reshape(-1, g.shape[-1]) @ b.data.T).reshape(a.shape)),
+                   (b, lambda g: rows.T @ g.reshape(-1, g.shape[-1])))
+    return _op(a.data @ b.data, (a, lambda g: g @ _swap(b.data)),
+               (b, lambda g: _swap(a.data) @ g))
 
 
 def transpose(a, axis1: int = -2, axis2: int = -1) -> Tensor:
@@ -272,21 +242,14 @@ def transpose(a, axis1: int = -2, axis2: int = -1) -> Tensor:
     a = _promote(a)
     if a.data.ndim < 2:
         raise DimensionError(f"transpose expects at least 2 axes, got {a.shape}")
-
-    def back(g):
-        _accumulate(a, np.swapaxes(g, axis1, axis2))
-
-    return _node(np.ascontiguousarray(np.swapaxes(a.data, axis1, axis2)), (a,), back)
+    return _op(np.ascontiguousarray(np.swapaxes(a.data, axis1, axis2)),
+               (a, lambda g: np.swapaxes(g, axis1, axis2)))
 
 
 def relu(a) -> Tensor:
     a = _promote(a)
     mask = a.data > 0.0
-
-    def back(g):
-        _accumulate(a, g * mask)
-
-    return _node(np.where(mask, a.data, 0.0), (a,), back)
+    return _op(np.where(mask, a.data, 0.0), (a, lambda g: g * mask))
 
 
 def _stable_sigmoid(x: np.ndarray) -> np.ndarray:
@@ -301,55 +264,32 @@ def _stable_sigmoid(x: np.ndarray) -> np.ndarray:
 def sigmoid(a) -> Tensor:
     a = _promote(a)
     s = _stable_sigmoid(a.data)
-
-    def back(g):
-        _accumulate(a, g * s * (1.0 - s))
-
-    return _node(s, (a,), back)
+    return _op(s, (a, lambda g: g * s * (1.0 - s)))
 
 
 def exp(a) -> Tensor:
     a = _promote(a)
     e = np.exp(a.data)
-
-    def back(g):
-        _accumulate(a, g * e)
-
-    return _node(e, (a,), back)
+    return _op(e, (a, lambda g: g * e))
 
 
 def log(a) -> Tensor:
     """Natural log; the caller guarantees strictly positive input."""
     a = _promote(a)
-
-    def back(g):
-        _accumulate(a, g / a.data)
-
-    return _node(np.log(a.data), (a,), back)
+    return _op(np.log(a.data), (a, lambda g: g / a.data))
 
 
 def absolute(a) -> Tensor:
     """|x| with sign subgradient (0 at the kink)."""
     a = _promote(a)
     s = np.sign(a.data)
-
-    def back(g):
-        _accumulate(a, g * s)
-
-    return _node(np.abs(a.data), (a,), back)
+    return _op(np.abs(a.data), (a, lambda g: g * s))
 
 
 def reduce_sum(a, axis: int | None = None) -> Tensor:
     a = _promote(a)
-    data = a.data.sum(axis=axis)
-
-    def back(g):
-        if axis is None:
-            _accumulate(a, np.broadcast_to(g, a.shape).copy())
-        else:
-            _accumulate(a, np.broadcast_to(np.expand_dims(g, axis), a.shape).copy())
-
-    return _node(data, (a,), back)
+    return _op(a.data.sum(axis=axis), (a, lambda g: np.broadcast_to(
+        g if axis is None else np.expand_dims(g, axis), a.shape).copy()))
 
 
 def reduce_mean(a) -> Tensor:
@@ -401,12 +341,7 @@ def softmax_rows(a, values=None) -> Tensor:
     s = a.data - a.data.max(axis=-1, keepdims=True)
     np.exp(s, out=s)
     s /= s.sum(axis=-1, keepdims=True)
-
-    def back(g):
-        inner = (g * s).sum(axis=-1, keepdims=True)
-        _accumulate(a, s * (g - inner))
-
-    return _node(s, (a,), back)
+    return _op(s, (a, lambda g: s * (g - (g * s).sum(axis=-1, keepdims=True))))
 
 
 # Added to each frame's variance before the square root.
@@ -429,18 +364,16 @@ def layer_norm_frames(x, gain, bias) -> Tensor:
     var = (centered * centered).mean(axis=-1, keepdims=True)
     inv_std = 1.0 / np.sqrt(var + LN_EPS)
     xhat = centered * inv_std
-    data = xhat * gain.data + bias.data
 
-    def back(g):
-        _accumulate(bias, g.reshape(-1, d).sum(axis=0))
-        _accumulate(gain, (g * xhat).reshape(-1, d).sum(axis=0))
+    def x_grad(g):
         dxhat = g * gain.data
         # Standard layer-norm backward, all reductions along the frame axis.
-        gx = (dxhat - dxhat.mean(axis=-1, keepdims=True)
-              - xhat * (dxhat * xhat).mean(axis=-1, keepdims=True)) * inv_std
-        _accumulate(x, gx)
+        return (dxhat - dxhat.mean(axis=-1, keepdims=True)
+                - xhat * (dxhat * xhat).mean(axis=-1, keepdims=True)) * inv_std
 
-    return _node(data, (x, gain, bias), back)
+    return _op(xhat * gain.data + bias.data, (x, x_grad),
+               (gain, lambda g: (g * xhat).reshape(-1, d).sum(axis=0)),
+               (bias, lambda g: g.reshape(-1, d).sum(axis=0)))
 
 
 def take(a, idx) -> Tensor:
@@ -451,15 +384,13 @@ def take(a, idx) -> Tensor:
     differentiable input.
     """
     a = _promote(a)
-    data = np.asarray(a.data[idx], dtype=np.float64)
 
-    def back(g):
-        if a.requires_grad:
-            ga = np.zeros_like(a.data)
-            np.add.at(ga, idx, g)
-            _accumulate(a, ga)
+    def scatter(g):
+        ga = np.zeros_like(a.data)
+        np.add.at(ga, idx, g)
+        return ga
 
-    return _node(data.copy(), (a,), back)
+    return _op(np.asarray(a.data[idx], dtype=np.float64).copy(), (a, scatter))
 
 
 def toeplitz(values, length: int) -> Tensor:
@@ -478,37 +409,33 @@ def toeplitz(values, length: int) -> Tensor:
     windows = np.lib.stride_tricks.sliding_window_view(
         values.data[..., ::-1], length, axis=-1)
 
-    def back(g):
+    def scatter(g):
         i = np.arange(length)
         gv = np.zeros_like(values.data)
         np.add.at(gv, (Ellipsis, i[:, None] - i[None, :] + (length - 1)), g)
-        _accumulate(values, gv)
+        return gv
 
-    return _node(windows[..., ::-1, :], (values,), back)
+    return _op(windows[..., ::-1, :], (values, scatter))
 
 
 def concat_cols(parts: Sequence[Tensor], axis: int = 1) -> Tensor:
-    """Concatenate 2-D tensors along columns (or rows with `axis=0`)."""
+    """Concatenate 2-D tensors along columns (or rows with `axis=0`); each
+    part's gradient is a view of its slice of the upstream one."""
     parts = [_promote(p) for p in parts]
-    widths = [p.shape[axis] for p in parts]
     data = np.concatenate([p.data for p in parts], axis=axis)
+    ends = np.cumsum([p.shape[axis] for p in parts])
 
-    def back(g):
-        bounds = np.cumsum(widths)[:-1]
-        for p, gp in zip(parts, np.split(g, bounds, axis=axis)):
-            _accumulate(p, gp)
+    def piece(start, end):
+        cut = (slice(None),) * (axis % data.ndim) + (slice(start, end),)
+        return lambda g: g[cut]
 
-    return _node(data, parts, back)
+    return _op(data, *((p, piece(end - p.shape[axis], end))
+                       for p, end in zip(parts, ends)))
 
 
 def reshape(a, shape: tuple[int, ...]) -> Tensor:
     a = _promote(a)
-    orig = a.shape
-
-    def back(g):
-        _accumulate(a, g.reshape(orig))
-
-    return _node(a.data.reshape(shape), (a,), back)
+    return _op(a.data.reshape(shape), (a, lambda g: g.reshape(a.shape)))
 
 
 def rotate_pairs(x) -> Tensor:
@@ -522,13 +449,13 @@ def rotate_pairs(x) -> Tensor:
     data[..., 0::2] = -x.data[..., 1::2]
     data[..., 1::2] = x.data[..., 0::2]
 
-    def back(g):
+    def unrotate(g):
         gx = np.empty_like(g)
         gx[..., 1::2] = -g[..., 0::2]
         gx[..., 0::2] = g[..., 1::2]
-        _accumulate(x, gx)
+        return gx
 
-    return _node(data, (x,), back)
+    return _op(data, (x, unrotate))
 
 
 def trace(root: Tensor) -> list[Tensor]:

@@ -58,6 +58,7 @@ from .numerics import (
     reduce_sum,
     reshape,
     rotate_pairs,
+    sigmoid,
     sub,
     take,
     toeplitz,
@@ -217,10 +218,13 @@ def tisa_bias(length: int, a: Tensor, b: Tensor, c: Tensor) -> Tensor:
 
 
 def da_bias(length: int, w: Tensor, v: Tensor) -> Tensor:
-    """(1 + e^v) / (1 + e^{v - w|i-j|}); w and v are scalars or one per head."""
+    """(1 + e^v) / (1 + e^{v - w|i-j|}); w and v are scalars or one per head.
+
+    Computed as (1 + e^v) sigmoid(w|i-j| - v), which stays finite, gradients
+    included, when a negative w makes e^{v - w|i-j|} overflow."""
     absr = constant(np.abs(toeplitz_offsets(length)).astype(np.float64))
     w, v = _per_head(w), _per_head(v)
-    values = div(add(exp(v), 1.0), add(exp(sub(v, mul(absr, w))), 1.0))
+    values = mul(add(exp(v), 1.0), sigmoid(sub(mul(absr, w), v)))
     return toeplitz(values, length)
 
 

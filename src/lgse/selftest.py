@@ -27,6 +27,12 @@ from .posenc import PeKind
 
 # -- naive reference evaluators (per-pair loops, no Toeplitz shortcut) --------
 
+def _sigmoid(x) -> float:
+    # `numerics._stable_sigmoid`'s two branches, for one scalar.
+    e = np.exp(-abs(x))
+    return (1.0 if x >= 0 else e) / (e + 1.0)
+
+
 # The bias at offset r = i - j, one formula per scheme. Scalar np.exp/np.log
 # keep the elementary functions bitwise equal to the built path's.
 NAIVE_OFFSET = {
@@ -35,7 +41,7 @@ NAIVE_OFFSET = {
     PeKind.TISA: lambda r, p: sum(np.exp(-(abs(b) * ((-r - c) * (-r - c)))) * a
                                   for a, b, c in zip(p["a"], p["b"], p["c"])),
     PeKind.DABIAS: lambda r, p: ((np.exp(p["v"]) + 1.0)
-                                 / (np.exp(p["v"] - float(abs(r)) * p["w"]) + 1.0)),
+                                 * _sigmoid(float(abs(r)) * p["w"] - p["v"])),
     PeKind.KERPLE: lambda r, p: -(np.exp(p["rho1"])
                                   * np.log(float(abs(r)) * np.exp(p["rho2"]) + 1.0)),
     PeKind.LEARNLIN: lambda r, p: float(abs(r)) * p["beta"],

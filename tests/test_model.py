@@ -835,3 +835,49 @@ def test_selftest_tape_free_check_catches_a_floor_that_changes_weights(monkeypat
     monkeypatch.setattr(numerics, "EXP_FLOOR", -5.0)
     with pytest.raises(AssertionError, match=" L=13: "):
         check_tape_free_forward()
+
+
+@pytest.mark.filterwarnings("error")
+def test_dabias_stays_finite_when_a_decay_turns_negative():
+    """Once w < 0, e^{v - w|i-j|} overflows past |w| |i-j| ~ 709: a desk
+    predict at 1,249 frames with w = -1, and a taped step over 30-frame
+    clips with w = -30, whose gradients must stay finite."""
+    from lgse.numerics import backward
+    from lgse.training import mse_loss
+
+    m = EnhancementModel(ModelConfig(n_layers=2, n_heads=4, d_model=32, d_ff=128,
+                                     pe_kind="dabias", target="ms"))
+    m.params["pe.w"].data[:] = -1.0
+    assert np.all(np.isfinite(m.predict(rand_input(1249, k=257, seed=50))))
+    m.params["pe.w"].data[:] = -30.0
+    xs, targets = _batch(m, seed=51, clips=2, length=30)
+    backward(mse_loss(m.forward(xs), targets))
+    for name in ("pe.w", "pe.v"):
+        assert np.all(np.isfinite(m.params[name].grad)), name
+
+
+@pytest.mark.parametrize("target", ["irm", "cirm"])
+@pytest.mark.parametrize("kind", ALL_KINDS)
+def test_backward_hands_no_gradient_to_a_tensor_that_needs_none(kind, target,
+                                                                 monkeypatch):
+    """On 7-frame clips bertpos runs past its 4 trained rows, so constant
+    rows join its table on the tape; they must receive no gradient."""
+    import lgse.numerics as numerics
+    from lgse.numerics import backward
+    from lgse.training import mse_loss
+
+    accumulate = numerics._accumulate
+    needless = []
+
+    def spy(t, g):
+        if not t.requires_grad:
+            needless.append(t.shape)
+        accumulate(t, g)
+
+    monkeypatch.setattr(numerics, "_accumulate", spy)
+    m = _randomized_pe(tiny_model(pe=kind, target=target, n_layers=1,
+                                  bertpos_max_len=4), seed=52)
+    xs, targets = _batch(m, seed=53, clips=2, length=7)
+    backward(mse_loss(m.forward(xs), targets))
+    assert needless == []
+    assert all(t.grad is not None for t in m.params.values())

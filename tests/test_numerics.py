@@ -1,3 +1,6 @@
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -223,6 +226,40 @@ def test_trace_topological_and_unique():
     for n in nodes:
         for p in n._parents:
             assert position[id(p)] < position[id(n)]
+
+
+def _scoped_nodes(tree):
+    """(scope, node) for every node of a module; the scope names the
+    top-level function or `Class.method` that holds the node."""
+    for top in tree.body:
+        is_class = isinstance(top, ast.ClassDef)
+        prefix = f"{top.name}." if is_class else ""
+        for member in top.body if is_class else [top]:
+            scope = prefix + getattr(member, "name", "<statement>")
+            yield from ((scope, node) for node in ast.walk(member))
+
+
+def test_only_op_records_a_node():
+    """In `numerics`, `_op` alone sets a tensor's `_parents` or `_backward`
+    (apart from `Tensor.__init__`'s empty defaults) and alone calls
+    `_accumulate` and `_unbroadcast`: every op is its value plus one local
+    gradient per parent."""
+    tree = ast.parse(Path(numerics.__file__).read_text(encoding="utf-8"))
+    records, calls = set(), set()
+    for scope, node in _scoped_nodes(tree):
+        if isinstance(node, (ast.Assign, ast.AugAssign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            default = scope == "Tensor.__init__" and (
+                isinstance(node.value, ast.Constant) and node.value.value is None
+                or isinstance(node.value, ast.Tuple) and not node.value.elts)
+            records |= {(scope, t.attr) for t in targets
+                        if isinstance(t, ast.Attribute)
+                        and t.attr in ("_parents", "_backward") and not default}
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name):
+            if node.func.id in ("_accumulate", "_unbroadcast"):
+                calls.add((scope, node.func.id))
+    assert records == {("_op", "_parents"), ("_op", "_backward")}
+    assert calls == {("_op", "_accumulate"), ("_op", "_unbroadcast")}
 
 
 # -- gradient ownership -------------------------------------------------------
