@@ -1,13 +1,16 @@
 """Length-generalization evaluation: surrogate metrics, full-length vs.
 chunked inference, and the train-short / test-long experiment runner.
 
-The experiment lists the kinds to train and the mixtures to score as jobs,
-and `_in_processes` deals them out to forked processes, as many as
-`model._workers` allows. Each runs BLAS on one thread, as importing lgse set
-it, so the output bytes are the same for any process count. It forks only
-while no other Python thread is alive; the model's worker threads, for
-attention and for the per-frame parts of a long forward, are joined before
-their call returns, so none is alive between calls."""
+The experiment scores each mixture with one `enhance_full` call for the full
+mode and one `enhance_chunked` call for all its chunked modes, which enhances
+each distinct chunk once, however many modes own it. It lists the kinds to
+train and the mixtures to score as jobs, and `_in_processes` deals them out
+to forked processes, as many as `model._workers` allows. Each runs BLAS on
+one thread, as importing lgse set it, so the output bytes are the same for
+any process count. It forks only while no other Python thread is alive; the
+model's worker threads, for attention and for the per-frame parts of a long
+forward, are joined before their call returns, so none is alive between
+calls."""
 
 from __future__ import annotations
 
@@ -158,8 +161,9 @@ def chunk_starts(n_samples: int, chunk_len: int, overlap: float) -> list[int]:
 
 
 # Bytes of complex spectrum one `enhance_full` call of `enhance_chunked` may
-# stack: 8 chunks of 0.5 s. For 20 s in 0.5 s seg-o chunks (desk model), one
-# stack of all 79 chunks peaked at 59 MB under tracemalloc, groups at 11 MB.
+# stack: 8 chunks of 0.5 s, whichever overlaps own them. For 20 s in 0.5 s
+# seg-o chunks (desk model), one stack of all 79 chunks peaked at 59 MB under
+# tracemalloc, groups at 11 MB.
 _GROUP_BYTES = 2**20
 
 
@@ -171,7 +175,7 @@ def _triangle(n: int) -> np.ndarray:
 
 def enhance_chunked(model: EnhancementModel | tuple[EnhancementModel, ...],
                     noisy: Waveform, chunk_s: float,
-                    overlap: float) -> Waveform | tuple[Waveform, ...]:
+                    overlap: float | tuple[float, ...]) -> Waveform | tuple:
     """Enhance fixed-length chunks independently and recombine.
 
     The chunks go through `enhance_full` in (B, n) groups, as many per call
@@ -184,39 +188,58 @@ def enhance_chunked(model: EnhancementModel | tuple[EnhancementModel, ...],
     `model` may be a tuple of models; the call then returns a tuple of
     Waveforms, one per model in order. The chunk stack, each group's
     analysis and the blend weights are shared; only each model's estimate is
-    blended on its own, so memory grows by one signal per model.
+    blended on its own.
+
+    `overlap` may be a tuple of distinct overlaps; the call then returns one
+    result per overlap in order, each what a call with that overlap alone
+    returns, to rounding: the groups are cut from the sorted union of the
+    overlaps' chunk starts, so a chunk several overlaps own (every 0-overlap
+    chunk of an even length is a 50%-overlap one) is enhanced once, in a
+    stack that may differ from its own call's. Tails stay per overlap.
+    Memory grows by one signal per model per overlap.
     """
     models = model if isinstance(model, tuple) else (model,)
+    overlaps = overlap if isinstance(overlap, tuple) else (overlap,)
+    if not overlaps:
+        raise ValueError("overlap must name at least one overlap, got ()")
     chunk_len = int(round(chunk_s * dsp.SAMPLE_RATE))
     n = len(noisy)
-    starts = chunk_starts(n, chunk_len, overlap)
-    est = np.zeros((len(models), n))
-    weight = np.zeros(n)
-    win = _triangle(chunk_len) if overlap == 0.5 else np.ones(chunk_len)
+    owned = [set(chunk_starts(n, chunk_len, o)) for o in overlaps]
+    _require_distinct("overlap", overlaps, label=float)
+    starts = sorted(set().union(*owned))
+    est = np.zeros((len(overlaps), len(models), n))
+    weight = np.zeros((len(overlaps), n))
     # Blend nothing outside the samples a chunk's ISTFT rebuilds.
     sup = dsp.rebuilt_span(chunk_len)
+    wins = [(_triangle(chunk_len) if o == 0.5 else np.ones(chunk_len))[sup]
+            for o in overlaps]
     group = max(1, _GROUP_BYTES // (16 * dsp.frame_count(chunk_len) * dsp.N_BINS))
     chunks = np.lib.stride_tricks.sliding_window_view(noisy.samples, chunk_len)
     for g in range(0, len(starts), group):
         batch = starts[g:g + group]
-        for s in batch:
-            weight[s + sup.start:s + sup.stop] += win[sup]
-        for e, out in zip(est, enhance_full(models, chunks[batch])):
-            for s, row in zip(batch, out):
-                e[s + sup.start:s + sup.stop] += row[sup] * win[sup]
-    tail_start = starts[-1] + chunk_len
-    if tail_start < n and n - tail_start >= dsp.WIN_LEN:
-        outs = enhance_full(models, Waveform(noisy.samples[tail_start:]))
-        for e, out in zip(est, outs):
-            e[tail_start + 1:] += out.samples[1:]
-        weight[tail_start + 1:] += 1.0
-    blended = weight > 1e-8
-    np.divide(est, weight, out=est, where=blended)
+        outs = enhance_full(models, chunks[batch])
+        for own, ests, w, win in zip(owned, est, weight, wins):
+            for j, s in enumerate(batch):
+                if s in own:
+                    w[s + sup.start:s + sup.stop] += win
+                    for e, out in zip(ests, outs):
+                        e[s + sup.start:s + sup.stop] += out[j, sup] * win
+        del outs  # free this group's rows before the next group's are made
+    for own, ests, w in zip(owned, est, weight):
+        tail_start = max(own) + chunk_len
+        if tail_start < n and n - tail_start >= dsp.WIN_LEN:
+            outs = enhance_full(models, Waveform(noisy.samples[tail_start:]))
+            for e, out in zip(ests, outs):
+                e[tail_start + 1:] += out.samples[1:]
+            w[tail_start + 1:] += 1.0
+    blended = (weight > 1e-8)[:, None]
+    np.divide(est, weight[:, None], out=est, where=blended)
     # Samples no chunk reconstructs (chunk-boundary zeros, dropped tails)
     # pass through unprocessed.
     np.copyto(est, noisy.samples, where=~blended)
-    ests = tuple(Waveform(e) for e in est)
-    return ests if isinstance(model, tuple) else ests[0]
+    results = tuple(tuple(Waveform(e) for e in ests) if isinstance(model, tuple)
+                    else Waveform(ests[0]) for ests in est)
+    return results if isinstance(overlap, tuple) else results[0]
 
 
 # -- experiment protocol ------------------------------------------------------
@@ -225,8 +248,9 @@ def enhance_chunked(model: EnhancementModel | tuple[EnhancementModel, ...],
 def _require_distinct(name: str, values, label=str) -> None:
     """Raise a ValueError naming setting `name` and a value whose `label`
     an earlier value has: a repeated value would add its rows to the report
-    twice, and two durations of one label (`f"{dur:g}"`, which names their
-    corpus seed and utt_ids) would score the same mixtures twice."""
+    or its estimate to a call's results twice, and two durations of one
+    label (`f"{dur:g}"`, which names their corpus seed and utt_ids) would
+    score the same mixtures twice."""
     seen = {}
     for value in values:
         key = label(value)
@@ -444,8 +468,9 @@ def run_lengen_experiment(seed: int, model_cfg: ModelConfig,
     A kind whose checkpoint is in `out_dir` is loaded, unless `exp.retrain`;
     the others train on one corpus, synthesized only if some model trains,
     and are saved and loaded back. Every mixture is enhanced by all models in
-    one call per mode, so each mixture (and each chunk group) is analysed
-    once, and each estimate is scored as soon as it is made.
+    one `enhance_full` call for the full mode and one `enhance_chunked` call
+    for every chunked mode, so each mixture and each distinct chunk is
+    analysed once, however many models and modes use it.
 
     Both phases list their jobs, the kinds to train and the (duration, SNR,
     utterance) mixtures to score, for `_in_processes` to deal out. A process
@@ -530,16 +555,20 @@ def _score_case(case, models, exp: ExperimentConfig, chunk_s: float,
                       si_sdr_out=sdr_in, seg_snr_out=seg_snr(noisy, utt.clean),
                       mode="full", **base)]
     scores: dict[tuple[str, str], tuple[float, float]] = {}
-    for mode in exp.modes:
-        overlap = MODES[mode]
-        if overlap is None:
-            ests = enhance_full(bundle, noisy)
-        elif dur <= chunk_s:
-            continue
-        else:
-            ests = enhance_chunked(bundle, noisy, chunk_s, overlap)
+
+    def score(mode: str, ests) -> None:
         for kind, est in zip(models, ests):
             scores[kind, mode] = si_sdr(est, utt.clean), seg_snr(est, utt.clean)
+
+    for mode in exp.modes:
+        if MODES[mode] is None:
+            score(mode, enhance_full(bundle, noisy))
+    # One call enhances every chunked mode, each distinct chunk once.
+    chunked = [mode for mode in exp.modes if MODES[mode] is not None]
+    if chunked and dur > chunk_s:
+        ests = enhance_chunked(bundle, noisy, chunk_s, tuple(MODES[m] for m in chunked))
+        for mode, mode_ests in zip(chunked, ests):
+            score(mode, mode_ests)
     for kind, m in models.items():
         for mode in exp.modes:
             if (kind, mode) in scores:

@@ -313,6 +313,58 @@ def test_enhance_chunked_with_several_models_equals_one_call_each(monkeypatch, o
     assert all(a[0] == models for a in calls)
 
 
+# (chunk_s, n, overlaps, distinct starts, tails). 0.1 s chunks are 1600
+# samples, so every seg chunk is also a seg-o chunk; at 8600 samples both
+# modes leave a 600-sample tail, at 4000 only seg does (800 samples). 0.5000625
+# s chunks are 8001 samples, odd: seg starts 0, 8001, 16002 and seg-o every
+# 4000 samples share only 0, and both leave a tail.
+OVERLAP_CASES = [(0.1, 8600, (0.0, 0.5), 9, 2),
+                 (0.1, 8600, (0.5, 0.0), 9, 2),
+                 (0.1, 4000, (0.0, 0.5), 4, 1),
+                 (0.5000625, 32000, (0.0, 0.5), 8, 2)]
+
+
+@pytest.mark.parametrize("chunk_s, n, overlaps, n_starts, tails", OVERLAP_CASES)
+@pytest.mark.parametrize("n_models", [1, 3])
+def test_enhance_chunked_over_several_overlaps_equals_one_call_each(
+        monkeypatch, chunk_s, n, overlaps, n_starts, tails, n_models):
+    """Each overlap's result is its own call's: bitwise where its starts are
+    the union's (seg-o at an even chunk length), else within 1e-15 per
+    sample, since a chunk stacked with other companions moves the forward's
+    sums. One enhance_full call per group of distinct starts, one per tail."""
+    chunk_len = int(round(chunk_s * SAMPLE_RATE))
+    monkeypatch.setattr(evaluate, "_GROUP_BYTES",
+                        2 * 16 * dsp.frame_count(chunk_len) * dsp.N_BINS)
+    models = three_models() if n_models == 3 else small_model("irm")
+    x = Waveform(white(n, seed=n + 2))
+    want = [enhance_chunked(models, x, chunk_s, o) for o in overlaps]
+    union = set().union(*(chunk_starts(n, chunk_len, o) for o in overlaps))
+    assert len(union) == n_starts
+    calls = count_calls(monkeypatch, evaluate, "enhance_full")
+    got = enhance_chunked(models, x, chunk_s, overlaps)
+    assert isinstance(got, tuple) and len(got) == len(overlaps)
+    assert len(calls) == math.ceil(n_starts / 2) + tails
+    for o, est, ref in zip(overlaps, got, want):
+        for e, r in zip(est, ref) if n_models == 3 else [(est, ref)]:
+            assert isinstance(e, Waveform) and len(e) == n
+            if o == 0.5 and chunk_len % 2 == 0:
+                assert np.array_equal(e.samples, r.samples)
+            else:
+                assert np.max(np.abs(e.samples - r.samples)) <= 1e-15
+
+
+@pytest.mark.parametrize("overlap, message", [
+    ((), "overlap must name at least one overlap"),
+    ((0.5, 0.5), "overlap must be distinct; 0.5 appears twice"),
+    ((0.0, 0.5, 0), "overlap must be distinct; 0 appears twice")])
+def test_enhance_chunked_rejects_an_empty_or_repeated_overlap_tuple(monkeypatch,
+                                                                   overlap, message):
+    calls = count_calls(monkeypatch, evaluate, "enhance_full")
+    with pytest.raises(ValueError, match=message):
+        enhance_chunked(small_model("irm"), Waveform(white(8600)), 0.1, overlap)
+    assert not calls
+
+
 def test_triangle_crossfade_sums_to_one():
     from lgse.evaluate import _triangle
 
@@ -485,11 +537,17 @@ def test_experiment_analyses_each_mixture_once_whatever_the_kinds(tmp_path,
         _tiny_experiment(out_dir, kinds)
         seen[len(kinds)] = {name: len(calls) for name, calls in counted.items()}
     one, three = seen[1], seen[3]
-    # 8 mixtures in full mode, 4 of them also in seg and seg-o.
-    assert one["enhance_chunked"] == three["enhance_chunked"] == 8
-    assert one["enhance_full"] == three["enhance_full"] > 8
-    assert one["stft"] == three["stft"] == one["enhance_full"]
-    assert three["predict"] == 3 * one["predict"]
+    # 8 mixtures in full mode, 4 of them (1.25 s) also in seg and seg-o, both
+    # from one chunked call. Their 0.5 s chunks start at 0, 4000, 8000 and
+    # 12000 (seg's two among them): one group, plus seg's 4000-sample tail.
+    assert one["enhance_chunked"] == three["enhance_chunked"] == 4
+    union = set(chunk_starts(20000, 8000, 0.0)) | set(chunk_starts(20000, 8000, 0.5))
+    groups = math.ceil(len(union) / (evaluate._GROUP_BYTES // (16 * 30 * 257)))
+    passes = 8 + 4 * (groups + 1)
+    assert (groups, passes) == (1, 16)
+    assert one["enhance_full"] == three["enhance_full"] == passes
+    assert one["stft"] == three["stft"] == passes
+    assert one["predict"] == passes and three["predict"] == 3 * passes
     # Every checkpoint loads, so only the two test corpora are synthesized.
     assert one["synth_corpus"] == three["synth_corpus"] == 2
 
