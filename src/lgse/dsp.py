@@ -167,7 +167,8 @@ def istft(spec: np.ndarray, out_len: int | None = None) -> Waveform | np.ndarray
             f"cannot reconstruct {out_len} samples from {n_frames} frames "
             f"(these cover {total})")
     frames = np.fft.irfft(spec, n=FFT_SIZE, axis=-1)[..., :WIN_LEN]
-    out = _overlap_add(frames * WINDOW, HOP, out_len)
+    frames *= WINDOW
+    out = _overlap_add(frames, HOP, out_len)
     wsum = _overlap_add(np.broadcast_to(WINDOW * WINDOW, (n_frames, WIN_LEN)),
                         HOP, out_len)
     np.divide(out, wsum, out=out, where=wsum > 1e-10)

@@ -66,7 +66,8 @@ def si_sdr(est: Waveform | np.ndarray, ref: Waveform | np.ndarray) -> float:
     alpha = float(np.dot(e, r)) / r_energy
     target = alpha * r
     e_target = float(np.dot(target, target))
-    e_resid = float(np.dot(e - target, e - target))
+    resid = e - target
+    e_resid = float(np.dot(resid, resid))
     if e_target <= 0.0:
         return -SI_SDR_CAP_DB
     if e_resid <= e_target * 10.0 ** (-SI_SDR_CAP_DB / 10.0):
@@ -195,7 +196,8 @@ def enhance_chunked(model: EnhancementModel | tuple[EnhancementModel, ...],
     returns, to rounding: the groups are cut from the sorted union of the
     overlaps' chunk starts, so a chunk several overlaps own (every 0-overlap
     chunk of an even length is a 50%-overlap one) is enhanced once, in a
-    stack that may differ from its own call's. Tails stay per overlap.
+    stack that may differ from its own call's. A tail is enhanced once for
+    all overlaps whose tails start at the same sample.
     Memory grows by one signal per model per overlap.
     """
     models = model if isinstance(model, tuple) else (model,)
@@ -225,13 +227,15 @@ def enhance_chunked(model: EnhancementModel | tuple[EnhancementModel, ...],
                     for e, out in zip(ests, outs):
                         e[s + sup.start:s + sup.stop] += out[j, sup] * win
         del outs  # free this group's rows before the next group's are made
-    for own, ests, w in zip(owned, est, weight):
-        tail_start = max(own) + chunk_len
-        if tail_start < n and n - tail_start >= dsp.WIN_LEN:
-            outs = enhance_full(models, Waveform(noisy.samples[tail_start:]))
-            for e, out in zip(ests, outs):
-                e[tail_start + 1:] += out.samples[1:]
-            w[tail_start + 1:] += 1.0
+    tails = [max(own) + chunk_len for own in owned]
+    for t in dict.fromkeys(tails):
+        if n - t >= dsp.WIN_LEN:
+            outs = enhance_full(models, Waveform(noisy.samples[t:]))
+            for tail, ests, w in zip(tails, est, weight):
+                if tail == t:
+                    for e, out in zip(ests, outs):
+                        e[t + 1:] += out.samples[1:]
+                    w[t + 1:] += 1.0
     blended = (weight > 1e-8)[:, None]
     np.divide(est, weight[:, None], out=est, where=blended)
     # Samples no chunk reconstructs (chunk-boundary zeros, dropped tails)

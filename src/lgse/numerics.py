@@ -247,21 +247,36 @@ def transpose(a, axis1: int = -2, axis2: int = -1) -> Tensor:
 
 
 def relu(a) -> Tensor:
+    """max(x, 0) as +0.0 wherever x is not positive, NaN included; gradient
+    1 where x > 0, else 0.
+
+    Selects without a branch: fmax maps NaN to 0, and adding 0.0 turns the
+    -0.0 fmax may keep into +0.0 while leaving every other value as it is.
+    The backward builds its mask from `a.data` when it runs.
+    """
     a = _promote(a)
-    mask = a.data > 0.0
-    return _op(np.where(mask, a.data, 0.0), (a, lambda g: g * mask))
+    out = np.fmax(a.data, 0.0)
+    out += 0.0
+    return _op(out, (a, lambda g: g * (a.data > 0.0)))
 
 
 def _stable_sigmoid(x: np.ndarray) -> np.ndarray:
-    # 1/(1+e^-x) for x >= 0 and e^x/(1+e^x) below, with one exp of -|x|.
-    e = np.exp(-np.abs(x))
-    out = np.where(x >= 0, 1.0, e)
+    """1/(1+e^-x) for x >= 0 and e^x/(1+e^x) below, with one exp of -|x|.
+
+    The numerator max(e, x >= 0) selects without a branch: e = e^-|x| <= 1,
+    so it is 1 where x >= 0 and e (NaN for NaN) elsewhere.
+    """
+    e = np.abs(x)
+    np.negative(e, out=e)
+    np.exp(e, out=e)
+    out = np.maximum(e, x >= 0)
     e += 1.0
     out /= e
     return out
 
 
 def sigmoid(a) -> Tensor:
+    """Logistic function, overflow-free for any input (`_stable_sigmoid`)."""
     a = _promote(a)
     s = _stable_sigmoid(a.data)
     return _op(s, (a, lambda g: g * s * (1.0 - s)))
@@ -350,7 +365,13 @@ LN_EPS = 1e-5
 
 def layer_norm_frames(x, gain, bias) -> Tensor:
     """Normalize each frame (last-axis vector of a (..., L, d) tensor) to
-    zero mean / unit variance, then affine."""
+    zero mean / unit variance, then affine.
+
+    Centres and scales one buffer and squares into the output buffer before
+    the affine step overwrites it; each in-place step is the operation the
+    textbook form (x - mu) / sqrt(var + eps) * gain + bias makes out of
+    place, in the same order, so every value is the same.
+    """
     x, gain, bias = _promote(x), _promote(gain), _promote(bias)
     if x.data.ndim < 2 or x.shape[-1] < 2:
         raise DimensionError(
@@ -359,11 +380,15 @@ def layer_norm_frames(x, gain, bias) -> Tensor:
     if gain.shape != (d,) or bias.shape != (d,):
         raise DimensionError(
             f"gain/bias must have shape ({d},), got {gain.shape} and {bias.shape}")
-    mu = x.data.mean(axis=-1, keepdims=True)
-    centered = x.data - mu
-    var = (centered * centered).mean(axis=-1, keepdims=True)
-    inv_std = 1.0 / np.sqrt(var + LN_EPS)
-    xhat = centered * inv_std
+    xhat = x.data - x.data.mean(axis=-1, keepdims=True)
+    out = np.square(xhat)
+    inv_std = out.mean(axis=-1, keepdims=True)
+    inv_std += LN_EPS
+    np.sqrt(inv_std, out=inv_std)
+    np.divide(1.0, inv_std, out=inv_std)
+    xhat *= inv_std
+    np.multiply(xhat, gain.data, out=out)
+    out += bias.data
 
     def x_grad(g):
         dxhat = g * gain.data
@@ -371,7 +396,7 @@ def layer_norm_frames(x, gain, bias) -> Tensor:
         return (dxhat - dxhat.mean(axis=-1, keepdims=True)
                 - xhat * (dxhat * xhat).mean(axis=-1, keepdims=True)) * inv_std
 
-    return _op(xhat * gain.data + bias.data, (x, x_grad),
+    return _op(out, (x, x_grad),
                (gain, lambda g: (g * xhat).reshape(-1, d).sum(axis=0)),
                (bias, lambda g: g.reshape(-1, d).sum(axis=0)))
 

@@ -89,10 +89,7 @@ def cirm(clean: np.ndarray, noisy: np.ndarray) -> np.ndarray:
     _check_shapes(clean, noisy, "cirm")
     x2 = (noisy.real ** 2 + noisy.imag ** 2)
     num = clean * np.conj(noisy)
-    out = np.zeros_like(num)
-    ok = x2 >= _ZERO_FLOOR
-    out[ok] = num[ok] / x2[ok]
-    return out
+    return np.divide(num, x2, out=np.zeros_like(num), where=x2 >= _ZERO_FLOOR)
 
 
 def compress_cirm(values: np.ndarray) -> np.ndarray:

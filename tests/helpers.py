@@ -7,6 +7,7 @@ import json
 import math
 import os
 import struct
+import warnings
 from dataclasses import fields
 
 import numpy as np
@@ -185,6 +186,79 @@ def enhance_chunked_loop(model, noisy: Waveform, chunk_s: float,
     est[blended] /= weight[blended]
     est[~blended] = noisy.samples[~blended]
     return est
+
+
+# -- elementwise kernels in their select-and-copy forms ------------------------
+#
+# `numerics` and `objectives` compute these without a data-dependent select
+# and in fewer buffers; each must give these forms' bits.
+
+
+def relu_where(x: np.ndarray) -> np.ndarray:
+    return np.where(x > 0.0, x, 0.0)
+
+
+def sigmoid_where(x: np.ndarray) -> np.ndarray:
+    e = np.exp(-np.abs(x))
+    out = np.where(x >= 0, 1.0, e)
+    e += 1.0
+    out /= e
+    return out
+
+
+def layer_norm_frames_plain(x: np.ndarray, gain: np.ndarray,
+                            bias: np.ndarray) -> np.ndarray:
+    mu = x.mean(axis=-1, keepdims=True)
+    centered = x - mu
+    var = (centered * centered).mean(axis=-1, keepdims=True)
+    inv_std = 1.0 / np.sqrt(var + LN_EPS)
+    xhat = centered * inv_std
+    return xhat * gain + bias
+
+
+def cirm_masked(clean: np.ndarray, noisy: np.ndarray) -> np.ndarray:
+    x2 = (noisy.real ** 2 + noisy.imag ** 2)
+    num = clean * np.conj(noisy)
+    out = np.zeros_like(num)
+    ok = x2 >= 1e-12
+    out[ok] = num[ok] / x2[ok]
+    return out
+
+
+def same_bits(a: np.ndarray, b: np.ndarray) -> bool:
+    """Equal dtype, shape and bytes: NaN payloads and the sign of zero count."""
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def warned(f, *args):
+    """f(*args) and the messages of the warnings it raised, in order."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        out = f(*args)
+    return out, [str(w.message) for w in caught]
+
+
+# ±0, ±inf, NaN, the smallest subnormals and values whose exp over- or
+# underflows.
+SPECIAL_VALUES = np.array([0.0, -0.0, np.inf, -np.inf, np.nan,
+                           5e-324, -5e-324, 800.0, -800.0])
+
+
+def special_inputs() -> list[np.ndarray]:
+    """SPECIAL_VALUES whole, as a strided view and one value at a time: a
+    ufunc may treat a value in its vector loop otherwise than in its scalar
+    remainder (np.fmax keeps -0.0 in the one and not the other)."""
+    return [SPECIAL_VALUES, SPECIAL_VALUES[::-2]] + [SPECIAL_VALUES[i:i + 1]
+                                                     for i in range(len(SPECIAL_VALUES))]
+
+
+def kernel_inputs(shape) -> list[np.ndarray]:
+    """`special_inputs()` when `shape` is None, else standard normals of
+    that shape."""
+    if shape is None:
+        return special_inputs()
+    return [np.random.default_rng(sum(shape)).standard_normal(shape)]
+KERNEL_SHAPES = [(600, 128), (1249, 257), (8, 30, 257)]
 
 
 def seg_snr_loop(est: np.ndarray, ref: np.ndarray, frame: int = 512,

@@ -313,13 +313,14 @@ def test_enhance_chunked_with_several_models_equals_one_call_each(monkeypatch, o
     assert all(a[0] == models for a in calls)
 
 
-# (chunk_s, n, overlaps, distinct starts, tails). 0.1 s chunks are 1600
-# samples, so every seg chunk is also a seg-o chunk; at 8600 samples both
-# modes leave a 600-sample tail, at 4000 only seg does (800 samples). 0.5000625
-# s chunks are 8001 samples, odd: seg starts 0, 8001, 16002 and seg-o every
-# 4000 samples share only 0, and both leave a tail.
-OVERLAP_CASES = [(0.1, 8600, (0.0, 0.5), 9, 2),
-                 (0.1, 8600, (0.5, 0.0), 9, 2),
+# (chunk_s, n, overlaps, distinct starts, distinct tail starts). 0.1 s chunks
+# are 1600 samples, so every seg chunk is also a seg-o chunk; at 8600 samples
+# both modes leave the same 600-sample tail at 8000, at 4000 only seg leaves
+# one (800 samples). 0.5000625 s chunks are 8001 samples, odd: seg starts 0,
+# 8001, 16002 and seg-o every 4000 samples share only 0, and their tails start
+# at 24003 and 28001.
+OVERLAP_CASES = [(0.1, 8600, (0.0, 0.5), 9, 1),
+                 (0.1, 8600, (0.5, 0.0), 9, 1),
                  (0.1, 4000, (0.0, 0.5), 4, 1),
                  (0.5000625, 32000, (0.0, 0.5), 8, 2)]
 
@@ -331,7 +332,8 @@ def test_enhance_chunked_over_several_overlaps_equals_one_call_each(
     """Each overlap's result is its own call's: bitwise where its starts are
     the union's (seg-o at an even chunk length), else within 1e-15 per
     sample, since a chunk stacked with other companions moves the forward's
-    sums. One enhance_full call per group of distinct starts, one per tail."""
+    sums. One enhance_full call per group of distinct starts, one per
+    distinct tail start."""
     chunk_len = int(round(chunk_s * SAMPLE_RATE))
     monkeypatch.setattr(evaluate, "_GROUP_BYTES",
                         2 * 16 * dsp.frame_count(chunk_len) * dsp.N_BINS)

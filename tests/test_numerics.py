@@ -1,4 +1,5 @@
 import ast
+import textwrap
 from pathlib import Path
 
 import numpy as np
@@ -6,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lgse import numerics
+from lgse import numerics, objectives
 from lgse.numerics import (
     LN_EPS,
     ContractError,
@@ -37,6 +38,17 @@ from lgse.numerics import (
     toeplitz,
     trace,
     transpose,
+)
+
+from helpers import (
+    KERNEL_SHAPES,
+    SPECIAL_VALUES,
+    kernel_inputs,
+    layer_norm_frames_plain,
+    relu_where,
+    same_bits,
+    sigmoid_where,
+    warned,
 )
 
 
@@ -260,6 +272,123 @@ def test_only_op_records_a_node():
                 calls.add((scope, node.func.id))
     assert records == {("_op", "_parents"), ("_op", "_backward")}
     assert calls == {("_op", "_accumulate"), ("_op", "_unbroadcast")}
+
+
+# numpy calls that pick each element by a mask, and calls that make a mask.
+_SELECTS = {"where", "select", "putmask", "place"}
+_MASK_CALLS = {"isnan", "isinf", "isfinite", "signbit", "logical_and", "logical_or",
+               "logical_not", "logical_xor", "greater", "greater_equal", "less",
+               "less_equal", "equal", "not_equal"}
+
+
+def _is_mask(node, masks) -> bool:
+    if isinstance(node, ast.Compare):
+        return True
+    if isinstance(node, ast.Name):
+        return node.id in masks
+    if isinstance(node, ast.UnaryOp) and isinstance(node.op, (ast.Invert, ast.Not)):
+        return _is_mask(node.operand, masks)
+    if isinstance(node, ast.BinOp) and isinstance(node.op, (ast.BitAnd, ast.BitOr,
+                                                            ast.BitXor)):
+        return _is_mask(node.left, masks) or _is_mask(node.right, masks)
+    return (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+            and node.func.attr in _MASK_CALLS)
+
+
+def _data_dependent_selects(source: str) -> list[str]:
+    """`scope:line` of every `np.where`-like call and every assignment
+    through a boolean-mask subscript; a mask is a comparison, a mask-making
+    call, a combination of masks or a name the same scope binds to one.
+    A `where=` keyword, as in `np.divide(..., where=)`, is no select."""
+    nodes = list(_scoped_nodes(ast.parse(source)))
+    masks: set[tuple[str, str]] = set()
+    while True:
+        found = {(scope, t.id) for scope, node in nodes if isinstance(node, ast.Assign)
+                 and _is_mask(node.value, {n for s, n in masks if s == scope})
+                 for t in node.targets if isinstance(t, ast.Name)}
+        if found <= masks:
+            break
+        masks |= found
+    selects = []
+    for scope, node in nodes:
+        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                and isinstance(node.func.value, ast.Name) and node.func.value.id == "np"
+                and node.func.attr in _SELECTS):
+            selects.append((node.lineno, scope))
+        if isinstance(node, (ast.Assign, ast.AugAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            scope_masks = {n for s, n in masks if s == scope}
+            selects += [(node.lineno, scope) for t in targets
+                        if isinstance(t, ast.Subscript) and _is_mask(t.slice, scope_masks)]
+    return [f"{scope}:{line}" for line, scope in sorted(selects)]
+
+
+def test_no_data_dependent_select_in_the_elementwise_kernels():
+    """`numerics` and `objectives` pick no element by a data-dependent mask,
+    a select that mispredicts on random signs and costs several times a
+    branch-free form such as `np.fmax`."""
+    for module in (numerics, objectives):
+        assert _data_dependent_selects(Path(module.__file__).read_text(encoding="utf-8")) == []
+
+
+def test_the_select_guard_sees_each_form():
+    source = textwrap.dedent("""\
+        def relu(x):
+            mask = x > 0.0
+            return np.where(mask, x, 0.0)
+
+        def cirm(num, x2):
+            out = np.zeros_like(num)
+            ok = x2 >= 1e-12
+            bad = ~ok
+            out[ok] = num[ok] / x2[ok]
+            out[bad] = 0.0
+            out[np.isnan(x2) | bad] += 1.0
+            out[0] = 1.0
+            return np.divide(num, x2, out=out, where=x2 > 0)
+        """)
+    assert _data_dependent_selects(source) == ["relu:3", "cirm:9", "cirm:10", "cirm:11"]
+
+
+# -- branch-free elementwise kernels ---------------------------------------------
+#
+# Each gives its select-and-copy form's bits (`tests/helpers.py`); with the
+# suite's warnings as errors, it warns on no input that form does not.
+
+
+@pytest.mark.parametrize("shape", [None] + KERNEL_SHAPES)
+def test_relu_and_sigmoid_give_the_select_forms_bits(shape):
+    for x in kernel_inputs(shape):
+        assert same_bits(relu(constant(x)).data, relu_where(x))
+        assert same_bits(sigmoid(constant(x)).data, sigmoid_where(x))
+
+
+def test_relu_gradient_is_one_above_zero_only():
+    x = Tensor(SPECIAL_VALUES, requires_grad=True)
+    backward(reduce_sum(relu(x)))
+    assert same_bits(x.grad, (SPECIAL_VALUES > 0.0).astype(np.float64))
+    assert x.grad[0] == 0.0 and x.grad[5] == 1.0  # at 0.0 and at 5e-324
+
+
+@pytest.mark.parametrize("shape", KERNEL_SHAPES)
+def test_layer_norm_frames_gives_the_plain_forms_bits(shape):
+    rng = np.random.default_rng(sum(shape))
+    x, gain, bias = (rng.standard_normal(n) for n in (shape, shape[-1], shape[-1]))
+    out = layer_norm_frames(constant(x), constant(gain), constant(bias)).data
+    assert same_bits(out, layer_norm_frames_plain(x, gain, bias))
+
+
+def test_layer_norm_frames_on_special_values_gives_the_plain_forms_bits_and_warnings():
+    """Every ordered pair of special values as a frame. A frame holding inf
+    or NaN warns of an invalid value in both forms alike."""
+    x = np.stack(np.broadcast_arrays(SPECIAL_VALUES[:, None], SPECIAL_VALUES), axis=-1)
+    gain, bias = np.array([1.5, -0.25]), np.array([0.1, -0.2])
+    got, got_warnings = warned(
+        lambda: layer_norm_frames(constant(x), constant(gain), constant(bias)).data)
+    want, want_warnings = warned(layer_norm_frames_plain, x, gain, bias)
+    assert same_bits(got, want) and got_warnings == want_warnings
+    finite = np.isfinite(x).all(axis=-1)
+    assert np.isfinite(got[finite]).all()
 
 
 # -- gradient ownership -------------------------------------------------------

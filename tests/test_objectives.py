@@ -12,6 +12,7 @@ from lgse import dsp, objectives
 from lgse.dsp import Waveform
 from lgse.evaluate import si_sdr
 from lgse.model import ModelConfig
+from lgse.numerics import constant
 from lgse.objectives import (
     CIRM_K,
     IRM_GAMMA,
@@ -27,6 +28,17 @@ from lgse.objectives import (
     psm,
     target_grid,
     uncompress_ms,
+)
+
+from helpers import (
+    KERNEL_SHAPES,
+    SPECIAL_VALUES,
+    cirm_masked,
+    kernel_inputs,
+    relu_where,
+    same_bits,
+    sigmoid_where,
+    warned,
 )
 
 
@@ -114,6 +126,41 @@ def test_cirm_rotation_against_complex_division():
 def test_cirm_zero_cells():
     assert np.all(cirm(grid(1.0), grid(0.0)) == 0.0)
     assert np.all(cirm(grid(0.0), grid(1.0)) == 0.0)
+
+
+def _complex_normals(shape, seed):
+    rng = np.random.default_rng(seed)
+    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
+@pytest.mark.parametrize("shape", KERNEL_SHAPES)
+def test_cirm_gives_the_masked_forms_bits(shape):
+    """Random spectra with zero bins and bins whose |X|^2 is nonzero but
+    below the 1e-12 floor."""
+    clean, noisy = _complex_normals(shape, 0), _complex_normals(shape, 1)
+    noisy.flat[::7] = 0.0
+    noisy.flat[1::11] = 1e-7 - 1e-7j
+    assert same_bits(cirm(clean, noisy), cirm_masked(clean, noisy))
+
+
+def test_cirm_on_special_values_gives_the_masked_forms_bits_and_warnings():
+    """Every pair of special values as a clean and a noisy bin. Products
+    such as inf * 0 warn of an invalid value in both forms alike."""
+    z = np.empty((9, 9), dtype=complex)
+    z.real, z.imag = SPECIAL_VALUES[:, None], SPECIAL_VALUES
+    clean, noisy = np.broadcast_arrays(z[:, :, None, None], z)
+    got, got_warnings = warned(cirm, clean, noisy)
+    want, want_warnings = warned(cirm_masked, clean, noisy)
+    assert same_bits(got, want) and got_warnings == want_warnings
+
+
+@pytest.mark.parametrize("shape", [None] + KERNEL_SHAPES)
+def test_output_heads_give_the_select_forms_bits(shape):
+    """The IRM and PSM heads are the sigmoid, the MS head the ReLU."""
+    for kind, want in ((TargetKind.IRM, sigmoid_where), (TargetKind.PSM, sigmoid_where),
+                       (TargetKind.MS, relu_where)):
+        for x in kernel_inputs(shape):
+            assert same_bits(TARGETS[kind].head(constant(x)).data, want(x))
 
 
 # -- compression ---------------------------------------------------------------
