@@ -78,7 +78,10 @@ budget on a CPU box. The desk preset, a 2 x 32 model that can:
                        description="Train one model per scheme, then score every suite "
                                    "mixture, on worker processes, as many as "
                                    "lgse.model._workers allows. The output bytes do not "
-                                   "depend on how many.")
+                                   "depend on how many. A model_<kind>.lgse in --out-dir "
+                                   "is reused if its model settings match, whatever seed "
+                                   "or train settings made it: use one --out-dir per "
+                                   "seed, or experiment.retrain=1.")
     p.add_argument("--out-dir", required=True)
 
     sub.add_parser("selftest", help="run per-module oracle and invariant checks")

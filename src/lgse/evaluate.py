@@ -15,6 +15,7 @@ calls."""
 from __future__ import annotations
 
 import csv
+import functools
 import io
 import os
 import pickle
@@ -29,7 +30,7 @@ from . import model as model_module
 from .dsp import Waveform, derived_seed
 from .model import EnhancementModel, ModelConfig
 from .posenc import SCHEMES, PeKind
-from .training import TrainConfig, check_freeze, check_step_cap, load_checkpoint, train
+from .training import TrainConfig, check_plan, config_dict, load_checkpoint, train
 
 __all__ = [
     "si_sdr",
@@ -50,16 +51,22 @@ SI_SDR_CAP_DB = 100.0
 SEG_SNR_FLOOR_DB, SEG_SNR_CEIL_DB = -10.0, 35.0
 
 
+def _pair(est: Waveform | np.ndarray, ref: Waveform | np.ndarray) -> tuple:
+    """The samples of `est` and `ref`, which must have one shape."""
+    e, r = (x.samples if isinstance(x, Waveform) else np.asarray(x, dtype=np.float64)
+            for x in (est, ref))
+    if e.shape != r.shape:
+        raise ValueError(f"estimate ({e.shape}) and reference ({r.shape}) differ")
+    return e, r
+
+
 def si_sdr(est: Waveform | np.ndarray, ref: Waveform | np.ndarray) -> float:
     """Scale-invariant SDR in dB: project est onto ref, compare energies.
 
     Perfect (or perfectly scaled) estimates are capped at +SI_SDR_CAP_DB;
     estimates orthogonal to the reference floor at -SI_SDR_CAP_DB.
     """
-    e = est.samples if isinstance(est, Waveform) else np.asarray(est, dtype=np.float64)
-    r = ref.samples if isinstance(ref, Waveform) else np.asarray(ref, dtype=np.float64)
-    if e.shape != r.shape:
-        raise ValueError(f"estimate ({e.shape}) and reference ({r.shape}) differ")
+    e, r = _pair(est, ref)
     r_energy = float(np.dot(r, r))
     if r_energy <= 0.0:
         raise ValueError("reference has zero energy")
@@ -78,10 +85,7 @@ def si_sdr(est: Waveform | np.ndarray, ref: Waveform | np.ndarray) -> float:
 def seg_snr(est: Waveform | np.ndarray, ref: Waveform | np.ndarray) -> float:
     """Mean SNR in dB over the STFT's frames, each clamped to
     [SEG_SNR_FLOOR_DB, SEG_SNR_CEIL_DB]; silent reference frames are skipped."""
-    e = est.samples if isinstance(est, Waveform) else np.asarray(est, dtype=np.float64)
-    r = ref.samples if isinstance(ref, Waveform) else np.asarray(ref, dtype=np.float64)
-    if e.shape != r.shape:
-        raise ValueError(f"estimate ({e.shape}) and reference ({r.shape}) differ")
+    e, r = _pair(est, ref)
     if len(r) < dsp.WIN_LEN:
         return SEG_SNR_FLOOR_DB
     ref_frames = np.lib.stride_tricks.sliding_window_view(r, dsp.WIN_LEN)[::dsp.HOP]
@@ -377,20 +381,14 @@ class MetricReport:
         return "\n".join(lines) + "\n"
 
 
-def _shown(cfg: ModelConfig, name: str):
-    value = getattr(cfg, name)
-    return getattr(value, "value", value)
-
-
 def _load_model(ckpt_path, cfg: ModelConfig) -> EnhancementModel:
     """The model saved at `ckpt_path`, which must have been built with `cfg`
     except for its init seed, which a saved model may have drawn from another
     stream; any other difference raises a ValueError naming the fields."""
     model, _ = load_checkpoint(ckpt_path)
-    differ = [f"{f.name} {_shown(model.config, f.name)} (requested "
-              f"{_shown(cfg, f.name)})" for f in fields(ModelConfig)
-              if f.name != "init_seed"
-              and getattr(model.config, f.name) != getattr(cfg, f.name)]
+    saved, wanted = config_dict(model.config), config_dict(cfg)
+    differ = [f"{name} {saved[name]} (requested {wanted[name]})" for name in saved
+              if name != "init_seed" and saved[name] != wanted[name]]
     if differ:
         raise ValueError(f"checkpoint {ckpt_path} was built with other model "
                          f"settings: {', '.join(differ)}; set "
@@ -469,73 +467,70 @@ def run_lengen_experiment(seed: int, model_cfg: ModelConfig,
     """Train one model per scheme on short clips, then score every
     (duration, SNR) condition with full-length and chunked inference.
 
-    A kind whose checkpoint is in `out_dir` is loaded, unless `exp.retrain`;
-    the others train on one corpus, synthesized only if some model trains,
-    and are saved and loaded back. Every mixture is enhanced by all models in
-    one `enhance_full` call for the full mode and one `enhance_chunked` call
-    for every chunked mode, so each mixture and each distinct chunk is
-    analysed once, however many models and modes use it.
+    The models form one bundle in `exp.kinds` order, from checkpoint to
+    report row. A kind whose model_<kind>.lgse is in `out_dir` is loaded,
+    unless `exp.retrain`; it must match `model_cfg` but for the init seed,
+    and nothing else is checked, so a reused `out_dir` reuses its models
+    whatever seed or training settings made them: use one `out_dir` per
+    seed, or `exp.retrain`. The other kinds train on one corpus, synthesized
+    only if some model trains, and are saved and loaded back. Every mixture
+    is enhanced by the bundle in one `enhance_full` call for the full mode
+    and one `enhance_chunked` call for every chunked mode, so each mixture
+    and each distinct chunk is analysed once.
 
-    Both phases list their jobs, the kinds to train and the (duration, SNR,
-    utterance) mixtures to score, for `_in_processes` to deal out. A process
-    synthesizes a duration's test corpus the first time one of its jobs
-    needs it. The rows are joined in mixture order, so every output byte is
-    the same for any process count.
+    Both phases list their jobs, the models to train and the mixtures to
+    score, for `_in_processes` to deal out. The rows are joined in mixture
+    order, so every output byte is the same for any process count.
 
     Writes report.csv and report.md into out_dir and returns the report.
     Deterministic for a fixed seed, including the CSV bytes.
     """
-    # A step cap, freeze list, clip longer than the training utterances or
-    # model shape some kind cannot take fails here, before anything is written
-    # and not after the first models have trained.
-    if (int(round(exp.train_utt_dur_s * dsp.SAMPLE_RATE))
-            < int(round(train_cfg.clip_len_s * dsp.SAMPLE_RATE))):
-        raise ValueError(f"experiment.train_utt_dur_s {exp.train_utt_dur_s:g} s is "
-                         f"shorter than one train.clip_len_s clip "
-                         f"({train_cfg.clip_len_s:g} s)")
-    check_step_cap(train_cfg, exp.train_utts)
-    cfgs = {kind: replace(model_cfg, pe_kind=kind) for kind in exp.kinds}
-    for kind in exp.kinds if train_cfg.freeze else ():
-        check_freeze(train_cfg, cfgs[kind])
+    # A model shape or training plan some kind cannot take fails here, before
+    # anything is written and not after the first models have trained.
+    cfgs = [replace(model_cfg, pe_kind=kind) for kind in exp.kinds]
+    for cfg in cfgs:
+        check_plan(train_cfg, cfg, exp.train_utts, exp.train_utt_dur_s,
+                   "experiment.train_utt_dur_s")
     os.makedirs(out_dir, exist_ok=True)
 
-    ckpts = {kind: os.path.join(out_dir, f"model_{kind}.lgse") for kind in exp.kinds}
-    to_train = [kind for kind in exp.kinds if exp.retrain or not os.path.exists(ckpts[kind])]
-    # Saved models are checked before any training starts.
-    models = {kind: _load_model(ckpts[kind], cfgs[kind])
-              for kind in exp.kinds if kind not in to_train}
-    if to_train:
+    ckpts = [os.path.join(out_dir, f"model_{cfg.pe_kind.value}.lgse") for cfg in cfgs]
+    # Saved models are checked before any training starts; None marks a hole.
+    bundle = [None if exp.retrain or not os.path.exists(path) else _load_model(path, cfg)
+              for path, cfg in zip(ckpts, cfgs)]
+    holes = [n for n, m in enumerate(bundle) if m is None]
+    if holes:
         # Synthesized before the fork, so every child shares it.
         corpus = dsp.synth_corpus(derived_seed(seed, "corpus.train"),
                                   exp.train_utts, exp.train_utt_dur_s)
 
-        def train_kind(n: int) -> None:
-            kind = to_train[n]
-            train(EnhancementModel(cfgs[kind]), corpus, train_cfg, ckpt_path=ckpts[kind],
-                  loss_csv=os.path.join(out_dir, f"loss_{kind}.csv"))
+        def train_hole(job: int) -> None:
+            n = holes[job]
+            train(EnhancementModel(cfgs[n]), corpus, train_cfg, ckpt_path=ckpts[n],
+                  loss_csv=os.path.join(out_dir, f"loss_{cfgs[n].pe_kind.value}.csv"))
 
-        _in_processes(len(to_train), train_kind)
+        _in_processes(len(holes), train_hole)
         del corpus
-        models.update((kind, load_checkpoint(ckpts[kind])[0]) for kind in to_train)
-    models = {kind: models[kind] for kind in exp.kinds}
+        for n in holes:
+            bundle[n] = load_checkpoint(ckpts[n])[0]
+    bundle = tuple(bundle)
 
     chunk_s = seg_chunk_s("chunk_s", exp.chunk_s, train_cfg.clip_len_s)
 
     mixtures = [(dur, snr, i) for dur in suite.durations_s for snr in suite.snrs_db
                 for i in range(suite.utts_per_condition)]
-    # The one test corpus this process holds: a process's jobs are in
-    # mixture order, so each duration's come in one run.
-    test_corpus: dict[float, list] = {}
+
+    # A process synthesizes a duration's test corpus when one of its jobs
+    # first needs it, and holds one: its jobs are in mixture order.
+    @functools.lru_cache(maxsize=1)
+    def test_corpus(dur: float) -> list:
+        return dsp.synth_corpus(derived_seed(seed, f"corpus.test.{dur:g}"),
+                                suite.utts_per_condition, dur)
 
     def score(n: int) -> list[ReportRow]:
         dur, snr, i = mixtures[n]
-        if dur not in test_corpus:
-            test_corpus.clear()
-            test_corpus[dur] = dsp.synth_corpus(derived_seed(seed, f"corpus.test.{dur:g}"),
-                                                suite.utts_per_condition, dur)
-        utt = test_corpus[dur][i]
+        utt = test_corpus(dur)[i]
         case = (i, utt, dsp.mix_at_snr(utt.clean, utt.noise, snr))
-        return _score_case(case, models, exp, chunk_s, dur, snr, train_cfg.clip_len_s)
+        return _score_case(case, bundle, exp, chunk_s, dur, snr, train_cfg.clip_len_s)
 
     rows = [row for mixture in _in_processes(len(mixtures), score) for row in mixture]
 
@@ -546,23 +541,23 @@ def run_lengen_experiment(seed: int, model_cfg: ModelConfig,
     return report
 
 
-def _score_case(case, models, exp: ExperimentConfig, chunk_s: float,
-                dur: float, snr: int, train_len: float) -> list[ReportRow]:
-    """The noisy row, then one row per kind and mode, for one mixture. Each
-    model's rows name its own target; the noisy row names the first model's."""
+def _score_case(case, bundle: tuple[EnhancementModel, ...], exp: ExperimentConfig,
+                chunk_s: float, dur: float, snr: int, train_len: float) -> list[ReportRow]:
+    """The noisy row, then one row per model and mode in bundle order, for
+    one mixture. Each model's rows name its own kind and target; the noisy
+    row names the first model's target."""
     i, utt, noisy = case
     utt_id = f"{dur:g}s_snr{snr}_{i:03d}"
     base = dict(train_len_s=train_len, test_len_s=dur, snr_db=snr, utt_id=utt_id)
     sdr_in = si_sdr(noisy, utt.clean)
-    bundle = tuple(models.values())
     rows = [ReportRow(kind="noisy", target=bundle[0].config.target.value, si_sdr_in=sdr_in,
                       si_sdr_out=sdr_in, seg_snr_out=seg_snr(noisy, utt.clean),
                       mode="full", **base)]
-    scores: dict[tuple[str, str], tuple[float, float]] = {}
+    scores: dict[tuple[int, str], tuple[float, float]] = {}
 
     def score(mode: str, ests) -> None:
-        for kind, est in zip(models, ests):
-            scores[kind, mode] = si_sdr(est, utt.clean), seg_snr(est, utt.clean)
+        for n, est in enumerate(ests):
+            scores[n, mode] = si_sdr(est, utt.clean), seg_snr(est, utt.clean)
 
     for mode in exp.modes:
         if MODES[mode] is None:
@@ -573,11 +568,11 @@ def _score_case(case, models, exp: ExperimentConfig, chunk_s: float,
         ests = enhance_chunked(bundle, noisy, chunk_s, tuple(MODES[m] for m in chunked))
         for mode, mode_ests in zip(chunked, ests):
             score(mode, mode_ests)
-    for kind, m in models.items():
+    for n, m in enumerate(bundle):
         for mode in exp.modes:
-            if (kind, mode) in scores:
-                sdr, seg = scores[kind, mode]
-                rows.append(ReportRow(kind=kind, target=m.config.target.value,
+            if (n, mode) in scores:
+                sdr, seg = scores[n, mode]
+                rows.append(ReportRow(kind=m.config.pe_kind.value, target=m.config.target.value,
                                       si_sdr_in=sdr_in, si_sdr_out=sdr,
                                       seg_snr_out=seg, mode=mode, **base))
     return rows

@@ -26,11 +26,11 @@ __all__ = [
     "mse_loss",
     "clip_gradients",
     "adam_step",
-    "check_freeze",
-    "check_step_cap",
+    "check_plan",
     "train",
     "save_checkpoint",
     "load_checkpoint",
+    "config_dict",
     "write_loss_csv",
 ]
 
@@ -169,19 +169,22 @@ class TrainResult:
     trace: list[tuple[int, float, float]]          # (step, lr, loss)
 
 
-def check_freeze(cfg: TrainConfig, model_cfg: ModelConfig) -> None:
-    """Raise ValueError if `cfg.freeze` names something that is not one of
-    the parameters of a `model_cfg` model."""
-    names = param_shapes(model_cfg)
+def check_plan(cfg: TrainConfig, model_cfg: ModelConfig, n_utts: int,
+               longest_s: float, longest_name: str) -> None:
+    """Raise a ValueError naming the setting at fault unless `cfg` can train
+    a `model_cfg` model on `n_utts` utterances whose longest, which the
+    message calls `longest_name`, lasts `longest_s` seconds: it holds one
+    clip, `freeze` names only the model's parameters, and the epochs, one
+    step per mini-batch, reach `max_steps`. Nothing is drawn."""
+    if (int(round(longest_s * dsp.SAMPLE_RATE))
+            < int(round(cfg.clip_len_s * dsp.SAMPLE_RATE))):
+        raise ValueError(f"{longest_name} {longest_s:g} s is shorter than one "
+                         f"train.clip_len_s clip ({cfg.clip_len_s:g} s)")
+    names = param_shapes(model_cfg) if cfg.freeze else {}
     unknown = [name for name in cfg.freeze if name not in names]
     if unknown:
         raise ValueError(f"freeze names no parameter of this {model_cfg.pe_kind.value} "
                          f"model: {', '.join(unknown)}")
-
-
-def check_step_cap(cfg: TrainConfig, n_utts: int) -> None:
-    """Raise ValueError if `cfg.max_steps` is more steps than the epochs give
-    a corpus of `n_utts` utterances: one per mini-batch of every epoch."""
     reachable = cfg.epochs * -(-n_utts // cfg.batch_utts)
     if cfg.max_steps > reachable:
         raise ValueError(f"train.max_steps {cfg.max_steps} is out of reach: "
@@ -204,13 +207,8 @@ def train(model: EnhancementModel, corpus: list[Utterance], cfg: TrainConfig, *,
     saved once, after the last step, when `ckpt_path` is given."""
     if not corpus:
         raise ValueError("corpus is empty")
-    longest = max(len(utt.clean) for utt in corpus)
-    if longest < int(round(cfg.clip_len_s * dsp.SAMPLE_RATE)):
-        raise ValueError(f"no corpus utterance is at least one clip long: the longest "
-                         f"is {longest / dsp.SAMPLE_RATE:g} s, train.clip_len_s is "
-                         f"{cfg.clip_len_s:g} s")
-    check_freeze(cfg, model.config)
-    check_step_cap(cfg, len(corpus))
+    longest = max(len(utt.clean) for utt in corpus) / dsp.SAMPLE_RATE
+    check_plan(cfg, model.config, len(corpus), longest, "the longest corpus utterance")
     rng = np.random.default_rng(np.random.SeedSequence(entropy=cfg.seed,
                                                        spawn_key=(0x7472,)))
     state = AdamState()
@@ -268,7 +266,8 @@ def _record_header(name: str, arr: np.ndarray) -> bytes:
             + struct.pack(f"<{arr.ndim}Q", *arr.shape))
 
 
-def _config_dict(cfg: ModelConfig) -> dict:
+def config_dict(cfg: ModelConfig) -> dict:
+    """`cfg` as a checkpoint stores it: every field, enums by value."""
     d = asdict(cfg)
     d["pe_kind"] = cfg.pe_kind.value
     d["target"] = cfg.target.value
@@ -287,7 +286,7 @@ def save_checkpoint(path, model: EnhancementModel, unused: None = None,
     `unused` carries nothing: it keeps the positional call shape
     `save_checkpoint(path, model, None, step)` that bench/workloads.py uses.
     """
-    meta = {"model_config": _config_dict(model.config), "step": int(step)}
+    meta = {"model_config": config_dict(model.config), "step": int(step)}
     meta_bytes = json.dumps(meta, sort_keys=True, separators=(",", ":")).encode("utf-8")
     records = _model_records(model)
     with open(path, "wb") as f:

@@ -614,9 +614,15 @@ def test_second_experiment_loads_checkpoints_unless_retrain(tmp_path, monkeypatc
     assert trained == ["nopos", "nopos"]
     assert (out / "report.csv").read_bytes() == report
     assert (out / "model_nopos.lgse").read_bytes() == ckpt
-    # Another master seed derives another init seed: the model still loads.
+    # Only model settings are checked. Another master seed derives another
+    # init and train seed, and another step cap trains another model, yet
+    # the saved model still loads.
     assert run_cli("--seed", "9", *argv, "experiment", "--out-dir", str(out)) == 0
+    assert run_cli(*argv, "--set", "train.max_steps=2",
+                   "experiment", "--out-dir", str(out)) == 0
     assert trained == ["nopos", "nopos"]
+    assert (out / "model_nopos.lgse").read_bytes() == ckpt
+    assert (out / "report.csv").read_bytes() == report
 
 
 TINY_EXPERIMENT = ["--set", "experiment.modes=full", "--set", "experiment.train_utts=2",

@@ -383,16 +383,34 @@ def test_each_scored_row_names_its_own_models_target():
     utt = dsp.synth_corpus(3, 1, 1.0)[0]
     case = (0, utt, dsp.mix_at_snr(utt.clean, utt.noise, 5))
     exp = evaluate.ExperimentConfig(kinds=("learnlin", "nopos"), modes=("full", "seg"))
-    rows = evaluate._score_case(case, {"learnlin": irm_model, "nopos": cirm_model},
-                                exp, 0.5, 1.0, 5, 0.5)
+    rows = evaluate._score_case(case, (irm_model, cirm_model), exp, 0.5, 1.0, 5, 0.5)
     assert [(r.kind, r.mode, r.target) for r in rows] == [
         ("noisy", "full", "irm"), ("learnlin", "full", "irm"), ("learnlin", "seg", "irm"),
         ("nopos", "full", "cirm"), ("nopos", "seg", "cirm")]
-    rows = evaluate._score_case(case, {"nopos": cirm_model, "learnlin": irm_model},
-                                exp, 0.5, 1.0, 5, 0.5)
+    rows = evaluate._score_case(case, (cirm_model, irm_model), exp, 0.5, 1.0, 5, 0.5)
     assert [(r.kind, r.mode, r.target) for r in rows] == [
         ("noisy", "full", "cirm"), ("nopos", "full", "cirm"), ("nopos", "seg", "cirm"),
         ("learnlin", "full", "irm"), ("learnlin", "seg", "irm")]
+
+
+def test_a_bundle_may_hold_two_models_of_one_kind():
+    """Rows follow the bundle, labelled by each model's own config, so two
+    learnlin models that differ in objective each get their own rows, with
+    the scores each would get scored alone."""
+    irm, cirm = (EnhancementModel(ModelConfig(n_layers=1, n_heads=2, d_model=8, d_ff=16,
+                                              k_bins=257, pe_kind="learnlin", target=target,
+                                              init_seed=5))
+                 for target in ("irm", "cirm"))
+    utt = dsp.synth_corpus(3, 1, 1.3)[0]
+    case = (0, utt, dsp.mix_at_snr(utt.clean, utt.noise, 5))
+    exp = evaluate.ExperimentConfig(kinds=("learnlin",), modes=("full", "seg", "seg-o"))
+    rows = evaluate._score_case(case, (irm, cirm), exp, 0.5, 1.3, 5, 0.5)
+    assert [(r.kind, r.target, r.mode) for r in rows] == [("noisy", "irm", "full")] + [
+        ("learnlin", target, mode) for target in ("irm", "cirm")
+        for mode in ("full", "seg", "seg-o")]
+    for model, own in zip((irm, cirm), (rows[1:4], rows[4:])):
+        alone = evaluate._score_case(case, (model,), exp, 0.5, 1.3, 5, 0.5)
+        assert alone[1:] == own
 
 
 # -- report ---------------------------------------------------------------------------

@@ -1,8 +1,10 @@
+import re
+
 import numpy as np
 import pytest
 
 from helpers import record_bytes, rewrite_records
-from lgse import dsp, numerics, objectives
+from lgse import dsp, numerics, objectives, training
 from lgse.dsp import Utterance, Waveform
 from lgse.model import EnhancementModel, ModelConfig, param_shapes
 from lgse.numerics import Tensor, add, backward, constant, mul, reduce_sum
@@ -14,7 +16,7 @@ from lgse.training import (
     CheckpointError,
     TrainConfig,
     adam_step,
-    check_freeze,
+    check_plan,
     clip_gradients,
     load_checkpoint,
     lr_schedule,
@@ -398,6 +400,33 @@ def test_train_rejects_unreachable_max_steps(tmp_path):
     assert len(train(model, corpus(3), tiny_cfg(epochs=2, max_steps=4)).trace) == 4
 
 
+@pytest.mark.parametrize("kw,longest_s,message", [
+    (dict(clip_len_s=0.5), 0.4999,
+     "the longest utt 0.4999 s is shorter than one train.clip_len_s clip (0.5 s)"),
+    (dict(freeze=("embed.bias", "pe.beta")), 1.0,
+     "freeze names no parameter of this nopos model: pe.beta"),
+    # Three utterances in batches of two: two steps per epoch.
+    (dict(epochs=2, max_steps=5), 1.0,
+     "train.max_steps 5 is out of reach: train.epochs 2 over 3 utterances in "
+     "batches of 2 run at most 4 steps"),
+], ids=["clip", "freeze", "max_steps"])
+def test_check_plan_names_the_setting_at_fault(kw, longest_s, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        check_plan(tiny_cfg(**kw), ModelConfig(pe_kind="nopos", **TINY_MODEL), 3,
+                   longest_s, "the longest utt")
+
+
+def test_check_plan_passes_a_plan_at_its_limits(monkeypatch):
+    """An utterance of exactly one clip and every step the epochs give pass;
+    with no freeze list the model's parameters are not listed."""
+    def unlisted(cfg):
+        raise AssertionError("param_shapes was called")
+
+    monkeypatch.setattr(training, "param_shapes", unlisted)
+    check_plan(tiny_cfg(clip_len_s=0.5, epochs=2, max_steps=4),
+               ModelConfig(pe_kind="nopos", **TINY_MODEL), 3, 0.5, "the longest utt")
+
+
 def test_loss_csv_format(tmp_path):
     path = tmp_path / "loss.csv"
     write_loss_csv(path, [(1, 0.5, 0.25), (2, 0.4, 0.125)])
@@ -671,9 +700,9 @@ def test_load_and_freeze_check_draw_nothing(tmp_path, monkeypatch, kind):
     for name, t in model.params.items():
         assert np.array_equal(loaded.params[name].data, t.data), name
         assert loaded.params[name].requires_grad
-    check_freeze(tiny_cfg(freeze=tuple(model.params)[:2]), cfg)
+    check_plan(tiny_cfg(freeze=tuple(model.params)[:2]), cfg, 2, 1.0, "utts")
     with pytest.raises(ValueError, match=f"no parameter of this {kind} model: pe.bogus"):
-        check_freeze(tiny_cfg(freeze=("embed.bias", "pe.bogus")), cfg)
+        check_plan(tiny_cfg(freeze=("embed.bias", "pe.bogus")), cfg, 2, 1.0, "utts")
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
