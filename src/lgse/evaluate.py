@@ -5,12 +5,14 @@ The experiment scores each mixture with one `enhance_full` call for the full
 mode and one `enhance_chunked` call for all its chunked modes, which enhances
 each distinct chunk once, however many modes own it. It lists the kinds to
 train and the mixtures to score as jobs, and `_in_processes` deals them out
-to forked processes, as many as `model._workers` allows. Each runs BLAS on
-one thread, as importing lgse set it, so the output bytes are the same for
-any process count. It forks only while no other Python thread is alive; the
-model's worker threads, for attention and for the per-frame parts of a long
-forward, are joined before their call returns, so none is alive between
-calls."""
+to forked processes, as many as `model._workers` allows. Each inherits the
+two process-wide settings that importing lgse made: BLAS on one thread, so
+the output bytes are the same for any process count, and glibc heap
+thresholds that keep freed pages mapped, so a scoring process does not fault
+its temporaries in again on every call. It forks only while no other
+Python thread is alive; the model's worker threads, for attention and for
+the per-frame parts of a long forward, are joined before their call returns,
+so none is alive between calls."""
 
 from __future__ import annotations
 

@@ -194,8 +194,9 @@ def mul(a, b) -> Tensor:
     if a is b:
         # A square, as in the MSE loss: its two contributions in one array,
         # not a sum made beside both. g*a + g*a == 2*(g*a) exactly. Without
-        # it the bits held, but train-desk's peak RSS rose from 89.1 to 92.5 MB
-        # (+3.8%, 3 of 3 runs on 2 CPUs), near the bench's 5% bound.
+        # it the bits held, but train-desk's peak RSS rose from 86.0 to 94.3 MB
+        # (+9.6%, 4 of 4 paired runs on 2 CPUs, with the heap thresholds
+        # `import lgse` sets), past the bench's 5% bound.
         def twice(g):
             out = g * a.data
             out *= 2.0

@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import struct
 from dataclasses import asdict, dataclass, field, fields
 
@@ -300,23 +301,37 @@ def save_checkpoint(path, model: EnhancementModel, unused: None = None,
 
 
 class _Reader:
-    def __init__(self, buf: bytes, path):
-        self.buf = buf
+    """Reads a checkpoint file in order. Each size the file claims is checked
+    against the bytes left in it before anything of that size is allocated."""
+
+    def __init__(self, f, path):
+        self.f = f
         self.path = path
-        self.pos = 0
+        self.left = os.fstat(f.fileno()).st_size
+
+    def _claim(self, n: int) -> None:
+        if n > self.left:
+            raise CheckpointError(f"{self.path}: truncated checkpoint")
+        self.left -= n
 
     def read(self, n: int) -> bytes:
-        if self.pos + n > len(self.buf):
-            raise CheckpointError(f"{self.path}: truncated checkpoint")
-        out = self.buf[self.pos:self.pos + n]
-        self.pos += n
-        return out
+        self._claim(n)
+        return self.f.read(n)
 
     def u32(self) -> int:
         return struct.unpack("<I", self.read(4))[0]
 
     def u64(self) -> int:
         return struct.unpack("<Q", self.read(8))[0]
+
+    def payload(self, shape: tuple[int, ...]) -> np.ndarray:
+        """The next record payload, read straight into its own array."""
+        count = math.prod(shape)
+        self._claim(8 * count)
+        out = np.empty(count, dtype="<f8")
+        if self.f.readinto(out) != out.nbytes:
+            raise CheckpointError(f"{self.path}: truncated checkpoint")
+        return out.astype(np.float64, copy=False).reshape(shape)
 
 
 def _stored_config(path, meta: dict) -> ModelConfig:
@@ -346,37 +361,34 @@ def load_checkpoint(path) -> tuple[EnhancementModel, int]:
     built from the records; nothing is drawn.
     """
     with open(path, "rb") as f:
-        r = _Reader(f.read(), path)
-    if r.read(4) != CHECKPOINT_MAGIC:
-        raise CheckpointError(f"{path}: bad magic; not a checkpoint file")
-    version = r.u32()
-    if version != CHECKPOINT_VERSION:
-        raise CheckpointError(f"{path}: unsupported checkpoint version {version}; "
-                              f"this build reads version {CHECKPOINT_VERSION}")
-    blob = r.read(r.u64())
-    try:
-        meta = json.loads(blob.decode("utf-8"))
-    except ValueError as exc:  # UnicodeDecodeError or JSONDecodeError
-        raise CheckpointError(f"{path}: meta block is not UTF-8 JSON: {exc}") from None
-    n_records = r.u32()
-    records: dict[str, np.ndarray] = {}
-    for _ in range(n_records):
-        blob = r.read(r.u32())
+        r = _Reader(f, path)
+        if r.read(4) != CHECKPOINT_MAGIC:
+            raise CheckpointError(f"{path}: bad magic; not a checkpoint file")
+        version = r.u32()
+        if version != CHECKPOINT_VERSION:
+            raise CheckpointError(f"{path}: unsupported checkpoint version {version}; "
+                                  f"this build reads version {CHECKPOINT_VERSION}")
+        blob = r.read(r.u64())
         try:
-            name = blob.decode("utf-8")
-        except UnicodeDecodeError as exc:
-            raise CheckpointError(f"{path}: record name is not UTF-8: {exc}") from None
-        if name in records:
-            raise CheckpointError(f"{path}: duplicate record {name}")
-        ndim = r.u32()
-        shape = tuple(r.u64() for _ in range(ndim))
-        count = math.prod(shape)
-        data = np.frombuffer(r.read(8 * count), dtype="<f8").reshape(shape)
-        if not np.isfinite(data).all():
-            raise CheckpointError(f"{path}: tensor {name} holds non-finite values")
-        records[name] = np.array(data, dtype=np.float64)
-    # The records are copies: free the file image before the model is built.
-    del r
+            meta = json.loads(blob.decode("utf-8"))
+        except ValueError as exc:  # UnicodeDecodeError or JSONDecodeError
+            raise CheckpointError(f"{path}: meta block is not UTF-8 JSON: {exc}") from None
+        n_records = r.u32()
+        records: dict[str, np.ndarray] = {}
+        for _ in range(n_records):
+            blob = r.read(r.u32())
+            try:
+                name = blob.decode("utf-8")
+            except UnicodeDecodeError as exc:
+                raise CheckpointError(f"{path}: record name is not UTF-8: {exc}") from None
+            if name in records:
+                raise CheckpointError(f"{path}: duplicate record {name}")
+            ndim = r.u32()
+            shape = tuple(r.u64() for _ in range(ndim))
+            data = r.payload(shape)
+            if not np.isfinite(data).all():
+                raise CheckpointError(f"{path}: tensor {name} holds non-finite values")
+            records[name] = data
 
     config = _stored_config(path, meta)
     step = meta.get("step")

@@ -652,6 +652,33 @@ def test_only_the_model_module_counts_cpus_and_starts_threads():
     assert uses and all(id(node) in inside for node in uses)
 
 
+def test_only_the_package_module_makes_process_wide_settings():
+    """`ctypes` is imported, and glibc's `mallopt` named, in
+    `lgse/__init__.py` alone: the BLAS pin and the heap thresholds are set
+    once, on import, and nowhere else."""
+    import ast
+    from pathlib import Path
+
+    import lgse
+
+    package = Path(lgse.__file__).parent
+    found = {"ctypes": [], "mallopt": []}
+    for path in sorted(package.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                modules = [node.module or ""]
+            else:
+                modules = []
+            if any(m.split(".")[0] == "ctypes" for m in modules):
+                found["ctypes"].append(path.name)
+            if getattr(node, "attr", getattr(node, "id", None)) == "mallopt":
+                found["mallopt"].append(path.name)
+    assert {name: sorted(set(homes)) for name, homes in found.items()} == {
+        "ctypes": ["__init__.py"], "mallopt": ["__init__.py"]}
+
+
 # numpy loads its BLAS unpinned, then lgse is imported; prints the BLAS
 # thread count (-1 if numpy's BLAS is not OpenBLAS) and the sha256 of an
 # attention-shaped product (20 s of frames, heads of width 32), whose bits
@@ -715,6 +742,57 @@ def test_importing_lgse_loads_no_numpy_and_sets_the_blas_variables():
                           capture_output=True, text=True, env=unpinned_env(),
                           timeout=120, check=True)
     assert json.loads(done.stdout) == [False, ["1", "1", "1"]]
+
+
+# Prints the minor page faults per burst of three 1 MiB float64 temporaries,
+# allocated, written and freed, like the temporaries of one `dsp.istft` call:
+# 50 bursts before `import lgse` and 50 after it.
+_HEAP_BURSTS = """
+import resource
+import numpy as np
+
+def faults_per_burst(n=50):
+    def burst():
+        arrays = [np.empty(1 << 17) for _ in range(3)]
+        for a in arrays:
+            a.fill(1.0)
+        del arrays
+
+    burst()
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    for _ in range(n):
+        burst()
+    return (resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before) / n
+
+first = faults_per_burst()
+import lgse
+print(first, faults_per_burst())
+"""
+
+
+def test_importing_lgse_keeps_freed_heap_pages_for_the_next_call():
+    """Under glibc's default thresholds each burst gives its 3 MiB back to
+    the kernel and faults it in again; after `import lgse` the pages stay."""
+    import os
+    import subprocess
+    import sys
+
+    from helpers import unpinned_env
+
+    try:
+        libc = os.confstr("CS_GNU_LIBC_VERSION")
+    except (AttributeError, ValueError, OSError):
+        libc = None
+    if not libc or not libc.startswith("glibc"):
+        pytest.skip("the C library is not glibc")
+    env = unpinned_env()
+    env.pop("GLIBC_TUNABLES", None)
+    done = subprocess.run([sys.executable, "-c", _HEAP_BURSTS], capture_output=True,
+                          text=True, env=env, timeout=120, check=True)
+    before, after = map(float, done.stdout.split())
+    # 3 MiB is 768 pages of 4 KiB.
+    assert before > 100
+    assert after < 5
 
 
 def test_long_predict_never_allocates_a_full_score_stack():

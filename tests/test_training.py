@@ -587,6 +587,28 @@ def test_checkpoint_whose_record_dims_multiply_past_2_to_63_is_truncated(tmp_pat
         load_checkpoint(path)
 
 
+def test_loading_a_checkpoint_holds_each_record_once(tmp_path):
+    """Each record is read straight into the array the model keeps, so the
+    load peaks near the parameters' own bytes, not at a file image plus its
+    copies (about 2.1 times)."""
+    import tracemalloc
+
+    model = EnhancementModel(ModelConfig(pe_kind="learnlin", n_layers=2, n_heads=4,
+                                         d_model=128, d_ff=512))
+    path = tmp_path / "m.lgse"
+    save_checkpoint(path, model, None, 0)
+    param_bytes = sum(t.data.nbytes for t in model.params.values())
+    del model
+    tracemalloc.start()
+    try:
+        loaded, _ = load_checkpoint(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sum(t.data.nbytes for t in loaded.params.values()) == param_bytes
+    assert peak < 1.25 * param_bytes
+
+
 def test_checkpoint_shape_validation(tmp_path):
     model = EnhancementModel(ModelConfig(pe_kind="learnlin", target="irm",
                                          init_seed=1, **TINY_MODEL))
