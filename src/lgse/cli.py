@@ -1,4 +1,4 @@
-"""Command-line surface: synth | train | enhance | experiment | selftest.
+"""Command-line surface: synth | train | enhance | experiment.
 
 Every command reads one JSON config (optional) plus repeatable
 `--set section.key=value` overrides. They form one list of keys in which a
@@ -14,7 +14,7 @@ import json
 import os
 import sys
 
-from . import dsp, selftest
+from . import dsp
 from .config import ConfigError, RunConfig, config_key_lines, load_run_config
 from .evaluate import (MODES, chunk_starts, enhance_chunked, enhance_full,
                        run_lengen_experiment, seg_chunk_s)
@@ -83,8 +83,6 @@ budget on a CPU box. The desk preset, a 2 x 32 model that can:
                                    "or train settings made it: use one --out-dir per "
                                    "seed, or experiment.retrain=1.")
     p.add_argument("--out-dir", required=True)
-
-    sub.add_parser("selftest", help="run per-module oracle and invariant checks")
     return parser
 
 
@@ -195,8 +193,6 @@ def cmd_experiment(cfg: RunConfig, args) -> int:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        if args.command == "selftest":
-            return selftest.run()
         # train's shortcut flags are pairs after every --set.
         shortcuts = [f"{key}={vars(args)[flag]}" for flag, key in (
             ("pe", "model.pe_kind"), ("target", "model.target"),

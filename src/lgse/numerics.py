@@ -58,7 +58,6 @@ __all__ = [
     "backward",
     "no_grad",
     "grad_enabled",
-    "finite_difference",
 ]
 
 
@@ -517,20 +516,3 @@ def backward(loss: Tensor) -> None:
         if node._backward is not None and node.grad is not None:
             node._backward(node.grad)
             node.grad = None
-
-
-FD_STEP = 1e-5
-
-
-def finite_difference(f: Callable[[np.ndarray], float], x0: np.ndarray) -> np.ndarray:
-    """Central-difference gradient, with step FD_STEP, of a scalar function of
-    a flat vector."""
-    x0 = np.asarray(x0, dtype=np.float64)
-    g = np.zeros_like(x0)
-    for i in range(x0.size):
-        xp = x0.copy()
-        xm = x0.copy()
-        xp[i] += FD_STEP
-        xm[i] -= FD_STEP
-        g[i] = (f(xp) - f(xm)) / (2.0 * FD_STEP)
-    return g

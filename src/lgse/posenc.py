@@ -33,7 +33,7 @@ rotation (`rotate`). A scheme's state is its parameters; random draws come
 from `pe_rng`. A record calls the public builders by their module-global
 names, so wrapping a builder in this module's namespace also wraps it for the
 model. The naive oracles for each bias live apart from this table, in
-`selftest.NAIVE_OFFSET`.
+`NAIVE_OFFSET` in tests/helpers.py.
 """
 
 from __future__ import annotations

@@ -17,10 +17,9 @@ from lgse import dsp, objectives
 from lgse.dsp import Waveform
 from lgse.evaluate import MetricReport, ReportRow, _triangle, chunk_starts, enhance_full
 from lgse.model import EnhancementModel
-from lgse.numerics import LN_EPS
-from lgse.posenc import PeKind, sinusoidal_embedding
-from lgse.selftest import NAIVE_OFFSET, model_gradient_mismatches, naive_bias  # noqa: F401
-from lgse.training import SNR_HIGH_DB, SNR_LOW_DB
+from lgse.numerics import LN_EPS, backward
+from lgse.posenc import T5_BUCKETS, PeKind, sinusoidal_embedding, t5_bucket_index
+from lgse.training import SNR_HIGH_DB, SNR_LOW_DB, mse_loss
 
 
 def naive_dft(x: np.ndarray) -> np.ndarray:
@@ -276,6 +275,122 @@ def seg_snr_loop(est: np.ndarray, ref: np.ndarray, frame: int = 512,
         v = 10.0 * np.log10(e_ref / max(e_err, 1e-12))
         vals.append(min(max(v, floor_db), ceil_db))
     return float(np.mean(vals)) if vals else floor_db
+
+
+# -- naive bias evaluators (per-pair loops, no Toeplitz shortcut) --------------
+
+
+def _sigmoid(x) -> float:
+    # `numerics._stable_sigmoid`'s two branches, for one scalar.
+    e = np.exp(-abs(x))
+    return (1.0 if x >= 0 else e) / (e + 1.0)
+
+
+# The bias at offset r = i - j, one formula per scheme. Scalar np.exp/np.log
+# keep the elementary functions bitwise equal to the built path's.
+NAIVE_OFFSET = {
+    PeKind.GAUSS: lambda r, p: -(float(r) ** 2 / (p["sigma"] * p["sigma"] * 2.0)),
+    PeKind.T5: lambda r, p: p["bucket"][t5_bucket_index(r)],
+    PeKind.TISA: lambda r, p: sum(np.exp(-(abs(b) * ((-r - c) * (-r - c)))) * a
+                                  for a, b, c in zip(p["a"], p["b"], p["c"])),
+    PeKind.DABIAS: lambda r, p: ((np.exp(p["v"]) + 1.0)
+                                 * _sigmoid(float(abs(r)) * p["w"] - p["v"])),
+    PeKind.KERPLE: lambda r, p: -(np.exp(p["rho1"])
+                                  * np.log(float(abs(r)) * np.exp(p["rho2"]) + 1.0)),
+    PeKind.LEARNLIN: lambda r, p: float(abs(r)) * p["beta"],
+}
+
+
+def naive_bias(kind: PeKind, length: int, params: dict) -> np.ndarray:
+    offset = NAIVE_OFFSET[kind]
+    out = np.zeros((length, length))
+    for i in range(length):
+        for j in range(length):
+            out[i, j] = offset(i - j, params)
+    return out
+
+
+# Random parameter draws per scheme; `h` is the leading head shape.
+_RANDOM_PARAMS = {
+    PeKind.GAUSS: lambda rng, h: {"sigma": rng.uniform(0.5, 20.0, h)},
+    PeKind.T5: lambda rng, h: {"bucket": rng.normal(size=h + (T5_BUCKETS,))},
+    PeKind.TISA: lambda rng, h: {"a": rng.normal(size=h + (5,)),
+                                 "b": rng.normal(size=h + (5,)),
+                                 "c": rng.uniform(-8, 8, h + (5,))},
+    PeKind.DABIAS: lambda rng, h: {"w": rng.uniform(-0.5, 0.5, h), "v": rng.normal(size=h)},
+    PeKind.KERPLE: lambda rng, h: {"rho1": rng.normal(size=h), "rho2": rng.normal(size=h)},
+    PeKind.LEARNLIN: lambda rng, h: {"beta": rng.uniform(-1, 1, h)},
+}
+
+
+def random_bias_params(kind: PeKind, rng: np.random.Generator,
+                       heads: tuple[int, ...] = ()) -> dict[str, np.ndarray]:
+    """Random parameters for a bias scheme, each with leading axes `heads`
+    (tisa's kernels and t5's buckets keep their own last axis)."""
+    return _RANDOM_PARAMS[PeKind(kind)](rng, tuple(heads))
+
+
+# -- gradient check against central finite differences -------------------------
+
+
+FD_STEP = 1e-5
+
+
+def finite_difference(f, x0: np.ndarray) -> np.ndarray:
+    """Central-difference gradient, with step FD_STEP, of a scalar function
+    `f` of a flat vector."""
+    x0 = np.asarray(x0, dtype=np.float64)
+    g = np.zeros_like(x0)
+    for i in range(x0.size):
+        xp = x0.copy()
+        xm = x0.copy()
+        xp[i] += FD_STEP
+        xm[i] -= FD_STEP
+        g[i] = (f(xp) - f(xm)) / (2.0 * FD_STEP)
+    return g
+
+
+def flatten_params(model: EnhancementModel) -> np.ndarray:
+    return np.concatenate([model.params[n].data.ravel() for n in model.params])
+
+
+def set_params(model: EnhancementModel, flat: np.ndarray) -> None:
+    offset = 0
+    for name in model.params:
+        p = model.params[name]
+        p.data = flat[offset:offset + p.size].reshape(p.shape).copy()
+        offset += p.size
+
+
+def model_gradient_mismatches(model: EnhancementModel, x: np.ndarray,
+                              target: np.ndarray) -> tuple[int, float]:
+    """Compare autodiff parameter gradients against central finite differences.
+
+    A coordinate fails when the two differ by more than 1e-4 of the larger
+    magnitude, or by more than 1e-8 absolute. Returns (number of failing
+    coordinates, worst relative error).
+    """
+    rel_tol, abs_tol = 1e-4, 1e-8
+    flat0 = flatten_params(model)
+
+    def loss_at(flat):
+        set_params(model, flat)
+        return float(mse_loss(model.forward(x), target).data)
+
+    model.zero_grad()
+    set_params(model, flat0)
+    backward(mse_loss(model.forward(x), target))
+    auto = np.concatenate([
+        (model.params[n].grad if model.params[n].grad is not None
+         else np.zeros(model.params[n].shape)).ravel() for n in model.params])
+    fd = finite_difference(loss_at, flat0)
+    set_params(model, flat0)
+    err = np.abs(auto - fd)
+    scale = np.maximum(np.abs(auto), np.abs(fd))
+    bad = err > np.maximum(rel_tol * scale, abs_tol)
+    rel = err / np.maximum(scale, 1e-12)
+    worst = float(rel[scale > abs_tol].max()) if np.any(scale > abs_tol) else 0.0
+    return int(bad.sum()), worst
 
 
 # -- per-clip, per-head reference forward -------------------------------------

@@ -466,7 +466,7 @@ def _save_models(out_dir, kinds):
     for i, kind in enumerate(kinds):
         m = EnhancementModel(ModelConfig(n_layers=1, n_heads=2, d_model=8, d_ff=16,
                                          k_bins=257, pe_kind=kind, init_seed=11 + i))
-        save_checkpoint(out_dir / f"model_{kind}.lgse", m, None, 0)
+        save_checkpoint(out_dir / f"model_{kind}.lgse", m, step=0)
 
 
 def _tiny_experiment(out_dir, kinds, seed=7):

@@ -1,3 +1,4 @@
+import functools
 import math
 import threading
 
@@ -679,6 +680,21 @@ def test_only_the_package_module_makes_process_wide_settings():
         "ctypes": ["__init__.py"], "mallopt": ["__init__.py"]}
 
 
+def test_no_package_module_holds_an_assert():
+    """`python -O` strips `assert` statements, so a check in lgse written as
+    one would silently vanish: library checks raise."""
+    import ast
+    from pathlib import Path
+
+    import lgse
+
+    found = [f"{path.name}:{node.lineno}"
+             for path in sorted(Path(lgse.__file__).parent.glob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+             if isinstance(node, ast.Assert)]
+    assert found == []
+
+
 # numpy loads its BLAS unpinned, then lgse is imported; prints the BLAS
 # thread count (-1 if numpy's BLAS is not OpenBLAS) and the sha256 of an
 # attention-shaped product (20 s of frames, heads of width 32), whose bits
@@ -905,14 +921,53 @@ def test_long_split_predict_never_allocates_a_frames_by_d_ff_array(monkeypatch):
     assert np.max(np.abs(pred - m.forward(x).data)) <= 1e-12
 
 
-def test_selftest_tape_free_check_catches_a_floor_that_changes_weights(monkeypatch):
-    import lgse.numerics as numerics
-    from lgse.selftest import check_tape_free_forward
+def _check_tape_free_forward(monkeypatch):
+    """Blocked tape-free `predict` against the tape `forward` for every
+    scheme and a learnlin decay strong enough to hit the softmax floor, with
+    attention blocks small enough that each call makes several and every
+    per-frame part split into blocks of 4 frames, with a one-head model too,
+    whose single attention problem splits; and `predict` on up to three
+    workers against one, bitwise, on any host."""
+    import lgse.model as model_module
 
-    check_tape_free_forward()
+    rng = np.random.default_rng(12)
+    # (kind, length, learnlin beta, heads); beta -2 reaches -798 at L = 400.
+    cases = [(kind, 13, None, 2) for kind in SCHEMES]
+    cases += [(PeKind.LEARNLIN, 400, -2.0, 2), (PeKind.LEARNLIN, 13, None, 1)]
+    monkeypatch.setattr(model_module, "_FRAME_WORK", 1)
+    monkeypatch.setattr(model_module, "_FRAME_ROWS", 4)
+    for kind, length, beta, heads in cases:
+        model = EnhancementModel(ModelConfig(
+            n_layers=2, n_heads=heads, d_model=8, d_ff=16, k_bins=9, pe_kind=kind,
+            bertpos_max_len=8, init_seed=5))
+        for name, t in model.params.items():
+            if name.startswith("pe."):
+                t.data = t.data + rng.normal(0.0, 0.3, t.shape)
+        if beta is not None:
+            model.params["pe.beta"].data[:] = beta
+        # Three query blocks per attention call over every head.
+        monkeypatch.setattr(model_module, "_BLOCK_BYTES", 8 * heads * length * -(-length // 3))
+        x = rng.uniform(0.0, 2.0, (length, 9))
+        preds = {}
+        for cap in (3, 1):
+            monkeypatch.setattr(model_module, "_workers", functools.partial(min, cap))
+            preds[cap] = model.predict(x)
+        err = np.max(np.abs(preds[3] - model.forward(x).data))
+        assert err <= 1e-12, f"{kind.value} H={heads} L={length}: {err:.3g}"
+        assert np.array_equal(preds[1], preds[3]), (
+            f"{kind.value} H={heads} L={length}: one worker differs from three")
+
+
+def test_tape_free_predict_matches_the_tape_forward(monkeypatch):
+    _check_tape_free_forward(monkeypatch)
+
+
+def test_tape_free_check_catches_a_floor_that_changes_weights(monkeypatch):
+    import lgse.numerics as numerics
+
     monkeypatch.setattr(numerics, "EXP_FLOOR", -5.0)
     with pytest.raises(AssertionError, match=" L=13: "):
-        check_tape_free_forward()
+        _check_tape_free_forward(monkeypatch)
 
 
 @pytest.mark.filterwarnings("error")

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers import finite_difference
 from lgse import numerics, objectives
 from lgse.numerics import (
     LN_EPS,
@@ -20,7 +21,6 @@ from lgse.numerics import (
     constant,
     div,
     exp,
-    finite_difference,
     layer_norm_frames,
     log,
     matmul,

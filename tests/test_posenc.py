@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import lgse
+from helpers import NAIVE_OFFSET, naive_bias, random_bias_params
 from lgse.model import ModelConfig, param_shapes
 from lgse.numerics import Tensor, backward, constant, matmul, mul, reduce_sum
 from lgse.posenc import (
@@ -29,7 +30,6 @@ from lgse.posenc import (
     t5_bucket_index,
     tisa_bias,
 )
-from lgse.selftest import NAIVE_OFFSET, random_bias_params
 
 
 # -- sinusoidal ---------------------------------------------------------------
@@ -170,6 +170,15 @@ def test_every_kind_has_one_scheme_and_every_bias_an_oracle():
     assert set(SCHEMES) == set(PeKind)
     assert set(BIAS_KINDS) == set(NAIVE_OFFSET)
     assert [k for k, s in SCHEMES.items() if s.per_layer] == [PeKind.TISA]
+
+
+@pytest.mark.parametrize("kind", BIAS_KINDS)
+def test_built_bias_is_bitwise_the_naive_bias(kind):
+    rng = np.random.default_rng(zlib.crc32(kind.value.encode()))
+    for length in (3, 17, 64):
+        arrays = random_bias_params(kind, rng)
+        built = _bias(kind, length, arrays)[0].data
+        assert np.array_equal(built, naive_bias(kind, length, arrays)), length
 
 
 @pytest.mark.parametrize("kind", BIAS_KINDS)

@@ -450,18 +450,30 @@ def test_checkpoint_roundtrip_bitexact(tmp_path):
     assert np.array_equal(loaded.predict(x), model.predict(x))
     # save -> load -> save is byte-identical
     path2 = tmp_path / "m2.lgse"
-    save_checkpoint(path2, loaded, None, step)
+    save_checkpoint(path2, loaded, step=step)
     assert path2.read_bytes() == path.read_bytes()
 
 
 @pytest.mark.parametrize("kind", [k.value for k in PeKind])
 def test_trained_checkpoint_holds_only_the_model(tmp_path, kind):
+    """Every tensor has moved off its init value, so a record the loader
+    skipped would show in `predict`. 45 frames run bertpos past its 40
+    trained rows, into its fixed ones."""
     from helpers import rewrite_meta
 
-    model = EnhancementModel(ModelConfig(pe_kind=kind, target="irm", init_seed=6,
-                                         bertpos_max_len=40, **TINY_MODEL))
+    cfg = ModelConfig(pe_kind=kind, target="irm", init_seed=6, bertpos_max_len=40,
+                      **TINY_MODEL)
+    model = EnhancementModel(cfg)
     path = tmp_path / "m.lgse"
     train(model, corpus(2), tiny_cfg(max_steps=2), ckpt_path=path)
+    init = EnhancementModel(cfg).params
+    assert all(np.any(t.data != init[n].data) for n, t in model.params.items())
+    loaded, step = load_checkpoint(path)
+    x = np.random.default_rng(13).uniform(0.0, 2.0, (45, 257))
+    assert np.array_equal(loaded.predict(x), model.predict(x))
+    again = tmp_path / "again.lgse"
+    save_checkpoint(again, loaded, step=step)
+    assert again.read_bytes() == path.read_bytes()
     metas = []
     rewrite_meta(path, metas.append)
     assert sorted(metas[0]) == ["model_config", "step"]
@@ -493,7 +505,7 @@ def test_init_checkpoint_bytes_are_pinned(tmp_path, kind):
         n_layers=2, n_heads=2, d_model=8, d_ff=16, k_bins=9, pe_kind=kind,
         bertpos_max_len=8, init_seed=3))
     path = tmp_path / "m.lgse"
-    save_checkpoint(path, model, None, 0)
+    save_checkpoint(path, model, step=0)
     assert hashlib.sha256(path.read_bytes()).hexdigest() == INIT_CHECKPOINT_SHA256[kind]
 
 
@@ -515,7 +527,7 @@ def test_checkpoint_that_does_not_decode_names_its_file(tmp_path, where, byte, m
 
     model = EnhancementModel(ModelConfig(pe_kind="nopos", **TINY_MODEL))
     path = tmp_path / "m.lgse"
-    save_checkpoint(path, model, None, 0)
+    save_checkpoint(path, model, step=0)
     raw = bytearray(path.read_bytes())
     (meta_len,) = struct.unpack("<Q", raw[8:16])
     # The first byte of the meta block or of the first record's name.
@@ -532,7 +544,7 @@ def test_old_checkpoint_version_rejected(tmp_path, version):
 
     model = EnhancementModel(ModelConfig(pe_kind="nopos", **TINY_MODEL))
     path = tmp_path / "m.lgse"
-    save_checkpoint(path, model, None, 0)
+    save_checkpoint(path, model, step=0)
     raw = path.read_bytes()
     path.write_bytes(raw[:4] + struct.pack("<I", version) + raw[8:])
     with pytest.raises(CheckpointError,
@@ -543,7 +555,7 @@ def test_old_checkpoint_version_rejected(tmp_path, version):
 def test_truncated_checkpoint_rejected(tmp_path):
     model = EnhancementModel(ModelConfig(pe_kind="learnlin", **TINY_MODEL))
     path = tmp_path / "m.lgse"
-    save_checkpoint(path, model, None, 0)
+    save_checkpoint(path, model, step=0)
     raw = path.read_bytes()
     # Inside the header, the meta block, a record header and the last payload.
     for size in (6, 40, len(raw) // 2, len(raw) - 1):
@@ -557,7 +569,7 @@ def test_checkpoint_claiming_a_huge_record_is_truncated_not_allocated(tmp_path):
 
     model = EnhancementModel(ModelConfig(pe_kind="nopos", **TINY_MODEL))
     path = tmp_path / "m.lgse"
-    save_checkpoint(path, model, None, 0)
+    save_checkpoint(path, model, step=0)
     raw = bytearray(path.read_bytes())
     (meta_len,) = struct.unpack("<Q", raw[8:16])
     first = 16 + meta_len + 4
@@ -575,7 +587,7 @@ def test_checkpoint_whose_record_dims_multiply_past_2_to_63_is_truncated(tmp_pat
 
     model = EnhancementModel(ModelConfig(pe_kind="nopos", **TINY_MODEL))
     path = tmp_path / "m.lgse"
-    save_checkpoint(path, model, None, 0)
+    save_checkpoint(path, model, step=0)
     raw = bytearray(path.read_bytes())
     (meta_len,) = struct.unpack("<Q", raw[8:16])
     first = 16 + meta_len + 4
@@ -596,7 +608,7 @@ def test_loading_a_checkpoint_holds_each_record_once(tmp_path):
     model = EnhancementModel(ModelConfig(pe_kind="learnlin", n_layers=2, n_heads=4,
                                          d_model=128, d_ff=512))
     path = tmp_path / "m.lgse"
-    save_checkpoint(path, model, None, 0)
+    save_checkpoint(path, model, step=0)
     param_bytes = sum(t.data.nbytes for t in model.params.values())
     del model
     tracemalloc.start()
@@ -613,7 +625,7 @@ def test_checkpoint_shape_validation(tmp_path):
     model = EnhancementModel(ModelConfig(pe_kind="learnlin", target="irm",
                                          init_seed=1, **TINY_MODEL))
     path = tmp_path / "m.lgse"
-    save_checkpoint(path, model, None, 0)
+    save_checkpoint(path, model, step=0)
     raw = bytearray(path.read_bytes())
     # Corrupt the stored k_bins so shapes disagree with the records.
     txt = raw.decode("latin1")
@@ -649,7 +661,7 @@ def test_checkpoint_config_errors(tmp_path, edit, match):
 
     model = EnhancementModel(ModelConfig(pe_kind="learnlin", **TINY_MODEL))
     path = tmp_path / "m.lgse"
-    save_checkpoint(path, model, None, 0)
+    save_checkpoint(path, model, step=0)
     rewrite_model_config(path, lambda c: None)
     assert load_checkpoint(path)[0].config == model.config
     rewrite_model_config(path, edit)
@@ -667,7 +679,7 @@ def test_checkpoint_meta_errors(tmp_path, edit, match):
 
     model = EnhancementModel(ModelConfig(pe_kind="learnlin", **TINY_MODEL))
     path = tmp_path / "m.lgse"
-    save_checkpoint(path, model, None, 7)
+    save_checkpoint(path, model, step=7)
     assert load_checkpoint(path)[1] == 7
     rewrite_meta(path, edit)
     with pytest.raises(CheckpointError, match=match):
@@ -686,7 +698,7 @@ def test_checkpoint_record_set_errors(tmp_path, edit, match):
     model = EnhancementModel(ModelConfig(pe_kind="bertpos", bertpos_max_len=40,
                                          **TINY_MODEL))
     path = tmp_path / "m.lgse"
-    save_checkpoint(path, model, None, 0)
+    save_checkpoint(path, model, step=0)
     rewrite_records(path, lambda r: None)
     assert load_checkpoint(path)[0].config == model.config
     rewrite_records(path, edit)
@@ -697,7 +709,7 @@ def test_checkpoint_record_set_errors(tmp_path, edit, match):
 def test_checkpoint_record_of_another_shape_rejected(tmp_path):
     model = EnhancementModel(ModelConfig(pe_kind="learnlin", **TINY_MODEL))
     path = tmp_path / "m.lgse"
-    save_checkpoint(path, model, None, 0)
+    save_checkpoint(path, model, step=0)
     rewrite_records(path, lambda r: r.update(
         {"param.pe.beta": record_bytes("param.pe.beta", np.zeros(3))}))
     with pytest.raises(CheckpointError,
@@ -710,7 +722,7 @@ def test_load_and_freeze_check_draw_nothing(tmp_path, monkeypatch, kind):
     cfg = ModelConfig(pe_kind=kind, init_seed=6, bertpos_max_len=40, **TINY_MODEL)
     model = EnhancementModel(cfg)
     path = tmp_path / "m.lgse"
-    save_checkpoint(path, model, None, 4)
+    save_checkpoint(path, model, step=4)
 
     def no_draw(*args, **kwargs):
         raise AssertionError("a random generator was made")
@@ -732,6 +744,6 @@ def test_checkpoint_non_finite_tensor_rejected(tmp_path, bad):
     model = EnhancementModel(ModelConfig(pe_kind="learnlin", **TINY_MODEL))
     model.params["pe.beta"].data[1] = bad
     path = tmp_path / "m.lgse"
-    save_checkpoint(path, model, None, 0)
+    save_checkpoint(path, model, step=0)
     with pytest.raises(CheckpointError, match="param.pe.beta holds non-finite"):
         load_checkpoint(path)
