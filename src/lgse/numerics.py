@@ -13,6 +13,13 @@ local-gradient function per parent, handed to `_op`. `_op` alone records the
 node, reduces each local gradient to its parent's shape and accumulates it,
 so an op never touches the tape itself.
 
+The tape is made of nodes, not of values. A node (`_Node`) links to its
+parents that require a gradient and holds the arrays its local gradients
+read, as saved-tensor autodiff does; a tensor links to the node that made
+it. An op's output that no local gradient reads, such as a matmul product fed
+to an add, is therefore freed as soon as the caller drops it, and constants
+never join the tape.
+
 One op has a tape-free form for inference: `softmax_rows(scores, values)`
 returns softmax(scores) @ values, consuming `scores` as its buffer. It
 normalizes the small (..., m, d) product after the value product rather than
@@ -72,6 +79,11 @@ class ContractError(RuntimeError):
 class Tensor:
     """N-dimensional float64 array participating in the gradient tape.
 
+    A tensor holds its value, `requires_grad`, `grad` and a link to the tape
+    node that made it, if any. The node keeps only the arrays its local
+    gradients read (see `_op`), so a value no gradient reads is freed with
+    its tensor.
+
     `grad` is populated by `backward` for leaf tensors with
     `requires_grad=True` and accumulates across calls; callers zero it by
     assigning None. Interior nodes drop theirs once it has been propagated.
@@ -80,14 +92,13 @@ class Tensor:
     never written into.
     """
 
-    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward")
+    __slots__ = ("data", "grad", "requires_grad", "_node")
 
     def __init__(self, data, requires_grad: bool = False):
         self.data = np.asarray(data, dtype=np.float64)
         self.requires_grad = bool(requires_grad)
         self.grad: np.ndarray | None = None
-        self._parents: tuple[Tensor, ...] = ()
-        self._backward: Callable[[np.ndarray], None] | None = None
+        self._node: _Node | None = None
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -100,6 +111,23 @@ class Tensor:
     def __repr__(self) -> str:
         flag = ", requires_grad=True" if self.requires_grad else ""
         return f"Tensor(shape={self.shape}{flag})"
+
+
+class _Node:
+    """One recorded op: its parents that require a gradient, each a leaf
+    Tensor or that parent's node, the function that hands them their
+    gradients, the op's output shape and, while `backward` runs, its
+    upstream gradient. It holds no Tensor; the function holds the arrays
+    the local gradients read."""
+
+    __slots__ = ("parents", "back", "shape", "grad")
+    requires_grad = True
+
+    def __init__(self, parents, back, shape):
+        self.parents: tuple[Tensor | _Node, ...] = parents
+        self.back: Callable[[np.ndarray], None] = back
+        self.shape: tuple[int, ...] = shape
+        self.grad: np.ndarray | None = None
 
 
 def constant(data) -> Tensor:
@@ -116,8 +144,8 @@ _GRAD_ENABLED: ContextVar[bool] = ContextVar("lgse_grad_enabled", default=True)
 
 @contextlib.contextmanager
 def no_grad() -> Iterator[None]:
-    """Record no tape inside the block: results keep no parents and no
-    backward closure, so intermediates are freed as soon as they are unused."""
+    """Record no tape inside the block: results get no node, so
+    intermediates are freed as soon as they are unused."""
     token = _GRAD_ENABLED.set(False)
     try:
         yield
@@ -135,28 +163,32 @@ def _op(data, *edges: tuple[Tensor, Callable[[np.ndarray], np.ndarray]]) -> Tens
     """The one node constructor: an op is its value plus one local-gradient
     function per parent, given as `(parent, grad_fn)` edges.
 
-    The node is recorded only when a tape is on and some parent requires a
-    gradient. Its backward hands each such parent, in parent order,
-    `_unbroadcast(grad_fn(g), parent.shape)` through `_accumulate`; a
-    `grad_fn` is never called for a parent that requires none.
+    A node is recorded only when a tape is on and some parent requires a
+    gradient, and it keeps only those parents: a leaf as itself, an op's
+    output as that output's node. A constant parent and its `grad_fn` are
+    dropped. Each `grad_fn` captures the arrays and shapes it reads, never a
+    parent Tensor, so the node keeps no value that no local gradient reads.
+    Its backward hands each kept parent, in parent order,
+    `_unbroadcast(grad_fn(g), parent.shape)` through `_accumulate`.
     """
     out = Tensor(data)
-    if _GRAD_ENABLED.get() and any(p.requires_grad for p, _ in edges):
-        out.requires_grad = True
-        out._parents = tuple(p for p, _ in edges)
-
-        def back(g):
-            for p, grad_fn in edges:
-                if p.requires_grad:
+    if _GRAD_ENABLED.get():
+        kept = tuple((p if p._node is None else p._node, grad_fn)
+                     for p, grad_fn in edges if p.requires_grad)
+        if kept:
+            def back(g):
+                for p, grad_fn in kept:
                     _accumulate(p, _unbroadcast(grad_fn(g), p.shape))
 
-        out._backward = back
+            out.requires_grad = True
+            out._node = _Node(tuple(p for p, _ in kept), back, out.shape)
     return out
 
 
-def _accumulate(t: Tensor, g: np.ndarray) -> None:
-    """Add a gradient contribution to `t.grad` without writing into either:
-    the first contribution is kept as it is, later ones make a new sum."""
+def _accumulate(t: Tensor | _Node, g: np.ndarray) -> None:
+    """Add a gradient contribution to the `grad` of a leaf or a node without
+    writing into either: the first contribution is kept as it is, later ones
+    make a new sum."""
     if t.grad is None:
         t.grad = g
     else:
@@ -189,26 +221,27 @@ def sub(a, b) -> Tensor:
 
 def mul(a, b) -> Tensor:
     a, b = _promote(a), _promote(b)
-    data = a.data * b.data
+    ad, bd = a.data, b.data
+    data = ad * bd
     if a is b:
         # A square, as in the MSE loss: its two contributions in one array,
         # not a sum made beside both. g*a + g*a == 2*(g*a) exactly. Without
-        # it the bits held, but train-desk's peak RSS rose from 86.0 to 94.3 MB
-        # (+9.6%, 4 of 4 paired runs on 2 CPUs, with the heap thresholds
-        # `import lgse` sets), past the bench's 5% bound.
+        # it the bits held, but train-desk's peak RSS rose from 70.5 to 77.3 MB
+        # (+9.6%, 4 of 4 alternating fresh-copy pairs on 2 CPUs, with the
+        # heap thresholds `import lgse` sets), past the bench's 5% bound.
         def twice(g):
-            out = g * a.data
+            out = g * ad
             out *= 2.0
             return out
 
         return _op(data, (a, twice))
-    return _op(data, (a, lambda g: g * b.data), (b, lambda g: g * a.data))
+    return _op(data, (a, lambda g: g * bd), (b, lambda g: g * ad))
 
 
 def div(a, b) -> Tensor:
     a, b = _promote(a), _promote(b)
-    return _op(a.data / b.data, (a, lambda g: g / b.data),
-               (b, lambda g: -g * a.data / (b.data * b.data)))
+    ad, bd = a.data, b.data
+    return _op(ad / bd, (a, lambda g: g / bd), (b, lambda g: -g * ad / (bd * bd)))
 
 
 def neg(a) -> Tensor:
@@ -230,13 +263,13 @@ def matmul(a, b) -> Tensor:
     if a.data.ndim < 2 or b.data.ndim < 2 or a.shape[-1] != b.shape[-2]:
         raise DimensionError(
             f"matmul requires (...,m,k)@(...,k,n); got {a.shape} and {b.shape}")
-    if b.data.ndim == 2 and a.data.ndim > 2:
-        rows = a.data.reshape(-1, a.shape[-1])
-        return _op((rows @ b.data).reshape(a.shape[:-1] + b.shape[-1:]),
-                   (a, lambda g: (g.reshape(-1, g.shape[-1]) @ b.data.T).reshape(a.shape)),
+    ad, bd, shape = a.data, b.data, a.shape
+    if bd.ndim == 2 and ad.ndim > 2:
+        rows = ad.reshape(-1, shape[-1])
+        return _op((rows @ bd).reshape(shape[:-1] + bd.shape[-1:]),
+                   (a, lambda g: (g.reshape(-1, g.shape[-1]) @ bd.T).reshape(shape)),
                    (b, lambda g: rows.T @ g.reshape(-1, g.shape[-1])))
-    return _op(a.data @ b.data, (a, lambda g: g @ _swap(b.data)),
-               (b, lambda g: _swap(a.data) @ g))
+    return _op(ad @ bd, (a, lambda g: g @ _swap(bd)), (b, lambda g: _swap(ad) @ g))
 
 
 def transpose(a, axis1: int = -2, axis2: int = -1) -> Tensor:
@@ -254,12 +287,13 @@ def relu(a) -> Tensor:
 
     Selects without a branch: fmax maps NaN to 0, and adding 0.0 turns the
     -0.0 fmax may keep into +0.0 while leaving every other value as it is.
-    The backward builds its mask from `a.data` when it runs.
+    The backward builds its mask from the output when it runs: out > 0
+    exactly where x > 0, so the tape need not keep x.
     """
     a = _promote(a)
     out = np.fmax(a.data, 0.0)
     out += 0.0
-    return _op(out, (a, lambda g: g * (a.data > 0.0)))
+    return _op(out, (a, lambda g: g * (out > 0.0)))
 
 
 def _stable_sigmoid(x: np.ndarray) -> np.ndarray:
@@ -293,7 +327,8 @@ def exp(a) -> Tensor:
 def log(a) -> Tensor:
     """Natural log; the caller guarantees strictly positive input."""
     a = _promote(a)
-    return _op(np.log(a.data), (a, lambda g: g / a.data))
+    x = a.data
+    return _op(np.log(x), (a, lambda g: g / x))
 
 
 def absolute(a) -> Tensor:
@@ -305,8 +340,9 @@ def absolute(a) -> Tensor:
 
 def reduce_sum(a, axis: int | None = None) -> Tensor:
     a = _promote(a)
+    shape = a.shape
     return _op(a.data.sum(axis=axis), (a, lambda g: np.broadcast_to(
-        g if axis is None else np.expand_dims(g, axis), a.shape).copy()))
+        g if axis is None else np.expand_dims(g, axis), shape).copy()))
 
 
 def reduce_mean(a) -> Tensor:
@@ -389,11 +425,12 @@ def layer_norm_frames(x, gain, bias) -> Tensor:
     np.sqrt(inv_std, out=inv_std)
     np.divide(1.0, inv_std, out=inv_std)
     xhat *= inv_std
-    np.multiply(xhat, gain.data, out=out)
+    gd = gain.data
+    np.multiply(xhat, gd, out=out)
     out += bias.data
 
     def x_grad(g):
-        dxhat = g * gain.data
+        dxhat = g * gd
         # Standard layer-norm backward, all reductions along the frame axis.
         return (dxhat - dxhat.mean(axis=-1, keepdims=True)
                 - xhat * (dxhat * xhat).mean(axis=-1, keepdims=True)) * inv_std
@@ -411,9 +448,10 @@ def take(a, idx) -> Tensor:
     differentiable input.
     """
     a = _promote(a)
+    shape = a.shape
 
     def scatter(g):
-        ga = np.zeros_like(a.data)
+        ga = np.zeros(shape)
         np.add.at(ga, idx, g)
         return ga
 
@@ -435,10 +473,11 @@ def toeplitz(values, length: int) -> Tensor:
             f"got {values.shape}")
     windows = np.lib.stride_tricks.sliding_window_view(
         values.data[..., ::-1], length, axis=-1)
+    shape = values.shape
 
     def scatter(g):
         i = np.arange(length)
-        gv = np.zeros_like(values.data)
+        gv = np.zeros(shape)
         np.add.at(gv, (Ellipsis, i[:, None] - i[None, :] + (length - 1)), g)
         return gv
 
@@ -462,7 +501,8 @@ def concat_cols(parts: Sequence[Tensor], axis: int = 1) -> Tensor:
 
 def reshape(a, shape: tuple[int, ...]) -> Tensor:
     a = _promote(a)
-    return _op(a.data.reshape(shape), (a, lambda g: g.reshape(a.shape)))
+    old = a.shape
+    return _op(a.data.reshape(shape), (a, lambda g: g.reshape(old)))
 
 
 def rotate_pairs(x) -> Tensor:
@@ -485,11 +525,14 @@ def rotate_pairs(x) -> Tensor:
     return _op(data, (x, unrotate))
 
 
-def trace(root: Tensor) -> list[Tensor]:
-    """Tape for `root`: reachable nodes with every parent before its consumer."""
-    order: list[Tensor] = []
+def trace(root: Tensor) -> list[Tensor | _Node]:
+    """Tape for `root`: its node and every node and trainable leaf that it
+    reaches, each parent before its consumer, so the root's node comes last.
+    Constants are not on the tape. A root with no tape gives `[root]`."""
+    start = root if root._node is None else root._node
+    order: list[Tensor | _Node] = []
     seen: set[int] = set()
-    stack: list[tuple[Tensor, bool]] = [(root, False)]
+    stack: list[tuple[Tensor | _Node, bool]] = [(start, False)]
     while stack:
         node, expanded = stack.pop()
         if expanded:
@@ -499,9 +542,10 @@ def trace(root: Tensor) -> list[Tensor]:
             continue
         seen.add(id(node))
         stack.append((node, True))
-        for p in node._parents:
-            if id(p) not in seen:
-                stack.append((p, False))
+        if isinstance(node, _Node):
+            for p in node.parents:
+                if id(p) not in seen:
+                    stack.append((p, False))
     return order
 
 
@@ -511,8 +555,8 @@ def backward(loss: Tensor) -> None:
         raise ContractError(
             f"backward requires a scalar loss, got shape {loss.shape}")
     order = trace(loss)
-    loss.grad = np.ones_like(loss.data)
+    order[-1].grad = np.ones_like(loss.data)
     for node in reversed(order):
-        if node._backward is not None and node.grad is not None:
-            node._backward(node.grad)
+        if isinstance(node, _Node) and node.grad is not None:
+            node.back(node.grad)
             node.grad = None

@@ -94,8 +94,16 @@ def cirm(clean: np.ndarray, noisy: np.ndarray) -> np.ndarray:
 
 def compress_cirm(values: np.ndarray) -> np.ndarray:
     """Elementwise bounded compression of real values into (-CIRM_K, CIRM_K)."""
+    return _compress_in_place(np.array(values, dtype=np.float64))
+
+
+def _compress_in_place(t: np.ndarray) -> np.ndarray:
+    """`compress_cirm` in the float64 buffer `t`, which it returns."""
     # K*(1 - e^{-C t})/(1 + e^{-C t}) == K*tanh(C t / 2), stable for large |t|.
-    return CIRM_K * np.tanh(0.5 * CIRM_C * values)
+    t *= 0.5 * CIRM_C
+    np.tanh(t, out=t)
+    t *= CIRM_K
+    return t
 
 
 def decompress_cirm(values: np.ndarray) -> np.ndarray:
@@ -119,8 +127,12 @@ def uncompress_ms(mag: np.ndarray) -> np.ndarray:
 
 
 def _cirm_grid(clean, noise, noisy) -> np.ndarray:
+    """`compress_cirm` of the mask's real and imaginary parts, computed in
+    their concatenated buffer."""
     m = cirm(clean, noisy)
-    return compress_cirm(np.concatenate([m.real, m.imag], axis=-1))
+    grid = np.concatenate([m.real, m.imag], axis=-1)
+    del m
+    return _compress_in_place(grid)
 
 
 def _cirm_apply(noisy, prediction) -> np.ndarray:

@@ -87,9 +87,11 @@ def make_batch(utts: list[Utterance], cfg: TrainConfig, rng: np.random.Generator
 
     Returns the noisy magnitudes |X|, shaped (B, L, K), and the loss target,
     shaped (B, L, K) or (B, L, 2K) for cIRM. B counts the usable clips and is
-    0 when there is none. One STFT analyses the clean clips S and the unscaled
-    noise segments N together; the mixing happens in the STFT domain, which
-    is linear: V = g*N and X = S + V, with g the per-clip gain for its SNR.
+    0 when there is none. The mixing happens in the STFT domain, which is
+    linear: V = g*N and X = S + V, with N the unscaled noise segments and g
+    the per-clip gain for its SNR. Two STFTs, of the clean clips S and then
+    of the noise segments N, stage the memory: each signal stack is dropped
+    once analysed, and S and V once the target grid is made.
     """
     clip_len = int(round(cfg.clip_len_s * dsp.SAMPLE_RATE))
     clips: list[np.ndarray] = []
@@ -104,14 +106,18 @@ def make_batch(utts: list[Utterance], cfg: TrainConfig, rng: np.random.Generator
             snrs.append(int(rng.integers(SNR_LOW_DB, SNR_HIGH_DB + 1)))
             clips.append(utt.clean.samples[c * clip_len:(c + 1) * clip_len])
             segs.append(src[offset:offset + clip_len])
-    sig = np.empty((2, len(snrs), clip_len))
-    for b, (clip, seg) in enumerate(zip(clips, segs)):
-        sig[0, b], sig[1, b] = clip, seg
-    gain = dsp.noise_gain_for_snr(sig[0], sig[1], snrs)
-    spec_s, spec_v = dsp.stft(sig)
+    clean = np.reshape(clips, (len(snrs), clip_len))
+    noise = np.reshape(segs, (len(snrs), clip_len))
+    gain = dsp.noise_gain_for_snr(clean, noise, snrs)
+    spec_s = dsp.stft(clean)
+    del clean
+    spec_v = dsp.stft(noise)
+    del noise
     spec_v *= gain[:, None, None]
     spec_x = spec_s + spec_v
-    return np.abs(spec_x), objectives.target_grid(model_cfg, spec_s, spec_v, spec_x)
+    target = objectives.target_grid(model_cfg, spec_s, spec_v, spec_x)
+    del spec_s, spec_v
+    return np.abs(spec_x), target
 
 
 def mse_loss(pred: Tensor, target: np.ndarray) -> Tensor:
@@ -122,6 +128,14 @@ def mse_loss(pred: Tensor, target: np.ndarray) -> Tensor:
             f"prediction shape {pred.shape} does not match target {target.shape}")
     diff = sub(pred, constant(target))
     return reduce_mean(mul(diff, diff))
+
+
+def _require_finite(params: dict[str, Tensor], cfg: TrainConfig) -> None:
+    """Raise FloatingPointError naming the first parameter outside `cfg.freeze`
+    whose gradient holds a NaN or an infinity."""
+    for name, p in params.items():
+        if p.grad is not None and name not in cfg.freeze and not np.isfinite(p.grad).all():
+            raise FloatingPointError(f"non-finite gradient for parameter {name!r}")
 
 
 def clip_gradients(params: dict[str, Tensor], limit: float) -> None:
@@ -143,7 +157,9 @@ class AdamState:
 
 def adam_step(params: dict[str, Tensor], state: AdamState, lr: float,
               cfg: TrainConfig) -> None:
-    """One bias-corrected Adam update over all parameters with gradients."""
+    """One bias-corrected Adam update over all parameters with gradients;
+    a non-finite one raises FloatingPointError (`_require_finite`)."""
+    _require_finite(params, cfg)
     state.t += 1
     b1, b2, eps = ADAM_BETA1, ADAM_BETA2, ADAM_EPS
     c1 = 1.0 - b1 ** state.t
@@ -152,8 +168,6 @@ def adam_step(params: dict[str, Tensor], state: AdamState, lr: float,
         if p.grad is None or name in cfg.freeze:
             continue
         g = p.grad
-        if not np.isfinite(g).all():
-            raise FloatingPointError(f"non-finite gradient for parameter {name!r}")
         if name not in state.m:
             state.m[name] = np.zeros_like(p.data)
             state.v[name] = np.zeros_like(p.data)
@@ -224,12 +238,14 @@ def train(model: EnhancementModel, corpus: list[Utterance], cfg: TrainConfig, *,
         model.zero_grad()
         loss = mse_loss(model.forward(x_mag), target)
         backward(loss)
+        # Before the clip, which would map an infinity to +-GRAD_CLIP.
+        _require_finite(model.params, cfg)
         clip_gradients(model.params, GRAD_CLIP)
         adam_step(model.params, state, lr, cfg)
         trace.append((step, lr, float(loss.data)))
-        # Free the step's tape now; otherwise it lives on through the next
-        # batch and forward, until `loss` is rebound.
-        del loss
+        # Free the step's tape and batch now; otherwise they live on through
+        # the next make_batch and forward, until rebound.
+        del loss, x_mag, target
         if cfg.max_steps and step >= cfg.max_steps:
             break
     if ckpt_path:

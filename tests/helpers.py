@@ -7,6 +7,7 @@ import json
 import math
 import os
 import struct
+import tracemalloc
 import warnings
 from dataclasses import fields
 
@@ -53,6 +54,48 @@ def make_batch_loop(utts, cfg, rng, model_cfg):
             target = objectives.target_grid(model_cfg, spec_s, spec_v, spec_x)
             clips.append((clean, noise_scaled, snr, spec_s, spec_v, spec_x, target))
     return clips
+
+
+def make_batch_single_stft(utts, cfg, rng, model_cfg):
+    """`training.make_batch` as one STFT of the stacked clean clips and noise
+    segments, with every spectrum alive until the end; oracle for the staged
+    form, which must give the same bits."""
+    clip_len = int(round(cfg.clip_len_s * dsp.SAMPLE_RATE))
+    clips, segs, snrs = [], [], []
+    for utt in utts:
+        for c in range(len(utt.clean) // clip_len):
+            src = utts[int(rng.integers(0, len(utts)))].noise.samples
+            if len(src) < clip_len:
+                continue
+            offset = int(rng.integers(0, len(src) - clip_len + 1))
+            snrs.append(int(rng.integers(SNR_LOW_DB, SNR_HIGH_DB + 1)))
+            clips.append(utt.clean.samples[c * clip_len:(c + 1) * clip_len])
+            segs.append(src[offset:offset + clip_len])
+    sig = np.empty((2, len(snrs), clip_len))
+    for b, (clip, seg) in enumerate(zip(clips, segs)):
+        sig[0, b], sig[1, b] = clip, seg
+    gain = dsp.noise_gain_for_snr(sig[0], sig[1], snrs)
+    spec_s, spec_v = dsp.stft(sig)
+    spec_v *= gain[:, None, None]
+    spec_x = spec_s + spec_v
+    return np.abs(spec_x), objectives.target_grid(model_cfg, spec_s, spec_v, spec_x)
+
+
+def traced_bytes(f):
+    """(f(), bytes it left allocated, its peak allocation), both counted
+    from the call's start by tracemalloc."""
+    started = not tracemalloc.is_tracing()
+    if started:
+        tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        out = f()
+        now, peak = tracemalloc.get_traced_memory()
+    finally:
+        if started:
+            tracemalloc.stop()
+    return out, now - base, peak - base
 
 
 def param_count(model: EnhancementModel, prefix: str = "") -> int:

@@ -382,7 +382,7 @@ def test_predict_records_no_tape_and_training_still_does(monkeypatch):
     monkeypatch.setattr(EnhancementModel, "forward", spy)
     pred = m.predict(x)
     assert len(outs) == 1 and np.array_equal(pred, outs[0].data)
-    assert outs[0]._parents == () and outs[0]._backward is None
+    assert outs[0]._node is None
     assert not outs[0].requires_grad
     backward(reduce_sum(m.forward(x)))
     assert m.params["pe.beta"].grad is not None
@@ -475,7 +475,7 @@ def test_blocked_attention_matches_tape_with_broadcast_operands(shapes):
                               constant(bias), multiplicative=multiplicative)
         blocked = attention_head(constant(q), constant(k), constant(v), constant(bias),
                                  multiplicative=multiplicative)
-        assert tape._parents and not blocked._parents
+        assert tape._node.parents and blocked._node is None
         assert np.max(np.abs(blocked.data - tape.data)) <= 1e-14
 
 

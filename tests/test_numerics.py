@@ -1,5 +1,6 @@
 import ast
 import textwrap
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -235,9 +236,39 @@ def test_trace_topological_and_unique():
     nodes = trace(loss)
     assert len({id(n) for n in nodes}) == len(nodes)
     position = {id(n): i for i, n in enumerate(nodes)}
+    assert nodes[-1] is loss._node
     for n in nodes:
-        for p in n._parents:
+        for p in getattr(n, "parents", ()):
             assert position[id(p)] < position[id(n)]
+
+
+def test_trace_of_a_root_with_no_tape_is_the_root():
+    for root in (constant(rand((2, 2), 9)), Tensor(rand((2, 2), 9), requires_grad=True)):
+        assert trace(root) == [root]
+    with no_grad():
+        out = add(Tensor(rand((2, 2), 9), requires_grad=True), 1.0)
+    assert trace(out) == [out]
+
+
+def test_a_value_no_gradient_reads_is_freed_with_its_name():
+    """A matmul output that feeds an add is read by no local gradient, so the
+    tape does not keep it; the gradients stay the same bits."""
+    def run(keep):
+        w = Tensor(rand((3, 4), 10), requires_grad=True)
+        b = Tensor(rand((4,), 11), requires_grad=True)
+        product = matmul(constant(rand((5, 3), 12)), w)
+        value = weakref.ref(product.data)
+        loss = reduce_sum(mul(add(product, b), constant(rand((5, 4), 13))))
+        if not keep:
+            del product
+        alive = value() is not None
+        backward(loss)
+        return alive, w.grad, b.grad
+
+    kept, *want = run(keep=True)
+    freed, *got = run(keep=False)
+    assert kept and not freed
+    assert all(g.tobytes() == w.tobytes() for g, w in zip(got, want, strict=True))
 
 
 def _scoped_nodes(tree):
@@ -252,8 +283,8 @@ def _scoped_nodes(tree):
 
 
 def test_only_op_records_a_node():
-    """In `numerics`, `_op` alone sets a tensor's `_parents` or `_backward`
-    (apart from `Tensor.__init__`'s empty defaults) and alone calls
+    """In `numerics`, `_op` alone builds a `_Node` and sets a tensor's
+    `_node` (apart from `Tensor.__init__`'s None default) and alone calls
     `_accumulate` and `_unbroadcast`: every op is its value plus one local
     gradient per parent."""
     tree = ast.parse(Path(numerics.__file__).read_text(encoding="utf-8"))
@@ -262,16 +293,15 @@ def test_only_op_records_a_node():
         if isinstance(node, (ast.Assign, ast.AugAssign, ast.AnnAssign)):
             targets = node.targets if isinstance(node, ast.Assign) else [node.target]
             default = scope == "Tensor.__init__" and (
-                isinstance(node.value, ast.Constant) and node.value.value is None
-                or isinstance(node.value, ast.Tuple) and not node.value.elts)
+                isinstance(node.value, ast.Constant) and node.value.value is None)
             records |= {(scope, t.attr) for t in targets
                         if isinstance(t, ast.Attribute)
-                        and t.attr in ("_parents", "_backward") and not default}
+                        and t.attr == "_node" and not default}
         if isinstance(node, ast.Call) and isinstance(node.func, ast.Name):
-            if node.func.id in ("_accumulate", "_unbroadcast"):
+            if node.func.id in ("_accumulate", "_unbroadcast", "_Node"):
                 calls.add((scope, node.func.id))
-    assert records == {("_op", "_parents"), ("_op", "_backward")}
-    assert calls == {("_op", "_accumulate"), ("_op", "_unbroadcast")}
+    assert records == {("_op", "_node")}
+    assert calls == {("_op", "_accumulate"), ("_op", "_unbroadcast"), ("_op", "_Node")}
 
 
 # numpy calls that pick each element by a mask, and calls that make a mask.
@@ -647,9 +677,9 @@ def test_no_grad_records_no_tape_and_restores():
         with no_grad():
             pass
         z = add(y, w)
-    assert y._parents == () and z._parents == () and not z.requires_grad
+    assert y._node is None and z._node is None and not z.requires_grad
     out = reduce_sum(matmul(w, w))
-    assert out.requires_grad and out._parents
+    assert out.requires_grad and out._node.parents
     backward(out)
     assert w.grad is not None
 

@@ -14,6 +14,7 @@ from lgse.evaluate import si_sdr
 from lgse.model import ModelConfig
 from lgse.numerics import constant
 from lgse.objectives import (
+    CIRM_C,
     CIRM_K,
     IRM_GAMMA,
     MS_POWER,
@@ -152,6 +153,20 @@ def test_cirm_on_special_values_gives_the_masked_forms_bits_and_warnings():
     got, got_warnings = warned(cirm, clean, noisy)
     want, want_warnings = warned(cirm_masked, clean, noisy)
     assert same_bits(got, want) and got_warnings == want_warnings
+
+
+@pytest.mark.parametrize("shape", KERNEL_SHAPES)
+def test_cirm_compression_in_place_gives_the_out_of_place_forms_bits(shape):
+    """`compress_cirm` and the cIRM grid compress in one buffer, bit for bit
+    as K * tanh(C t / 2)."""
+    clean, noise = _complex_normals(shape, 2), 40.0 * _complex_normals(shape, 3)
+    noisy = clean + noise
+    noisy.flat[::5] = 0.0
+    m = cirm(clean, noisy)
+    stacked = np.concatenate([m.real, m.imag], axis=-1)
+    want = CIRM_K * np.tanh(0.5 * CIRM_C * stacked)
+    assert same_bits(compress_cirm(stacked), want)
+    assert same_bits(target_grid(ModelConfig(target="cirm"), clean, noise, noisy), want)
 
 
 @pytest.mark.parametrize("shape", [None] + KERNEL_SHAPES)
