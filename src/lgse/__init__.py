@@ -10,7 +10,7 @@ forked children, such as the experiment's scoring processes, inherit both.
 - BLAS runs on one thread. A BLAS product's bits depend on how many threads
   sum it, and an unpinned OpenBLAS takes one per core, so the output bytes
   would change with the host's core count. One thread also leaves the CPUs to
-  `model._workers`, which splits the work among them.
+  `lgse.workers.count`, which splits the work among them.
 - Under glibc, freed heap pages stay mapped for the next call. By default
   glibc returns the top of the heap to the kernel after each burst of
   0.5-5 MB float64 temporaries, and the next call faults the same pages in
@@ -50,7 +50,7 @@ def _pin_blas() -> bool:
     return False
 
 
-# Set before any submodule loads numpy; `model._workers` reads it.
+# Set before any submodule loads numpy; `lgse.workers.count` reads it.
 _blas_pinned = _pin_blas()
 
 

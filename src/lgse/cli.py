@@ -61,7 +61,7 @@ budget on a CPU box. The desk preset, a 2 x 32 model that can:
 
     p = sub.add_parser("enhance", help="enhance one WAV file",
                        description="Enhance one WAV file. A long input runs on "
-                                   "worker threads, as many as lgse.model._workers "
+                                   "worker threads, as many as lgse.workers.count "
                                    "allows; the output bytes do not depend on how "
                                    "many.")
     p.add_argument("input")
@@ -77,7 +77,7 @@ budget on a CPU box. The desk preset, a 2 x 32 model that can:
                        help="train per-scheme models and score length generalization",
                        description="Train one model per scheme, then score every suite "
                                    "mixture, on worker processes, as many as "
-                                   "lgse.model._workers allows. The output bytes do not "
+                                   "lgse.workers.count allows. The output bytes do not "
                                    "depend on how many. A model_<kind>.lgse in --out-dir "
                                    "is reused if its model settings match, whatever seed "
                                    "or train settings made it: use one --out-dir per "

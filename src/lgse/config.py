@@ -170,6 +170,8 @@ def load_run_config(path=None, overrides: list[str] | None = None,
         values[key] = _coerce(key, defaults[key], value)
     # Sub-seeds not pinned explicitly derive from the master seed.
     master = values.get("seed", defaults["seed"])
+    if master < 0:
+        raise ConfigError(f"seed must be at least 0, got {master}")
     values.setdefault("train.seed", derived_seed(master, "train"))
     values.setdefault("model.init_seed", derived_seed(master, "init"))
     cfg = RunConfig(seed=master)

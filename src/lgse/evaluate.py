@@ -3,16 +3,8 @@ chunked inference, and the train-short / test-long experiment runner.
 
 The experiment scores each mixture with one `enhance_full` call for the full
 mode and one `enhance_chunked` call for all its chunked modes, which enhances
-each distinct chunk once, however many modes own it. It lists the kinds to
-train and the mixtures to score as jobs, and `_in_processes` deals them out
-to forked processes, as many as `model._workers` allows. Each inherits the
-two process-wide settings that importing lgse made: BLAS on one thread, so
-the output bytes are the same for any process count, and glibc heap
-thresholds that keep freed pages mapped, so a scoring process does not fault
-its temporaries in again on every call. It forks only while no other
-Python thread is alive; the model's worker threads, for attention and for
-the per-frame parts of a long forward, are joined before their call returns,
-so none is alive between calls."""
+each distinct chunk once, however many modes own it. The models to train and
+the mixtures to score are jobs that `workers.in_processes` deals out."""
 
 from __future__ import annotations
 
@@ -20,15 +12,11 @@ import csv
 import functools
 import io
 import os
-import pickle
-import threading
-from collections.abc import Callable
 from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
-from . import dsp, objectives
-from . import model as model_module
+from . import dsp, objectives, workers
 from .dsp import Waveform, derived_seed
 from .model import EnhancementModel, ModelConfig
 from .posenc import SCHEMES, PeKind
@@ -398,71 +386,6 @@ def _load_model(ckpt_path, cfg: ModelConfig) -> EnhancementModel:
     return model
 
 
-def _in_processes(jobs: int, job: Callable[[int], object]) -> list:
-    """[job(n) for n in range(jobs)], job n run on process n mod W, where
-    W = `model._workers(jobs)`. A forked child runs BLAS on one thread, as
-    its parent does, so W does not change the bytes.
-
-    The calling process runs jobs 0, W, 2W, ... and W - 1 forked children
-    the others. A child pickles its results, or the exception it raised,
-    into a pipe and leaves through `os._exit`. Every child is read and
-    waited for before anything is raised, also when a job of the caller's
-    raises. A child's exception is then raised here with its type and
-    message; a child that exits without reporting raises ChildProcessError
-    naming its exit status. Nothing forks while another Python thread is
-    alive, since a forked child would inherit any lock that thread holds; W
-    is then 1.
-    """
-    workers = model_module._workers(jobs) if threading.active_count() == 1 else 1
-    children: list[tuple[int, int]] = []
-    try:
-        for w in range(1, workers):
-            read, write = os.pipe()
-            pid = os.fork()
-            if pid == 0:
-                os.close(read)
-                _report(write, job, range(w, jobs, workers))
-            os.close(write)
-            children.append((pid, read))
-        shares = [[job(n) for n in range(0, jobs, workers)]]
-    finally:
-        ends = [_reap(pid, read) for pid, read in children]
-    for pid, code, data in ends:
-        if code != 0 or not data:
-            raise ChildProcessError(f"worker process {pid} exited with status "
-                                    f"{code} without reporting")
-        ok, value = pickle.loads(data)
-        if not ok:
-            raise value
-        shares.append(value)
-    return [shares[n % workers][n // workers] for n in range(jobs)]
-
-
-def _report(write: int, job, ns: range) -> None:
-    """In a forked child: run job n for each n in `ns`, pickle (True,
-    results) or (False, exception) into fd `write`, and leave through
-    `os._exit`, with status 0 only if the report was written whole."""
-    code = 1
-    try:
-        try:
-            report = (True, [job(n) for n in ns])
-        except BaseException as exc:  # noqa: BLE001 - the caller re-raises it
-            report = (False, exc)
-        with os.fdopen(write, "wb") as f:
-            f.write(pickle.dumps(report))
-        code = 0
-    finally:
-        os._exit(code)
-
-
-def _reap(pid: int, read: int) -> tuple[int, int, bytes]:
-    """A child's pid, exit status and everything it wrote to fd `read`."""
-    with os.fdopen(read, "rb") as f:
-        data = f.read()
-    _, status = os.waitpid(pid, 0)
-    return pid, os.waitstatus_to_exitcode(status), data
-
-
 def run_lengen_experiment(seed: int, model_cfg: ModelConfig,
                           train_cfg: TrainConfig, exp: ExperimentConfig,
                           suite: TestSuiteConfig, out_dir) -> MetricReport:
@@ -481,8 +404,8 @@ def run_lengen_experiment(seed: int, model_cfg: ModelConfig,
     and each distinct chunk is analysed once.
 
     Both phases list their jobs, the models to train and the mixtures to
-    score, for `_in_processes` to deal out. The rows are joined in mixture
-    order, so every output byte is the same for any process count.
+    score, for `workers.in_processes` to deal out. The rows are joined in
+    mixture order, so every output byte is the same for any process count.
 
     Writes report.csv and report.md into out_dir and returns the report.
     Deterministic for a fixed seed, including the CSV bytes.
@@ -510,7 +433,7 @@ def run_lengen_experiment(seed: int, model_cfg: ModelConfig,
             train(EnhancementModel(cfgs[n]), corpus, train_cfg, ckpt_path=ckpts[n],
                   loss_csv=os.path.join(out_dir, f"loss_{cfgs[n].pe_kind.value}.csv"))
 
-        _in_processes(len(holes), train_hole)
+        workers.in_processes(len(holes), train_hole)
         del corpus
         for n in holes:
             bundle[n] = load_checkpoint(ckpts[n])[0]
@@ -534,7 +457,8 @@ def run_lengen_experiment(seed: int, model_cfg: ModelConfig,
         case = (i, utt, dsp.mix_at_snr(utt.clean, utt.noise, snr))
         return _score_case(case, bundle, exp, chunk_s, dur, snr, train_cfg.clip_len_s)
 
-    rows = [row for mixture in _in_processes(len(mixtures), score) for row in mixture]
+    rows = [row for mixture in workers.in_processes(len(mixtures), score)
+            for row in mixture]
 
     report = MetricReport(rows)
     report.to_csv(os.path.join(out_dir, "report.csv"))

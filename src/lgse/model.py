@@ -8,26 +8,19 @@ and a target-specific output head. The positional-encoding scheme's
 input embedding, a bias on the attention scores, or a rotation of q/k. This
 module calls those hooks and holds no scheme-specific code.
 
-A long input without a tape runs on as many worker threads as `_workers`
-allows, with the same output bits as on one. Each split is a list of equal
-jobs that `_on_workers` deals out: attention's are blocks of query rows
-(`_attention_blocks`), and every per-frame part of the forward's (the
-embedding, the q/k/v and output projections, the residual adds, the layer
-norms and the FFN) blocks of frames (`EnhancementModel._by_frames`). Each
-call joins its worker threads before it returns.
+A long input without a tape splits its attention and per-frame parts into
+blocks that `workers.on_threads` deals out.
 """
 
 from __future__ import annotations
 
-import contextvars
 import math
-import os
 from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
 
-from . import _blas_pinned, dsp, posenc
+from . import dsp, posenc, workers
 from .numerics import (
     Tensor,
     add,
@@ -77,6 +70,8 @@ class ModelConfig:
         for name in ("n_layers", "n_heads", "d_model", "d_ff", "k_bins"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be at least 1, got {getattr(self, name)}")
+        if self.init_seed < 0:
+            raise ValueError(f"init_seed must be at least 0, got {self.init_seed}")
         if not 1 <= self.bertpos_max_len <= posenc.BERTPOS_MAX_FRAMES:
             raise ValueError(
                 f"bertpos_max_len must be between 1 and {posenc.BERTPOS_MAX_FRAMES}, "
@@ -101,12 +96,10 @@ class ModelConfig:
 
 # Bytes of float64 scores in one block of query rows of the tape-free
 # attention path; each worker holds one block at a time. A sweep from 0.5 to
-# 16 MiB in all measured flat at the 20 s test length. numpy releases the GIL
-# in every block's matmuls and ufuncs, and rows per block are set by the whole
-# call, so each attention problem makes the same BLAS calls whichever thread
-# makes them and the output is the same bits for every W. The forward's
-# per-frame parts are cut into blocks by `_FRAME_WORK` and `_FRAME_ROWS`, not
-# by this budget.
+# 16 MiB in all measured flat at the 20 s test length. Rows per block are set
+# by the whole call, so each attention problem makes the same BLAS calls on
+# any worker count. The forward's per-frame parts are cut into blocks by
+# `_FRAME_WORK` and `_FRAME_ROWS`, not by this budget.
 _BLOCK_BYTES = 2 * 2**20
 
 # Multiply-adds of a forward's FFN work, frames x d_model x d_ff with every
@@ -130,55 +123,6 @@ _FRAME_WORK = 2**25
 _FRAME_ROWS = 64
 
 
-def _usable_cpus() -> int:
-    """CPUs this process may run on."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no CPU affinity on this platform
-        return os.cpu_count() or 1
-
-
-def _workers(jobs: int) -> int:
-    """Workers to split `jobs` independent jobs among: min(usable CPUs, jobs),
-    at least 1.
-
-    The one worker rule, for attention (`_attention_blocks`), the frame
-    blocks of a long forward (`EnhancementModel._by_frames`) and the
-    experiment's processes (`evaluate._in_processes`). Importing lgse runs
-    BLAS on one thread (see `lgse._pin_blas`), so a worker keeps one CPU
-    busy; where that failed, a BLAS call may fill every CPU, and each split
-    runs on one worker. W changes no output bit, so no setting picks it.
-    """
-    return max(1, min(_usable_cpus(), jobs)) if _blas_pinned else 1
-
-
-def _on_workers(run, jobs: int) -> None:
-    """run(lo, hi) over W = `_workers(jobs)` contiguous runs of range(jobs),
-    their bounds rounded up, so the last run is never longer than another.
-
-    The calling thread takes the first run and a pool the others. Each pool
-    thread runs in a copy of the caller's context, so it inherits its
-    `no_grad()`. The pool is joined before this returns, so no thread
-    outlives the call to block `evaluate`'s fork. A pool run's error is
-    raised once the first run is done; an error of the first run is raised
-    after the pool is joined.
-    """
-    workers = _workers(jobs)
-    bounds = [-(-jobs * w // workers) for w in range(workers + 1)]
-    if workers == 1:
-        run(0, jobs)
-        return
-    # Imported on first use, as only calls split among workers start threads.
-    from concurrent.futures import ThreadPoolExecutor
-
-    with ThreadPoolExecutor(workers - 1) as pool:
-        shares = [pool.submit(contextvars.copy_context().run, run, lo, hi)
-                  for lo, hi in zip(bounds[1:-1], bounds[2:])]
-        run(bounds[0], bounds[1])
-        for share in shares:
-            share.result()
-
-
 def attention_head(q: Tensor, k: Tensor, v: Tensor, bias: Tensor | None = None,
                    *, multiplicative: bool = False) -> Tensor:
     """Scaled dot-product attention over (..., L, d_k) queries, keys and values.
@@ -191,11 +135,10 @@ def attention_head(q: Tensor, k: Tensor, v: Tensor, bias: Tensor | None = None,
 
     When no operand needs a gradient, the scores are computed one block of
     query rows at a time, each within `_BLOCK_BYTES`, and the blocks are
-    dealt out to the workers that `_workers` allows (see
-    `_attention_blocks`); no tape is recorded. That path floors shifted
-    logits at `numerics.EXP_FLOOR`, so a frame that a strong decay bias
-    pushes that far down gets a weight of at most e^-600 relative to its
-    row's largest rather than zero.
+    dealt out by `workers.on_threads` (see `_attention_blocks`); no tape is
+    recorded. That path floors shifted logits at `numerics.EXP_FLOOR`, so a
+    frame that a strong decay bias pushes that far down gets a weight of at
+    most e^-600 relative to its row's largest rather than zero.
     """
     length, d_k = q.shape[-2:]
     if bias is not None and bias.shape[-2:] != (length, length):
@@ -214,40 +157,36 @@ def _attention_blocks(q: Tensor, k: Tensor, v: Tensor, bias: Tensor | None,
                       multiplicative: bool) -> Tensor:
     """`attention_head` without a tape. The jobs are blocks of query rows,
     each spanning every leading axis and all L keys, so each row's softmax is
-    exact; `_on_workers` deals them out, and each worker owns one block's
-    buffer. 1/sqrt(d_k) is folded into q once per call; QK^T is written into
-    the buffer, the bias is applied in place, and `softmax_rows(block, v)`
-    then shifts, floors and exponentiates the block in the buffer and
-    normalizes the small (..., rows, d) product after the value product.
+    exact. 1/sqrt(d_k) is folded into q, broadcast to every leading axis,
+    once per call; each block's QK^T is a fresh array, the bias is applied
+    to it in place, and `softmax_rows(scores, v)` then shifts, floors and
+    exponentiates the scores in place and normalizes the small
+    (..., rows, d) product after the value product.
     """
     length, d_k = q.shape[-2:]
     operands = (q, k, v) if bias is None else (q, k, v, bias)
     lead = np.broadcast_shapes(*(t.shape[:-2] for t in operands))
-    q_scaled = q.data * (1.0 / math.sqrt(d_k))
+    q_scaled = np.broadcast_to(q.data, lead + (length, d_k)) * (1.0 / math.sqrt(d_k))
     k_t = np.ascontiguousarray(np.swapaxes(k.data, -1, -2))
     rows = min(length, max(1, _BLOCK_BYTES // (8 * length * math.prod(lead))))
     blocks = -(-length // rows)
     out = np.empty(lead + (length, v.shape[-1]))
 
-    def run(lo: int, hi: int) -> None:
-        buffer = np.empty(math.prod(lead) * rows * length)
-        for job in range(lo, hi):
-            # Job 0 is the last block, the only one that may be short, so
-            # the first run, the only one that may be a job longer, takes it.
-            r0 = (job - 1) % blocks * rows
-            block = (Ellipsis, slice(r0, r0 + rows), slice(None))
-            s_shape = lead + (min(rows, length - r0), length)
-            s = buffer[:math.prod(s_shape)].reshape(s_shape)
-            np.matmul(q_scaled[block], k_t, out=s)
-            if bias is not None:
-                if multiplicative:
-                    np.maximum(s, 0.0, out=s)
-                    s *= bias.data[block]
-                else:
-                    s += bias.data[block]
-            out[block] = softmax_rows(s, v.data).data
+    def job(n: int) -> None:
+        # Job 0 is the last block, the only one that may be short, so the
+        # first run, which no run outlasts, takes it.
+        r0 = (n - 1) % blocks * rows
+        block = (Ellipsis, slice(r0, r0 + rows), slice(None))
+        s = q_scaled[block] @ k_t
+        if bias is not None:
+            if multiplicative:
+                np.maximum(s, 0.0, out=s)
+                s *= bias.data[block]
+            else:
+                s += bias.data[block]
+        out[block] = softmax_rows(s, v.data).data
 
-    _on_workers(run, blocks)
+    workers.on_threads(blocks, job)
     return constant(out)
 
 
@@ -341,14 +280,13 @@ class EnhancementModel:
         With a tape, or when the forward's FFN work (frames x d_model x d_ff)
         is below `_FRAME_WORK`, `part` runs once on the whole arrays. Otherwise
         the frames of every clip, one row each, are cut into blocks of
-        `_FRAME_ROWS`, the last block taking the remainder, and `_on_workers`
-        deals contiguous runs of blocks to as many workers as `_workers`
-        allows. Each writes its rows of one output allocated here, so no
-        (frames, d_ff) FFN array is made. A block makes the whole arrays'
-        row-wise ufuncs and, at the widths of the reference model, their BLAS
-        sums (see `_FRAME_ROWS`), so the output is the whole-array bits for
-        every W. The output head stays whole: its 257-wide products gave other
-        bits in blocks of 64 to 512 rows.
+        `_FRAME_ROWS`, the last block taking the remainder, for
+        `workers.on_threads`. Each writes its rows of one output allocated
+        here, so no (frames, d_ff) FFN array is made. A block makes the whole
+        arrays' row-wise ufuncs and, at the widths of the reference model,
+        their BLAS sums (see `_FRAME_ROWS`), so the output is the whole-array
+        bits for every W. The output head stays whole: its 257-wide products
+        gave other bits in blocks of 64 to 512 rows.
         """
         cfg = self.config
         lead = inputs[0].shape[:-1]
@@ -360,12 +298,11 @@ class EnhancementModel:
         blocks = max(1, frames // _FRAME_ROWS)
         edges = [b * _FRAME_ROWS for b in range(blocks)] + [frames]
 
-        def run(lo: int, hi: int) -> None:
-            for b in range(lo, hi):
-                block = slice(edges[b], edges[b + 1])
-                out[block] = part(*(constant(a[block]) for a in rows)).data
+        def job(b: int) -> None:
+            block = slice(edges[b], edges[b + 1])
+            out[block] = part(*(constant(a[block]) for a in rows)).data
 
-        _on_workers(run, blocks)
+        workers.on_threads(blocks, job)
         return constant(out.reshape(lead + (cfg.d_model,)))
 
     def embed(self, x_mag: np.ndarray) -> Tensor:

@@ -71,6 +71,8 @@ class TrainConfig:
         if self.max_steps < 0:
             raise ValueError(f"max_steps must be 0 (run all epochs) or a step count, "
                              f"got {self.max_steps}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be at least 0, got {self.seed}")
 
 
 def lr_schedule(n_step: int, w_steps: int, d_model: int) -> float:

@@ -641,11 +641,27 @@ def test_experiment_rejects_an_odd_rope_head_width_before_writing(tmp_path, caps
     assert not (tmp_path / "exp").exists()
 
 
+@pytest.mark.parametrize("argv,key", [
+    (["--seed", "-3"], "seed"),
+    (["--set", "train.seed=-1"], "seed"),
+    (["--set", "model.init_seed=-1"], "init_seed"),
+], ids=["seed", "train.seed", "model.init_seed"])
+def test_a_negative_seed_fails_by_name_before_anything_is_written(tmp_path, capsys,
+                                                                   argv, key):
+    # The experiment draws its initial weights in a training process.
+    for command in (["synth", "--out-dir", str(tmp_path / "corpus")],
+                    [*TINY_EXPERIMENT, "--set", "experiment.kinds=nopos",
+                     "experiment", "--out-dir", str(tmp_path / "exp")]):
+        err = _one_error_line(capsys, *argv, *command)
+        assert err.startswith(f"error: {key} must be at least 0, got -"), err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_experiment_error_in_a_worker_process_is_one_line(tmp_path, capsys, monkeypatch):
-    from lgse import model as model_module
+    from lgse import workers
     from lgse.posenc import BERTPOS_MAX_FRAMES
 
-    monkeypatch.setattr(model_module, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(workers, "_usable_cpus", lambda: 2)
     # The 66 s mixture, 4,124 frames, is mixture 1: the forked worker's.
     err = _one_error_line(capsys, *TINY_EXPERIMENT, "--set", "experiment.kinds=bertpos",
                           "--set", "suite.durations_s=0.5,66",
@@ -655,10 +671,9 @@ def test_experiment_error_in_a_worker_process_is_one_line(tmp_path, capsys, monk
 
 
 def test_experiment_worker_that_dies_is_one_line(tmp_path, capsys, monkeypatch):
-    from lgse import evaluate
-    from lgse import model as model_module
+    from lgse import evaluate, workers
 
-    monkeypatch.setattr(model_module, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(workers, "_usable_cpus", lambda: 2)
     caller, score = os.getpid(), evaluate._score_case
 
     def dies_in_a_child(*args):

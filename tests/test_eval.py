@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from helpers import (BLAS_THREAD_VARS, enhance_chunked_loop, no_child_left, report_from_csv,
                      unpinned_env)
 from lgse import dsp, evaluate, objectives
-from lgse import model as model_module
+from lgse import workers as workers_module
 from lgse.dsp import SAMPLE_RATE, Waveform
 from lgse.evaluate import (
     MetricReport,
@@ -537,13 +537,13 @@ def test_cli_experiment_with_blas_unset_gives_the_pinned_report(tmp_path):
     for name, want in PINNED_REPORT_SHA256.items():
         assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == want, name
     # Both kinds load, so only the scoring forks.
-    assert done.stderr.splitlines()[-1] == f"forks {min(model_module._usable_cpus(), 8) - 1}"
+    assert done.stderr.splitlines()[-1] == f"forks {min(workers_module._usable_cpus(), 8) - 1}"
 
 
 def test_experiment_analyses_each_mixture_once_whatever_the_kinds(tmp_path,
                                                                   monkeypatch):
     # The counters see one process only, so the experiment runs on one.
-    monkeypatch.setattr(model_module, "_usable_cpus", lambda: 1)
+    monkeypatch.setattr(workers_module, "_usable_cpus", lambda: 1)
     counted = {name: count_calls(monkeypatch, module, name) for module, name in
                ((dsp, "stft"), (dsp, "synth_corpus"), (evaluate, "enhance_full"),
                 (evaluate, "enhance_chunked"), (EnhancementModel, "predict"))}
@@ -592,7 +592,7 @@ def test_experiment_bytes_are_the_same_on_any_process_count(tmp_path, monkeypatc
     forks = count_calls(monkeypatch, os, "fork")
     outputs, fork_counts = [], []
     for workers in (1, 2, 3):
-        monkeypatch.setattr(model_module, "_usable_cpus", lambda: workers)
+        monkeypatch.setattr(workers_module, "_usable_cpus", lambda: workers)
         out_dir = tmp_path / str(workers)
         out_dir.mkdir()
         # learnlin loads; nopos and sinusoidal train, fewer kinds than 3 CPUs.
@@ -610,23 +610,9 @@ def test_experiment_bytes_are_the_same_on_any_process_count(tmp_path, monkeypatc
     assert outputs[1] == outputs[0] and outputs[2] == outputs[0]
 
 
-def test_worker_results_come_back_in_job_order(monkeypatch):
-    """Five jobs on three processes: job n runs on process n mod 3, the
-    caller's jobs 0 and 3."""
-    monkeypatch.setattr(model_module, "_usable_cpus", lambda: 3)
-    results = evaluate._in_processes(5, lambda n: (n, os.getpid()))
-    assert [n for n, _ in results] == [0, 1, 2, 3, 4]
-    pids = [pid for _, pid in results]
-    assert pids[0] == pids[3] == os.getpid() and pids[1] == pids[4]
-    assert len(set(pids)) == 3
-    assert evaluate._in_processes(1, lambda n: n) == [0]
-    assert evaluate._in_processes(0, lambda n: n) == []
-    assert no_child_left()
-
-
 def _pids(jobs: int) -> int:
-    """The distinct processes `_in_processes` runs `jobs` jobs on."""
-    return len(set(evaluate._in_processes(jobs, lambda n: os.getpid())))
+    """The distinct processes `in_processes` runs `jobs` jobs on."""
+    return len(set(workers_module.in_processes(jobs, lambda n: os.getpid())))
 
 
 @pytest.mark.parametrize("env,usable,workers", [
@@ -645,20 +631,20 @@ def test_one_process_per_group_of_cpus_one_blas_call_may_use(monkeypatch, env, u
         monkeypatch.delenv(var, raising=False)
     for var, value in env.items():
         monkeypatch.setenv(var, value)
-    monkeypatch.setattr(model_module, "_usable_cpus", lambda: usable)
+    monkeypatch.setattr(workers_module, "_usable_cpus", lambda: usable)
     assert _pids(4) == workers
     assert no_child_left()
 
 
 def test_one_process_if_blas_could_not_be_pinned(monkeypatch):
-    monkeypatch.setattr(model_module, "_blas_pinned", False)
-    monkeypatch.setattr(model_module, "_usable_cpus", lambda: 4)
-    assert model_module._workers(4) == 1
+    monkeypatch.setattr(workers_module, "_blas_pinned", False)
+    monkeypatch.setattr(workers_module, "_usable_cpus", lambda: 4)
+    assert workers_module.count(4) == 1
     assert _pids(4) == 1
 
 
 def test_worker_exception_is_raised_with_its_type_and_message(monkeypatch):
-    monkeypatch.setattr(model_module, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(workers_module, "_usable_cpus", lambda: 2)
 
     def job(n):
         if n == 1:
@@ -666,12 +652,12 @@ def test_worker_exception_is_raised_with_its_type_and_message(monkeypatch):
         return n
 
     with pytest.raises(KeyError, match="only in the child"):
-        evaluate._in_processes(2, job)
+        workers_module.in_processes(2, job)
     assert no_child_left()
 
 
 def test_worker_that_dies_without_reporting_names_its_status(monkeypatch):
-    monkeypatch.setattr(model_module, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(workers_module, "_usable_cpus", lambda: 2)
     caller = os.getpid()
 
     def job(n):
@@ -680,12 +666,12 @@ def test_worker_that_dies_without_reporting_names_its_status(monkeypatch):
         return n
 
     with pytest.raises(ChildProcessError, match="exited with status 3 without reporting"):
-        evaluate._in_processes(2, job)
+        workers_module.in_processes(2, job)
     assert no_child_left()
 
 
 def test_caller_share_error_still_waits_for_the_children(monkeypatch, tmp_path):
-    monkeypatch.setattr(model_module, "_usable_cpus", lambda: 3)
+    monkeypatch.setattr(workers_module, "_usable_cpus", lambda: 3)
     done = tmp_path / "done"
 
     def job(n):
@@ -696,19 +682,19 @@ def test_caller_share_error_still_waits_for_the_children(monkeypatch, tmp_path):
 
     done.mkdir()
     with pytest.raises(ValueError, match="caller's job"):
-        evaluate._in_processes(3, job)
+        workers_module.in_processes(3, job)
     assert no_child_left()
     assert sorted(p.name for p in done.iterdir()) == ["1", "2"]
 
 
 def test_nothing_forks_while_another_thread_is_alive(monkeypatch):
-    monkeypatch.setattr(model_module, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(workers_module, "_usable_cpus", lambda: 2)
     forks = count_calls(monkeypatch, os, "fork")
     release = threading.Event()
     waiter = threading.Thread(target=release.wait)
     waiter.start()
     try:
-        results = evaluate._in_processes(2, lambda n: (n, os.getpid()))
+        results = workers_module.in_processes(2, lambda n: (n, os.getpid()))
     finally:
         release.set()
         waiter.join(timeout=10)
@@ -721,7 +707,7 @@ def test_experiment_error_on_either_side_of_the_fork_is_raised(tmp_path, monkeyp
     from lgse.posenc import CapabilityError
     from lgse.training import TrainConfig
 
-    monkeypatch.setattr(model_module, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(workers_module, "_usable_cpus", lambda: 2)
     forks = count_calls(monkeypatch, os, "fork")
     _save_models(tmp_path, ("bertpos",))
     # A 66 s mixture is 4,124 frames, past bertpos's cap. As mixture 1 it is

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from helpers import param_count
+from lgse import workers as workers_module
 from lgse.model import EnhancementModel, ModelConfig, attention_head, param_shapes
 from lgse.numerics import Tensor, constant
 from lgse.posenc import BERTPOS_MAX_FRAMES, SCHEMES, CapabilityError, PeKind
@@ -413,9 +414,7 @@ def _softmax_spy(monkeypatch, fail=None):
 def _predict_on(workers, m, x, calls, monkeypatch):
     """predict `x` as if this process could use `workers` CPUs, with the
     spied `calls` cleared first."""
-    import lgse.model as model_module
-
-    monkeypatch.setattr(model_module, "_usable_cpus", lambda: workers)
+    monkeypatch.setattr(workers_module, "_usable_cpus", lambda: workers)
     calls.clear()
     return m.predict(x)
 
@@ -550,7 +549,7 @@ def test_error_in_a_worker_block_propagates_and_its_threads_end(fail, monkeypatc
 
     m = tiny_model(pe="learnlin")
     monkeypatch.setattr(model_module, "_BLOCK_BYTES", 8 * 11 * m.config.n_heads * 4)
-    monkeypatch.setattr(model_module, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(workers_module, "_usable_cpus", lambda: 2)
     _softmax_spy(monkeypatch, fail)
     before = threading.active_count()
     with pytest.raises(RuntimeError, match="softmax call"):
@@ -564,7 +563,7 @@ def _attention_threads(monkeypatch, usable, block_bytes, *shape):
     the output and the thread and query rows of each softmax call."""
     import lgse.model as model_module
 
-    monkeypatch.setattr(model_module, "_usable_cpus", lambda: usable)
+    monkeypatch.setattr(workers_module, "_usable_cpus", lambda: usable)
     monkeypatch.setattr(model_module, "_BLOCK_BYTES", block_bytes)
     threads, softmax = [], model_module.softmax_rows
 
@@ -598,59 +597,6 @@ def test_a_single_attention_problem_splits_its_query_rows(monkeypatch):
     assert sorted(rows for thread, rows in calls if thread == main) == [3, 4]
     assert [rows for thread, rows in calls if thread != main] == [4]
     assert np.array_equal(one, two)
-
-
-def test_on_workers_deals_contiguous_runs_in_the_callers_context(monkeypatch):
-    """Five jobs on three workers: runs of 2, 2 and 1, the first on the
-    calling thread, and every run inside the caller's `no_grad()`."""
-    import lgse.model as model_module
-    from lgse.numerics import grad_enabled, no_grad
-
-    monkeypatch.setattr(model_module, "_usable_cpus", lambda: 3)
-    seen = {}
-
-    def run(lo, hi):
-        seen[lo, hi] = (grad_enabled(), threading.get_ident())
-
-    with no_grad():
-        model_module._on_workers(run, 5)
-    assert sorted(seen) == [(0, 2), (2, 4), (4, 5)]
-    assert [enabled for enabled, _ in seen.values()] == [False] * 3
-    assert seen[0, 2][1] == threading.get_ident()
-    assert threading.get_ident() not in (seen[2, 4][1], seen[4, 5][1])
-
-
-def test_only_the_model_module_counts_cpus_and_starts_threads():
-    """CPU lookups and thread pools appear in `model` alone, the BLAS
-    thread variables in `lgse/__init__.py` alone, and `evaluate` uses no
-    private `model` helper but `_workers`, and that only inside
-    `_in_processes`, so no other caller sees the worker count."""
-    import ast
-    from pathlib import Path
-
-    import lgse
-
-    package = Path(lgse.__file__).parent
-    homes = {"sched_getaffinity": "model.py", "cpu_count": "model.py",
-             "ThreadPoolExecutor": "model.py", "OPENBLAS_NUM_THREADS": "__init__.py",
-             "OMP_NUM_THREADS": "__init__.py", "MKL_NUM_THREADS": "__init__.py"}
-    found = {name: [path.name for path in sorted(package.glob("*.py"))
-                    if name in path.read_text(encoding="utf-8")] for name in homes}
-    assert found == {name: [home] for name, home in homes.items()}
-    tree = ast.parse((package / "evaluate.py").read_text(encoding="utf-8"))
-    used = {node.attr for node in ast.walk(tree)
-            if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
-            and node.value.id == "model_module"}
-    used |= {alias.name for node in ast.walk(tree)
-             if isinstance(node, ast.ImportFrom) and node.module == "model"
-             for alias in node.names}
-    assert {name for name in used if name.startswith("_")} == {"_workers"}
-    uses = [node for node in ast.walk(tree)
-            if getattr(node, "attr", getattr(node, "id", None)) == "_workers"]
-    split, = (node for node in tree.body
-              if isinstance(node, ast.FunctionDef) and node.name == "_in_processes")
-    inside = set(map(id, ast.walk(split)))
-    assert uses and all(id(node) in inside for node in uses)
 
 
 def test_only_the_package_module_makes_process_wide_settings():
@@ -868,7 +814,7 @@ def test_frame_blocks_on_any_worker_count_equal_whole_arrays(kind, target, monke
         monkeypatch.setattr(model_module, "_FRAME_ROWS", 3)
         rows = [3] * (frames // 3 - 1) + [3 + frames % 3]
         for workers in (1, 2, 3):
-            monkeypatch.setattr(model_module, "_usable_cpus", lambda: workers)
+            monkeypatch.setattr(workers_module, "_usable_cpus", lambda: workers)
             ffn_calls.clear()
             assert np.array_equal(m.predict(x), whole), workers
             assert sorted(shape for shape, _ in ffn_calls) == sorted([(r, 8) for r in rows] * 2)
@@ -890,7 +836,7 @@ def test_error_in_a_frame_worker_propagates_and_its_threads_end(fail, monkeypatc
     m = tiny_model(pe="learnlin")
     monkeypatch.setattr(model_module, "_FRAME_WORK", 1)
     monkeypatch.setattr(model_module, "_FRAME_ROWS", 2)
-    monkeypatch.setattr(model_module, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(workers_module, "_usable_cpus", lambda: 2)
     _ffn_spy(monkeypatch, fail)
     before = threading.active_count()
     with pytest.raises(RuntimeError, match="ffn call"):
@@ -908,7 +854,7 @@ def test_long_split_predict_never_allocates_a_frames_by_d_ff_array(monkeypatch):
     m = _randomized_pe(tiny_model(pe="learnlin", n_layers=2, d_ff=1024), seed=43)
     length = 2000
     monkeypatch.setattr(model_module, "_FRAME_WORK", length * 8 * 1024)
-    monkeypatch.setattr(model_module, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(workers_module, "_usable_cpus", lambda: 2)
     x = rand_input(length, seed=44)
     hidden_bytes = length * m.config.d_ff * 8
     tracemalloc.start()
@@ -950,7 +896,7 @@ def _check_tape_free_forward(monkeypatch):
         x = rng.uniform(0.0, 2.0, (length, 9))
         preds = {}
         for cap in (3, 1):
-            monkeypatch.setattr(model_module, "_workers", functools.partial(min, cap))
+            monkeypatch.setattr(workers_module, "count", functools.partial(min, cap))
             preds[cap] = model.predict(x)
         err = np.max(np.abs(preds[3] - model.forward(x).data))
         assert err <= 1e-12, f"{kind.value} H={heads} L={length}: {err:.3g}"

@@ -716,6 +716,8 @@ def test_checkpoint_shape_validation(tmp_path):
                  id="unknown-bertpos_hard_cap"),
     pytest.param(lambda c: c.update(causal=False),
                  r"unknown model_config keys \['causal'\]", id="unknown-causal"),
+    pytest.param(lambda c: c.update(init_seed=-1),
+                 "bad model_config: init_seed must be at least 0", id="negative-init_seed"),
 ])
 def test_checkpoint_config_errors(tmp_path, edit, match):
     from helpers import rewrite_model_config
