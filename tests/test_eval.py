@@ -610,6 +610,20 @@ def test_experiment_bytes_are_the_same_on_any_process_count(tmp_path, monkeypatc
     assert outputs[1] == outputs[0] and outputs[2] == outputs[0]
 
 
+def test_worker_results_come_back_in_job_order(monkeypatch):
+    """Five jobs on three processes: job n runs on process n mod 3, the
+    caller's jobs 0 and 3."""
+    monkeypatch.setattr(workers_module, "_usable_cpus", lambda: 3)
+    results = workers_module.in_processes(5, lambda n: (n, os.getpid()))
+    assert [n for n, _ in results] == [0, 1, 2, 3, 4]
+    pids = [pid for _, pid in results]
+    assert pids[0] == pids[3] == os.getpid() and pids[1] == pids[4]
+    assert len(set(pids)) == 3
+    assert workers_module.in_processes(1, lambda n: n) == [0]
+    assert workers_module.in_processes(0, lambda n: n) == []
+    assert no_child_left()
+
+
 def _pids(jobs: int) -> int:
     """The distinct processes `in_processes` runs `jobs` jobs on."""
     return len(set(workers_module.in_processes(jobs, lambda n: os.getpid())))

@@ -599,6 +599,27 @@ def test_a_single_attention_problem_splits_its_query_rows(monkeypatch):
     assert np.array_equal(one, two)
 
 
+def test_on_workers_deals_contiguous_runs_in_the_callers_context(monkeypatch):
+    """Five jobs on three workers: runs of 2, 2 and 1, the first on the
+    calling thread, and every job inside the caller's `no_grad()`."""
+    from lgse.numerics import grad_enabled, no_grad
+
+    monkeypatch.setattr(workers_module, "_usable_cpus", lambda: 3)
+    seen = {}
+
+    def job(n):
+        seen[n] = (grad_enabled(), threading.get_ident())
+
+    with no_grad():
+        workers_module.on_threads(5, job)
+    assert sorted(seen) == [0, 1, 2, 3, 4]
+    assert [enabled for enabled, _ in seen.values()] == [False] * 5
+    caller = threading.get_ident()
+    assert seen[0][1] == seen[1][1] == caller
+    assert seen[2][1] == seen[3][1]
+    assert caller not in (seen[2][1], seen[4][1])
+
+
 def test_only_the_package_module_makes_process_wide_settings():
     """`ctypes` is imported, and glibc's `mallopt` named, in
     `lgse/__init__.py` alone: the BLAS pin and the heap thresholds are set
