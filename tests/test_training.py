@@ -810,3 +810,37 @@ def test_checkpoint_non_finite_tensor_rejected(tmp_path, bad):
     save_checkpoint(path, model, step=0)
     with pytest.raises(CheckpointError, match="param.pe.beta holds non-finite"):
         load_checkpoint(path)
+
+
+# sha256 of the checkpoint and the loss CSV after five steps of a tiny model,
+# per (PE kind, target). The four kinds between them use every `SCHEMES`
+# hook (bias, rotate, rows, multiplicative bias), the four targets every
+# objective. Any change to the training loop's draws, order or arithmetic
+# changes these.
+TRAINED_SHA256 = {
+    ("learnlin", "irm"): (
+        "c3b2c23f8d2746cf377c75574f51875dcc14eef5d64cd2b2d830704af3e01ee0",
+        "4241a160efbb5d7425b35acda0cab36e8bb61b30f30d451e23ce7dea4a624efb"),
+    ("rope", "cirm"): (
+        "4ee68224faf1e7e3590d7f1e89d799320d0f610e74e80c5ce3563c0c26dd13a0",
+        "4d1cbdebfdb559a99654311f88c913a6ab17dd8b00963509053ff6b851a69016"),
+    ("bertpos", "psm"): (
+        "b1c93f614b7274b15782e5911921ada200d5398c9044044ade99bf7adf0b4270",
+        "0a18b53508a12febba67065400d22e64505592a7ed81f81654cdeb61c296d337"),
+    ("dabias", "ms"): (
+        "7cac2fed658e75d16bbd4ae98ffcf8d1620d3bfe77d4dbd604e67bc248c03f58",
+        "741d20cefa343793bbff6cb305574eed41221a0dbd4020a93af7724505da864e"),
+}
+
+
+@pytest.mark.parametrize("kind,target", sorted(TRAINED_SHA256))
+def test_trained_checkpoint_and_loss_bytes_are_pinned(tmp_path, kind, target):
+    import hashlib
+
+    model = EnhancementModel(ModelConfig(pe_kind=kind, target=target, init_seed=7,
+                                         **TINY_MODEL))
+    ckpt, csv = tmp_path / "m.lgse", tmp_path / "loss.csv"
+    write_loss_csv(csv, train(model, corpus(3), tiny_cfg(max_steps=5),
+                              ckpt_path=ckpt).trace)
+    digests = tuple(hashlib.sha256(path.read_bytes()).hexdigest() for path in (ckpt, csv))
+    assert digests == TRAINED_SHA256[kind, target]
