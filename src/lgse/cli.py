@@ -21,7 +21,7 @@ from .evaluate import (MODES, chunk_starts, enhance_chunked, enhance_full,
 from .model import EnhancementModel
 from .objectives import TargetKind
 from .posenc import CapabilityError, PeKind
-from .training import CheckpointError, load_checkpoint, train
+from .training import CheckpointError, load_checkpoint, train, write_loss_csv
 
 __all__ = ["main", "build_parser"]
 
@@ -140,10 +140,10 @@ def cmd_train(cfg: RunConfig, args) -> int:
             _check_writable(path)
     corpus = _read_corpus(args.corpus_dir)
     model = EnhancementModel(cfg.model)
-    trace = train(model, corpus, cfg.train, ckpt_path=args.out,
-                  loss_csv=args.loss_csv).trace
-    last = trace[-1][2] if trace else float("nan")
-    print(f"trained {len(trace)} steps; final loss {last:.6g}; "
+    trace = train(model, corpus, cfg.train, ckpt_path=args.out).trace
+    if args.loss_csv:
+        write_loss_csv(args.loss_csv, trace)
+    print(f"trained {len(trace)} steps; final loss {trace[-1][2]:.6g}; "
           f"checkpoint at {args.out}")
     return 0
 

@@ -20,7 +20,7 @@ from . import dsp, objectives, workers
 from .dsp import Waveform, derived_seed
 from .model import EnhancementModel, ModelConfig
 from .posenc import SCHEMES, PeKind
-from .training import TrainConfig, check_plan, config_dict, load_checkpoint, train
+from .training import TrainConfig, check_plan, config_dict, load_checkpoint, train, write_loss_csv
 
 __all__ = [
     "si_sdr",
@@ -430,8 +430,8 @@ def run_lengen_experiment(seed: int, model_cfg: ModelConfig,
 
         def train_hole(job: int) -> None:
             n = holes[job]
-            train(EnhancementModel(cfgs[n]), corpus, train_cfg, ckpt_path=ckpts[n],
-                  loss_csv=os.path.join(out_dir, f"loss_{cfgs[n].pe_kind.value}.csv"))
+            trace = train(EnhancementModel(cfgs[n]), corpus, train_cfg, ckpt_path=ckpts[n]).trace
+            write_loss_csv(os.path.join(out_dir, f"loss_{cfgs[n].pe_kind.value}.csv"), trace)
 
         workers.in_processes(len(holes), train_hole)
         del corpus

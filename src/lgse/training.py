@@ -1,6 +1,7 @@
-"""Training loop: on-the-fly mixing, mask-approximation MSE, Adam with the
-warmup schedule, elementwise gradient clipping, and model checkpoints that
-reload to a bitwise-equal model."""
+"""Training: on-the-fly mixing, mask-approximation MSE, Adam with the warmup
+schedule, elementwise gradient clipping, and model checkpoints that reload to
+a bitwise-equal model. `steps` is the one training loop, a stream of
+(step, lr, loss) records; `train` consumes it and saves the model."""
 
 from __future__ import annotations
 
@@ -28,6 +29,7 @@ __all__ = [
     "clip_gradients",
     "adam_step",
     "check_plan",
+    "steps",
     "train",
     "save_checkpoint",
     "load_checkpoint",
@@ -192,7 +194,8 @@ def check_plan(cfg: TrainConfig, model_cfg: ModelConfig, n_utts: int,
     a `model_cfg` model on `n_utts` utterances whose longest, which the
     message calls `longest_name`, lasts `longest_s` seconds: it holds one
     clip, `freeze` names only the model's parameters, and the epochs, one
-    step per mini-batch, reach `max_steps`. Nothing is drawn."""
+    step per mini-batch, reach `max_steps`. Nothing is drawn. That bound
+    counts batches, not usable clips: `steps` enforces the rest."""
     if (int(round(longest_s * dsp.SAMPLE_RATE))
             < int(round(cfg.clip_len_s * dsp.SAMPLE_RATE))):
         raise ValueError(f"{longest_name} {longest_s:g} s is shorter than one "
@@ -209,19 +212,12 @@ def check_plan(cfg: TrainConfig, model_cfg: ModelConfig, n_utts: int,
                          f"batches of {cfg.batch_utts} run at most {reachable} steps")
 
 
-def _batches(n_utts: int, cfg: TrainConfig, rng: np.random.Generator):
-    """Utterance indices of each mini-batch: one shuffle per epoch, drawn
-    only when the epoch's first batch is requested."""
-    for _ in range(cfg.epochs):
-        order = rng.permutation(n_utts)
-        for pos in range(0, n_utts, cfg.batch_utts):
-            yield order[pos:pos + cfg.batch_utts]
-
-
-def train(model: EnhancementModel, corpus: list[Utterance], cfg: TrainConfig, *,
-          ckpt_path=None, loss_csv=None) -> TrainResult:
-    """Shuffled-epoch training, deterministic given cfg.seed. The model is
-    saved once, after the last step, when `ckpt_path` is given."""
+def steps(model: EnhancementModel, corpus: list[Utterance], cfg: TrainConfig):
+    """The one training loop: shuffled epochs, deterministic given cfg.seed.
+    Yields (step, lr, loss) after each update, once the step's tape and batch
+    are freed, and returns at `max_steps`. The plan is checked on the first
+    `next()`, before any batch is made; a ValueError is raised if the batches
+    run out below max(max_steps, 1) steps."""
     if not corpus:
         raise ValueError("corpus is empty")
     longest = max(len(utt.clean) for utt in corpus) / dsp.SAMPLE_RATE
@@ -229,31 +225,42 @@ def train(model: EnhancementModel, corpus: list[Utterance], cfg: TrainConfig, *,
     rng = np.random.default_rng(np.random.SeedSequence(entropy=cfg.seed,
                                                        spawn_key=(0x7472,)))
     state = AdamState()
-    trace: list[tuple[int, float, float]] = []
     step = 0
-    for batch in _batches(len(corpus), cfg, rng):
-        x_mag, target = make_batch([corpus[i] for i in batch], cfg, rng, model.config)
-        if len(x_mag) == 0:
-            continue
-        step += 1
-        lr = lr_schedule(step, cfg.w_steps, model.config.d_model)
-        model.zero_grad()
-        loss = mse_loss(model.forward(x_mag), target)
-        backward(loss)
-        # Before the clip, which would map an infinity to +-GRAD_CLIP.
-        _require_finite(model.params, cfg)
-        clip_gradients(model.params, GRAD_CLIP)
-        adam_step(model.params, state, lr, cfg)
-        trace.append((step, lr, float(loss.data)))
-        # Free the step's tape and batch now; otherwise they live on through
-        # the next make_batch and forward, until rebound.
-        del loss, x_mag, target
-        if cfg.max_steps and step >= cfg.max_steps:
-            break
+    for _ in range(cfg.epochs):
+        utts = [corpus[i] for i in rng.permutation(len(corpus))]
+        for pos in range(0, len(corpus), cfg.batch_utts):
+            x_mag, target = make_batch(utts[pos:pos + cfg.batch_utts], cfg, rng, model.config)
+            if len(x_mag) == 0:
+                continue
+            step += 1
+            lr = lr_schedule(step, cfg.w_steps, model.config.d_model)
+            model.zero_grad()
+            loss = mse_loss(model.forward(x_mag), target)
+            backward(loss)
+            # Before the clip, which would map an infinity to +-GRAD_CLIP.
+            _require_finite(model.params, cfg)
+            clip_gradients(model.params, GRAD_CLIP)
+            adam_step(model.params, state, lr, cfg)
+            record = (step, lr, float(loss.data))
+            # Free the step's tape and batch before any consumer runs;
+            # otherwise they live on through the next make_batch and forward.
+            del loss, x_mag, target
+            yield record
+            if step == cfg.max_steps:
+                return
+    if step < max(cfg.max_steps, 1):
+        raise ValueError(f"train.max_steps {cfg.max_steps}: the batches ran out after {step} "
+                         f"steps, and a batch makes no step unless one of its train.clip_len_s "
+                         f"({cfg.clip_len_s:g} s) clips draws a noise segment that long")
+
+
+def train(model: EnhancementModel, corpus: list[Utterance], cfg: TrainConfig, *,
+          ckpt_path=None) -> TrainResult:
+    """Run `steps` to its end. The model is saved once, after the last step,
+    when `ckpt_path` is given."""
+    trace = list(steps(model, corpus, cfg))
     if ckpt_path:
-        save_checkpoint(ckpt_path, model, step=step)
-    if loss_csv:
-        write_loss_csv(loss_csv, trace)
+        save_checkpoint(ckpt_path, model, step=len(trace))
     return TrainResult(trace=trace)
 
 

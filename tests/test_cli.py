@@ -390,6 +390,27 @@ def test_train_with_unreachable_steps_errors(trained, tmp_path, capsys):
     assert not list(tmp_path.iterdir())
 
 
+def test_train_errors_when_the_batches_run_out_before_max_steps(tmp_path, capsys):
+    """One 1.0 s and three 0.3 s utterances at 0.5 s clips: in batches of one,
+    only the long utterance makes a step, so two epochs make 2 of 8 steps."""
+    corpus = tmp_path / "corpus"
+    corpus.mkdir()
+    pairs = []
+    for i, utt in enumerate(dsp.synth_corpus(11, 1, 1.0) + dsp.synth_corpus(12, 3, 0.3)):
+        pairs.append({"clean": f"clean_{i}.wav", "noise": f"noise_{i}.wav"})
+        dsp.write_wav(corpus / pairs[-1]["clean"], utt.clean)
+        dsp.write_wav(corpus / pairs[-1]["noise"], utt.noise)
+    (corpus / "manifest.json").write_text(json.dumps({"pairs": pairs}))
+    out, losses = tmp_path / "m.lgse", tmp_path / "loss.csv"
+    err = _one_error_line(capsys, "--set", "model.n_layers=1", "--set", "model.n_heads=2",
+                          "--set", "model.d_model=16", "--set", "model.d_ff=32",
+                          "--set", "train.clip_len_s=0.5", "--set", "train.batch_utts=1",
+                          "--set", "train.epochs=2", "train", "--corpus-dir", str(corpus),
+                          "--out", str(out), "--loss-csv", str(losses), "--steps", "8")
+    assert "train.max_steps 8: the batches ran out after 2 steps" in err
+    assert not out.exists() and not losses.exists()
+
+
 def _one_error_line(capsys, *argv) -> str:
     capsys.readouterr()
     code = run_cli(*argv)

@@ -23,6 +23,7 @@ from lgse.training import (
     make_batch,
     mse_loss,
     save_checkpoint,
+    steps,
     train,
     write_loss_csv,
 )
@@ -459,6 +460,122 @@ def test_train_rejects_unreachable_max_steps(tmp_path):
         train(model, corpus(3), tiny_cfg(epochs=2, max_steps=5), ckpt_path=path)
     assert not path.exists()
     assert len(train(model, corpus(3), tiny_cfg(epochs=2, max_steps=4)).trace) == 4
+
+
+def short_corpus():
+    """One 1.0 s utterance and three 0.3 s ones. At 0.5 s clips only the long
+    one has clips, and a clip makes a step only if it draws the long one's
+    noise: `check_plan`, which counts batches, cannot see that."""
+    return corpus(1, dur=1.0) + corpus(3, dur=0.3, seed=12)
+
+
+@pytest.mark.parametrize("kw,made", [
+    # In batches of one, each epoch has one batch that holds the long utterance.
+    (dict(batch_utts=1, epochs=2, max_steps=8), 2),
+    # One batch of all four, whose clips draw only short noise at these seeds.
+    (dict(batch_utts=4, epochs=1, max_steps=0, seed=2), 0),
+    (dict(batch_utts=4, epochs=1, max_steps=0, seed=4), 0),
+], ids=["short", "none-seed2", "none-seed4"])
+def test_train_rejects_batches_that_run_out_before_max_steps(tmp_path, kw, made):
+    model = EnhancementModel(ModelConfig(pe_kind="nopos", **TINY_MODEL))
+    path = tmp_path / "m.lgse"
+    message = (f"train.max_steps {kw['max_steps']}: the batches ran out after {made} "
+               f"steps, and a batch makes no step unless one of its train.clip_len_s "
+               f"(0.5 s) clips draws a noise segment that long")
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        train(model, short_corpus(), tiny_cfg(**kw), ckpt_path=path)
+    assert not path.exists()
+    # At another seed the one batch makes a step, and all epochs is enough.
+    cfg = tiny_cfg(batch_utts=4, epochs=1, max_steps=0, seed=3)
+    assert len(train(model, short_corpus(), cfg).trace) == 1
+
+
+# -- the step stream ---------------------------------------------------------------
+
+
+def tiny_model(kind="tisa"):
+    return EnhancementModel(ModelConfig(pe_kind=kind, target="cirm", init_seed=6,
+                                        **TINY_MODEL))
+
+
+def test_steps_yields_the_trace_of_train():
+    records = list(steps(tiny_model(), corpus(3), tiny_cfg(max_steps=6)))
+    assert records == train(tiny_model(), corpus(3), tiny_cfg(max_steps=6)).trace
+    assert [s for s, _, _ in records] == list(range(1, 7))
+    # Plain numbers: a consumer that keeps every record keeps no tape.
+    assert all(type(s) is int and type(lr) is float and type(loss) is float
+               for s, lr, loss in records)
+
+
+def test_closing_the_stream_early_leaves_the_model_of_a_shorter_run(tmp_path):
+    """A consumer that stops after k records holds, bit for bit, the model
+    that `train` leaves with max_steps=k, and saves the same checkpoint."""
+    model = tiny_model()
+    stream = steps(model, corpus(3), tiny_cfg(max_steps=30))
+    records = [next(stream) for _ in range(3)]
+    stream.close()
+    ref, ref_path = tiny_model(), tmp_path / "ref.lgse"
+    assert records == train(ref, corpus(3), tiny_cfg(max_steps=3), ckpt_path=ref_path).trace
+    assert all(np.array_equal(t.data, ref.params[n].data) for n, t in model.params.items())
+    path = tmp_path / "m.lgse"
+    save_checkpoint(path, model, step=len(records))
+    assert path.read_bytes() == ref_path.read_bytes()
+
+
+def test_no_tape_node_lives_while_a_consumer_runs():
+    """Each record comes after the step's tape is freed, so a consumer never
+    runs beside it."""
+    import gc
+
+    def live_nodes():
+        gc.collect()
+        return sum(isinstance(o, numerics._Node) for o in gc.get_objects())
+
+    assert [live_nodes() for _ in steps(tiny_model(), corpus(3), tiny_cfg(max_steps=3))] \
+        == [0, 0, 0]
+
+
+@pytest.mark.parametrize("kw,message", [
+    (dict(freeze=("pe.beta",)), "freeze names no parameter"),
+    # Three utterances in batches of two: two steps per epoch.
+    (dict(epochs=2, max_steps=5), "train.max_steps 5 is out of reach"),
+], ids=["freeze", "max_steps"])
+def test_steps_checks_the_plan_on_the_first_next(monkeypatch, kw, message):
+    made = []
+    monkeypatch.setattr(training, "make_batch", lambda *args: made.append(args))
+    stream = steps(EnhancementModel(ModelConfig(pe_kind="nopos", **TINY_MODEL)),
+                   corpus(3), tiny_cfg(**kw))
+    with pytest.raises(ValueError, match=message):
+        next(stream)
+    assert made == []
+
+
+def test_only_training_steps_runs_the_training_loop():
+    """In `src/lgse` only `training.steps` names the loop's parts: batches,
+    the schedule, the backward walk, the clip and the update. New uses of
+    training consume the stream instead of growing a second loop."""
+    import ast
+    from pathlib import Path
+
+    import lgse
+
+    loop = ("make_batch", "lr_schedule", "backward", "clip_gradients", "adam_step")
+    found = {name: [] for name in loop}
+
+    def visit(node, owner):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, f"{owner}.{child.name}")
+                continue
+            name = (child.id if isinstance(child, ast.Name)
+                    else child.attr if isinstance(child, ast.Attribute) else None)
+            if name in found:
+                found[name].append(owner)
+            visit(child, owner)
+
+    for path in sorted(Path(lgse.__file__).parent.glob("*.py")):
+        visit(ast.parse(path.read_text(encoding="utf-8")), path.stem)
+    assert found == {name: ["training.steps"] for name in loop}
 
 
 @pytest.mark.parametrize("kw,longest_s,message", [
